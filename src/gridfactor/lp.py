@@ -6,12 +6,17 @@ outflow/spill/level, installed capacities ``N`` (power, charge,
 discharge, energy), and one signed flow per interconnector-hour bounded
 by +/- NTC. Column and row ordering is deterministic (sorted by entity
 id, then hour) so repeated builds are bit-identical.
+
+Every hourly family of one (country, technology) occupies a contiguous
+column slice and every constraint family a contiguous row block, so the
+matrix is emitted as coordinate arrays per block rather than row by row.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,21 +30,11 @@ from .model import (
 )
 
 INF = float("inf")
+GENERATING = ("dispatchable", "variable-renewable", "run-of-river")
 
 
 class BuildError(GridFactorError):
     """Raised when a spec cannot be translated into an LP."""
-
-
-@dataclass(frozen=True)
-class Row:
-    """One constraint row: sparse coefficients, relation, right-hand side."""
-
-    name: str
-    coeffs: tuple[tuple[int, float], ...]  # (column index, value)
-    relation: str  # one of "<", "=", ">"
-    rhs: float
-    meta: tuple
 
 
 @dataclass(eq=False)
@@ -113,114 +108,172 @@ class BuildReport:
         return sum(self.rows_by_family.values())
 
 
-class VariableSpace:
-    """Deterministic column registry for one spec."""
+def _present(spec: PowerSystemSpec, code: str, tech: Technology) -> bool:
+    """Whether a technology exists in a country's portfolio.
 
-    def __init__(self, spec: PowerSystemSpec):
-        self.spec = spec
+    Expandable technologies are always present; non-expandable ones
+    only where an exogenous capacity entry carries nonzero values.
+    """
+    if tech.expandable:
+        return True
+    e = spec.exogenous_capacity(code, tech.id)
+    return e.power_discharge > 0 or e.power_charge > 0 or e.energy > 0
+
+
+def _bounds(tech: Technology, exogenous: float) -> tuple[float, float]:
+    """Free for expandable technologies, else fixed at the exogenous capacity."""
+    return (0.0, INF) if tech.expandable else (exogenous, exogenous)
+
+
+def _power_bounds(spec: PowerSystemSpec, code: str, tech: Technology) -> tuple[float, float]:
+    if not tech.expandable:
+        v = spec.exogenous_capacity(code, tech.id).power_discharge
+        return v, v
+    if tech.offshore:
+        override = spec.offshore_override(code)
+        if override is not None:
+            return override, override
+        if not spec.country(code).offshore_eligible:
+            return 0.0, 0.0
+    return 0.0, INF
+
+
+class _Registry:
+    """Names, metadata and per-family counts of columns or rows, in order."""
+
+    def __init__(self, horizon: int):
+        self.horizon = horizon
         self.names: list[str] = []
         self.meta: list[tuple] = []
+        self.counts: dict[str, int] = {}
+        self._suffixes = [f"{h}]" for h in range(horizon)]
+
+    def _hourly(self, prefix: str, key: tuple) -> int:
+        """Add ``prefix[key...,h]`` with metadata ``(*key, h)`` per hour; first index."""
+        first = len(self.names)
+        head = f"{prefix}[{','.join(key[1:])},"
+        self.names += map(head.__add__, self._suffixes)
+        self.meta += zip(*(itertools.repeat(k, self.horizon) for k in key), range(self.horizon))
+        self._count(key[0], self.horizon)
+        return first
+
+    def _count(self, family: str, n: int) -> None:
+        self.counts[family] = self.counts.get(family, 0) + n
+
+
+class _Columns(_Registry):
+    """Column layout: an hourly family is one slice, a capacity one column."""
+
+    def __init__(self, horizon: int):
+        super().__init__(horizon)
         self.lb: list[float] = []
         self.ub: list[float] = []
-        self.index: dict[tuple, int] = {}
-        self._build()
+        self.start: dict[tuple, int] = {}  # (family, country, tech) or ("flow", line)
+        self.present: list[tuple[str, Technology]] = []  # (country, tech) in column order
 
-    def _add(self, name: str, meta: tuple, lb: float, ub: float) -> None:
-        self.index[meta] = len(self.names)
-        self.names.append(name)
-        self.meta.append(meta)
-        self.lb.append(lb)
-        self.ub.append(ub)
+    def hourly(self, prefix: str, key: tuple, lo: float = 0.0, up: float = INF) -> None:
+        self.start[key] = self._hourly(prefix, key)
+        self.lb += [lo] * self.horizon
+        self.ub += [up] * self.horizon
 
-    def idx(self, *meta) -> int:
-        return self.index[meta]
+    def capacity(self, prefix: str, key: tuple, lo: float, up: float) -> None:
+        self.start[key] = len(self.names)
+        self.names.append(f"{prefix}[{key[1]},{key[2]}]")
+        self.meta.append((*key, None))
+        self.lb.append(lo)
+        self.ub.append(up)
+        self._count(key[0], 1)
 
-    def present(self, code: str, tech: Technology) -> bool:
-        """Whether a technology exists in a country's portfolio.
+    def hours(self, key: tuple) -> np.ndarray:
+        """Column indices of an hourly slice, hour 0 first."""
+        return self.start[key] + np.arange(self.horizon)
 
-        Expandable technologies are always present; non-expandable ones
-        only where an exogenous capacity entry carries nonzero values.
+
+class _Rows(_Registry):
+    """Row blocks of ``horizon`` rows each, plus their coordinate triples."""
+
+    def __init__(self, horizon: int):
+        super().__init__(horizon)
+        self.relations: list[np.ndarray] = []
+        self.rhs: list[np.ndarray] = []
+        self.ri: list[np.ndarray] = []
+        self.ci: list[np.ndarray] = []
+        self.data: list[np.ndarray] = []
+
+    def block(self, prefix: str, key: tuple, relation: str, terms, rhs=0.0) -> None:
+        """One row per hour; ``terms`` are (column, coefficient) pairs over hours.
+
+        A column, coefficient or ``rhs`` may be a scalar (the same for
+        every hour) or a length-``horizon`` array.
         """
-        if tech.expandable:
-            return True
-        e = self.spec.exogenous_capacity(code, tech.id)
-        return e.power_discharge > 0 or e.power_charge > 0 or e.energy > 0
-
-    def _power_bounds(self, code: str, tech: Technology) -> tuple[float, float]:
-        spec = self.spec
-        if not tech.expandable:
-            v = spec.exogenous_capacity(code, tech.id).power_discharge
-            return v, v
-        if tech.offshore:
-            override = spec.offshore_override(code)
-            if override is not None:
-                return override, override
-            if not spec.country(code).offshore_eligible:
-                return 0.0, 0.0
-        return 0.0, INF
-
-    def _build(self) -> None:
-        spec = self.spec
-        horizon = spec.time_series.horizon
-        codes = sorted(c.code for c in spec.countries)
-        techs = sorted(spec.technologies, key=lambda t: t.id)
-
-        for code in codes:
-            for tech in techs:
-                if not self.present(code, tech):
-                    continue
-                tid = tech.id
-                if tech.kind in ("dispatchable", "variable-renewable", "run-of-river"):
-                    for h in range(horizon):
-                        self._add(f"G[{code},{tid},{h}]", ("gen", code, tid, h), 0.0, INF)
-                    plo, pup = self._power_bounds(code, tech)
-                    self._add(f"N[{code},{tid}]", ("cap_power", code, tid, None), plo, pup)
-                elif tech.kind == "storage":
-                    for h in range(horizon):
-                        self._add(f"STOin[{code},{tid},{h}]", ("sto_in", code, tid, h), 0.0, INF)
-                    for h in range(horizon):
-                        self._add(f"STOout[{code},{tid},{h}]", ("sto_out", code, tid, h), 0.0, INF)
-                    for h in range(horizon):
-                        self._add(f"LVL[{code},{tid},{h}]", ("sto_level", code, tid, h), 0.0, INF)
-                    if tech.expandable:
-                        bounds = {"cap_charge": (0.0, INF), "cap_discharge": (0.0, INF), "cap_energy": (0.0, INF)}
-                    else:
-                        e = spec.exogenous_capacity(code, tid)
-                        bounds = {
-                            "cap_charge": (e.power_charge, e.power_charge),
-                            "cap_discharge": (e.power_discharge, e.power_discharge),
-                            "cap_energy": (e.energy, e.energy),
-                        }
-                    self._add(f"NPIN[{code},{tid}]", ("cap_charge", code, tid, None), *bounds["cap_charge"])
-                    self._add(f"NPOUT[{code},{tid}]", ("cap_discharge", code, tid, None), *bounds["cap_discharge"])
-                    self._add(f"NE[{code},{tid}]", ("cap_energy", code, tid, None), *bounds["cap_energy"])
-                elif tech.kind == "reservoir":
-                    if code not in spec.time_series.reservoir_inflow:
-                        raise BuildError(
-                            f"missing inflow series for reservoir {tid} in {code}"
-                        )
-                    for h in range(horizon):
-                        self._add(f"RSVout[{code},{tid},{h}]", ("rsv_out", code, tid, h), 0.0, INF)
-                    for h in range(horizon):
-                        self._add(f"SPILL[{code},{tid},{h}]", ("rsv_spill", code, tid, h), 0.0, INF)
-                    for h in range(horizon):
-                        self._add(f"RLVL[{code},{tid},{h}]", ("rsv_level", code, tid, h), 0.0, INF)
-                    e = spec.exogenous_capacity(code, tid)
-                    plo, pup = (0.0, INF) if tech.expandable else (e.power_discharge, e.power_discharge)
-                    elo, eup = (0.0, INF) if tech.expandable else (e.energy, e.energy)
-                    self._add(f"NPOUT[{code},{tid}]", ("cap_discharge", code, tid, None), plo, pup)
-                    self._add(f"NE[{code},{tid}]", ("cap_energy", code, tid, None), elo, eup)
-                else:  # pragma: no cover - kinds validated upstream
-                    raise BuildError(f"unsupported technology kind {tech.kind!r}")
-
-        if spec.interconnection_enabled:
-            for line in sorted(spec.interconnectors, key=lambda l: (l.from_country, l.to_country)):
-                tag = f"{line.from_country}-{line.to_country}"
-                for h in range(horizon):
-                    self._add(f"F[{tag},{h}]", ("flow", tag, h), -line.ntc, line.ntc)
+        first = self._hourly(prefix, key)
+        cols = np.empty((len(terms), self.horizon), dtype=np.int64)
+        coeffs = np.empty((len(terms), self.horizon))
+        for t, (col, coeff) in enumerate(terms):
+            cols[t], coeffs[t] = col, coeff
+        self.ri.append(np.tile(np.arange(first, first + self.horizon), len(terms)))
+        self.ci.append(cols.ravel())
+        self.data.append(coeffs.ravel())
+        values = np.empty(self.horizon)
+        values[:] = rhs
+        self.rhs.append(values)
+        self.relations.append(np.full(self.horizon, relation))
 
 
-def build_objective(spec: PowerSystemSpec, space: VariableSpace | None = None) -> np.ndarray:
+def _layout(spec: PowerSystemSpec, codes, techs) -> _Columns:
+    cols = _Columns(spec.time_series.horizon)
+    for code in codes:
+        for tech in techs:
+            if not _present(spec, code, tech):
+                continue
+            cols.present.append((code, tech))
+            tid = tech.id
+            e = spec.exogenous_capacity(code, tid)
+            charge, discharge, energy = (
+                _bounds(tech, v) for v in (e.power_charge, e.power_discharge, e.energy)
+            )
+            if tech.kind in GENERATING:
+                cols.hourly("G", ("gen", code, tid))
+                cols.capacity("N", ("cap_power", code, tid), *_power_bounds(spec, code, tech))
+            elif tech.kind == "storage":
+                cols.hourly("STOin", ("sto_in", code, tid))
+                cols.hourly("STOout", ("sto_out", code, tid))
+                cols.hourly("LVL", ("sto_level", code, tid))
+                cols.capacity("NPIN", ("cap_charge", code, tid), *charge)
+                cols.capacity("NPOUT", ("cap_discharge", code, tid), *discharge)
+                cols.capacity("NE", ("cap_energy", code, tid), *energy)
+            elif tech.kind == "reservoir":
+                if code not in spec.time_series.reservoir_inflow:
+                    raise BuildError(f"missing inflow series for reservoir {tid} in {code}")
+                cols.hourly("RSVout", ("rsv_out", code, tid))
+                cols.hourly("SPILL", ("rsv_spill", code, tid))
+                cols.hourly("RLVL", ("rsv_level", code, tid))
+                cols.capacity("NPOUT", ("cap_discharge", code, tid), *discharge)
+                cols.capacity("NE", ("cap_energy", code, tid), *energy)
+            else:  # pragma: no cover - kinds validated upstream
+                raise BuildError(f"unsupported technology kind {tech.kind!r}")
+
+    if spec.interconnection_enabled:
+        for line in sorted(spec.interconnectors, key=lambda l: (l.from_country, l.to_country)):
+            tag = f"{line.from_country}-{line.to_country}"
+            cols.hourly("F", ("flow", tag), -line.ntc, line.ntc)
+    return cols
+
+
+def _capacity_cost(tech: Technology, family: str, rate: float) -> float:
+    """Annualized investment (plus fixed cost) per kW or kWh of one capacity family."""
+    cost, fixed, what = {
+        "cap_power": (tech.overnight_cost_power, tech.fixed_cost, "technology"),
+        "cap_charge": (tech.overnight_cost_charge, 0.0, "storage"),
+        "cap_discharge": (tech.overnight_cost_discharge, tech.fixed_cost, "storage"),
+        "cap_energy": (tech.overnight_cost_energy, 0.0, "storage"),
+    }[family]
+    if cost <= 0:
+        raise BuildError(f"expandable {what} {tech.id}: missing overnight_cost_{family[4:]}")
+    return annuity(cost, tech.lifetime, rate) + fixed
+
+
+def build_objective(spec: PowerSystemSpec, cols: _Columns) -> np.ndarray:
     """Objective coefficients: marginal costs plus annualized investment.
 
     Investment annuities and fixed costs apply to expandable capacity
@@ -228,96 +281,47 @@ def build_objective(spec: PowerSystemSpec, space: VariableSpace | None = None) -
     sub-year instances stay economically consistent. Overnight costs are
     per kW / kWh while capacities are MW / MWh, hence the factor 1000.
     """
-    space = space or VariableSpace(spec)
-    c = np.zeros(len(space.names))
-    horizon = spec.time_series.horizon
-    year_scale = horizon / HOURS_PER_YEAR
-    rate = spec.annuity_rate
-
-    for meta, j in space.index.items():
-        family = meta[0]
+    c = np.zeros(len(cols.names))
+    year_scale = cols.horizon / HOURS_PER_YEAR
+    for key, j in cols.start.items():
+        family = key[0]
         if family == "flow":
             continue
-        code, tid = meta[1], meta[2]
-        tech = spec.technology(tid)
-        if family in ("gen", "rsv_out"):
-            c[j] = tech.marginal_cost
-        elif family in ("sto_in", "sto_out"):
-            c[j] = tech.marginal_cost
-        elif not tech.expandable:
-            continue
-        elif family == "cap_power":
-            cost = tech.overnight_cost_power
-            if cost <= 0:
-                raise BuildError(f"expandable technology {tid}: missing overnight_cost_power")
-            c[j] = (annuity(cost, tech.lifetime, rate) + tech.fixed_cost) * 1000.0 * year_scale
-        elif family == "cap_charge":
-            if tech.overnight_cost_charge <= 0:
-                raise BuildError(f"expandable storage {tid}: missing overnight_cost_charge")
-            c[j] = annuity(tech.overnight_cost_charge, tech.lifetime, rate) * 1000.0 * year_scale
-        elif family == "cap_discharge":
-            if tech.overnight_cost_discharge <= 0:
-                raise BuildError(f"expandable storage {tid}: missing overnight_cost_discharge")
-            c[j] = (
-                annuity(tech.overnight_cost_discharge, tech.lifetime, rate) + tech.fixed_cost
-            ) * 1000.0 * year_scale
-        elif family == "cap_energy":
-            if tech.overnight_cost_energy <= 0:
-                raise BuildError(f"expandable storage {tid}: missing overnight_cost_energy")
-            c[j] = annuity(tech.overnight_cost_energy, tech.lifetime, rate) * 1000.0 * year_scale
+        tech = spec.technology(key[2])
+        if family in ("gen", "rsv_out", "sto_in", "sto_out"):
+            c[j : j + cols.horizon] = tech.marginal_cost
+        elif family.startswith("cap_") and tech.expandable:
+            c[j] = _capacity_cost(tech, family, spec.annuity_rate) * 1000.0 * year_scale
     return c
 
 
-def build_energy_balance(spec: PowerSystemSpec, space: VariableSpace | None = None) -> list[Row]:
+def _balance_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows, codes) -> None:
     """One equality per (country, hour): demand + charging = supply + net flows.
 
     Flow incidence: +1 in the line's from-country row, -1 in its
     to-country row; flow columns are absent entirely when
     interconnection is disabled.
     """
-    space = space or VariableSpace(spec)
-    horizon = spec.time_series.horizon
-    codes = sorted(c.code for c in spec.countries)
-    techs = sorted(spec.technologies, key=lambda t: t.id)
-
-    incidence: dict[str, list[tuple[str, float]]] = {code: [] for code in codes}
+    terms: dict[str, list] = {code: [] for code in codes}
+    for code, tech in cols.present:
+        tid = tech.id
+        if tech.kind in GENERATING:
+            terms[code].append((cols.hours(("gen", code, tid)), 1.0))
+        elif tech.kind == "storage":
+            terms[code].append((cols.hours(("sto_out", code, tid)), 1.0))
+            terms[code].append((cols.hours(("sto_in", code, tid)), -1.0))
+        elif tech.kind == "reservoir":
+            terms[code].append((cols.hours(("rsv_out", code, tid)), 1.0))
     if spec.interconnection_enabled:
         for line in spec.interconnectors:
-            tag = f"{line.from_country}-{line.to_country}"
-            incidence[line.from_country].append((tag, 1.0))
-            incidence[line.to_country].append((tag, -1.0))
-
-    rows: list[Row] = []
+            flows = cols.hours(("flow", f"{line.from_country}-{line.to_country}"))
+            terms[line.from_country].append((flows, 1.0))
+            terms[line.to_country].append((flows, -1.0))
     for code in codes:
-        load = spec.time_series.load[code]
-        present = [t for t in techs if space.present(code, t)]
-        for h in range(horizon):
-            coeffs: list[tuple[int, float]] = []
-            for tech in present:
-                if tech.kind in ("dispatchable", "variable-renewable", "run-of-river"):
-                    coeffs.append((space.idx("gen", code, tech.id, h), 1.0))
-                elif tech.kind == "storage":
-                    coeffs.append((space.idx("sto_out", code, tech.id, h), 1.0))
-                    coeffs.append((space.idx("sto_in", code, tech.id, h), -1.0))
-                elif tech.kind == "reservoir":
-                    coeffs.append((space.idx("rsv_out", code, tech.id, h), 1.0))
-            for tag, sign in incidence[code]:
-                coeffs.append((space.idx("flow", tag, h), sign))
-            rows.append(
-                Row(
-                    name=f"bal[{code},{h}]",
-                    coeffs=tuple(coeffs),
-                    relation="=",
-                    rhs=float(load[h]),
-                    meta=("balance", code, h),
-                )
-            )
-    return rows
+        rows.block("bal", ("balance", code), "=", terms[code], spec.time_series.load[code])
 
 
-def build_capacity_and_storage_constraints(
-    spec: PowerSystemSpec, space: VariableSpace | None = None
-) -> list[Row]:
+def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None:
     """Capacity coupling, storage and reservoir balances.
 
     Storage levels follow ``L_h = retention * L_{h-1} + eta_in * in_h -
@@ -326,167 +330,114 @@ def build_capacity_and_storage_constraints(
     Run-of-river availability is the inflow profile (capacity-factor
     series if provided, else 1) times the technology's efficiency.
     """
-    space = space or VariableSpace(spec)
     ts = spec.time_series
-    horizon = ts.horizon
-    rows: list[Row] = []
-
-    for code in sorted(c.code for c in spec.countries):
-        for tech in sorted(spec.technologies, key=lambda t: t.id):
-            if not space.present(code, tech):
-                continue
-            tid = tech.id
-            if tech.kind in ("dispatchable", "variable-renewable", "run-of-river"):
-                n_j = space.idx("cap_power", code, tid, None)
-                for h in range(horizon):
-                    if tech.kind == "dispatchable":
-                        avail = 1.0
-                    elif tech.kind == "variable-renewable":
-                        avail = float(ts.capacity_factors[(code, tid)][h])
-                    else:
-                        profile = ts.capacity_factors.get((code, tid))
-                        avail = tech.efficiency_out * (
-                            float(profile[h]) if profile is not None else 1.0
-                        )
-                    rows.append(
-                        Row(
-                            name=f"gcap[{code},{tid},{h}]",
-                            coeffs=((space.idx("gen", code, tid, h), 1.0), (n_j, -avail)),
-                            relation="<",
-                            rhs=0.0,
-                            meta=("gen_cap", code, tid, h),
-                        )
-                    )
-            elif tech.kind == "storage":
-                rows.extend(_storage_rows(space, code, tech, horizon))
-            elif tech.kind == "reservoir":
-                rows.extend(_reservoir_rows(spec, space, code, tech, horizon))
-    return rows
-
-
-def _storage_rows(space: VariableSpace, code: str, tech: Technology, horizon: int) -> Iterator[Row]:
-    tid = tech.id
-    ne = space.idx("cap_energy", code, tid, None)
-    npin = space.idx("cap_charge", code, tid, None)
-    npout = space.idx("cap_discharge", code, tid, None)
-    for h in range(horizon):
-        prev = (h - 1) % horizon
-        yield Row(
-            name=f"slvl[{code},{tid},{h}]",
-            coeffs=(
-                (space.idx("sto_level", code, tid, h), 1.0),
-                (space.idx("sto_level", code, tid, prev), -tech.self_discharge_retention),
-                (space.idx("sto_in", code, tid, h), -tech.efficiency_in),
-                (space.idx("sto_out", code, tid, h), 1.0 / tech.efficiency_out),
-            ),
-            relation="=",
-            rhs=0.0,
-            meta=("sto_balance", code, tid, h),
-        )
-    for h in range(horizon):
-        yield Row(
-            name=f"secap[{code},{tid},{h}]",
-            coeffs=((space.idx("sto_level", code, tid, h), 1.0), (ne, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("sto_level_cap", code, tid, h),
-        )
-    for h in range(horizon):
-        yield Row(
-            name=f"sincap[{code},{tid},{h}]",
-            coeffs=((space.idx("sto_in", code, tid, h), 1.0), (npin, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("sto_charge_cap", code, tid, h),
-        )
-    for h in range(horizon):
-        yield Row(
-            name=f"soutcap[{code},{tid},{h}]",
-            coeffs=((space.idx("sto_out", code, tid, h), 1.0), (npout, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("sto_discharge_cap", code, tid, h),
-        )
-
-
-def _reservoir_rows(
-    spec: PowerSystemSpec, space: VariableSpace, code: str, tech: Technology, horizon: int
-) -> Iterator[Row]:
-    tid = tech.id
-    inflow = spec.time_series.reservoir_inflow[code]
-    ne = space.idx("cap_energy", code, tid, None)
-    npout = space.idx("cap_discharge", code, tid, None)
-    for h in range(horizon):
-        prev = (h - 1) % horizon
-        yield Row(
-            name=f"rlvl[{code},{tid},{h}]",
-            coeffs=(
-                (space.idx("rsv_level", code, tid, h), 1.0),
-                (space.idx("rsv_level", code, tid, prev), -tech.self_discharge_retention),
-                (space.idx("rsv_out", code, tid, h), 1.0 / tech.efficiency_out),
-                (space.idx("rsv_spill", code, tid, h), 1.0),
-            ),
-            relation="=",
-            rhs=float(inflow[h]),
-            meta=("rsv_balance", code, tid, h),
-        )
-    for h in range(horizon):
-        yield Row(
-            name=f"recap[{code},{tid},{h}]",
-            coeffs=((space.idx("rsv_level", code, tid, h), 1.0), (ne, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("rsv_level_cap", code, tid, h),
-        )
-    for h in range(horizon):
-        yield Row(
-            name=f"routcap[{code},{tid},{h}]",
-            coeffs=((space.idx("rsv_out", code, tid, h), 1.0), (npout, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("rsv_discharge_cap", code, tid, h),
-        )
+    for code, tech in cols.present:
+        tid = tech.id
+        key = (code, tid)
+        if tech.kind in GENERATING:
+            if tech.kind == "dispatchable":
+                avail = 1.0
+            elif tech.kind == "variable-renewable":
+                avail = np.asarray(ts.capacity_factors[key], dtype=float)
+            else:
+                profile = ts.capacity_factors.get(key)
+                avail = tech.efficiency_out * (
+                    np.asarray(profile, dtype=float) if profile is not None else 1.0
+                )
+            gen, cap = cols.hours(("gen", *key)), cols.start[("cap_power", *key)]
+            rows.block("gcap", ("gen_cap", *key), "<", [(gen, 1.0), (cap, -avail)])
+        elif tech.kind == "storage":
+            level, inp, out = (cols.hours((f, *key)) for f in ("sto_level", "sto_in", "sto_out"))
+            rows.block(
+                "slvl",
+                ("sto_balance", *key),
+                "=",
+                [
+                    (level, 1.0),
+                    (np.roll(level, 1), -tech.self_discharge_retention),
+                    (inp, -tech.efficiency_in),
+                    (out, 1.0 / tech.efficiency_out),
+                ],
+            )
+            for prefix, family, hourly, cap in (
+                ("secap", "sto_level_cap", level, "cap_energy"),
+                ("sincap", "sto_charge_cap", inp, "cap_charge"),
+                ("soutcap", "sto_discharge_cap", out, "cap_discharge"),
+            ):
+                cap_col = cols.start[(cap, *key)]
+                rows.block(prefix, (family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
+        elif tech.kind == "reservoir":
+            level, out, spill = (
+                cols.hours((f, *key)) for f in ("rsv_level", "rsv_out", "rsv_spill")
+            )
+            rows.block(
+                "rlvl",
+                ("rsv_balance", *key),
+                "=",
+                [
+                    (level, 1.0),
+                    (np.roll(level, 1), -tech.self_discharge_retention),
+                    (out, 1.0 / tech.efficiency_out),
+                    (spill, 1.0),
+                ],
+                ts.reservoir_inflow[code],
+            )
+            for prefix, family, hourly, cap in (
+                ("recap", "rsv_level_cap", level, "cap_energy"),
+                ("routcap", "rsv_discharge_cap", out, "cap_discharge"),
+            ):
+                cap_col = cols.start[(cap, *key)]
+                rows.block(prefix, (family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
 
 
 def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
     """Build the full LP plus a count report; deterministic for a given spec."""
-    space = VariableSpace(spec)
-    c = build_objective(spec, space)
-    rows = build_energy_balance(spec, space)
-    rows += build_capacity_and_storage_constraints(spec, space)
+    codes = sorted(c.code for c in spec.countries)
+    techs = sorted(spec.technologies, key=lambda t: t.id)
+    cols = _layout(spec, codes, techs)
+    c = build_objective(spec, cols)
+    rows = _Rows(cols.horizon)
+    _balance_rows(spec, cols, rows, codes)
+    _technology_rows(spec, cols, rows)
 
-    data, ri, ci = [], [], []
-    for i, row in enumerate(rows):
-        for j, v in row.coeffs:
-            ri.append(i)
-            ci.append(j)
-            data.append(v)
     A = sp.csr_matrix(
-        (data, (ri, ci)), shape=(len(rows), len(space.names)), dtype=float
+        (np.concatenate(rows.data), (np.concatenate(rows.ri), np.concatenate(rows.ci))),
+        shape=(len(rows.names), len(cols.names)),
+        dtype=float,
     )
     lp = LinearProgram(
-        col_names=tuple(space.names),
-        col_meta=tuple(space.meta),
-        lb=np.asarray(space.lb),
-        ub=np.asarray(space.ub),
+        col_names=tuple(cols.names),
+        col_meta=tuple(cols.meta),
+        lb=np.asarray(cols.lb, dtype=float),
+        ub=np.asarray(cols.ub, dtype=float),
         c=c,
         A=A,
-        relations=np.asarray([r.relation for r in rows]),
-        rhs=np.asarray([r.rhs for r in rows]),
-        row_names=tuple(r.name for r in rows),
-        row_meta=tuple(r.meta for r in rows),
+        relations=np.concatenate(rows.relations),
+        rhs=np.concatenate(rows.rhs),
+        row_names=tuple(rows.names),
+        row_meta=tuple(rows.meta),
     )
-
-    col_fams: dict[str, int] = {}
-    for meta in space.meta:
-        col_fams[meta[0]] = col_fams.get(meta[0], 0) + 1
-    row_fams: dict[str, int] = {}
-    for row in rows:
-        row_fams[row.meta[0]] = row_fams.get(row.meta[0], 0) + 1
     report = BuildReport(
-        horizon=spec.time_series.horizon,
+        horizon=cols.horizon,
         interconnection_enabled=spec.interconnection_enabled,
-        columns_by_family=col_fams,
-        rows_by_family=row_fams,
+        columns_by_family=cols.counts,
+        rows_by_family=rows.counts,
     )
     return lp, report
+
+
+def lp_digest(lp: LinearProgram) -> str:
+    """SHA-256 of the LP's numbers: shape, CSR arrays, costs, bounds, rows.
+
+    Names and metadata are left out; two LPs with equal digests are the
+    same optimization problem in the same column and row order.
+    """
+    h = hashlib.sha256()
+    A = lp.A
+    h.update(np.asarray(A.shape, dtype="<i8").tobytes())
+    for ints in (A.indptr, A.indices):
+        h.update(np.ascontiguousarray(ints, dtype="<i8").tobytes())
+    for floats in (A.data, lp.c, lp.lb, lp.ub, lp.rhs):
+        h.update(np.ascontiguousarray(floats, dtype="<f8").tobytes())
+    h.update(np.asarray(lp.relations, dtype="S1").tobytes())
+    return h.hexdigest()

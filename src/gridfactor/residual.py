@@ -198,8 +198,8 @@ def write_events_csv(
                         "country": e.country,
                         "start_hour": e.start,
                         "end_hour": e.end,
-                        "peak_cumulative_mwh": repr(e.peak_cumulative),
-                        "gross_positive_mwh": repr(e.gross_positive),
+                        "peak_cumulative_mwh": repr(float(e.peak_cumulative)),
+                        "gross_positive_mwh": repr(float(e.gross_positive)),
                     }
                 )
 

@@ -34,14 +34,14 @@ from .harmonize import (
     derive_reference_shares,
     enumerate_subset_states,
 )
-from .lp import assemble
+from .lp import assemble, lp_digest
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
 from .serialize import read_system
-from .solve import SolveOptions, solve
+from .solve import SolveOptions, solve, verify_certificate
 
 VERSION = "1.0.0"
-LEDGER_SCHEMA = "gridfactor-ledger/1"
+LEDGER_SCHEMA = "gridfactor-ledger/2"
 
 
 class SweepError(GridFactorError):
@@ -167,24 +167,31 @@ def _run_state(payload) -> dict:
     started = time.perf_counter()
     scenario = apply_factor_state(base, state, shares)
     lp, _ = assemble(scenario)
-    mps_text = write_mps(lp)
     if export_mps:
         mps_dir = out_dir / "mps"
         mps_dir.mkdir(parents=True, exist_ok=True)
-        (mps_dir / f"{state_name}.mps").write_text(mps_text)
+        write_mps(lp, mps_dir / f"{state_name}.mps")
     result = solve(lp, solver)
 
     entry = {
         "state": state_name,
         "spec_hash": spec_digest(scenario),
-        "lp_hash": hashlib.sha256(mps_text.encode()).hexdigest(),
+        "lp_hash": lp_digest(lp),
         "status": result.status,
         "objective": float(result.objective),
         "iterations": result.iterations,
         "solver": result.method,
+        "certificate": None,
         "metrics": {},
         "per_country": {},
     }
+    if result.status == "optimal":
+        cert = verify_certificate(lp, result)
+        entry["certificate"] = {
+            "ok": bool(cert.ok),
+            "primal_residual": float(cert.primal_residual),
+            "duality_gap": float(cert.duality_gap),
+        }
     wall = time.perf_counter() - started
     if result.status == "optimal":
         agg, by_country = extract_storage_metrics(scenario, lp, result, per_country=True)
@@ -246,6 +253,9 @@ def run_sweep(
     failures = [e["state"] for e in ledger["entries"] if e["status"] != "optimal"]
     if failures:
         raise SweepError(f"scenario(s) did not solve to optimality: {failures}")
+    uncertified = [e["state"] for e in ledger["entries"] if not e["certificate"]["ok"]]
+    if uncertified:
+        raise SweepError(f"scenario(s) failed the optimality certificate check: {uncertified}")
 
     decomps = decompositions_from_ledger(ledger)
     from .factorize import write_decompositions_csv, write_decompositions_json
@@ -291,13 +301,17 @@ def ledger_comparison_bytes(ledger: dict) -> bytes:
 def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
     """Finish a partial sweep; completed states are not re-solved."""
     ledger = read_ledger(ledger_path)
+    if ledger.get("schema") != LEDGER_SCHEMA:
+        raise SweepError(
+            f"ledger schema {ledger.get('schema')!r} is not {LEDGER_SCHEMA!r}; rerun the sweep"
+        )
     if ledger.get("manifest_hash") != manifest.digest():
         raise SweepError("ledger manifest hash does not match this manifest")
     out_dir = Path(manifest.out_dir)
     completed = {}
     timing = ledger.get("timing", {})
     for entry in ledger.get("entries", []):
-        if entry.get("status") != "optimal":
+        if entry.get("status") != "optimal" or not entry["certificate"]["ok"]:
             continue
         csv_path, meta_path = _state_paths(out_dir, entry["state"])
         if csv_path.exists() and meta_path.exists():

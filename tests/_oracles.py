@@ -1,12 +1,20 @@
 """Independent brute-force oracles used by the test suite.
 
 Deliberately written without reference to the package internals so they
-can disagree with the implementation under test.
+can disagree with the implementation under test. The row-by-row LP
+builder shares only the result containers (``LinearProgram``,
+``BuildReport``) and the model's annuity formula with the package.
 """
 
 import itertools
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
+import scipy.sparse as sp
+
+from gridfactor.lp import INF, BuildError, BuildReport, LinearProgram
+from gridfactor.model import HOURS_PER_YEAR, PowerSystemSpec, Technology, annuity
 
 FEAS_TOL = 1e-7
 
@@ -111,3 +119,402 @@ def brute_positive_events(values):
         events.append((start, end, peak, gross))
         i = end + 1
     return events
+
+
+# --------------------------------------------------------------------------
+# Row-by-row LP assembly: the reference for gridfactor.lp.assemble.
+
+
+@dataclass(frozen=True)
+class Row:
+    """One constraint row: sparse coefficients, relation, right-hand side."""
+
+    name: str
+    coeffs: tuple[tuple[int, float], ...]  # (column index, value)
+    relation: str  # one of "<", "=", ">"
+    rhs: float
+    meta: tuple
+
+
+class VariableSpace:
+    """Deterministic column registry for one spec."""
+
+    def __init__(self, spec: PowerSystemSpec):
+        self.spec = spec
+        self.names: list[str] = []
+        self.meta: list[tuple] = []
+        self.lb: list[float] = []
+        self.ub: list[float] = []
+        self.index: dict[tuple, int] = {}
+        self._build()
+
+    def _add(self, name: str, meta: tuple, lb: float, ub: float) -> None:
+        self.index[meta] = len(self.names)
+        self.names.append(name)
+        self.meta.append(meta)
+        self.lb.append(lb)
+        self.ub.append(ub)
+
+    def idx(self, *meta) -> int:
+        return self.index[meta]
+
+    def present(self, code: str, tech: Technology) -> bool:
+        """Whether a technology exists in a country's portfolio.
+
+        Expandable technologies are always present; non-expandable ones
+        only where an exogenous capacity entry carries nonzero values.
+        """
+        if tech.expandable:
+            return True
+        e = self.spec.exogenous_capacity(code, tech.id)
+        return e.power_discharge > 0 or e.power_charge > 0 or e.energy > 0
+
+    def _power_bounds(self, code: str, tech: Technology) -> tuple[float, float]:
+        spec = self.spec
+        if not tech.expandable:
+            v = spec.exogenous_capacity(code, tech.id).power_discharge
+            return v, v
+        if tech.offshore:
+            override = spec.offshore_override(code)
+            if override is not None:
+                return override, override
+            if not spec.country(code).offshore_eligible:
+                return 0.0, 0.0
+        return 0.0, INF
+
+    def _build(self) -> None:
+        spec = self.spec
+        horizon = spec.time_series.horizon
+        codes = sorted(c.code for c in spec.countries)
+        techs = sorted(spec.technologies, key=lambda t: t.id)
+
+        for code in codes:
+            for tech in techs:
+                if not self.present(code, tech):
+                    continue
+                tid = tech.id
+                if tech.kind in ("dispatchable", "variable-renewable", "run-of-river"):
+                    for h in range(horizon):
+                        self._add(f"G[{code},{tid},{h}]", ("gen", code, tid, h), 0.0, INF)
+                    plo, pup = self._power_bounds(code, tech)
+                    self._add(f"N[{code},{tid}]", ("cap_power", code, tid, None), plo, pup)
+                elif tech.kind == "storage":
+                    for h in range(horizon):
+                        self._add(f"STOin[{code},{tid},{h}]", ("sto_in", code, tid, h), 0.0, INF)
+                    for h in range(horizon):
+                        self._add(f"STOout[{code},{tid},{h}]", ("sto_out", code, tid, h), 0.0, INF)
+                    for h in range(horizon):
+                        self._add(f"LVL[{code},{tid},{h}]", ("sto_level", code, tid, h), 0.0, INF)
+                    if tech.expandable:
+                        bounds = {"cap_charge": (0.0, INF), "cap_discharge": (0.0, INF), "cap_energy": (0.0, INF)}
+                    else:
+                        e = spec.exogenous_capacity(code, tid)
+                        bounds = {
+                            "cap_charge": (e.power_charge, e.power_charge),
+                            "cap_discharge": (e.power_discharge, e.power_discharge),
+                            "cap_energy": (e.energy, e.energy),
+                        }
+                    self._add(f"NPIN[{code},{tid}]", ("cap_charge", code, tid, None), *bounds["cap_charge"])
+                    self._add(f"NPOUT[{code},{tid}]", ("cap_discharge", code, tid, None), *bounds["cap_discharge"])
+                    self._add(f"NE[{code},{tid}]", ("cap_energy", code, tid, None), *bounds["cap_energy"])
+                elif tech.kind == "reservoir":
+                    if code not in spec.time_series.reservoir_inflow:
+                        raise BuildError(
+                            f"missing inflow series for reservoir {tid} in {code}"
+                        )
+                    for h in range(horizon):
+                        self._add(f"RSVout[{code},{tid},{h}]", ("rsv_out", code, tid, h), 0.0, INF)
+                    for h in range(horizon):
+                        self._add(f"SPILL[{code},{tid},{h}]", ("rsv_spill", code, tid, h), 0.0, INF)
+                    for h in range(horizon):
+                        self._add(f"RLVL[{code},{tid},{h}]", ("rsv_level", code, tid, h), 0.0, INF)
+                    e = spec.exogenous_capacity(code, tid)
+                    plo, pup = (0.0, INF) if tech.expandable else (e.power_discharge, e.power_discharge)
+                    elo, eup = (0.0, INF) if tech.expandable else (e.energy, e.energy)
+                    self._add(f"NPOUT[{code},{tid}]", ("cap_discharge", code, tid, None), plo, pup)
+                    self._add(f"NE[{code},{tid}]", ("cap_energy", code, tid, None), elo, eup)
+                else:  # pragma: no cover - kinds validated upstream
+                    raise BuildError(f"unsupported technology kind {tech.kind!r}")
+
+        if spec.interconnection_enabled:
+            for line in sorted(spec.interconnectors, key=lambda l: (l.from_country, l.to_country)):
+                tag = f"{line.from_country}-{line.to_country}"
+                for h in range(horizon):
+                    self._add(f"F[{tag},{h}]", ("flow", tag, h), -line.ntc, line.ntc)
+
+
+def build_objective(spec: PowerSystemSpec, space: VariableSpace | None = None) -> np.ndarray:
+    """Objective coefficients: marginal costs plus annualized investment.
+
+    Investment annuities and fixed costs apply to expandable capacity
+    only (legacy capacity is sunk) and are scaled by horizon/8760 so
+    sub-year instances stay economically consistent. Overnight costs are
+    per kW / kWh while capacities are MW / MWh, hence the factor 1000.
+    """
+    space = space or VariableSpace(spec)
+    c = np.zeros(len(space.names))
+    horizon = spec.time_series.horizon
+    year_scale = horizon / HOURS_PER_YEAR
+    rate = spec.annuity_rate
+
+    for meta, j in space.index.items():
+        family = meta[0]
+        if family == "flow":
+            continue
+        code, tid = meta[1], meta[2]
+        tech = spec.technology(tid)
+        if family in ("gen", "rsv_out"):
+            c[j] = tech.marginal_cost
+        elif family in ("sto_in", "sto_out"):
+            c[j] = tech.marginal_cost
+        elif not tech.expandable:
+            continue
+        elif family == "cap_power":
+            cost = tech.overnight_cost_power
+            if cost <= 0:
+                raise BuildError(f"expandable technology {tid}: missing overnight_cost_power")
+            c[j] = (annuity(cost, tech.lifetime, rate) + tech.fixed_cost) * 1000.0 * year_scale
+        elif family == "cap_charge":
+            if tech.overnight_cost_charge <= 0:
+                raise BuildError(f"expandable storage {tid}: missing overnight_cost_charge")
+            c[j] = annuity(tech.overnight_cost_charge, tech.lifetime, rate) * 1000.0 * year_scale
+        elif family == "cap_discharge":
+            if tech.overnight_cost_discharge <= 0:
+                raise BuildError(f"expandable storage {tid}: missing overnight_cost_discharge")
+            c[j] = (
+                annuity(tech.overnight_cost_discharge, tech.lifetime, rate) + tech.fixed_cost
+            ) * 1000.0 * year_scale
+        elif family == "cap_energy":
+            if tech.overnight_cost_energy <= 0:
+                raise BuildError(f"expandable storage {tid}: missing overnight_cost_energy")
+            c[j] = annuity(tech.overnight_cost_energy, tech.lifetime, rate) * 1000.0 * year_scale
+    return c
+
+
+def build_energy_balance(spec: PowerSystemSpec, space: VariableSpace | None = None) -> list[Row]:
+    """One equality per (country, hour): demand + charging = supply + net flows.
+
+    Flow incidence: +1 in the line's from-country row, -1 in its
+    to-country row; flow columns are absent entirely when
+    interconnection is disabled.
+    """
+    space = space or VariableSpace(spec)
+    horizon = spec.time_series.horizon
+    codes = sorted(c.code for c in spec.countries)
+    techs = sorted(spec.technologies, key=lambda t: t.id)
+
+    incidence: dict[str, list[tuple[str, float]]] = {code: [] for code in codes}
+    if spec.interconnection_enabled:
+        for line in spec.interconnectors:
+            tag = f"{line.from_country}-{line.to_country}"
+            incidence[line.from_country].append((tag, 1.0))
+            incidence[line.to_country].append((tag, -1.0))
+
+    rows: list[Row] = []
+    for code in codes:
+        load = spec.time_series.load[code]
+        present = [t for t in techs if space.present(code, t)]
+        for h in range(horizon):
+            coeffs: list[tuple[int, float]] = []
+            for tech in present:
+                if tech.kind in ("dispatchable", "variable-renewable", "run-of-river"):
+                    coeffs.append((space.idx("gen", code, tech.id, h), 1.0))
+                elif tech.kind == "storage":
+                    coeffs.append((space.idx("sto_out", code, tech.id, h), 1.0))
+                    coeffs.append((space.idx("sto_in", code, tech.id, h), -1.0))
+                elif tech.kind == "reservoir":
+                    coeffs.append((space.idx("rsv_out", code, tech.id, h), 1.0))
+            for tag, sign in incidence[code]:
+                coeffs.append((space.idx("flow", tag, h), sign))
+            rows.append(
+                Row(
+                    name=f"bal[{code},{h}]",
+                    coeffs=tuple(coeffs),
+                    relation="=",
+                    rhs=float(load[h]),
+                    meta=("balance", code, h),
+                )
+            )
+    return rows
+
+
+def build_capacity_and_storage_constraints(
+    spec: PowerSystemSpec, space: VariableSpace | None = None
+) -> list[Row]:
+    """Capacity coupling, storage and reservoir balances.
+
+    Storage levels follow ``L_h = retention * L_{h-1} + eta_in * in_h -
+    out_h / eta_out`` with cyclic closure (hour 0 wraps to the last
+    hour). Curtailment is the implicit slack of ``G <= cf * N``.
+    Run-of-river availability is the inflow profile (capacity-factor
+    series if provided, else 1) times the technology's efficiency.
+    """
+    space = space or VariableSpace(spec)
+    ts = spec.time_series
+    horizon = ts.horizon
+    rows: list[Row] = []
+
+    for code in sorted(c.code for c in spec.countries):
+        for tech in sorted(spec.technologies, key=lambda t: t.id):
+            if not space.present(code, tech):
+                continue
+            tid = tech.id
+            if tech.kind in ("dispatchable", "variable-renewable", "run-of-river"):
+                n_j = space.idx("cap_power", code, tid, None)
+                for h in range(horizon):
+                    if tech.kind == "dispatchable":
+                        avail = 1.0
+                    elif tech.kind == "variable-renewable":
+                        avail = float(ts.capacity_factors[(code, tid)][h])
+                    else:
+                        profile = ts.capacity_factors.get((code, tid))
+                        avail = tech.efficiency_out * (
+                            float(profile[h]) if profile is not None else 1.0
+                        )
+                    rows.append(
+                        Row(
+                            name=f"gcap[{code},{tid},{h}]",
+                            coeffs=((space.idx("gen", code, tid, h), 1.0), (n_j, -avail)),
+                            relation="<",
+                            rhs=0.0,
+                            meta=("gen_cap", code, tid, h),
+                        )
+                    )
+            elif tech.kind == "storage":
+                rows.extend(_storage_rows(space, code, tech, horizon))
+            elif tech.kind == "reservoir":
+                rows.extend(_reservoir_rows(spec, space, code, tech, horizon))
+    return rows
+
+
+def _storage_rows(space: VariableSpace, code: str, tech: Technology, horizon: int) -> Iterator[Row]:
+    tid = tech.id
+    ne = space.idx("cap_energy", code, tid, None)
+    npin = space.idx("cap_charge", code, tid, None)
+    npout = space.idx("cap_discharge", code, tid, None)
+    for h in range(horizon):
+        prev = (h - 1) % horizon
+        yield Row(
+            name=f"slvl[{code},{tid},{h}]",
+            coeffs=(
+                (space.idx("sto_level", code, tid, h), 1.0),
+                (space.idx("sto_level", code, tid, prev), -tech.self_discharge_retention),
+                (space.idx("sto_in", code, tid, h), -tech.efficiency_in),
+                (space.idx("sto_out", code, tid, h), 1.0 / tech.efficiency_out),
+            ),
+            relation="=",
+            rhs=0.0,
+            meta=("sto_balance", code, tid, h),
+        )
+    for h in range(horizon):
+        yield Row(
+            name=f"secap[{code},{tid},{h}]",
+            coeffs=((space.idx("sto_level", code, tid, h), 1.0), (ne, -1.0)),
+            relation="<",
+            rhs=0.0,
+            meta=("sto_level_cap", code, tid, h),
+        )
+    for h in range(horizon):
+        yield Row(
+            name=f"sincap[{code},{tid},{h}]",
+            coeffs=((space.idx("sto_in", code, tid, h), 1.0), (npin, -1.0)),
+            relation="<",
+            rhs=0.0,
+            meta=("sto_charge_cap", code, tid, h),
+        )
+    for h in range(horizon):
+        yield Row(
+            name=f"soutcap[{code},{tid},{h}]",
+            coeffs=((space.idx("sto_out", code, tid, h), 1.0), (npout, -1.0)),
+            relation="<",
+            rhs=0.0,
+            meta=("sto_discharge_cap", code, tid, h),
+        )
+
+
+def _reservoir_rows(
+    spec: PowerSystemSpec, space: VariableSpace, code: str, tech: Technology, horizon: int
+) -> Iterator[Row]:
+    tid = tech.id
+    inflow = spec.time_series.reservoir_inflow[code]
+    ne = space.idx("cap_energy", code, tid, None)
+    npout = space.idx("cap_discharge", code, tid, None)
+    for h in range(horizon):
+        prev = (h - 1) % horizon
+        yield Row(
+            name=f"rlvl[{code},{tid},{h}]",
+            coeffs=(
+                (space.idx("rsv_level", code, tid, h), 1.0),
+                (space.idx("rsv_level", code, tid, prev), -tech.self_discharge_retention),
+                (space.idx("rsv_out", code, tid, h), 1.0 / tech.efficiency_out),
+                (space.idx("rsv_spill", code, tid, h), 1.0),
+            ),
+            relation="=",
+            rhs=float(inflow[h]),
+            meta=("rsv_balance", code, tid, h),
+        )
+    for h in range(horizon):
+        yield Row(
+            name=f"recap[{code},{tid},{h}]",
+            coeffs=((space.idx("rsv_level", code, tid, h), 1.0), (ne, -1.0)),
+            relation="<",
+            rhs=0.0,
+            meta=("rsv_level_cap", code, tid, h),
+        )
+    for h in range(horizon):
+        yield Row(
+            name=f"routcap[{code},{tid},{h}]",
+            coeffs=((space.idx("rsv_out", code, tid, h), 1.0), (npout, -1.0)),
+            relation="<",
+            rhs=0.0,
+            meta=("rsv_discharge_cap", code, tid, h),
+        )
+
+
+def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
+    """The row-by-row LP builder that ``gridfactor.lp.assemble`` replaced.
+
+    One Python ``Row`` per constraint and one registry lookup per
+    coefficient: slow, but each coefficient is written down once, next
+    to its row, so it serves as a reference for the array assembly.
+    """
+    space = VariableSpace(spec)
+    c = build_objective(spec, space)
+    rows = build_energy_balance(spec, space)
+    rows += build_capacity_and_storage_constraints(spec, space)
+
+    data, ri, ci = [], [], []
+    for i, row in enumerate(rows):
+        for j, v in row.coeffs:
+            ri.append(i)
+            ci.append(j)
+            data.append(v)
+    A = sp.csr_matrix(
+        (data, (ri, ci)), shape=(len(rows), len(space.names)), dtype=float
+    )
+    lp = LinearProgram(
+        col_names=tuple(space.names),
+        col_meta=tuple(space.meta),
+        lb=np.asarray(space.lb),
+        ub=np.asarray(space.ub),
+        c=c,
+        A=A,
+        relations=np.asarray([r.relation for r in rows]),
+        rhs=np.asarray([r.rhs for r in rows]),
+        row_names=tuple(r.name for r in rows),
+        row_meta=tuple(r.meta for r in rows),
+    )
+
+    col_fams: dict[str, int] = {}
+    for meta in space.meta:
+        col_fams[meta[0]] = col_fams.get(meta[0], 0) + 1
+    row_fams: dict[str, int] = {}
+    for row in rows:
+        row_fams[row.meta[0]] = row_fams.get(row.meta[0], 0) + 1
+    report = BuildReport(
+        horizon=spec.time_series.horizon,
+        interconnection_enabled=spec.interconnection_enabled,
+        columns_by_family=col_fams,
+        rows_by_family=row_fams,
+    )
+    return lp, report

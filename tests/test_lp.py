@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridfactor import annuity, assemble, solve
-from gridfactor.lp import BuildError, VariableSpace, build_energy_balance
+from gridfactor.lp import BuildError
 from gridfactor.model import (
     Country,
     ExogenousCapacity,
@@ -40,8 +40,8 @@ class TestWindOnlyHandOracle:
 
 class TestStructure:
     def test_balance_row_counts(self, small_spec):
-        rows = build_energy_balance(small_spec)
-        assert len(rows) == 2 * 48  # countries x hours
+        _, report = assemble(small_spec)
+        assert report.rows_by_family["balance"] == 2 * 48  # countries x hours
 
     def test_two_by_two_balance_counting(self):
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0])
@@ -55,7 +55,7 @@ class TestStructure:
                 load={**ts.load, "AB": ts.load["AA"]},
             ),
         )
-        assert len(build_energy_balance(spec2)) == 4
+        assert assemble(spec2)[1].rows_by_family["balance"] == 4
 
     def test_incidence_signs(self, small_spec):
         lp, _ = assemble(small_spec)
@@ -133,7 +133,7 @@ class TestStructure:
             time_series=dataclasses.replace(ts, reservoir_inflow={})
         )
         with pytest.raises(BuildError, match="missing inflow series"):
-            VariableSpace(spec)
+            assemble(spec)
 
     def test_missing_overnight_cost_raises(self):
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0], overnight=0.0)

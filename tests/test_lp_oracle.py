@@ -1,0 +1,122 @@
+"""Array assembly against the row-by-row reference builder, bit for bit."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from gridfactor import Technology, apply_factor_state, assemble, derive_reference_shares
+from gridfactor.harmonize import enumerate_states
+from gridfactor.lp import lp_digest
+from gridfactor.model import ExogenousCapacity
+from gridfactor.solve import SolveOptions
+
+from _oracles import row_assemble
+from conftest import wind_only_spec
+
+
+def assert_identical(spec):
+    lp, report = assemble(spec)
+    ref, ref_report = row_assemble(spec)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(lp.A, name), getattr(ref.A, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert lp.A.shape == ref.A.shape
+    for name in ("c", "lb", "ub", "relations", "rhs"):
+        got, want = getattr(lp, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert lp.col_names == ref.col_names
+    assert lp.row_names == ref.row_names
+    assert lp.col_meta == ref.col_meta
+    assert lp.row_meta == ref.row_meta
+    assert report == ref_report
+    assert list(report.columns_by_family) == list(ref_report.columns_by_family)
+    assert list(report.rows_by_family) == list(ref_report.rows_by_family)
+    assert lp_digest(lp) == lp_digest(ref)
+
+
+def run_of_river_spec(base, profile):
+    """``base`` with exogenous run-of-river in its first country."""
+    ror = Technology(
+        id="run_of_river",
+        kind="run-of-river",
+        efficiency_out=0.9,
+        overnight_cost_power=600.0,
+        lifetime=25,
+        expandable=False,
+        factor_group="hydro",
+    )
+    code = base.countries[0].code
+    ts = base.time_series
+    cf = dict(ts.capacity_factors)
+    if profile:
+        cf[(code, "run_of_river")] = np.linspace(0.2, 1.0, ts.horizon)
+    return base.with_(
+        technologies=base.technologies + (ror,),
+        exogenous_capacities=base.exogenous_capacities
+        + (ExogenousCapacity(country=code, technology="run_of_river", power_discharge=150.0),),
+        time_series=dataclasses.replace(ts, capacity_factors=cf),
+    )
+
+
+def test_small_spec(small_spec):
+    assert_identical(small_spec)
+
+
+def test_three_country_spec(three_country_spec):
+    assert_identical(three_country_spec)
+
+
+def test_interconnection_off(small_spec, three_country_spec):
+    assert_identical(small_spec.with_(interconnection_enabled=False))
+    assert_identical(three_country_spec.with_(interconnection_enabled=False))
+
+
+@pytest.mark.parametrize("profile", [False, True])
+def test_run_of_river(small_spec, profile):
+    spec = run_of_river_spec(small_spec, profile)
+    lp, _ = assemble(spec)
+    assert lp.find_columns("cap_power", tech="run_of_river")
+    assert_identical(spec)
+
+
+def test_single_hour_cyclic_storage(small_spec):
+    """With one hour the previous level is the level itself: coefficients add."""
+    ts = small_spec.time_series
+    one = dataclasses.replace(
+        ts,
+        horizon=1,
+        load={k: v[:1] for k, v in ts.load.items()},
+        capacity_factors={k: v[:1] for k, v in ts.capacity_factors.items()},
+        reservoir_inflow={k: v[:1] for k, v in ts.reservoir_inflow.items()},
+    )
+    assert_identical(small_spec.with_(time_series=one))
+
+
+def test_all_harmonized_states(small_spec):
+    shares = derive_reference_shares(small_spec, "AA", SolveOptions(method="highs"))
+    states = enumerate_states()
+    assert len(states) == 64
+    for state in states:
+        assert_identical(apply_factor_state(small_spec, state, shares))
+
+
+def test_pinned_digest():
+    lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
+    assert lp_digest(lp) == "9409c3651cbe4c34a62c9e65694d1e598b51ec080e878fa3a9ca777d4d92211a"
+
+
+def test_digest_sees_every_array():
+    lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
+    seen = {lp_digest(lp)}
+    for name in ("c", "lb", "ub", "rhs"):
+        changed = getattr(lp, name).copy()
+        changed[0] = 7.0
+        seen.add(lp_digest(dataclasses.replace(lp, **{name: changed})))
+    seen.add(lp_digest(dataclasses.replace(lp, relations=np.full(lp.n_rows, "<"))))
+    data = lp.A.copy()
+    data.data[0] = 7.0
+    seen.add(lp_digest(dataclasses.replace(lp, A=data)))
+    assert len(seen) == 7

@@ -192,3 +192,24 @@ def test_events_csv_exclusion(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # header + AA only
     assert lines[1].startswith("AA,")
+
+
+def test_events_csv_numbers_parse(tmp_path):
+    """Every numeric field reads back with float(), equal to the event's value."""
+    import csv
+
+    s = series([5.0, 2.5, -1.0, -10.0, 0.3, -4.0], "AA")
+    out = tmp_path / "events.csv"
+    write_events_csv([s], out)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    events = positive_events(s)
+    assert len(rows) == len(events) == 2
+    for row, event in zip(rows, events):
+        values = {k: float(v) for k, v in row.items() if k != "country"}
+        assert values == {
+            "start_hour": event.start,
+            "end_hour": event.end,
+            "peak_cumulative_mwh": event.peak_cumulative,
+            "gross_positive_mwh": event.gross_positive,
+        }

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 import gridfactor.sweep as sweep_mod
 from gridfactor.solve import SolveOptions
 from gridfactor.sweep import (
+    LEDGER_SCHEMA,
     RunManifest,
     SweepError,
     compare_interconnection,
@@ -85,6 +87,26 @@ class TestRunSweep:
         assert ledgers[0] == ledgers[1] == ledgers[2]
         assert mps[0] == mps[1] == mps[2]
 
+    def test_entries_carry_certificates(self, manifest):
+        ledger = run_sweep(manifest)
+        for entry in ledger["entries"]:
+            cert = entry["certificate"]
+            assert cert["ok"] is True
+            assert 0.0 <= cert["primal_residual"] <= 1e-6
+            assert cert["duality_gap"] >= 0.0
+
+    def test_failed_certificate_fails_the_sweep(self, manifest, monkeypatch):
+        real = sweep_mod.verify_certificate
+
+        def failing(lp, result):
+            return dataclasses.replace(real(lp, result), ok=False)
+
+        monkeypatch.setattr(sweep_mod, "verify_certificate", failing)
+        with pytest.raises(SweepError, match="certificate"):
+            run_sweep(manifest)
+        ledger = json.loads((Path(manifest.out_dir) / "ledger.json").read_text())
+        assert [e["certificate"]["ok"] for e in ledger["entries"]] == [False] * 4
+
     def test_manifest_validation(self, system_dir, tmp_path):
         with pytest.raises(SweepError, match="parallelism"):
             RunManifest(
@@ -138,6 +160,36 @@ class TestResume:
         )
         resumed = resume(manifest, Path(manifest.out_dir) / "ledger.json")
         assert ledger_comparison_bytes(resumed) == ledger_comparison_bytes(first)
+
+    def test_uncertified_state_is_solved_again(self, manifest, monkeypatch):
+        ledger = run_sweep(manifest)
+        victim = "f_23456"
+        for entry in ledger["entries"]:
+            if entry["state"] == victim:
+                entry["certificate"]["ok"] = False
+        ledger_path = Path(manifest.out_dir) / "ledger.json"
+        ledger_path.write_text(json.dumps(ledger, indent=2, sort_keys=True))
+
+        calls = []
+        original = sweep_mod._run_state
+
+        def counting(payload):
+            calls.append(payload[2])
+            return original(payload)
+
+        monkeypatch.setattr(sweep_mod, "_run_state", counting)
+        resumed = resume(manifest, ledger_path)
+        assert calls == [victim]
+        assert all(e["certificate"]["ok"] for e in resumed["entries"])
+
+    def test_other_ledger_schema_refused(self, manifest):
+        ledger = run_sweep(manifest)
+        assert ledger["schema"] == LEDGER_SCHEMA == "gridfactor-ledger/2"
+        ledger["schema"] = "gridfactor-ledger/1"
+        ledger_path = Path(manifest.out_dir) / "ledger.json"
+        ledger_path.write_text(json.dumps(ledger, indent=2, sort_keys=True))
+        with pytest.raises(SweepError, match="schema"):
+            resume(manifest, ledger_path)
 
     def test_tampered_manifest_refused(self, manifest, system_dir, tmp_path):
         run_sweep(manifest)
