@@ -3,10 +3,8 @@
 from .factorize import (
     FactorDecomposition,
     MetricTable,
-    decompose_metrics,
     difference_of_interest,
     extract_storage_metrics,
-    interaction_term,
     shared_interactions_totals,
 )
 from .harmonize import (
@@ -69,13 +67,11 @@ __all__ = [
     "apply_factor_state",
     "assemble",
     "compare_interconnection",
-    "decompose_metrics",
     "derive_reference_shares",
     "difference_of_interest",
     "enumerate_states",
     "enumerate_subset_states",
     "extract_storage_metrics",
-    "interaction_term",
     "isolate_country",
     "peak_coincidence",
     "peak_hour_cross_section",

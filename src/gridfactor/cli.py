@@ -16,6 +16,7 @@ import click
 
 from .factorize import (
     decomposition_rows,
+    extract_storage_metrics,
     write_decompositions_csv,
     write_decompositions_json,
 )
@@ -26,7 +27,7 @@ from .harmonize import (
     apply_factor_state,
     derive_reference_shares,
 )
-from .lp import assemble
+from .lp import assemble, write_solution_csv
 from .model import GridFactorError, validate
 from .mps import write_mps
 from .residual import (
@@ -98,10 +99,7 @@ def _domain_errors(fn):
 
 
 def _scenario_spec(spec, state: FactorState, reference: str | None, options: SolveOptions):
-    harmonizes = not (
-        state.wind and state.solar and state.load and state.hydro and state.bioenergy
-    )
-    if not harmonizes:
+    if not state.harmonizes:
         return apply_factor_state(spec, state, None)
     if reference is None:
         raise click.UsageError(
@@ -141,9 +139,6 @@ def cmd_validate(manifest):
 @_domain_errors
 def cmd_solve(manifest, state, reference, method, out, mps_out):
     """Build and solve one scenario; print objective and storage metrics."""
-    from .factorize import extract_storage_metrics
-    from .sweep import _write_solution_csv
-
     options = SolveOptions(method=method)
     spec = read_system(manifest)
     scenario = _scenario_spec(spec, state, reference, options)
@@ -155,7 +150,7 @@ def cmd_solve(manifest, state, reference, method, out, mps_out):
         click.echo(f"error: scenario {state.name} is {result.status}", err=True)
         sys.exit(1)
     if out:
-        _write_solution_csv(Path(out), lp, result)
+        write_solution_csv(out, lp, result.primal)
     click.echo(f"state {state.name}: objective {result.objective!r} EUR")
     for name, value in extract_storage_metrics(scenario, lp, result).items():
         click.echo(f"  {name}: {value!r}")

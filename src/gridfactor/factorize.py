@@ -15,11 +15,11 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .harmonize import FACTOR_NAMES, FactorState
+from .harmonize import FACTOR_NAMES
 from .model import GridFactorError
 
 INTERCONNECTION = 1
@@ -62,21 +62,6 @@ class MetricTable:
         return self.values[key]
 
 
-def interaction_term(table: MetricTable, subset: set[int] | frozenset[int]) -> float:
-    """Alternating inclusion-exclusion sum over all sub-states of ``subset``."""
-    subset = frozenset(subset)
-    if not subset <= set(table.factors):
-        raise FactorizeError(f"subset {sorted(subset)} outside table factors")
-    members = sorted(subset)
-    k = len(members)
-    total = 0.0
-    for mask in range(1 << k):
-        sub = frozenset(members[i] for i in range(k) if mask >> i & 1)
-        sign = -1.0 if (k - len(sub)) % 2 else 1.0
-        total += sign * table.value(sub)
-    return total
-
-
 def all_interaction_terms(table: MetricTable) -> dict[frozenset[int], float]:
     """Every interaction term at once via an in-place Moebius transform."""
     factors = table.factors
@@ -95,22 +80,6 @@ def all_interaction_terms(table: MetricTable) -> dict[frozenset[int], float]:
         frozenset(factors[i] for i in range(n) if mask >> i & 1): float(arr[mask])
         for mask in range(1, 1 << n)
     }
-
-
-def factor_total(table: MetricTable, j: int) -> float:
-    """Symmetric equal-share total for one factor: sum of f-hat_S / |S| over S containing j.
-
-    In a two-factor table this reduces to the closed form
-    ((f_1 - f_0) + (f_12 - f_2)) / 2 for factor 1.
-    """
-    if j not in table.factors:
-        raise FactorizeError(f"factor {j} not in table")
-    terms = all_interaction_terms(table)
-    contributions = [
-        (len(s), v / len(s)) for s, v in terms.items() if j in s
-    ]
-    contributions.sort(key=lambda kv: (-kv[0], kv[1]))
-    return float(sum(v for _, v in contributions))
 
 
 def difference_of_interest(table: MetricTable) -> float:
@@ -155,8 +124,9 @@ def shared_interactions_totals(table: MetricTable) -> FactorDecomposition:
     totals: dict[int, float] = {}
     for j in others:
         contributions = [
-            (len(subset), terms[frozenset({INTERCONNECTION}) | subset] / len(subset))
-            for subset in _subsets_containing(others, j)
+            (len(s) - 1, v / (len(s) - 1))
+            for s, v in terms.items()
+            if INTERCONNECTION in s and j in s
         ]
         contributions.sort(key=lambda kv: (-kv[0], kv[1]))
         totals[j] = float(sum(v for _, v in contributions))
@@ -175,16 +145,6 @@ def shared_interactions_totals(table: MetricTable) -> FactorDecomposition:
         shares=shares,
         degenerate=degenerate,
     )
-
-
-def _subsets_containing(others: tuple[int, ...], j: int) -> list[frozenset[int]]:
-    rest = [f for f in others if f != j]
-    out = []
-    for mask in range(1 << len(rest)):
-        out.append(
-            frozenset({j} | {rest[i] for i in range(len(rest)) if mask >> i & 1})
-        )
-    return out
 
 
 STORAGE_METRICS = (
@@ -208,60 +168,19 @@ def extract_storage_metrics(spec, lp, result, per_country: bool = False):
     class_by_tech = {
         t.id: t.duration_class for t in spec.technologies if t.duration_class
     }
-    for j, meta in enumerate(lp.col_meta):
-        family = meta[0]
+    for (family, *where), block in lp.blocks.items():
         if family not in ("cap_energy", "cap_discharge"):
             continue
-        code, tid = meta[1], meta[2]
+        code, tid = where
         cls = class_by_tech.get(tid)
         if cls is None:
             continue
         kind = "energy_mwh" if family == "cap_energy" else "discharge_mw"
         key = f"{cls}_duration_{kind}"
-        value = float(result.primal[j])
+        value = float(result.primal[block.start])
         agg[key] += value
         by_country[code][key] += value
     return (agg, by_country) if per_country else agg
-
-
-def decompose_metrics(
-    results: Mapping[FactorState, "object"],
-    extractors: Mapping[str, Callable[[FactorState, "object"], float]],
-    factors: tuple[int, ...] = (1, 2, 3, 4, 5, 6),
-) -> list[FactorDecomposition]:
-    """One shared-interactions decomposition per metric extractor."""
-    expected = set(map(frozenset, _power_set(factors)))
-    fixed = frozenset(range(1, 7)) - frozenset(factors)
-    by_subset: dict[frozenset[int], FactorState] = {}
-    for state, result in results.items():
-        status = getattr(result, "status", "optimal")
-        if status != "optimal":
-            raise FactorizeError(f"scenario {state.name} did not solve: {status}")
-        varied = frozenset(state.active_factors) - fixed
-        by_subset[varied] = state
-    missing = expected - set(by_subset)
-    if missing:
-        names = sorted(
-            FactorState.from_factors(set(s) | set(fixed)).name for s in missing
-        )
-        raise FactorizeError(f"incomplete scenario set, missing {names}")
-
-    out = []
-    for metric, extractor in extractors.items():
-        values = {
-            subset: float(extractor(state, results[state]))
-            for subset, state in by_subset.items()
-        }
-        table = MetricTable(metric=metric, factors=tuple(factors), values=values)
-        out.append(shared_interactions_totals(table))
-    return out
-
-
-def _power_set(factors):
-    import itertools
-
-    for size in range(len(factors) + 1):
-        yield from itertools.combinations(factors, size)
 
 
 def decomposition_rows(decomp: FactorDecomposition) -> list[dict]:

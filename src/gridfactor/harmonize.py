@@ -65,6 +65,11 @@ class FactorState:
         return f"f_{digits or '0'}"
 
     @property
+    def harmonizes(self) -> bool:
+        """Whether any of wind, solar, load, hydro or bioenergy is harmonized."""
+        return not (self.wind and self.solar and self.load and self.hydro and self.bioenergy)
+
+    @property
     def mask(self) -> int:
         return sum(1 << (n - 1) for n in self.active_factors)
 
@@ -227,10 +232,7 @@ def apply_factor_state(
     The reference country's own profiles are fixed points of every
     harmonization step.
     """
-    needs_shares = not (
-        state.wind and state.solar and state.load and state.hydro and state.bioenergy
-    )
-    if needs_shares and shares is None:
+    if state.harmonizes and shares is None:
         raise HarmonizeError(f"state {state.name} requires reference shares")
 
     ts = spec.time_series

@@ -14,6 +14,7 @@ matrix is emitted as coordinate arrays per block rather than row by row.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -39,7 +40,11 @@ class BuildError(GridFactorError):
 
 @dataclass(eq=False)
 class LinearProgram:
-    """Minimization LP with per-column bounds and metadata-total registries."""
+    """Minimization LP with per-column bounds and metadata-total registries.
+
+    ``blocks`` maps ``(family, country, tech)`` or ``("flow", line)`` to its
+    column slice, in column order; it is empty for an LP read from MPS.
+    """
 
     col_names: tuple[str, ...]
     col_meta: tuple[tuple, ...]
@@ -52,6 +57,7 @@ class LinearProgram:
     row_names: tuple[str, ...]
     row_meta: tuple[tuple, ...]
     name: str = "GRIDFACT"
+    blocks: dict[tuple, slice] = field(default_factory=dict)
     _col_index: dict[str, int] = field(default_factory=dict, repr=False)
 
     @property
@@ -67,27 +73,33 @@ class LinearProgram:
             self._col_index.update({n: i for i, n in enumerate(self.col_names)})
         return self._col_index[name]
 
-    def find_columns(self, family: str, **match) -> list[int]:
-        """Indices of columns whose metadata matches ``family`` and fields.
+    def find_columns(self, family: str, country=None, tech=None, line=None) -> list[int]:
+        """Column indices of ``family``'s blocks, in column order.
 
-        Metadata layout: ``(family, country, tech, hour)`` for hourly and
-        capacity columns (hour is None for capacities), ``(family, line,
-        hour)`` for flows.
+        ``line`` narrows flows; ``country`` and ``tech`` narrow the other
+        families. A field left as None matches anything.
         """
-        out = []
-        for i, meta in enumerate(self.col_meta):
-            if meta[0] != family:
-                continue
-            fields = _meta_fields(meta)
-            if all(fields.get(k) == v for k, v in match.items()):
-                out.append(i)
+        wanted = (line,) if family == "flow" else (country, tech)
+        out: list[int] = []
+        for (fam, *where), block in self.blocks.items():
+            if fam == family and all(w is None or w == v for w, v in zip(wanted, where)):
+                out.extend(range(block.start, block.stop))
         return out
 
 
-def _meta_fields(meta: tuple) -> dict:
-    if meta[0] == "flow":
-        return {"line": meta[1], "hour": meta[2]}
-    return {"country": meta[1], "tech": meta[2], "hour": meta[3]}
+def write_solution_csv(path, lp: LinearProgram, primal) -> None:
+    """One CSV row per column: name, metadata fields and value.
+
+    Metadata fills ``family, country, technology, hour`` in order, so a
+    flow's line sits under ``country`` and its hour under ``technology``.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["column", "family", "country", "technology", "hour", "value"])
+        values = np.asarray(primal, dtype=float).tolist()
+        for name, meta, value in zip(lp.col_names, lp.col_meta, values):
+            fields = ["" if f is None else f for f in (tuple(meta) + (None,) * 4)[:4]]
+            writer.writerow([name, *fields, repr(value)])
 
 
 @dataclass(frozen=True)
@@ -168,16 +180,17 @@ class _Columns(_Registry):
         super().__init__(horizon)
         self.lb: list[float] = []
         self.ub: list[float] = []
-        self.start: dict[tuple, int] = {}  # (family, country, tech) or ("flow", line)
+        self.blocks: dict[tuple, slice] = {}  # (family, country, tech) or ("flow", line)
         self.present: list[tuple[str, Technology]] = []  # (country, tech) in column order
 
     def hourly(self, prefix: str, key: tuple, lo: float = 0.0, up: float = INF) -> None:
-        self.start[key] = self._hourly(prefix, key)
+        first = self._hourly(prefix, key)
+        self.blocks[key] = slice(first, first + self.horizon)
         self.lb += [lo] * self.horizon
         self.ub += [up] * self.horizon
 
     def capacity(self, prefix: str, key: tuple, lo: float, up: float) -> None:
-        self.start[key] = len(self.names)
+        self.blocks[key] = slice(len(self.names), len(self.names) + 1)
         self.names.append(f"{prefix}[{key[1]},{key[2]}]")
         self.meta.append((*key, None))
         self.lb.append(lo)
@@ -186,7 +199,8 @@ class _Columns(_Registry):
 
     def hours(self, key: tuple) -> np.ndarray:
         """Column indices of an hourly slice, hour 0 first."""
-        return self.start[key] + np.arange(self.horizon)
+        block = self.blocks[key]
+        return np.arange(block.start, block.stop)
 
 
 class _Rows(_Registry):
@@ -283,15 +297,15 @@ def build_objective(spec: PowerSystemSpec, cols: _Columns) -> np.ndarray:
     """
     c = np.zeros(len(cols.names))
     year_scale = cols.horizon / HOURS_PER_YEAR
-    for key, j in cols.start.items():
+    for key, block in cols.blocks.items():
         family = key[0]
         if family == "flow":
             continue
         tech = spec.technology(key[2])
         if family in ("gen", "rsv_out", "sto_in", "sto_out"):
-            c[j : j + cols.horizon] = tech.marginal_cost
+            c[block] = tech.marginal_cost
         elif family.startswith("cap_") and tech.expandable:
-            c[j] = _capacity_cost(tech, family, spec.annuity_rate) * 1000.0 * year_scale
+            c[block] = _capacity_cost(tech, family, spec.annuity_rate) * 1000.0 * year_scale
     return c
 
 
@@ -344,7 +358,7 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                 avail = tech.efficiency_out * (
                     np.asarray(profile, dtype=float) if profile is not None else 1.0
                 )
-            gen, cap = cols.hours(("gen", *key)), cols.start[("cap_power", *key)]
+            gen, cap = cols.hours(("gen", *key)), cols.blocks[("cap_power", *key)].start
             rows.block("gcap", ("gen_cap", *key), "<", [(gen, 1.0), (cap, -avail)])
         elif tech.kind == "storage":
             level, inp, out = (cols.hours((f, *key)) for f in ("sto_level", "sto_in", "sto_out"))
@@ -364,7 +378,7 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                 ("sincap", "sto_charge_cap", inp, "cap_charge"),
                 ("soutcap", "sto_discharge_cap", out, "cap_discharge"),
             ):
-                cap_col = cols.start[(cap, *key)]
+                cap_col = cols.blocks[(cap, *key)].start
                 rows.block(prefix, (family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
         elif tech.kind == "reservoir":
             level, out, spill = (
@@ -386,7 +400,7 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                 ("recap", "rsv_level_cap", level, "cap_energy"),
                 ("routcap", "rsv_discharge_cap", out, "cap_discharge"),
             ):
-                cap_col = cols.start[(cap, *key)]
+                cap_col = cols.blocks[(cap, *key)].start
                 rows.block(prefix, (family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
 
 
@@ -416,6 +430,7 @@ def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
         rhs=np.concatenate(rows.rhs),
         row_names=tuple(rows.names),
         row_meta=tuple(rows.meta),
+        blocks=cols.blocks,
     )
     report = BuildReport(
         horizon=cols.horizon,

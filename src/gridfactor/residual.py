@@ -56,9 +56,9 @@ def capacities_from_result(spec: PowerSystemSpec, lp, result) -> dict[tuple[str,
     """Installed VRE power per (country, technology) from an optimal solve."""
     caps: dict[tuple[str, str], float] = {}
     vre_ids = {t.id for t in spec.techs_of_kind("variable-renewable")}
-    for j, meta in enumerate(lp.col_meta):
-        if meta[0] == "cap_power" and meta[2] in vre_ids:
-            caps[(meta[1], meta[2])] = float(result.primal[j])
+    for (family, *where), block in lp.blocks.items():
+        if family == "cap_power" and where[1] in vre_ids:
+            caps[tuple(where)] = float(result.primal[block.start])
     return caps
 
 

@@ -36,7 +36,7 @@ class SolveOptions:
 class SolveResult:
     """Outcome of one LP solve; arrays align with the LP's columns/rows."""
 
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    status: str  # optimal | infeasible | unbounded | iteration-limit | numerical
     objective: float
     primal: np.ndarray
     dual: np.ndarray
@@ -90,6 +90,7 @@ def _solve_simplex(lp: LinearProgram, options: SolveOptions) -> SolveResult:
     )
 
 
+# scipy linprog codes; 4 ("numerical difficulties") and unknown codes map to "numerical"
 _HIGHS_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
 
 
@@ -122,7 +123,7 @@ def _solve_highs(lp: LinearProgram, options: SolveOptions) -> SolveResult:
         method="highs",
         options={"maxiter": options.iteration_limit},
     )
-    status = _HIGHS_STATUS.get(res.status, "infeasible")
+    status = _HIGHS_STATUS.get(res.status, "numerical")
     dual = np.zeros(lp.n_rows)
     primal = np.zeros(lp.n_cols)
     if res.x is not None:

@@ -26,6 +26,8 @@ from .factorize import (
     STORAGE_METRICS,
     extract_storage_metrics,
     shared_interactions_totals,
+    write_decompositions_csv,
+    write_decompositions_json,
 )
 from .harmonize import (
     FactorState,
@@ -34,7 +36,7 @@ from .harmonize import (
     derive_reference_shares,
     enumerate_subset_states,
 )
-from .lp import assemble, lp_digest
+from .lp import assemble, lp_digest, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
 from .serialize import read_system
@@ -139,31 +141,11 @@ def _state_paths(out_dir: Path, state_name: str) -> tuple[Path, Path]:
     return states / f"{state_name}.csv", states / f"{state_name}.json"
 
 
-def _write_solution_csv(path: Path, lp, result) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["column", "family", "country", "technology", "hour", "value"])
-        for j, name in enumerate(lp.col_names):
-            meta = lp.col_meta[j]
-            family, country, tech, hour = (tuple(meta) + (None,) * 4)[:4]
-            writer.writerow(
-                [
-                    name,
-                    family,
-                    country if country is not None else "",
-                    tech if tech is not None else "",
-                    hour if hour is not None else "",
-                    repr(float(result.primal[j])),
-                ]
-            )
-
-
 def _run_state(payload) -> dict:
     """Build, solve, and persist one factor state (process-pool task)."""
-    (system_manifest, shares, state_name, solver, out_dir, export_mps) = payload
+    (base, shares, state_name, solver, out_dir, export_mps) = payload
     out_dir = Path(out_dir)
     state = FactorState.parse(state_name)
-    base = read_system(system_manifest)
     started = time.perf_counter()
     scenario = apply_factor_state(base, state, shares)
     lp, _ = assemble(scenario)
@@ -199,7 +181,7 @@ def _run_state(payload) -> dict:
         entry["per_country"] = by_country
         csv_path, meta_path = _state_paths(out_dir, state_name)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_solution_csv(csv_path, lp, result)
+        write_solution_csv(csv_path, lp, result.primal)
         meta_path.write_text(
             json.dumps({**entry, "timing_seconds": wall}, indent=2, sort_keys=True) + "\n"
         )
@@ -227,14 +209,7 @@ def run_sweep(
 
     pending = [s for s in states if s.name not in completed]
     payloads = [
-        (
-            manifest.system_manifest,
-            shares,
-            s.name,
-            manifest.solver,
-            str(out_dir),
-            manifest.export_mps,
-        )
+        (base, shares, s.name, manifest.solver, str(out_dir), manifest.export_mps)
         for s in pending
     ]
     entries = dict(completed)
@@ -258,8 +233,6 @@ def run_sweep(
         raise SweepError(f"scenario(s) failed the optimality certificate check: {uncertified}")
 
     decomps = decompositions_from_ledger(ledger)
-    from .factorize import write_decompositions_csv, write_decompositions_json
-
     write_decompositions_csv(decomps, out_dir / "decomposition.csv")
     write_decompositions_json(decomps, out_dir / "decomposition.json")
     return ledger
@@ -335,20 +308,41 @@ def _write_shares(path: Path, shares: ReferenceShares) -> None:
 
 
 def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:
-    """Shared-interactions decompositions of every ledger metric."""
+    """Shared-interactions decompositions of every ledger metric.
+
+    The ledger must hold exactly one optimal entry for each state of its
+    factor design, all with the same metrics; a failed, missing or
+    repeated state, or one with other metrics, raises ``SweepError``
+    naming it.
+    """
     factors = tuple(ledger["factors"])
-    fixed = frozenset(range(1, 7)) - frozenset(factors)
     entries = ledger["entries"]
     if not entries:
         raise SweepError("empty ledger")
-    metric_names = sorted(entries[0]["metrics"])
+    metrics = sorted(entries[0]["metrics"])
+    by_state: dict[str, dict] = {}
+    for entry in entries:
+        name = entry["state"]
+        if entry["status"] != "optimal":
+            raise SweepError(f"scenario {name} did not solve: {entry['status']}")
+        if name in by_state:
+            raise SweepError(f"ledger lists scenario {name} twice")
+        got = sorted(entry["metrics"])
+        if got != metrics:
+            raise SweepError(f"scenario {name} has metrics {got}, not {metrics}")
+        by_state[name] = entry
+    states = enumerate_subset_states(factors)
+    missing = [s.name for s in states if s.name not in by_state]
+    if missing:
+        raise SweepError(f"incomplete scenario set, missing {missing}")
+
+    fixed = frozenset(range(1, 7)) - frozenset(factors)
     decomps = []
-    for metric in metric_names:
-        values = {}
-        for entry in entries:
-            state = FactorState.parse(entry["state"])
-            varied = frozenset(state.active_factors) - fixed
-            values[varied] = float(entry["metrics"][metric])
+    for metric in metrics:
+        values = {
+            frozenset(s.active_factors) - fixed: float(by_state[s.name]["metrics"][metric])
+            for s in states
+        }
         table = MetricTable(metric=metric, factors=factors, values=values)
         decomps.append(shared_interactions_totals(table))
     return decomps

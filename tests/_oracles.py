@@ -3,7 +3,8 @@
 Deliberately written without reference to the package internals so they
 can disagree with the implementation under test. The row-by-row LP
 builder shares only the result containers (``LinearProgram``,
-``BuildReport``) and the model's annuity formula with the package.
+``BuildReport``) and the model's annuity formula with the package; the
+factorization oracles read tables through ``MetricTable.value`` only.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
+from gridfactor.factorize import FactorizeError, MetricTable
 from gridfactor.lp import INF, BuildError, BuildReport, LinearProgram
 from gridfactor.model import HOURS_PER_YEAR, PowerSystemSpec, Technology, annuity
 
@@ -119,6 +121,43 @@ def brute_positive_events(values):
         events.append((start, end, peak, gross))
         i = end + 1
     return events
+
+
+# --------------------------------------------------------------------------
+# Factorization by direct inclusion-exclusion sums, one subset at a time.
+
+
+def interaction_term(table: MetricTable, subset) -> float:
+    """Alternating inclusion-exclusion sum over all sub-states of ``subset``."""
+    subset = frozenset(subset)
+    if not subset <= set(table.factors):
+        raise FactorizeError(f"subset {sorted(subset)} outside table factors")
+    members = sorted(subset)
+    k = len(members)
+    total = 0.0
+    for mask in range(1 << k):
+        sub = frozenset(members[i] for i in range(k) if mask >> i & 1)
+        sign = -1.0 if (k - len(sub)) % 2 else 1.0
+        total += sign * table.value(sub)
+    return total
+
+
+def factor_total(table: MetricTable, j: int) -> float:
+    """Symmetric equal-share total for one factor: sum of f-hat_S / |S| over S containing j.
+
+    In a two-factor table this reduces to the closed form
+    ((f_1 - f_0) + (f_12 - f_2)) / 2 for factor 1.
+    """
+    if j not in table.factors:
+        raise FactorizeError(f"factor {j} not in table")
+    rest = [f for f in table.factors if f != j]
+    contributions = []
+    for size in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, size):
+            subset = frozenset({j, *combo})
+            contributions.append((len(subset), interaction_term(table, subset) / len(subset)))
+    contributions.sort(key=lambda kv: (-kv[0], kv[1]))
+    return float(sum(v for _, v in contributions))
 
 
 # --------------------------------------------------------------------------
@@ -518,3 +557,63 @@ def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
         rows_by_family=row_fams,
     )
     return lp, report
+
+
+# --------------------------------------------------------------------------
+# Column lookups by scanning every column's metadata: the references for
+# lookups through ``LinearProgram.blocks``.
+
+
+def _meta_fields(meta: tuple) -> dict:
+    if meta[0] == "flow":
+        return {"line": meta[1], "hour": meta[2]}
+    return {"country": meta[1], "tech": meta[2], "hour": meta[3]}
+
+
+def scan_find_columns(lp: LinearProgram, family: str, **match) -> list[int]:
+    """Indices of columns whose metadata matches ``family`` and fields."""
+    out = []
+    for i, meta in enumerate(lp.col_meta):
+        if meta[0] != family:
+            continue
+        fields = _meta_fields(meta)
+        if all(fields.get(k) == v for k, v in match.items()):
+            out.append(i)
+    return out
+
+
+def scan_storage_metrics(spec: PowerSystemSpec, lp: LinearProgram, primal):
+    """Storage energy and discharge capacity sums by duration class: (total, per country)."""
+    names = (
+        "short_duration_energy_mwh",
+        "long_duration_energy_mwh",
+        "short_duration_discharge_mw",
+        "long_duration_discharge_mw",
+    )
+    agg = {name: 0.0 for name in names}
+    by_country = {c.code: {name: 0.0 for name in names} for c in spec.countries}
+    class_by_tech = {t.id: t.duration_class for t in spec.technologies if t.duration_class}
+    for j, meta in enumerate(lp.col_meta):
+        family = meta[0]
+        if family not in ("cap_energy", "cap_discharge"):
+            continue
+        code, tid = meta[1], meta[2]
+        cls = class_by_tech.get(tid)
+        if cls is None:
+            continue
+        kind = "energy_mwh" if family == "cap_energy" else "discharge_mw"
+        key = f"{cls}_duration_{kind}"
+        value = float(primal[j])
+        agg[key] += value
+        by_country[code][key] += value
+    return agg, by_country
+
+
+def scan_capacities(spec: PowerSystemSpec, lp: LinearProgram, primal) -> dict:
+    """Installed variable-renewable power per (country, technology)."""
+    caps = {}
+    vre_ids = {t.id for t in spec.technologies if t.kind == "variable-renewable"}
+    for j, meta in enumerate(lp.col_meta):
+        if meta[0] == "cap_power" and meta[2] in vre_ids:
+            caps[(meta[1], meta[2])] = float(primal[j])
+    return caps

@@ -19,7 +19,6 @@ from gridfactor.factorize import (
     MetricTable,
     all_interaction_terms,
     difference_of_interest,
-    factor_total,
     shared_interactions_totals,
 )
 from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
@@ -33,7 +32,7 @@ from gridfactor.sweep import (
     run_sweep,
 )
 
-from _oracles import brute_force_lp_minimum, brute_positive_events, random_box_lp
+from _oracles import brute_force_lp_minimum, brute_positive_events, factor_total, random_box_lp
 from conftest import wind_only_spec
 
 HIGHS = SolveOptions(method="highs")

@@ -129,6 +129,21 @@ class TestSweepAndFactorize:
         assert (tmp_path / "dec.csv").exists()
         assert (tmp_path / "dec.json").exists()
 
+    @pytest.mark.parametrize("failed", [0, 2])
+    def test_factorize_names_failed_state(self, runner, tmp_path, failed):
+        states = ["f_3456", "f_13456", "f_23456", "f_123456"]
+        entries = [
+            {"state": name, "status": "optimal", "metrics": {"m": float(i)}}
+            for i, name in enumerate(states)
+        ]
+        entries[failed].update(status="infeasible", metrics={})
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps({"factors": [1, 2], "entries": entries}))
+        result = runner.invoke(main, ["factorize", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert f"scenario {states[failed]} did not solve: infeasible" in result.stderr
+
     def test_resume_flag_requires_ledger(self, runner, system_dir, tmp_path):
         result = runner.invoke(
             main,

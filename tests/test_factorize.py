@@ -8,13 +8,11 @@ from gridfactor.factorize import (
     FactorizeError,
     MetricTable,
     all_interaction_terms,
-    decompose_metrics,
     difference_of_interest,
-    factor_total,
-    interaction_term,
     shared_interactions_totals,
 )
-from gridfactor.harmonize import FactorState
+
+from _oracles import factor_total, interaction_term
 
 
 def table_from_values(values, factors=(1, 2, 3, 4, 5, 6), metric="m"):
@@ -190,45 +188,3 @@ class TestDegenerateAndErrors:
         with pytest.raises(FactorizeError, match="interconnection"):
             difference_of_interest(table)
 
-
-class TestDecomposeMetrics:
-    class _FakeResult:
-        def __init__(self, status="optimal"):
-            self.status = status
-
-    def test_failed_solve_names_state(self):
-        results = {
-            FactorState.from_factors(set(s)): self._FakeResult()
-            for size in range(7)
-            for s in itertools.combinations(range(1, 7), size)
-        }
-        bad = FactorState.parse("f_25")
-        results[bad] = self._FakeResult(status="infeasible")
-        with pytest.raises(FactorizeError, match="f_25"):
-            decompose_metrics(results, {"m": lambda s, r: 0.0})
-
-    def test_missing_state_rejected(self):
-        results = {
-            FactorState.from_factors(set(s)): self._FakeResult()
-            for size in range(7)
-            for s in itertools.combinations(range(1, 7), size)
-        }
-        del results[FactorState.parse("f_135")]
-        with pytest.raises(FactorizeError, match="f_135"):
-            decompose_metrics(results, {"m": lambda s, r: 0.0})
-
-    def test_full_set_decomposes(self):
-        results = {
-            FactorState.from_factors(set(s)): self._FakeResult()
-            for size in range(7)
-            for s in itertools.combinations(range(1, 7), size)
-        }
-        decomps = decompose_metrics(
-            results, {"mask": lambda s, r: float(s.mask), "const": lambda s, r: 1.0}
-        )
-        by_name = {d.metric: d for d in decomps}
-        assert by_name["const"].degenerate
-        # mask metric is additive in the factors: INT = weight of factor 1
-        assert by_name["mask"].int_value == 1.0
-        assert by_name["mask"].baseline == 1.0
-        assert all(abs(v) < 1e-12 for v in by_name["mask"].totals.values())

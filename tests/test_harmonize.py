@@ -59,6 +59,13 @@ class TestFactorState:
         states = enumerate_subset_states((1, 2))
         assert [s.name for s in states] == ["f_3456", "f_13456", "f_23456", "f_123456"]
 
+    @pytest.mark.parametrize(
+        "name, harmonizes",
+        [("f_0", True), ("f_1", True), ("f_23456", False), ("f_123456", False)],
+    )
+    def test_harmonizes(self, name, harmonizes):
+        assert FactorState.parse(name).harmonizes is harmonizes
+
 
 class TestReferenceShares:
     def test_zero_capacity_gives_zero_share(self, shares):

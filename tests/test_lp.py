@@ -1,10 +1,11 @@
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
 from gridfactor import annuity, assemble, solve
-from gridfactor.lp import BuildError
+from gridfactor.lp import BuildError, write_solution_csv
 from gridfactor.model import (
     Country,
     ExogenousCapacity,
@@ -228,3 +229,21 @@ def test_offshore_blocked_without_eligibility(small_spec):
     j = lp.find_columns("cap_power", country="AB", tech="wind_offshore")
     assert len(j) == 1
     assert lp.lb[j[0]] == 0.0 and lp.ub[j[0]] == 0.0
+
+
+def test_solution_csv_rows(small_spec, tmp_path):
+    """A flow's line sits under ``country`` and its hour under ``technology``."""
+    lp, _ = assemble(small_spec)
+    primal = np.arange(lp.n_cols) / 3.0
+    path = tmp_path / "solution.csv"
+    write_solution_csv(path, lp, primal)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["column", "family", "country", "technology", "hour", "value"]
+    by_name = dict(zip(lp.col_names, rows, strict=True))
+    for name, fields in (
+        ("F[AA-AB,5]", ["flow", "AA-AB", "5", ""]),
+        ("N[AA,wind_onshore]", ["cap_power", "AA", "wind_onshore", ""]),
+        ("G[AB,wind_onshore,7]", ["gen", "AB", "wind_onshore", "7"]),
+    ):
+        assert by_name[name] == [name, *fields, repr(float(primal[lp.column_index(name)]))]

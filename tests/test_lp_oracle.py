@@ -1,17 +1,27 @@
-"""Array assembly against the row-by-row reference builder, bit for bit."""
+"""Array assembly against the row-by-row reference builder, bit for bit,
+and lookups through the block layout against full metadata scans."""
 
 import dataclasses
+import types
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from gridfactor import Technology, apply_factor_state, assemble, derive_reference_shares
+from gridfactor.factorize import extract_storage_metrics
 from gridfactor.harmonize import enumerate_states
 from gridfactor.lp import lp_digest
 from gridfactor.model import ExogenousCapacity
+from gridfactor.residual import capacities_from_result
 from gridfactor.solve import SolveOptions
 
-from _oracles import row_assemble
+from _oracles import (
+    row_assemble,
+    scan_capacities,
+    scan_find_columns,
+    scan_storage_metrics,
+)
 from conftest import wind_only_spec
 
 
@@ -35,6 +45,40 @@ def assert_identical(spec):
     assert list(report.columns_by_family) == list(ref_report.columns_by_family)
     assert list(report.rows_by_family) == list(ref_report.rows_by_family)
     assert lp_digest(lp) == lp_digest(ref)
+
+
+def assert_lookups_match_scans(spec, rng):
+    lp, _ = assemble(spec)
+    starts = defaultdict(list)  # metadata prefix -> columns whose metadata starts with it
+    for j, meta in enumerate(lp.col_meta):
+        for n in (2, 3):
+            starts[meta[:n]].append(j)
+    for key, block in lp.blocks.items():
+        assert list(range(block.start, block.stop)) == starts[key], key
+    tiled = [j for block in lp.blocks.values() for j in range(block.start, block.stop)]
+    assert tiled == list(range(lp.n_cols))
+
+    countries = [None, *(c.code for c in spec.countries)]
+    techs = [None, *(t.id for t in spec.technologies)]
+    lines = [None, *(f"{l.from_country}-{l.to_country}" for l in spec.interconnectors)]
+    for family in {"flow", *(meta[0] for meta in lp.col_meta)}:
+        if family == "flow":
+            for line in lines:
+                match = {} if line is None else {"line": line}
+                assert lp.find_columns(family, line=line) == scan_find_columns(lp, family, **match)
+            continue
+        for country in countries:
+            for tech in techs:
+                match = {k: v for k, v in (("country", country), ("tech", tech)) if v is not None}
+                got = lp.find_columns(family, country=country, tech=tech)
+                assert got == scan_find_columns(lp, family, **match), (family, match)
+
+    primal = rng.random(lp.n_cols) * 1e3
+    result = types.SimpleNamespace(primal=primal)
+    got = extract_storage_metrics(spec, lp, result, per_country=True)
+    assert got == scan_storage_metrics(spec, lp, primal)
+    assert extract_storage_metrics(spec, lp, result) == got[0]
+    assert capacities_from_result(spec, lp, result) == scan_capacities(spec, lp, primal)
 
 
 def run_of_river_spec(base, profile):
@@ -101,6 +145,15 @@ def test_all_harmonized_states(small_spec):
     assert len(states) == 64
     for state in states:
         assert_identical(apply_factor_state(small_spec, state, shares))
+
+
+def test_block_lookups_all_harmonized_states(small_spec, three_country_spec):
+    rng = np.random.default_rng(8)
+    shares = derive_reference_shares(small_spec, "AA", SolveOptions(method="highs"))
+    for state in enumerate_states():
+        assert_lookups_match_scans(apply_factor_state(small_spec, state, shares), rng)
+    assert_lookups_match_scans(three_country_spec, rng)
+    assert_lookups_match_scans(run_of_river_spec(small_spec, profile=True), rng)
 
 
 def test_pinned_digest():

@@ -1,5 +1,8 @@
+import importlib
+
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from gridfactor import assemble, solve, verify_certificate
 from gridfactor.solve import SolveError, SolveOptions
@@ -37,6 +40,19 @@ class TestBackendAgreement:
         lp, _ = assemble(small_spec)
         with pytest.raises(SolveError):
             solve(lp, SolveOptions(method="barrier"))
+
+
+class TestHighsStatus:
+    @pytest.mark.parametrize("code", [4, 9])
+    def test_numerical_trouble_is_not_infeasible(self, monkeypatch, code):
+        # ``gridfactor.solve`` the attribute is the function; fetch the module
+        solve_mod = importlib.import_module("gridfactor.solve")
+        troubled = OptimizeResult(status=code, x=None, fun=None, nit=7, message="trouble")
+        monkeypatch.setattr(solve_mod, "linprog", lambda *a, **k: troubled)
+        lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
+        result = solve(lp, SolveOptions(method="highs"))
+        assert result.status == "numerical"
+        assert result.iterations == 7
 
 
 class TestCertificates:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import gridfactor.sweep as sweep_mod
+from gridfactor.harmonize import enumerate_subset_states
 from gridfactor.solve import SolveOptions
 from gridfactor.sweep import (
     LEDGER_SCHEMA,
@@ -19,6 +20,15 @@ from gridfactor.sweep import (
 )
 
 OPTIONS = SolveOptions(method="highs")
+
+
+def synthetic_ledger(factors=(1, 2, 3, 4, 5, 6)):
+    """One optimal entry per state; metrics ``mask`` (additive) and ``const``."""
+    entries = [
+        {"state": s.name, "status": "optimal", "metrics": {"mask": float(s.mask), "const": 1.0}}
+        for s in enumerate_subset_states(factors)
+    ]
+    return {"factors": list(factors), "entries": entries}
 
 
 @pytest.fixture
@@ -153,6 +163,18 @@ class TestResume:
         assert calls == [victim]
         assert len(resumed["entries"]) == 4
 
+    def test_states_reuse_the_parent_system(self, manifest, monkeypatch):
+        calls = []
+        original = sweep_mod.read_system
+
+        def counting(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(sweep_mod, "read_system", counting)
+        run_sweep(manifest)
+        assert calls == [manifest.system_manifest]
+
     def test_resume_of_complete_ledger_solves_nothing(self, manifest, monkeypatch):
         first = run_sweep(manifest)
         monkeypatch.setattr(
@@ -246,3 +268,45 @@ class TestDecompositionsFromLedger:
     def test_empty_ledger_rejected(self):
         with pytest.raises(SweepError, match="empty"):
             decompositions_from_ledger({"factors": [1, 2], "entries": []})
+
+    def test_failed_state_named(self):
+        ledger = synthetic_ledger()
+        for entry in ledger["entries"]:
+            if entry["state"] == "f_25":
+                entry["status"], entry["metrics"] = "infeasible", {}
+        with pytest.raises(SweepError, match="f_25"):
+            decompositions_from_ledger(ledger)
+
+    def test_failed_first_state_named(self):
+        ledger = synthetic_ledger()
+        ledger["entries"][0].update(status="numerical", metrics={})
+        with pytest.raises(SweepError, match="f_0"):
+            decompositions_from_ledger(ledger)
+
+    def test_missing_state_named(self):
+        ledger = synthetic_ledger()
+        ledger["entries"] = [e for e in ledger["entries"] if e["state"] != "f_135"]
+        with pytest.raises(SweepError, match="f_135"):
+            decompositions_from_ledger(ledger)
+
+    def test_repeated_state_named(self):
+        ledger = synthetic_ledger(factors=(1, 2))
+        ledger["entries"].append(dict(ledger["entries"][1]))
+        with pytest.raises(SweepError, match="f_13456 twice"):
+            decompositions_from_ledger(ledger)
+
+    def test_state_missing_a_metric_named(self):
+        ledger = synthetic_ledger()
+        del ledger["entries"][9]["metrics"]["const"]
+        name = ledger["entries"][9]["state"]
+        with pytest.raises(SweepError, match=f"scenario {name} has metrics"):
+            decompositions_from_ledger(ledger)
+
+    def test_full_set_decomposes(self):
+        decomps = decompositions_from_ledger(synthetic_ledger())
+        by_name = {d.metric: d for d in decomps}
+        assert by_name["const"].degenerate
+        # mask metric is additive in the factors: INT = weight of factor 1
+        assert by_name["mask"].int_value == 1.0
+        assert by_name["mask"].baseline == 1.0
+        assert all(abs(v) < 1e-12 for v in by_name["mask"].totals.values())
