@@ -66,7 +66,9 @@ class _StateParam(click.ParamType):
 
 
 STATE = _StateParam()
-
+METHOD = click.option(
+    "--method", type=click.Choice(["highs", "simplex"]), default="highs", show_default=True
+)
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
@@ -133,7 +135,7 @@ def cmd_validate(manifest):
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
 @click.option("--state", type=STATE, default="f_123456", show_default=True)
 @click.option("--reference", default=None, help="Reference country for harmonization.")
-@click.option("--method", type=click.Choice(["auto", "simplex", "highs"]), default="auto")
+@METHOD
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Solution CSV path.")
 @click.option("--mps-out", type=click.Path(dir_okay=False), default=None)
 @_domain_errors
@@ -163,7 +165,7 @@ def cmd_solve(manifest, state, reference, method, out, mps_out):
 @click.option("--factors", default="1,2,3,4,5,6", show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--fixture-label", default="default", show_default=True)
-@click.option("--method", type=click.Choice(["auto", "simplex", "highs"]), default="auto")
+@METHOD
 @click.option("--export-mps", is_flag=True)
 @click.option("--resume", "do_resume", is_flag=True, help="Continue a partial sweep.")
 @_domain_errors
@@ -214,7 +216,7 @@ def cmd_factorize(ledger, out_prefix):
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
 @click.option("--state", type=STATE, default="f_23456", show_default=True)
 @click.option("--reference", default=None)
-@click.option("--method", type=click.Choice(["auto", "simplex", "highs"]), default="auto")
+@METHOD
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--exclude", default="", help="Comma-separated countries to drop from events.")
 @_domain_errors

@@ -183,7 +183,10 @@ def derive_reference_shares(
     (non-expandable) technologies use their fixed capacities. All shares
     are denominated per MWh of the reference's yearly load.
     """
-    ref = spec.country(reference_country)
+    try:
+        ref = spec.country(reference_country)
+    except KeyError:
+        raise HarmonizeError(f"reference country {reference_country} not in spec") from None
     sub = isolate_country(spec, reference_country)
     lp, _ = assemble(sub)
     result = solve(lp, solve_options)

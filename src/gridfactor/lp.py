@@ -10,13 +10,14 @@ id, then hour) so repeated builds are bit-identical.
 Every hourly family of one (country, technology) occupies a contiguous
 column slice and every constraint family a contiguous row block, so the
 matrix is emitted as coordinate arrays per block rather than row by row.
+The map of column slices is the LP's only layout: column names and
+metadata are derived from it on demand, and rows carry no labels.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,40 +39,61 @@ class BuildError(GridFactorError):
     """Raised when a spec cannot be translated into an LP."""
 
 
+# Column-name prefix of each family: ``G[AA,wind,0]``, ``N[AA,wind]``, ``F[AA-AB,0]``.
+_PREFIX = {
+    "gen": "G",
+    "cap_power": "N",
+    "sto_in": "STOin",
+    "sto_out": "STOout",
+    "sto_level": "LVL",
+    "cap_charge": "NPIN",
+    "cap_discharge": "NPOUT",
+    "cap_energy": "NE",
+    "rsv_out": "RSVout",
+    "rsv_spill": "SPILL",
+    "rsv_level": "RLVL",
+    "flow": "F",
+}
+
+
 @dataclass(eq=False)
 class LinearProgram:
-    """Minimization LP with per-column bounds and metadata-total registries.
+    """Minimization LP: ``A x (relations) rhs``, ``lb <= x <= ub``, cost ``c``.
 
     ``blocks`` maps ``(family, country, tech)`` or ``("flow", line)`` to its
-    column slice, in column order; it is empty for an LP read from MPS.
+    column slice, in column order, and is the LP's only layout: column
+    names and metadata are derived from it. It is empty for an LP read
+    from MPS, which therefore has no column labels.
     """
 
-    col_names: tuple[str, ...]
-    col_meta: tuple[tuple, ...]
+    A: sp.csr_matrix
+    c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    c: np.ndarray
-    A: sp.csr_matrix
     relations: np.ndarray
     rhs: np.ndarray
-    row_names: tuple[str, ...]
-    row_meta: tuple[tuple, ...]
-    name: str = "GRIDFACT"
     blocks: dict[tuple, slice] = field(default_factory=dict)
-    _col_index: dict[str, int] = field(default_factory=dict, repr=False)
+    name: str = "GRIDFACT"
 
     @property
     def n_cols(self) -> int:
-        return len(self.col_names)
+        return self.A.shape[1]
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_names)
+        return self.A.shape[0]
 
-    def column_index(self, name: str) -> int:
-        if not self._col_index:
-            self._col_index.update({n: i for i, n in enumerate(self.col_names)})
-        return self._col_index[name]
+    @property
+    def col_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in _column_labels(self.blocks))
+
+    @property
+    def col_meta(self) -> tuple[tuple, ...]:
+        """Per column ``(family, country, tech, hour)`` or ``("flow", line, hour)``.
+
+        A capacity column's hour is None.
+        """
+        return tuple(meta for _, meta in _column_labels(self.blocks))
 
     def find_columns(self, family: str, country=None, tech=None, line=None) -> list[int]:
         """Column indices of ``family``'s blocks, in column order.
@@ -87,6 +109,17 @@ class LinearProgram:
         return out
 
 
+def _column_labels(blocks: dict[tuple, slice]):
+    """Yield ``(name, metadata)`` of every column, in column order."""
+    for key, block in blocks.items():
+        head = f"{_PREFIX[key[0]]}[{','.join(key[1:])}"
+        if key[0].startswith("cap_"):
+            yield f"{head}]", (*key, None)
+        else:
+            for h in range(block.stop - block.start):
+                yield f"{head},{h}]", (*key, h)
+
+
 def write_solution_csv(path, lp: LinearProgram, primal) -> None:
     """One CSV row per column: name, metadata fields and value.
 
@@ -97,8 +130,8 @@ def write_solution_csv(path, lp: LinearProgram, primal) -> None:
         writer = csv.writer(fh)
         writer.writerow(["column", "family", "country", "technology", "hour", "value"])
         values = np.asarray(primal, dtype=float).tolist()
-        for name, meta, value in zip(lp.col_names, lp.col_meta, values):
-            fields = ["" if f is None else f for f in (tuple(meta) + (None,) * 4)[:4]]
+        for (name, meta), value in zip(_column_labels(lp.blocks), values, strict=True):
+            fields = ["" if f is None else f for f in (meta + (None,))[:4]]
             writer.writerow([name, *fields, repr(value)])
 
 
@@ -151,26 +184,19 @@ def _power_bounds(spec: PowerSystemSpec, code: str, tech: Technology) -> tuple[f
 
 
 class _Registry:
-    """Names, metadata and per-family counts of columns or rows, in order."""
+    """Per-family counts of columns or rows, in order."""
 
     def __init__(self, horizon: int):
         self.horizon = horizon
-        self.names: list[str] = []
-        self.meta: list[tuple] = []
+        self.n = 0
         self.counts: dict[str, int] = {}
-        self._suffixes = [f"{h}]" for h in range(horizon)]
 
-    def _hourly(self, prefix: str, key: tuple) -> int:
-        """Add ``prefix[key...,h]`` with metadata ``(*key, h)`` per hour; first index."""
-        first = len(self.names)
-        head = f"{prefix}[{','.join(key[1:])},"
-        self.names += map(head.__add__, self._suffixes)
-        self.meta += zip(*(itertools.repeat(k, self.horizon) for k in key), range(self.horizon))
-        self._count(key[0], self.horizon)
-        return first
-
-    def _count(self, family: str, n: int) -> None:
+    def _add(self, family: str, n: int) -> int:
+        """Reserve the next ``n`` indices for ``family``; return the first."""
+        first = self.n
+        self.n += n
         self.counts[family] = self.counts.get(family, 0) + n
+        return first
 
 
 class _Columns(_Registry):
@@ -183,19 +209,17 @@ class _Columns(_Registry):
         self.blocks: dict[tuple, slice] = {}  # (family, country, tech) or ("flow", line)
         self.present: list[tuple[str, Technology]] = []  # (country, tech) in column order
 
-    def hourly(self, prefix: str, key: tuple, lo: float = 0.0, up: float = INF) -> None:
-        first = self._hourly(prefix, key)
-        self.blocks[key] = slice(first, first + self.horizon)
-        self.lb += [lo] * self.horizon
-        self.ub += [up] * self.horizon
+    def hourly(self, key: tuple, lo: float = 0.0, up: float = INF) -> None:
+        self._block(key, self.horizon, lo, up)
 
-    def capacity(self, prefix: str, key: tuple, lo: float, up: float) -> None:
-        self.blocks[key] = slice(len(self.names), len(self.names) + 1)
-        self.names.append(f"{prefix}[{key[1]},{key[2]}]")
-        self.meta.append((*key, None))
-        self.lb.append(lo)
-        self.ub.append(up)
-        self._count(key[0], 1)
+    def capacity(self, key: tuple, lo: float, up: float) -> None:
+        self._block(key, 1, lo, up)
+
+    def _block(self, key: tuple, n: int, lo: float, up: float) -> None:
+        first = self._add(key[0], n)
+        self.blocks[key] = slice(first, self.n)
+        self.lb += [lo] * n
+        self.ub += [up] * n
 
     def hours(self, key: tuple) -> np.ndarray:
         """Column indices of an hourly slice, hour 0 first."""
@@ -214,18 +238,18 @@ class _Rows(_Registry):
         self.ci: list[np.ndarray] = []
         self.data: list[np.ndarray] = []
 
-    def block(self, prefix: str, key: tuple, relation: str, terms, rhs=0.0) -> None:
+    def block(self, family: str, relation: str, terms, rhs=0.0) -> None:
         """One row per hour; ``terms`` are (column, coefficient) pairs over hours.
 
         A column, coefficient or ``rhs`` may be a scalar (the same for
         every hour) or a length-``horizon`` array.
         """
-        first = self._hourly(prefix, key)
+        first = self._add(family, self.horizon)
         cols = np.empty((len(terms), self.horizon), dtype=np.int64)
         coeffs = np.empty((len(terms), self.horizon))
         for t, (col, coeff) in enumerate(terms):
             cols[t], coeffs[t] = col, coeff
-        self.ri.append(np.tile(np.arange(first, first + self.horizon), len(terms)))
+        self.ri.append(np.tile(np.arange(first, self.n), len(terms)))
         self.ci.append(cols.ravel())
         self.data.append(coeffs.ravel())
         values = np.empty(self.horizon)
@@ -247,30 +271,30 @@ def _layout(spec: PowerSystemSpec, codes, techs) -> _Columns:
                 _bounds(tech, v) for v in (e.power_charge, e.power_discharge, e.energy)
             )
             if tech.kind in GENERATING:
-                cols.hourly("G", ("gen", code, tid))
-                cols.capacity("N", ("cap_power", code, tid), *_power_bounds(spec, code, tech))
+                cols.hourly(("gen", code, tid))
+                cols.capacity(("cap_power", code, tid), *_power_bounds(spec, code, tech))
             elif tech.kind == "storage":
-                cols.hourly("STOin", ("sto_in", code, tid))
-                cols.hourly("STOout", ("sto_out", code, tid))
-                cols.hourly("LVL", ("sto_level", code, tid))
-                cols.capacity("NPIN", ("cap_charge", code, tid), *charge)
-                cols.capacity("NPOUT", ("cap_discharge", code, tid), *discharge)
-                cols.capacity("NE", ("cap_energy", code, tid), *energy)
+                cols.hourly(("sto_in", code, tid))
+                cols.hourly(("sto_out", code, tid))
+                cols.hourly(("sto_level", code, tid))
+                cols.capacity(("cap_charge", code, tid), *charge)
+                cols.capacity(("cap_discharge", code, tid), *discharge)
+                cols.capacity(("cap_energy", code, tid), *energy)
             elif tech.kind == "reservoir":
                 if code not in spec.time_series.reservoir_inflow:
                     raise BuildError(f"missing inflow series for reservoir {tid} in {code}")
-                cols.hourly("RSVout", ("rsv_out", code, tid))
-                cols.hourly("SPILL", ("rsv_spill", code, tid))
-                cols.hourly("RLVL", ("rsv_level", code, tid))
-                cols.capacity("NPOUT", ("cap_discharge", code, tid), *discharge)
-                cols.capacity("NE", ("cap_energy", code, tid), *energy)
+                cols.hourly(("rsv_out", code, tid))
+                cols.hourly(("rsv_spill", code, tid))
+                cols.hourly(("rsv_level", code, tid))
+                cols.capacity(("cap_discharge", code, tid), *discharge)
+                cols.capacity(("cap_energy", code, tid), *energy)
             else:  # pragma: no cover - kinds validated upstream
                 raise BuildError(f"unsupported technology kind {tech.kind!r}")
 
     if spec.interconnection_enabled:
         for line in sorted(spec.interconnectors, key=lambda l: (l.from_country, l.to_country)):
             tag = f"{line.from_country}-{line.to_country}"
-            cols.hourly("F", ("flow", tag), -line.ntc, line.ntc)
+            cols.hourly(("flow", tag), -line.ntc, line.ntc)
     return cols
 
 
@@ -295,7 +319,7 @@ def build_objective(spec: PowerSystemSpec, cols: _Columns) -> np.ndarray:
     sub-year instances stay economically consistent. Overnight costs are
     per kW / kWh while capacities are MW / MWh, hence the factor 1000.
     """
-    c = np.zeros(len(cols.names))
+    c = np.zeros(cols.n)
     year_scale = cols.horizon / HOURS_PER_YEAR
     for key, block in cols.blocks.items():
         family = key[0]
@@ -332,7 +356,7 @@ def _balance_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows, codes) -> 
             terms[line.from_country].append((flows, 1.0))
             terms[line.to_country].append((flows, -1.0))
     for code in codes:
-        rows.block("bal", ("balance", code), "=", terms[code], spec.time_series.load[code])
+        rows.block("balance", "=", terms[code], spec.time_series.load[code])
 
 
 def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None:
@@ -359,12 +383,11 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                     np.asarray(profile, dtype=float) if profile is not None else 1.0
                 )
             gen, cap = cols.hours(("gen", *key)), cols.blocks[("cap_power", *key)].start
-            rows.block("gcap", ("gen_cap", *key), "<", [(gen, 1.0), (cap, -avail)])
+            rows.block("gen_cap", "<", [(gen, 1.0), (cap, -avail)])
         elif tech.kind == "storage":
             level, inp, out = (cols.hours((f, *key)) for f in ("sto_level", "sto_in", "sto_out"))
             rows.block(
-                "slvl",
-                ("sto_balance", *key),
+                "sto_balance",
                 "=",
                 [
                     (level, 1.0),
@@ -373,20 +396,19 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                     (out, 1.0 / tech.efficiency_out),
                 ],
             )
-            for prefix, family, hourly, cap in (
-                ("secap", "sto_level_cap", level, "cap_energy"),
-                ("sincap", "sto_charge_cap", inp, "cap_charge"),
-                ("soutcap", "sto_discharge_cap", out, "cap_discharge"),
+            for family, hourly, cap in (
+                ("sto_level_cap", level, "cap_energy"),
+                ("sto_charge_cap", inp, "cap_charge"),
+                ("sto_discharge_cap", out, "cap_discharge"),
             ):
                 cap_col = cols.blocks[(cap, *key)].start
-                rows.block(prefix, (family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
+                rows.block(family, "<", [(hourly, 1.0), (cap_col, -1.0)])
         elif tech.kind == "reservoir":
             level, out, spill = (
                 cols.hours((f, *key)) for f in ("rsv_level", "rsv_out", "rsv_spill")
             )
             rows.block(
-                "rlvl",
-                ("rsv_balance", *key),
+                "rsv_balance",
                 "=",
                 [
                     (level, 1.0),
@@ -396,12 +418,12 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                 ],
                 ts.reservoir_inflow[code],
             )
-            for prefix, family, hourly, cap in (
-                ("recap", "rsv_level_cap", level, "cap_energy"),
-                ("routcap", "rsv_discharge_cap", out, "cap_discharge"),
+            for family, hourly, cap in (
+                ("rsv_level_cap", level, "cap_energy"),
+                ("rsv_discharge_cap", out, "cap_discharge"),
             ):
                 cap_col = cols.blocks[(cap, *key)].start
-                rows.block(prefix, (family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
+                rows.block(family, "<", [(hourly, 1.0), (cap_col, -1.0)])
 
 
 def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
@@ -416,20 +438,16 @@ def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
 
     A = sp.csr_matrix(
         (np.concatenate(rows.data), (np.concatenate(rows.ri), np.concatenate(rows.ci))),
-        shape=(len(rows.names), len(cols.names)),
+        shape=(rows.n, cols.n),
         dtype=float,
     )
     lp = LinearProgram(
-        col_names=tuple(cols.names),
-        col_meta=tuple(cols.meta),
+        A=A,
+        c=c,
         lb=np.asarray(cols.lb, dtype=float),
         ub=np.asarray(cols.ub, dtype=float),
-        c=c,
-        A=A,
         relations=np.concatenate(rows.relations),
         rhs=np.concatenate(rows.rhs),
-        row_names=tuple(rows.names),
-        row_meta=tuple(rows.meta),
         blocks=cols.blocks,
     )
     report = BuildReport(
@@ -444,8 +462,8 @@ def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
 def lp_digest(lp: LinearProgram) -> str:
     """SHA-256 of the LP's numbers: shape, CSR arrays, costs, bounds, rows.
 
-    Names and metadata are left out; two LPs with equal digests are the
-    same optimization problem in the same column and row order.
+    The block map is left out; two LPs with equal digests are the same
+    optimization problem in the same column and row order.
     """
     h = hashlib.sha256()
     A = lp.A

@@ -3,8 +3,8 @@
 Field layout (1-indexed character columns): indicator 2-3, name fields
 5-12 and 15-22, value fields 25-36 and 50-61, second name field 40-47.
 Row/column identifiers are synthesized as ``R<index>`` / ``X<index>``
-because fixed MPS limits names to eight characters; the mapping back to
-entity metadata stays on the LinearProgram.
+because fixed MPS limits names to eight characters. An LP read back has
+an empty block map and so no column labels.
 """
 
 from __future__ import annotations
@@ -183,15 +183,11 @@ def read_mps(source: str | Path) -> LinearProgram:
     lb = np.array([bounds[j][0] for j in range(n_cols)])
     ub = np.array([bounds[j][1] for j in range(n_cols)])
     return LinearProgram(
-        col_names=tuple(col_order),
-        col_meta=tuple(("mps_col", cname) for cname in col_order),
+        A=A,
+        c=c,
         lb=lb,
         ub=ub,
-        c=c,
-        A=A,
         relations=np.asarray([_KIND_TO_RELATION[row_kinds[r]] for r in row_order]),
         rhs=np.asarray([rhs.get(r, 0.0) for r in row_order]),
-        row_names=tuple(row_order),
-        row_meta=tuple(("mps_row", rname) for rname in row_order),
         name=name,
     )

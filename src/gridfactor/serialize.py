@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -65,13 +66,33 @@ _TOP_KEYS = {
     "offshore_overrides",
     "series",
 }
+_TOP_REQUIRED = {
+    "horizon",
+    "annuity_rate",
+    "interconnection_enabled",
+    "countries",
+    "technologies",
+    "series",
+}
 _SERIES_KEYS = {"load", "reservoir_inflow", "capacity_factors"}
 
 
-def _reject_unknown(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
+def _required(cls) -> set[str]:
+    """Fields of a dataclass that have no default."""
+    return {
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    }
+
+
+def _check_keys(
+    obj: Mapping[str, Any], allowed: set[str], required: set[str], where: str
+) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ManifestError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise ManifestError(f"missing keys in {where}: {sorted(missing)}")
 
 
 def write_series_csv(path: Path, series: Mapping[str, np.ndarray], horizon: int) -> None:
@@ -163,30 +184,30 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
         raise ManifestError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{manifest_path}: manifest must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "manifest")
     if doc.get("schema") != SCHEMA:
         raise ManifestError(f"{manifest_path}: unsupported schema {doc.get('schema')!r}")
+    _check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "manifest")
 
     horizon = int(doc["horizon"])
     countries = []
     for entry in doc["countries"]:
-        _reject_unknown(entry, _COUNTRY_KEYS, "country entry")
+        _check_keys(entry, _COUNTRY_KEYS, _required(Country), "country entry")
         countries.append(Country(**entry))
     technologies = []
     for entry in doc["technologies"]:
-        _reject_unknown(entry, _TECH_KEYS, "technology entry")
+        _check_keys(entry, _TECH_KEYS, _required(Technology), "technology entry")
         technologies.append(Technology(**entry))
     lines = []
     for entry in doc.get("interconnectors", []):
-        _reject_unknown(entry, _LINE_KEYS, "interconnector entry")
+        _check_keys(entry, _LINE_KEYS, _required(Interconnector), "interconnector entry")
         lines.append(Interconnector(**entry))
     exogenous = []
     for entry in doc.get("exogenous_capacities", []):
-        _reject_unknown(entry, _EXO_KEYS, "exogenous capacity entry")
+        _check_keys(entry, _EXO_KEYS, _required(ExogenousCapacity), "exogenous capacity entry")
         exogenous.append(ExogenousCapacity(**entry))
 
     series = doc["series"]
-    _reject_unknown(series, _SERIES_KEYS, "series entry")
+    _check_keys(series, _SERIES_KEYS, {"load"}, "series entry")
     load = read_series_csv(directory / series["load"], horizon)
     inflow: dict[str, np.ndarray] = {}
     if "reservoir_inflow" in series:

@@ -1,9 +1,9 @@
 """LP solving and optimality-certificate verification.
 
-Two interchangeable backends sit behind ``solve``: the built-in
-reference simplex (dense, certificate-friendly) and scipy's HiGHS
-interface for larger instances. Row duals follow the dZ/db convention
-(non-positive for binding <= rows of a minimization).
+Two interchangeable backends sit behind ``solve``: scipy's HiGHS
+interface, the default, and the built-in reference simplex (dense,
+certificate-friendly), used only when asked for. Row duals follow the
+dZ/db convention (non-positive for binding <= rows of a minimization).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .lp import LinearProgram
 from .model import GridFactorError
 from .simplex import simplex_solve
 
-_SIMPLEX_SIZE_LIMIT = 400  # auto backend switch; dense basis beyond this is wasteful
-
 
 class SolveError(GridFactorError):
     pass
@@ -27,9 +25,8 @@ class SolveError(GridFactorError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    method: str = "auto"  # auto | simplex | highs
+    method: str = "highs"  # highs | simplex
     iteration_limit: int = 100_000
-    tol: float = 1e-9
 
 
 @dataclass
@@ -44,23 +41,13 @@ class SolveResult:
     wall_time: float
     method: str
 
-    def value(self, lp: LinearProgram, column: str) -> float:
-        return float(self.primal[lp.column_index(column)])
-
 
 def solve(lp: LinearProgram, options: SolveOptions | None = None) -> SolveResult:
     options = options or SolveOptions()
-    method = options.method
-    if method == "auto":
-        method = (
-            "simplex"
-            if lp.n_cols <= _SIMPLEX_SIZE_LIMIT and lp.n_rows <= _SIMPLEX_SIZE_LIMIT
-            else "highs"
-        )
     start = time.perf_counter()
-    if method == "simplex":
+    if options.method == "simplex":
         result = _solve_simplex(lp, options)
-    elif method == "highs":
+    elif options.method == "highs":
         result = _solve_highs(lp, options)
     else:
         raise SolveError(f"unknown solve method {options.method!r}")
@@ -77,7 +64,6 @@ def _solve_simplex(lp: LinearProgram, options: SolveOptions) -> SolveResult:
         lp.lb,
         lp.ub,
         iteration_limit=options.iteration_limit,
-        tol=options.tol,
     )
     return SolveResult(
         status=outcome.status,

@@ -71,6 +71,11 @@ class RunManifest:
         bad = set(self.factors) - set(range(1, 7))
         if bad or len(set(self.factors)) != len(self.factors):
             raise SweepError("factor subset must be unique numbers in 1..6")
+        if 1 not in self.factors:
+            raise SweepError(
+                "factor subset must include 1 (interconnection): the sweep compares "
+                "interconnected and isolated states"
+            )
 
     def digest(self) -> str:
         """Hash of the reproducibility-relevant fields.

@@ -510,12 +510,24 @@ def _reservoir_rows(
         )
 
 
-def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
+@dataclass(frozen=True)
+class Labels:
+    """Names and metadata of every column and row, in order."""
+
+    col_names: tuple[str, ...]
+    col_meta: tuple[tuple, ...]
+    row_names: tuple[str, ...]
+    row_meta: tuple[tuple, ...]
+
+
+def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport, Labels]:
     """The row-by-row LP builder that ``gridfactor.lp.assemble`` replaced.
 
     One Python ``Row`` per constraint and one registry lookup per
     coefficient: slow, but each coefficient is written down once, next
     to its row, so it serves as a reference for the array assembly.
+    The labels it writes down beside each column and row are returned
+    next to the LP, whose block map is empty.
     """
     space = VariableSpace(spec)
     c = build_objective(spec, space)
@@ -532,14 +544,16 @@ def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
         (data, (ri, ci)), shape=(len(rows), len(space.names)), dtype=float
     )
     lp = LinearProgram(
-        col_names=tuple(space.names),
-        col_meta=tuple(space.meta),
+        A=A,
+        c=c,
         lb=np.asarray(space.lb),
         ub=np.asarray(space.ub),
-        c=c,
-        A=A,
         relations=np.asarray([r.relation for r in rows]),
         rhs=np.asarray([r.rhs for r in rows]),
+    )
+    labels = Labels(
+        col_names=tuple(space.names),
+        col_meta=tuple(space.meta),
         row_names=tuple(r.name for r in rows),
         row_meta=tuple(r.meta for r in rows),
     )
@@ -556,12 +570,12 @@ def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
         columns_by_family=col_fams,
         rows_by_family=row_fams,
     )
-    return lp, report
+    return lp, report, labels
 
 
 # --------------------------------------------------------------------------
-# Column lookups by scanning every column's metadata: the references for
-# lookups through ``LinearProgram.blocks``.
+# Column lookups by scanning every column's metadata, as ``row_assemble``
+# labels it: the references for lookups through ``LinearProgram.blocks``.
 
 
 def _meta_fields(meta: tuple) -> dict:
@@ -570,10 +584,10 @@ def _meta_fields(meta: tuple) -> dict:
     return {"country": meta[1], "tech": meta[2], "hour": meta[3]}
 
 
-def scan_find_columns(lp: LinearProgram, family: str, **match) -> list[int]:
+def scan_find_columns(col_meta, family: str, **match) -> list[int]:
     """Indices of columns whose metadata matches ``family`` and fields."""
     out = []
-    for i, meta in enumerate(lp.col_meta):
+    for i, meta in enumerate(col_meta):
         if meta[0] != family:
             continue
         fields = _meta_fields(meta)
@@ -582,7 +596,7 @@ def scan_find_columns(lp: LinearProgram, family: str, **match) -> list[int]:
     return out
 
 
-def scan_storage_metrics(spec: PowerSystemSpec, lp: LinearProgram, primal):
+def scan_storage_metrics(spec: PowerSystemSpec, col_meta, primal):
     """Storage energy and discharge capacity sums by duration class: (total, per country)."""
     names = (
         "short_duration_energy_mwh",
@@ -593,7 +607,7 @@ def scan_storage_metrics(spec: PowerSystemSpec, lp: LinearProgram, primal):
     agg = {name: 0.0 for name in names}
     by_country = {c.code: {name: 0.0 for name in names} for c in spec.countries}
     class_by_tech = {t.id: t.duration_class for t in spec.technologies if t.duration_class}
-    for j, meta in enumerate(lp.col_meta):
+    for j, meta in enumerate(col_meta):
         family = meta[0]
         if family not in ("cap_energy", "cap_discharge"):
             continue
@@ -609,11 +623,11 @@ def scan_storage_metrics(spec: PowerSystemSpec, lp: LinearProgram, primal):
     return agg, by_country
 
 
-def scan_capacities(spec: PowerSystemSpec, lp: LinearProgram, primal) -> dict:
+def scan_capacities(spec: PowerSystemSpec, col_meta, primal) -> dict:
     """Installed variable-renewable power per (country, technology)."""
     caps = {}
     vre_ids = {t.id for t in spec.technologies if t.kind == "variable-renewable"}
-    for j, meta in enumerate(lp.col_meta):
+    for j, meta in enumerate(col_meta):
         if meta[0] == "cap_power" and meta[2] in vre_ids:
             caps[(meta[1], meta[2])] = float(primal[j])
     return caps

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from gridfactor import read_system
 from gridfactor.cli import main
 from gridfactor.mps import read_mps
-from gridfactor.sweep import read_ledger
+from gridfactor.sweep import VERSION, read_ledger
 
 
 @pytest.fixture
@@ -50,6 +50,15 @@ class TestValidate:
         result = runner.invoke(main, ["validate", str(tmp_path / "no.json")])
         assert result.exit_code == 2
 
+    def test_missing_horizon_exit_1(self, runner, system_dir):
+        doc = json.loads(Path(system_dir).read_text())
+        del doc["horizon"]
+        Path(system_dir).write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert "error: missing keys in manifest: ['horizon']" in result.stderr
+
 
 class TestSolve:
     def test_native_state(self, runner, system_dir, tmp_path):
@@ -73,6 +82,14 @@ class TestSolve:
         result = runner.invoke(main, ["solve", str(system_dir), "--state", "f_0"])
         assert result.exit_code == 2
         assert "--reference is required" in result.output + result.stderr
+
+    def test_unknown_reference_exit_1(self, runner, system_dir):
+        result = runner.invoke(
+            main, ["solve", str(system_dir), "--state", "f_1", "--reference", "ZZ"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert "error: reference country ZZ not in spec" in result.stderr
 
     def test_fully_harmonized_state(self, runner, system_dir):
         result = runner.invoke(
@@ -143,6 +160,35 @@ class TestSweepAndFactorize:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
         assert f"scenario {states[failed]} did not solve: infeasible" in result.stderr
+
+    def test_unknown_reference_exit_1(self, runner, system_dir, tmp_path):
+        result = runner.invoke(
+            main,
+            ["sweep", str(system_dir), "--reference", "ZZ", "--out", str(tmp_path / "s")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: reference country ZZ not in spec" in result.stderr
+
+    def test_factors_without_interconnection_exit_1(self, runner, system_dir, tmp_path):
+        out_dir = tmp_path / "sweep"
+        result = runner.invoke(
+            main,
+            [
+                "sweep",
+                str(system_dir),
+                "--reference",
+                "AA",
+                "--out",
+                str(out_dir),
+                "--factors",
+                "2,3",
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "must include 1 (interconnection)" in result.stderr
+        assert not (out_dir / "ledger.json").exists()
 
     def test_resume_flag_requires_ledger(self, runner, system_dir, tmp_path):
         result = runner.invoke(
@@ -271,3 +317,9 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "gridfactor" in result.output
+
+
+def test_package_version_matches_ledger_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == VERSION

@@ -16,6 +16,7 @@ from gridfactor.model import (
 )
 from gridfactor.solve import SolveOptions, verify_certificate
 
+from _oracles import row_assemble
 from conftest import wind_only_spec
 
 
@@ -26,7 +27,7 @@ class TestWindOnlyHandOracle:
         lp, _ = assemble(spec)
         result = solve(lp, SolveOptions(method="highs"))
         assert result.status == "optimal"
-        n = result.value(lp, "N[AA,wind]")
+        n = result.primal[lp.col_names.index("N[AA,wind]")]
         assert n == pytest.approx(2.0, rel=1e-9)
         expected_cost = 2000.0 * annuity(1182.0, 25, 0.04)
         assert result.objective == pytest.approx(expected_cost, rel=1e-9)
@@ -36,7 +37,7 @@ class TestWindOnlyHandOracle:
         lp, _ = assemble(spec)
         result = solve(lp, SolveOptions(method="simplex"))
         assert result.status == "optimal"
-        assert result.value(lp, "N[AA,wind]") == 2.0
+        assert result.primal[lp.col_names.index("N[AA,wind]")] == 2.0
 
 
 class TestStructure:
@@ -60,10 +61,11 @@ class TestStructure:
 
     def test_incidence_signs(self, small_spec):
         lp, _ = assemble(small_spec)
-        j = lp.column_index("F[AA-AB,0]")
+        row_names = row_assemble(small_spec)[2].row_names  # same A, bit for bit
+        j = lp.col_names.index("F[AA-AB,0]")
         col = lp.A.tocsc()[:, j].toarray().ravel()
-        from_row = lp.row_names.index("bal[AA,0]")
-        to_row = lp.row_names.index("bal[AB,0]")
+        from_row = row_names.index("bal[AA,0]")
+        to_row = row_names.index("bal[AB,0]")
         assert col[from_row] == 1.0
         assert col[to_row] == -1.0
 
@@ -84,8 +86,9 @@ class TestStructure:
 
     def test_metadata_is_total_and_unique(self, small_spec):
         lp, report = assemble(small_spec)
+        row_meta = row_assemble(small_spec)[2].row_meta
         assert len(set(lp.col_meta)) == lp.n_cols
-        assert len(set(lp.row_meta)) == lp.n_rows
+        assert len(set(row_meta)) == lp.n_rows
         assert report.n_columns == lp.n_cols
         assert report.n_rows == lp.n_rows
 
@@ -145,7 +148,8 @@ class TestStructure:
 class TestSystemBalanceInvariants:
     def test_flow_terms_cancel_across_countries(self, small_spec):
         lp, _ = assemble(small_spec)
-        balance = [i for i, m in enumerate(lp.row_meta) if m[0] == "balance"]
+        row_meta = row_assemble(small_spec)[2].row_meta
+        balance = [i for i, m in enumerate(row_meta) if m[0] == "balance"]
         total = np.asarray(lp.A[balance].sum(axis=0)).ravel()
         for j in lp.find_columns("flow"):
             assert total[j] == 0.0
@@ -246,4 +250,4 @@ def test_solution_csv_rows(small_spec, tmp_path):
         ("N[AA,wind_onshore]", ["cap_power", "AA", "wind_onshore", ""]),
         ("G[AB,wind_onshore,7]", ["gen", "AB", "wind_onshore", "7"]),
     ):
-        assert by_name[name] == [name, *fields, repr(float(primal[lp.column_index(name)]))]
+        assert by_name[name] == [name, *fields, repr(float(primal[lp.col_names.index(name)]))]

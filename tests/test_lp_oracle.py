@@ -27,7 +27,7 @@ from conftest import wind_only_spec
 
 def assert_identical(spec):
     lp, report = assemble(spec)
-    ref, ref_report = row_assemble(spec)
+    ref, ref_report, labels = row_assemble(spec)
     for name in ("indptr", "indices", "data"):
         got, want = getattr(lp.A, name), getattr(ref.A, name)
         assert got.dtype == want.dtype, name
@@ -37,10 +37,8 @@ def assert_identical(spec):
         got, want = getattr(lp, name), getattr(ref, name)
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
-    assert lp.col_names == ref.col_names
-    assert lp.row_names == ref.row_names
-    assert lp.col_meta == ref.col_meta
-    assert lp.row_meta == ref.row_meta
+    assert lp.col_names == labels.col_names
+    assert lp.col_meta == labels.col_meta
     assert report == ref_report
     assert list(report.columns_by_family) == list(ref_report.columns_by_family)
     assert list(report.rows_by_family) == list(ref_report.rows_by_family)
@@ -49,8 +47,9 @@ def assert_identical(spec):
 
 def assert_lookups_match_scans(spec, rng):
     lp, _ = assemble(spec)
+    col_meta = row_assemble(spec)[2].col_meta
     starts = defaultdict(list)  # metadata prefix -> columns whose metadata starts with it
-    for j, meta in enumerate(lp.col_meta):
+    for j, meta in enumerate(col_meta):
         for n in (2, 3):
             starts[meta[:n]].append(j)
     for key, block in lp.blocks.items():
@@ -61,24 +60,25 @@ def assert_lookups_match_scans(spec, rng):
     countries = [None, *(c.code for c in spec.countries)]
     techs = [None, *(t.id for t in spec.technologies)]
     lines = [None, *(f"{l.from_country}-{l.to_country}" for l in spec.interconnectors)]
-    for family in {"flow", *(meta[0] for meta in lp.col_meta)}:
+    for family in {"flow", *(meta[0] for meta in col_meta)}:
         if family == "flow":
             for line in lines:
                 match = {} if line is None else {"line": line}
-                assert lp.find_columns(family, line=line) == scan_find_columns(lp, family, **match)
+                got = lp.find_columns(family, line=line)
+                assert got == scan_find_columns(col_meta, family, **match)
             continue
         for country in countries:
             for tech in techs:
                 match = {k: v for k, v in (("country", country), ("tech", tech)) if v is not None}
                 got = lp.find_columns(family, country=country, tech=tech)
-                assert got == scan_find_columns(lp, family, **match), (family, match)
+                assert got == scan_find_columns(col_meta, family, **match), (family, match)
 
     primal = rng.random(lp.n_cols) * 1e3
     result = types.SimpleNamespace(primal=primal)
     got = extract_storage_metrics(spec, lp, result, per_country=True)
-    assert got == scan_storage_metrics(spec, lp, primal)
+    assert got == scan_storage_metrics(spec, col_meta, primal)
     assert extract_storage_metrics(spec, lp, result) == got[0]
-    assert capacities_from_result(spec, lp, result) == scan_capacities(spec, lp, primal)
+    assert capacities_from_result(spec, lp, result) == scan_capacities(spec, col_meta, primal)
 
 
 def run_of_river_spec(base, profile):

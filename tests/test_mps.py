@@ -69,6 +69,7 @@ class TestRoundTrip:
         assert np.array_equal(back.lb, lp.lb)
         assert np.array_equal(back.ub, lp.ub)
         assert np.array_equal(back.relations, lp.relations)
+        assert back.blocks == {} and back.col_names == ()
 
     def test_double_round_trip_is_stable(self, lp):
         once = write_mps(read_mps(write_mps(lp)))

@@ -47,6 +47,32 @@ class TestRejection:
         with pytest.raises(ManifestError, match="unknown keys"):
             read_system(manifest)
 
+    @pytest.mark.parametrize(
+        "where,key,message",
+        [
+            (None, "horizon", "missing keys in manifest: ['horizon']"),
+            (None, "series", "missing keys in manifest: ['series']"),
+            ("countries", "code", "missing keys in country entry: ['code']"),
+            ("technologies", "kind", "missing keys in technology entry: ['kind']"),
+            ("interconnectors", "ntc", "missing keys in interconnector entry: ['ntc']"),
+            (
+                "exogenous_capacities",
+                "technology",
+                "missing keys in exogenous capacity entry: ['technology']",
+            ),
+            ("series", "load", "missing keys in series entry: ['load']"),
+        ],
+    )
+    def test_missing_key_named(self, tmp_path, small_spec, where, key, message):
+        manifest = write_system(small_spec, tmp_path / "sys")
+        doc = json.loads(manifest.read_text())
+        parent = doc if where is None else doc[where]
+        del (parent[0] if isinstance(parent, list) else parent)[key]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError) as info:
+            read_system(manifest)
+        assert str(info.value) == message
+
     def test_wrong_schema(self, tmp_path, small_spec):
         manifest = write_system(small_spec, tmp_path / "sys")
         doc = json.loads(manifest.read_text())

@@ -7,6 +7,7 @@ from scipy.optimize import OptimizeResult
 from gridfactor import assemble, solve, verify_certificate
 from gridfactor.solve import SolveError, SolveOptions
 
+from _oracles import row_assemble
 from conftest import wind_only_spec
 from gridfactor import synthesize_system
 
@@ -25,16 +26,12 @@ class TestBackendAgreement:
         assert a.status == b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, rel=1e-8)
 
-    def test_auto_picks_simplex_for_small(self):
+    def test_tiny_lp_solves_with_highs_by_default(self):
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0])
         lp, _ = assemble(spec)
         result = solve(lp)
-        assert result.method == "simplex"
-
-    def test_auto_picks_highs_for_large(self, small_spec):
-        lp, _ = assemble(small_spec)
-        result = solve(lp)
         assert result.method == "highs"
+        assert result.status == "optimal"
 
     def test_unknown_method_rejected(self, small_spec):
         lp, _ = assemble(small_spec)
@@ -93,9 +90,10 @@ class TestDualConvention:
         """dZ/db of a balance row: one more MWh of demand costs more."""
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0])
         lp, _ = assemble(spec)
+        row_meta = row_assemble(spec)[2].row_meta  # same A, bit for bit
         for method in ("simplex", "highs"):
             result = solve(lp, SolveOptions(method=method))
-            balance = [i for i, m in enumerate(lp.row_meta) if m[0] == "balance"]
+            balance = [i for i, m in enumerate(row_meta) if m[0] == "balance"]
             assert all(result.dual[i] >= -1e-9 for i in balance)
             # finite-difference check on hour 0
             bumped = lp.rhs.copy()
