@@ -144,7 +144,7 @@ def cmd_solve(manifest, state, reference, method, out, mps_out):
     options = SolveOptions(method=method)
     spec = read_system(manifest)
     scenario = _scenario_spec(spec, state, reference, options)
-    lp, report = assemble(scenario)
+    lp, _ = assemble(scenario)
     if mps_out:
         write_mps(lp, mps_out)
     result = solve(lp, options)
@@ -154,7 +154,7 @@ def cmd_solve(manifest, state, reference, method, out, mps_out):
     if out:
         write_solution_csv(out, lp, result.primal)
     click.echo(f"state {state.name}: objective {result.objective!r} EUR")
-    for name, value in extract_storage_metrics(scenario, lp, result).items():
+    for name, value in extract_storage_metrics(scenario, lp, result)[0].items():
         click.echo(f"  {name}: {value!r}")
 
 

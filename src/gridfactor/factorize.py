@@ -155,11 +155,11 @@ STORAGE_METRICS = (
 )
 
 
-def extract_storage_metrics(spec, lp, result, per_country: bool = False):
-    """Aggregate optimal storage capacities by duration class.
+def extract_storage_metrics(spec, lp, result):
+    """Optimal storage capacities by duration class: ``(aggregate, by_country)``.
 
-    Sums installed energy and discharging power over all countries for
-    short- and long-duration storage technologies.
+    Sums installed energy and discharging power of short- and
+    long-duration storage technologies, over all countries and per country.
     """
     agg = {name: 0.0 for name in STORAGE_METRICS}
     by_country: dict[str, dict[str, float]] = {
@@ -180,7 +180,7 @@ def extract_storage_metrics(spec, lp, result, per_country: bool = False):
         value = float(result.primal[block.start])
         agg[key] += value
         by_country[code][key] += value
-    return (agg, by_country) if per_country else agg
+    return agg, by_country
 
 
 def decomposition_rows(decomp: FactorDecomposition) -> list[dict]:

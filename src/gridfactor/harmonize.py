@@ -74,14 +74,11 @@ class FactorState:
         return sum(1 << (n - 1) for n in self.active_factors)
 
     @classmethod
-    def from_factors(cls, factors: Mapping[int, bool] | set[int] | frozenset[int]) -> "FactorState":
-        active = set(factors) if not isinstance(factors, Mapping) else {
-            k for k, v in factors.items() if v
-        }
-        bad = active - set(FACTOR_NAMES)
+    def from_factors(cls, factors: set[int] | frozenset[int]) -> "FactorState":
+        bad = set(factors) - set(FACTOR_NAMES)
         if bad:
             raise HarmonizeError(f"unknown factor numbers {sorted(bad)}")
-        return cls(**{FACTOR_NAMES[n]: (n in active) for n in FACTOR_NAMES})
+        return cls(**{FACTOR_NAMES[n]: (n in factors) for n in FACTOR_NAMES})
 
     @classmethod
     def parse(cls, text: str) -> "FactorState":
@@ -311,12 +308,10 @@ def _harmonize_portfolio(
     spec: PowerSystemSpec,
     techs,
     exogenous: list[ExogenousCapacity],
-    shares: ReferenceShares | None,
+    shares: ReferenceShares,
     rescale_inflow: bool,
     inflow: dict,
 ) -> tuple[list[ExogenousCapacity], dict]:
-    if shares is None:
-        raise HarmonizeError("portfolio harmonization requires reference shares")
     tech_ids = {t.id for t in techs if not t.expandable}
     kept = [e for e in exogenous if e.technology not in tech_ids]
     added: list[ExogenousCapacity] = []

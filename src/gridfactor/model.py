@@ -114,7 +114,7 @@ def _series_maps_equal(a: Mapping, b: Mapping) -> bool:
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PowerSystemSpec:
     """Immutable description of one scenario instance.
 
@@ -131,23 +131,6 @@ class PowerSystemSpec:
     interconnection_enabled: bool = True
     annuity_rate: float = 0.04
     offshore_overrides: tuple[tuple[str, float], ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSystemSpec):
-            return NotImplemented
-        return (
-            self.countries == other.countries
-            and self.technologies == other.technologies
-            and self.time_series == other.time_series
-            and self.interconnectors == other.interconnectors
-            and self.exogenous_capacities == other.exogenous_capacities
-            and self.interconnection_enabled == other.interconnection_enabled
-            and self.annuity_rate == other.annuity_rate
-            and self.offshore_overrides == other.offshore_overrides
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.countries, self.technologies))
 
     # -- lookup helpers -------------------------------------------------
 

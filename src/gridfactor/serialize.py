@@ -1,16 +1,23 @@
 """System manifest (JSON) and time-series (CSV) serialization.
 
 A system lives in a directory: ``manifest.json`` holds scalars and
-entity tables and references one CSV per series family. CSV layout is
+entity tables and references one CSV per series family. Each entity
+table is a list of one model dataclass's fields (``Country``,
+``Technology``, ``Interconnector``, ``ExogenousCapacity``), so the
+dataclasses are the only statement of its keys. CSV layout is
 ``hour,<country>...`` with 0-indexed hours and plain decimal floats.
 Round-trips are exact: floats are emitted via shortest-repr.
+
+This module owns the ``series`` layout and the manifest digest, which
+hashes the manifest and every series file it names.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -28,42 +35,17 @@ from .model import (
 
 SCHEMA = "gridfactor-system/1"
 
-
-class ManifestError(GridFactorError):
-    """Raised for malformed manifests or series files."""
-
-
-_COUNTRY_KEYS = {"code", "yearly_load_total", "offshore_eligible"}
-_TECH_KEYS = {
-    "id",
-    "kind",
-    "marginal_cost",
-    "overnight_cost_power",
-    "overnight_cost_energy",
-    "overnight_cost_charge",
-    "overnight_cost_discharge",
-    "fixed_cost",
-    "lifetime",
-    "efficiency_in",
-    "efficiency_out",
-    "self_discharge_retention",
-    "expandable",
-    "offshore",
-    "factor_group",
-    "duration_class",
+# entity table (a ``PowerSystemSpec`` field) -> its dataclass and its name in messages
+_TABLES = {
+    "countries": (Country, "country entry"),
+    "technologies": (Technology, "technology entry"),
+    "interconnectors": (Interconnector, "interconnector entry"),
+    "exogenous_capacities": (ExogenousCapacity, "exogenous capacity entry"),
 }
-_LINE_KEYS = {"from_country", "to_country", "ntc"}
-_EXO_KEYS = {"country", "technology", "power_discharge", "power_charge", "energy"}
-_TOP_KEYS = {
+# the spec's fields, with its time series stored as ``horizon`` plus ``series``
+_TOP_KEYS = {f.name for f in fields(PowerSystemSpec)} - {"time_series"} | {
     "schema",
     "horizon",
-    "annuity_rate",
-    "interconnection_enabled",
-    "countries",
-    "technologies",
-    "interconnectors",
-    "exogenous_capacities",
-    "offshore_overrides",
     "series",
 }
 _TOP_REQUIRED = {
@@ -77,11 +59,8 @@ _TOP_REQUIRED = {
 _SERIES_KEYS = {"load", "reservoir_inflow", "capacity_factors"}
 
 
-def _required(cls) -> set[str]:
-    """Fields of a dataclass that have no default."""
-    return {
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-    }
+class ManifestError(GridFactorError):
+    """Raised for malformed manifests or series files."""
 
 
 def _check_keys(
@@ -93,6 +72,30 @@ def _check_keys(
     missing = required - set(obj)
     if missing:
         raise ManifestError(f"missing keys in {where}: {sorted(missing)}")
+
+
+def _entities(entries, cls, where: str) -> tuple:
+    """``cls`` instances from manifest entries keyed by its fields."""
+    allowed = {f.name for f in fields(cls)}
+    required = {
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    }
+    out = []
+    for entry in entries:
+        _check_keys(entry, allowed, required, where)
+        out.append(cls(**entry))
+    return tuple(out)
+
+
+def system_doc(spec: PowerSystemSpec) -> dict[str, Any]:
+    """Scalars and entity tables of ``spec``: its manifest without schema or series."""
+    return {
+        "horizon": spec.time_series.horizon,
+        "annuity_rate": spec.annuity_rate,
+        "interconnection_enabled": spec.interconnection_enabled,
+        **{table: [asdict(e) for e in getattr(spec, table)] for table in _TABLES},
+        "offshore_overrides": [[code, mw] for code, mw in spec.offshore_overrides],
+    }
 
 
 def write_series_csv(path: Path, series: Mapping[str, np.ndarray], horizon: int) -> None:
@@ -113,9 +116,19 @@ def read_series_csv(path: Path, horizon: int) -> dict[str, np.ndarray]:
         columns = header[1:]
         data: list[list[float]] = []
         for row_idx, row in enumerate(reader):
-            if int(row[0]) != row_idx:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ManifestError(f"{where}: {len(row)} fields, header has {len(header)}")
+            try:
+                hour = int(row[0])
+            except ValueError:
+                raise ManifestError(f"{where}: hour {row[0]!r} is not an integer") from None
+            if hour != row_idx:
                 raise ManifestError(f"{path}: hours must be 0-indexed and contiguous")
-            data.append([float(v) for v in row[1:]])
+            try:
+                data.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ManifestError(f"{where}: {exc}") from None
     if len(data) != horizon:
         raise ManifestError(f"{path}: expected {horizon} rows, found {len(data)}")
     arr = np.asarray(data)
@@ -142,72 +155,54 @@ def write_system(spec: PowerSystemSpec, directory: str | Path) -> Path:
         series_entry["capacity_factors"][tech] = fname
         write_series_csv(directory / fname, per_country, ts.horizon)
 
-    doc = {
-        "schema": SCHEMA,
-        "horizon": ts.horizon,
-        "annuity_rate": spec.annuity_rate,
-        "interconnection_enabled": spec.interconnection_enabled,
-        "countries": [
-            {
-                "code": c.code,
-                "yearly_load_total": c.yearly_load_total,
-                "offshore_eligible": c.offshore_eligible,
-            }
-            for c in spec.countries
-        ],
-        "technologies": [
-            {k: getattr(t, k) for k in sorted(_TECH_KEYS)} for t in spec.technologies
-        ],
-        "interconnectors": [
-            {"from_country": l.from_country, "to_country": l.to_country, "ntc": l.ntc}
-            for l in spec.interconnectors
-        ],
-        "exogenous_capacities": [
-            {k: getattr(e, k) for k in sorted(_EXO_KEYS)}
-            for e in spec.exogenous_capacities
-        ],
-        "offshore_overrides": [[code, mw] for code, mw in spec.offshore_overrides],
-        "series": series_entry,
-    }
+    doc = {**system_doc(spec), "schema": SCHEMA, "series": series_entry}
     manifest_path = directory / "manifest.json"
     manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
-def read_system(manifest_path: str | Path) -> PowerSystemSpec:
-    """Read a system from its manifest; unknown keys are rejected."""
-    manifest_path = Path(manifest_path)
-    directory = manifest_path.parent
+def _read_manifest(manifest_path: Path) -> tuple[bytes, dict[str, Any]]:
+    """Bytes and document of a manifest whose top-level and series keys check."""
+    raw = manifest_path.read_bytes()
     try:
-        doc = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(raw)
+    except ValueError as exc:
         raise ManifestError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{manifest_path}: manifest must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise ManifestError(f"{manifest_path}: unsupported schema {doc.get('schema')!r}")
     _check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "manifest")
+    _check_keys(doc["series"], _SERIES_KEYS, {"load"}, "series entry")
+    return raw, doc
 
+
+def manifest_digest(manifest_path: str | Path) -> str:
+    """SHA-256 of a manifest's bytes, then its series files' bytes in file-name order."""
+    manifest_path = Path(manifest_path)
+    raw, doc = _read_manifest(manifest_path)
+    series = doc["series"]
+    names = [series["load"], *series.get("capacity_factors", {}).values()]
+    if "reservoir_inflow" in series:
+        names.append(series["reservoir_inflow"])
+    h = hashlib.sha256(raw)
+    for name in sorted(names):
+        h.update((manifest_path.parent / name).read_bytes())
+    return h.hexdigest()
+
+
+def read_system(manifest_path: str | Path) -> PowerSystemSpec:
+    """Read a system from its manifest; unknown keys are rejected."""
+    manifest_path = Path(manifest_path)
+    directory = manifest_path.parent
+    _, doc = _read_manifest(manifest_path)
     horizon = int(doc["horizon"])
-    countries = []
-    for entry in doc["countries"]:
-        _check_keys(entry, _COUNTRY_KEYS, _required(Country), "country entry")
-        countries.append(Country(**entry))
-    technologies = []
-    for entry in doc["technologies"]:
-        _check_keys(entry, _TECH_KEYS, _required(Technology), "technology entry")
-        technologies.append(Technology(**entry))
-    lines = []
-    for entry in doc.get("interconnectors", []):
-        _check_keys(entry, _LINE_KEYS, _required(Interconnector), "interconnector entry")
-        lines.append(Interconnector(**entry))
-    exogenous = []
-    for entry in doc.get("exogenous_capacities", []):
-        _check_keys(entry, _EXO_KEYS, _required(ExogenousCapacity), "exogenous capacity entry")
-        exogenous.append(ExogenousCapacity(**entry))
+    tables = {
+        table: _entities(doc.get(table, []), cls, where)
+        for table, (cls, where) in _TABLES.items()
+    }
 
     series = doc["series"]
-    _check_keys(series, _SERIES_KEYS, {"load"}, "series entry")
     load = read_series_csv(directory / series["load"], horizon)
     inflow: dict[str, np.ndarray] = {}
     if "reservoir_inflow" in series:
@@ -218,13 +213,10 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
             cf[(code, tech)] = arr
 
     return PowerSystemSpec(
-        countries=tuple(countries),
-        technologies=tuple(technologies),
+        **tables,
         time_series=TimeSeriesSet(
             horizon=horizon, capacity_factors=cf, load=load, reservoir_inflow=inflow
         ),
-        interconnectors=tuple(lines),
-        exogenous_capacities=tuple(exogenous),
         interconnection_enabled=bool(doc["interconnection_enabled"]),
         annuity_rate=float(doc["annuity_rate"]),
         offshore_overrides=tuple(

@@ -8,7 +8,6 @@ dZ/db convention (non-positive for binding <= rows of a minimization).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,21 +37,16 @@ class SolveResult:
     primal: np.ndarray
     dual: np.ndarray
     iterations: int
-    wall_time: float
     method: str
 
 
 def solve(lp: LinearProgram, options: SolveOptions | None = None) -> SolveResult:
     options = options or SolveOptions()
-    start = time.perf_counter()
     if options.method == "simplex":
-        result = _solve_simplex(lp, options)
-    elif options.method == "highs":
-        result = _solve_highs(lp, options)
-    else:
-        raise SolveError(f"unknown solve method {options.method!r}")
-    result.wall_time = time.perf_counter() - start
-    return result
+        return _solve_simplex(lp, options)
+    if options.method == "highs":
+        return _solve_highs(lp, options)
+    raise SolveError(f"unknown solve method {options.method!r}")
 
 
 def _solve_simplex(lp: LinearProgram, options: SolveOptions) -> SolveResult:
@@ -71,7 +65,6 @@ def _solve_simplex(lp: LinearProgram, options: SolveOptions) -> SolveResult:
         primal=outcome.x,
         dual=outcome.y,
         iterations=outcome.iterations,
-        wall_time=0.0,
         method="simplex",
     )
 
@@ -127,7 +120,6 @@ def _solve_highs(lp: LinearProgram, options: SolveOptions) -> SolveResult:
         primal=primal,
         dual=dual,
         iterations=int(getattr(res, "nit", 0)),
-        wall_time=0.0,
         method="highs",
     )
 

@@ -39,7 +39,7 @@ from .harmonize import (
 from .lp import assemble, lp_digest, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
-from .serialize import read_system
+from .serialize import manifest_digest, read_system, system_doc
 from .solve import SolveOptions, solve, verify_certificate
 
 VERSION = "1.0.0"
@@ -84,51 +84,24 @@ class RunManifest:
         or at a different parallelism must hash identically.
         """
         doc = {
-            "system": _file_digest(Path(self.system_manifest)),
+            "system": manifest_digest(self.system_manifest),
             "reference_country": self.reference_country,
             "factors": sorted(self.factors),
             "fixture_label": self.fixture_label,
             "solver": asdict(self.solver),
             "export_mps": self.export_mps,
         }
-        return _digest_json(doc)
+        return hashlib.sha256(_canonical_json(doc)).hexdigest()
 
 
-def _digest_json(doc) -> str:
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-def _file_digest(path: Path) -> str:
-    h = hashlib.sha256()
-    directory = path.parent
-    h.update(path.read_bytes())
-    doc = json.loads(path.read_text())
-    names = [doc["series"]["load"]]
-    if "reservoir_inflow" in doc["series"]:
-        names.append(doc["series"]["reservoir_inflow"])
-    names.extend(doc["series"].get("capacity_factors", {}).values())
-    for name in sorted(names):
-        h.update((directory / name).read_bytes())
-    return h.hexdigest()
+def _canonical_json(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def spec_digest(spec: PowerSystemSpec) -> str:
     """Content hash of a (possibly harmonized) in-memory system."""
-    h = hashlib.sha256()
     ts = spec.time_series
-    doc = {
-        "horizon": ts.horizon,
-        "annuity_rate": spec.annuity_rate,
-        "interconnection_enabled": spec.interconnection_enabled,
-        "countries": [asdict(c) for c in spec.countries],
-        "technologies": [asdict(t) for t in spec.technologies],
-        "interconnectors": [asdict(l) for l in spec.interconnectors],
-        "exogenous_capacities": [asdict(e) for e in spec.exogenous_capacities],
-        "offshore_overrides": [[c, mw] for c, mw in spec.offshore_overrides],
-    }
-    h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+    h = hashlib.sha256(_canonical_json(system_doc(spec)))
     for code in sorted(ts.load):
         h.update(code.encode())
         h.update(np.ascontiguousarray(ts.load[code], dtype=float).tobytes())
@@ -181,7 +154,7 @@ def _run_state(payload) -> dict:
         }
     wall = time.perf_counter() - started
     if result.status == "optimal":
-        agg, by_country = extract_storage_metrics(scenario, lp, result, per_country=True)
+        agg, by_country = extract_storage_metrics(scenario, lp, result)
         entry["metrics"] = {**agg, "objective_eur": float(result.objective)}
         entry["per_country"] = by_country
         csv_path, meta_path = _state_paths(out_dir, state_name)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from gridfactor import read_system
 from gridfactor.cli import main
 from gridfactor.mps import read_mps
-from gridfactor.sweep import VERSION, read_ledger
+from gridfactor.sweep import LEDGER_SCHEMA, VERSION, read_ledger
 
 
 @pytest.fixture
@@ -58,6 +58,17 @@ class TestValidate:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
         assert "error: missing keys in manifest: ['horizon']" in result.stderr
+
+    def test_malformed_series_row_exit_1(self, runner, system_dir):
+        doc = json.loads(Path(system_dir).read_text())
+        load_file = Path(system_dir).parent / doc["series"]["load"]
+        lines = load_file.read_text().splitlines()
+        lines[4] = "3,abc," + lines[4].split(",", 2)[2]
+        load_file.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {load_file}, line 5: could not convert" in result.stderr
 
 
 class TestSolve:
@@ -206,6 +217,22 @@ class TestSweepAndFactorize:
             ],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--resume"]], ids=["fresh", "resume"])
+    def test_manifest_without_series_exit_1(self, runner, system_dir, tmp_path, extra):
+        doc = json.loads(Path(system_dir).read_text())
+        del doc["series"]
+        Path(system_dir).write_text(json.dumps(doc))
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        (out_dir / "ledger.json").write_text(json.dumps({"schema": LEDGER_SCHEMA}))
+        result = runner.invoke(
+            main,
+            ["sweep", str(system_dir), "--reference", "AA", "--out", str(out_dir), *extra],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: missing keys in manifest: ['series']" in result.stderr
 
 
 class TestResidual:

@@ -75,9 +75,8 @@ def assert_lookups_match_scans(spec, rng):
 
     primal = rng.random(lp.n_cols) * 1e3
     result = types.SimpleNamespace(primal=primal)
-    got = extract_storage_metrics(spec, lp, result, per_country=True)
+    got = extract_storage_metrics(spec, lp, result)
     assert got == scan_storage_metrics(spec, col_meta, primal)
-    assert extract_storage_metrics(spec, lp, result) == got[0]
     assert capacities_from_result(spec, lp, result) == scan_capacities(spec, col_meta, primal)
 
 

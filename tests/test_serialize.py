@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridfactor import read_system, synthesize_system, write_system
-from gridfactor.serialize import ManifestError, read_series_csv, write_series_csv
+from gridfactor.serialize import (
+    ManifestError,
+    manifest_digest,
+    read_series_csv,
+    write_series_csv,
+)
+from gridfactor.sweep import spec_digest
 
 
 class TestRoundTrip:
@@ -93,8 +100,40 @@ class TestRejection:
         with pytest.raises(ManifestError, match="contiguous"):
             read_series_csv(path, 2)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("1,abc,1.0", "line 3: could not convert string to float: 'abc'"),
+            ("1.0,1.0,1.0", "line 3: hour '1.0' is not an integer"),
+            ("1,1.0", "line 3: 2 fields, header has 3"),
+            ("1,1.0,1.0,1.0", "line 3: 4 fields, header has 3"),
+        ],
+        ids=["value", "hour", "short-row", "long-row"],
+    )
+    def test_bad_row_named(self, tmp_path, row, message):
+        path = tmp_path / "s.csv"
+        path.write_text(f"hour,AA,AB\n0,1.0,2.0\n{row}\n")
+        with pytest.raises(ManifestError) as info:
+            read_series_csv(path, 2)
+        assert str(info.value) == f"{path}, {message}"
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("hour,AA\n0,1.0\n")
         with pytest.raises(ManifestError, match="expected 3 rows"):
             read_series_csv(path, 3)
+
+
+def test_schema_bytes_pinned(tmp_path):
+    """Every ledger's ``manifest_hash`` and ``spec_hash`` rest on these bytes."""
+    spec = synthesize_system(seed=7, n_countries=2, horizon=24)
+    manifest = write_system(spec, tmp_path / "sys")
+    assert (
+        hashlib.sha256(manifest.read_bytes()).hexdigest()
+        == "71e056236ff2054743730043dfabdffaa85d161c8909237fec169b09b5fc9841"
+    )
+    assert (
+        manifest_digest(manifest)
+        == "4726dd2e9fa2cacc531dbde8f0b7246a2c6720acd40372ceddb6f72b55f68870"
+    )
+    assert spec_digest(spec) == "0be45c122f7607af034a1f531c51d871543b389059928873cc4ad01a7f1b4324"
