@@ -74,15 +74,36 @@ def _check_keys(
         raise ManifestError(f"missing keys in {where}: {sorted(missing)}")
 
 
+# JSON values accepted for a dataclass field annotation, and their name in messages;
+# ``bool`` is an ``int`` subclass, so a number field rejects it explicitly
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "float": ((int, float), "a number"),
+    "int": ((int,), "an integer"),
+    "bool": ((bool,), "a boolean"),
+}
+
+
+def _check_type(value: Any, annotation: str, where: str) -> None:
+    kinds, name = _JSON_TYPES[annotation]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ManifestError(f"{where} must be {name}, got {value!r}")
+
+
 def _entities(entries, cls, where: str) -> tuple:
-    """``cls`` instances from manifest entries keyed by its fields."""
-    allowed = {f.name for f in fields(cls)}
+    """``cls`` instances from manifest entries keyed and typed by its fields."""
+    annotations = {f.name: f.type for f in fields(cls)}
     required = {
         f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
     }
     out = []
-    for entry in entries:
-        _check_keys(entry, allowed, required, where)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ManifestError(f"{where} {i} must be an object, got {entry!r}")
+        _check_keys(entry, set(annotations), required, where)
+        for key, value in entry.items():
+            _check_type(value, annotations[key], f"{where} {i}: {key}")
         out.append(cls(**entry))
     return tuple(out)
 
@@ -161,8 +182,16 @@ def write_system(spec: PowerSystemSpec, directory: str | Path) -> Path:
     return manifest_path
 
 
+def _series_files(manifest_path: Path, series: Mapping[str, Any]) -> list[Path]:
+    """Paths of the series files a manifest names, in file-name order."""
+    names = [series["load"], *series.get("capacity_factors", {}).values()]
+    if "reservoir_inflow" in series:
+        names.append(series["reservoir_inflow"])
+    return [manifest_path.parent / name for name in sorted(names)]
+
+
 def _read_manifest(manifest_path: Path) -> tuple[bytes, dict[str, Any]]:
-    """Bytes and document of a manifest whose top-level and series keys check."""
+    """Bytes and document of a manifest whose keys check and whose series files exist."""
     raw = manifest_path.read_bytes()
     try:
         doc = json.loads(raw)
@@ -174,6 +203,9 @@ def _read_manifest(manifest_path: Path) -> tuple[bytes, dict[str, Any]]:
         raise ManifestError(f"{manifest_path}: unsupported schema {doc.get('schema')!r}")
     _check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "manifest")
     _check_keys(doc["series"], _SERIES_KEYS, {"load"}, "series entry")
+    missing = [str(p) for p in _series_files(manifest_path, doc["series"]) if not p.is_file()]
+    if missing:
+        raise ManifestError(f"{manifest_path}: missing series files {missing}")
     return raw, doc
 
 
@@ -181,13 +213,9 @@ def manifest_digest(manifest_path: str | Path) -> str:
     """SHA-256 of a manifest's bytes, then its series files' bytes in file-name order."""
     manifest_path = Path(manifest_path)
     raw, doc = _read_manifest(manifest_path)
-    series = doc["series"]
-    names = [series["load"], *series.get("capacity_factors", {}).values()]
-    if "reservoir_inflow" in series:
-        names.append(series["reservoir_inflow"])
     h = hashlib.sha256(raw)
-    for name in sorted(names):
-        h.update((manifest_path.parent / name).read_bytes())
+    for path in _series_files(manifest_path, doc["series"]):
+        h.update(path.read_bytes())
     return h.hexdigest()
 
 
@@ -196,7 +224,10 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
     manifest_path = Path(manifest_path)
     directory = manifest_path.parent
     _, doc = _read_manifest(manifest_path)
-    horizon = int(doc["horizon"])
+    _check_type(doc["horizon"], "int", "horizon")
+    _check_type(doc["annuity_rate"], "float", "annuity_rate")
+    _check_type(doc["interconnection_enabled"], "bool", "interconnection_enabled")
+    horizon = doc["horizon"]
     tables = {
         table: _entities(doc.get(table, []), cls, where)
         for table, (cls, where) in _TABLES.items()
@@ -217,7 +248,7 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
         time_series=TimeSeriesSet(
             horizon=horizon, capacity_factors=cf, load=load, reservoir_inflow=inflow
         ),
-        interconnection_enabled=bool(doc["interconnection_enabled"]),
+        interconnection_enabled=doc["interconnection_enabled"],
         annuity_rate=float(doc["annuity_rate"]),
         offshore_overrides=tuple(
             (code, float(mw)) for code, mw in doc.get("offshore_overrides", [])

@@ -1,9 +1,13 @@
 """LP solving and optimality-certificate verification.
 
-Two interchangeable backends sit behind ``solve``: scipy's HiGHS
-interface, the default, and the built-in reference simplex (dense,
-certificate-friendly), used only when asked for. Row duals follow the
-dZ/db convention (non-positive for binding <= rows of a minimization).
+Two backends sit behind ``solve``: HiGHS, the default, and the built-in
+reference simplex (dense, certificate-friendly), used only when asked
+for. HiGHS gets the LP as stored, in one model: CSR rows, and row
+bounds (-inf, rhs], [rhs, inf) or [rhs, rhs] from the relations. It
+runs on one thread. Its optimal, infeasible, unbounded and
+iteration-limit statuses keep their names; any other reads
+``numerical``. Row duals follow the dZ/db convention (non-positive for
+binding <= rows of a minimization).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy
 
 from .lp import LinearProgram
 from .model import GridFactorError
@@ -42,6 +46,8 @@ class SolveResult:
 
 def solve(lp: LinearProgram, options: SolveOptions | None = None) -> SolveResult:
     options = options or SolveOptions()
+    if not all(np.isfinite(a).all() for a in (lp.c, lp.A.data, lp.rhs)):
+        raise SolveError(f"LP {lp.name!r} has a non-finite cost, coefficient or right-hand side")
     if options.method == "simplex":
         return _solve_simplex(lp, options)
     if options.method == "highs":
@@ -69,57 +75,53 @@ def _solve_simplex(lp: LinearProgram, options: SolveOptions) -> SolveResult:
     )
 
 
-# scipy linprog codes; 4 ("numerical difficulties") and unknown codes map to "numerical"
-_HIGHS_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
+# HighsModelStatus name -> status name; any other status (kUnboundedOrInfeasible,
+# kSolveError, ...) is numerical trouble, never a claim about the LP
+_HIGHS_STATUS = {
+    "kOptimal": "optimal",
+    "kIterationLimit": "iteration-limit",
+    "kInfeasible": "infeasible",
+    "kUnbounded": "unbounded",
+}
 
 
 def _solve_highs(lp: LinearProgram, options: SolveOptions) -> SolveResult:
-    le = lp.relations == "<"
-    ge = lp.relations == ">"
-    eq = lp.relations == "="
-    A_ub_parts = []
-    b_ub_parts = []
-    if le.any():
-        A_ub_parts.append(lp.A[le])
-        b_ub_parts.append(lp.rhs[le])
-    if ge.any():
-        A_ub_parts.append(-lp.A[ge])
-        b_ub_parts.append(-lp.rhs[ge])
-    import scipy.sparse as sp
+    try:
+        import scipy.optimize._highspy._core as highs_core
+    except ImportError as exc:
+        raise SolveError(f"scipy {scipy.__version__}: no HiGHS binding ({exc})") from exc
 
-    A_ub = sp.vstack(A_ub_parts, format="csr") if A_ub_parts else None
-    b_ub = np.concatenate(b_ub_parts) if b_ub_parts else None
-    A_eq = lp.A[eq] if eq.any() else None
-    b_eq = lp.rhs[eq] if eq.any() else None
+    model = highs_core.HighsLp()
+    model.num_col_, model.num_row_ = lp.n_cols, lp.n_rows
+    model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lb, lp.ub
+    model.row_lower_ = np.where(lp.relations == "<", -np.inf, lp.rhs)
+    model.row_upper_ = np.where(lp.relations == ">", np.inf, lp.rhs)
+    matrix = model.a_matrix_
+    matrix.format_ = highs_core.MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = lp.n_cols, lp.n_rows
+    matrix.start_, matrix.index_, matrix.value_ = lp.A.indptr, lp.A.indices, lp.A.data
 
-    res = linprog(
-        lp.c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lp.lb, lp.ub]),
-        method="highs",
-        options={"maxiter": options.iteration_limit},
-    )
-    status = _HIGHS_STATUS.get(res.status, "numerical")
-    dual = np.zeros(lp.n_rows)
-    primal = np.zeros(lp.n_cols)
-    if res.x is not None:
-        primal = np.asarray(res.x)
-    if status == "optimal":
-        marg_ub = np.asarray(res.ineqlin.marginals) if A_ub is not None else np.empty(0)
-        n_le = int(le.sum())
-        dual[le] = marg_ub[:n_le]
-        dual[ge] = -marg_ub[n_le:]
-        if A_eq is not None:
-            dual[eq] = np.asarray(res.eqlin.marginals)
+    highs = highs_core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("threads", 1)
+    highs.setOptionValue("simplex_iteration_limit", options.iteration_limit)
+    highs.setOptionValue("ipm_iteration_limit", options.iteration_limit)
+    # kWarning is normal: HiGHS drops the LP's explicit zeros and tiny coefficients
+    passed = highs.passModel(model)
+    if passed == highs_core.HighsStatus.kError:
+        raise SolveError(f"HiGHS rejected LP {lp.name!r}: passModel returned {passed.name}")
+    highs.run()
+
+    status = _HIGHS_STATUS.get(highs.getModelStatus().name, "numerical")
+    optimal = status == "optimal"
+    info = highs.getInfo()
+    solution = highs.getSolution()
     return SolveResult(
         status=status,
-        objective=float(res.fun) if res.fun is not None else float("nan"),
-        primal=primal,
-        dual=dual,
-        iterations=int(getattr(res, "nit", 0)),
+        objective=float(info.objective_function_value) if optimal else float("nan"),
+        primal=np.asarray(solution.col_value) if optimal else np.zeros(lp.n_cols),
+        dual=np.asarray(solution.row_dual) if optimal else np.zeros(lp.n_rows),
+        iterations=int(info.simplex_iteration_count),
         method="highs",
     )
 

@@ -10,7 +10,6 @@ for resume and audit.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import time
@@ -43,7 +42,7 @@ from .serialize import manifest_digest, read_system, system_doc
 from .solve import SolveOptions, solve, verify_certificate
 
 VERSION = "1.0.0"
-LEDGER_SCHEMA = "gridfactor-ledger/2"
+LEDGER_SCHEMA = "gridfactor-ledger/3"
 
 
 class SweepError(GridFactorError):
@@ -144,6 +143,7 @@ def _run_state(payload) -> dict:
         "certificate": None,
         "metrics": {},
         "per_country": {},
+        "utilization": {},
     }
     if result.status == "optimal":
         cert = verify_certificate(lp, result)
@@ -157,6 +157,12 @@ def _run_state(payload) -> dict:
         agg, by_country = extract_storage_metrics(scenario, lp, result)
         entry["metrics"] = {**agg, "objective_eur": float(result.objective)}
         entry["per_country"] = by_country
+        # mean |flow| / NTC per line; a flow block's upper bound is its line's NTC
+        entry["utilization"] = {
+            key[1]: float(np.mean(np.abs(result.primal[cols])) / lp.ub[cols.start])
+            for key, cols in lp.blocks.items()
+            if key[0] == "flow" and lp.ub[cols.start] > 0
+        }
         csv_path, meta_path = _state_paths(out_dir, state_name)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_solution_csv(csv_path, lp, result.primal)
@@ -333,8 +339,7 @@ def compare_interconnection(manifest: RunManifest) -> dict:
     design, or the manifest's full varied set) against the same state
     with interconnection disabled.
     """
-    out_dir = Path(manifest.out_dir)
-    ledger = read_ledger(out_dir / "ledger.json")
+    ledger = read_ledger(Path(manifest.out_dir) / "ledger.json")
     full = FactorState.from_factors(set(range(1, 7))).name
     isolated = FactorState.from_factors(set(range(2, 7))).name
     by_state = {e["state"]: e for e in ledger["entries"]}
@@ -342,7 +347,8 @@ def compare_interconnection(manifest: RunManifest) -> dict:
         if needed not in by_state or by_state[needed]["status"] != "optimal":
             raise SweepError(f"comparison needs an optimal solve of {needed}")
 
-    report: dict = {"metrics": {}, "per_country": {}, "utilization": {}}
+    utilization = by_state[full]["utilization"]
+    report: dict = {"metrics": {}, "per_country": {}, "utilization": utilization}
     for metric in STORAGE_METRICS:
         a = by_state[isolated]["metrics"][metric]
         b = by_state[full]["metrics"][metric]
@@ -364,17 +370,6 @@ def compare_interconnection(manifest: RunManifest) -> dict:
                 "relative_reduction": (a - b) / a if a else 0.0,
             }
 
-    base = read_system(manifest.system_manifest)
-    ntc = {f"{l.from_country}-{l.to_country}": l.ntc for l in base.interconnectors}
-    flows: dict[str, list[float]] = {link: [] for link in ntc}
-    csv_path, _ = _state_paths(out_dir, full)
-    with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["family"] == "flow" and row["country"] in flows:
-                flows[row["country"]].append(abs(float(row["value"])))
-    for link, values in sorted(flows.items()):
-        if values and ntc[link] > 0:
-            report["utilization"][link] = float(np.mean(values) / ntc[link])
     return report
 
 

@@ -70,6 +70,14 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         assert f"error: {load_file}, line 5: could not convert" in result.stderr
 
+    def test_missing_series_file_exit_1(self, runner, system_dir):
+        load_file = Path(system_dir).parent / "load.csv"
+        load_file.unlink()
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"missing series files ['{load_file}']" in result.stderr
+
 
 class TestSolve:
     def test_native_state(self, runner, system_dir, tmp_path):
@@ -233,6 +241,19 @@ class TestSweepAndFactorize:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "error: missing keys in manifest: ['series']" in result.stderr
+
+    def test_resume_with_missing_series_file_exit_1(self, runner, system_dir, tmp_path):
+        (Path(system_dir).parent / "load.csv").unlink()
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        (out_dir / "ledger.json").write_text(json.dumps({"schema": LEDGER_SCHEMA}))
+        result = runner.invoke(
+            main,
+            ["sweep", str(system_dir), "--reference", "AA", "--out", str(out_dir), "--resume"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: " in result.stderr and "missing series files" in result.stderr
 
 
 class TestResidual:

@@ -80,6 +80,36 @@ class TestRejection:
             read_system(manifest)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("technologies", 0), 5, "technology entry 0 must be an object, got 5"),
+            (("horizon",), "x", "horizon must be an integer, got 'x'"),
+            (
+                ("countries", 1, "yearly_load_total"),
+                "lots",
+                "country entry 1: yearly_load_total must be a number, got 'lots'",
+            ),
+            (
+                ("interconnectors", 0, "ntc"),
+                True,
+                "interconnector entry 0: ntc must be a number, got True",
+            ),
+        ],
+        ids=["entry", "horizon", "number", "bool-as-number"],
+    )
+    def test_wrong_type_named(self, tmp_path, small_spec, path, value, message):
+        manifest = write_system(small_spec, tmp_path / "sys")
+        doc = json.loads(manifest.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError) as info:
+            read_system(manifest)
+        assert str(info.value) == message
+
     def test_wrong_schema(self, tmp_path, small_spec):
         manifest = write_system(small_spec, tmp_path / "sys")
         doc = json.loads(manifest.read_text())

@@ -1,10 +1,14 @@
-import importlib
+import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+import scipy
+import scipy.optimize._highspy._core as highs_core
+import scipy.sparse as sp
 
 from gridfactor import assemble, solve, verify_certificate
+from gridfactor.harmonize import FactorState, apply_factor_state
+from gridfactor.lp import LinearProgram
 from gridfactor.solve import SolveError, SolveOptions
 
 from _oracles import row_assemble
@@ -39,17 +43,61 @@ class TestBackendAgreement:
             solve(lp, SolveOptions(method="barrier"))
 
 
+def tiny_lp(A, relations, rhs, c, lb=None):
+    n = len(c)
+    return LinearProgram(
+        A=sp.csr_matrix(np.asarray(A, dtype=float)),
+        c=np.asarray(c, dtype=float),
+        lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
+        ub=np.full(n, np.inf),
+        relations=np.asarray(relations),
+        rhs=np.asarray(rhs, dtype=float),
+    )
+
+
 class TestHighsStatus:
-    @pytest.mark.parametrize("code", [4, 9])
-    def test_numerical_trouble_is_not_infeasible(self, monkeypatch, code):
-        # ``gridfactor.solve`` the attribute is the function; fetch the module
-        solve_mod = importlib.import_module("gridfactor.solve")
-        troubled = OptimizeResult(status=code, x=None, fun=None, nit=7, message="trouble")
-        monkeypatch.setattr(solve_mod, "linprog", lambda *a, **k: troubled)
+    @pytest.mark.parametrize("status", ["kSolveError", "kUnboundedOrInfeasible", "kUnknown"])
+    def test_numerical_trouble_is_not_infeasible(self, monkeypatch, status):
+        troubled = getattr(highs_core.HighsModelStatus, status)
+        monkeypatch.setattr(highs_core._Highs, "getModelStatus", lambda self: troubled)
         lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
         result = solve(lp, SolveOptions(method="highs"))
         assert result.status == "numerical"
-        assert result.iterations == 7
+        assert np.isnan(result.objective)
+        assert not result.primal.any() and not result.dual.any()
+
+    def test_infeasible(self):
+        result = solve(tiny_lp([[1.0], [1.0]], ["<", ">"], [1.0, 2.0], [1.0]))
+        assert result.status == "infeasible"
+
+    def test_unbounded(self):
+        result = solve(tiny_lp([[1.0, -1.0]], ["<"], [1.0], [-1.0, 0.0]))
+        assert result.status == "unbounded"
+
+    def test_iteration_limit(self):
+        spec = synthesize_system(seed=7, n_countries=3, horizon=168)
+        lp, _ = assemble(apply_factor_state(spec, FactorState.parse("f_123456"), None))
+        result = solve(lp, SolveOptions(method="highs", iteration_limit=1))
+        assert result.status == "iteration-limit"
+        assert result.iterations <= 1
+
+    def test_missing_binding_raises(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
+        with pytest.raises(SolveError, match=f"scipy {scipy.__version__}: no HiGHS binding"):
+            solve(lp, SolveOptions(method="highs"))
+
+    def test_rejected_model_raises(self):
+        lp = tiny_lp([[1.0]], ["<"], [1.0], [1.0], lb=[np.inf])
+        with pytest.raises(SolveError, match="passModel returned kError"):
+            solve(lp, SolveOptions(method="highs"))
+
+    @pytest.mark.parametrize("field", ["c", "A", "rhs"])
+    def test_non_finite_input_raises(self, field):
+        lp = tiny_lp([[1.0]], ["<"], [1.0], [1.0])
+        (lp.A.data if field == "A" else getattr(lp, field))[0] = np.nan
+        with pytest.raises(SolveError, match="non-finite"):
+            solve(lp)
 
 
 class TestCertificates:

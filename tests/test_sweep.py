@@ -3,10 +3,12 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gridfactor.sweep as sweep_mod
 from gridfactor.harmonize import enumerate_subset_states
+from gridfactor.serialize import read_system
 from gridfactor.solve import SolveOptions
 from gridfactor.sweep import (
     LEDGER_SCHEMA,
@@ -206,8 +208,10 @@ class TestResume:
 
     def test_other_ledger_schema_refused(self, manifest):
         ledger = run_sweep(manifest)
-        assert ledger["schema"] == LEDGER_SCHEMA == "gridfactor-ledger/2"
-        ledger["schema"] = "gridfactor-ledger/1"
+        assert ledger["schema"] == LEDGER_SCHEMA == "gridfactor-ledger/3"
+        ledger["schema"] = "gridfactor-ledger/2"
+        for entry in ledger["entries"]:
+            del entry["utilization"]
         ledger_path = Path(manifest.out_dir) / "ledger.json"
         ledger_path.write_text(json.dumps(ledger, indent=2, sort_keys=True))
         with pytest.raises(SweepError, match="schema"):
@@ -248,6 +252,26 @@ class TestCompareInterconnection:
         assert set(report["per_country"]) == {"AA", "AB"}
         for value in report["utilization"].values():
             assert 0.0 <= value <= 1.0 + 1e-9
+
+    def test_utilization_matches_solution_csv(self, manifest):
+        """The ledger's utilization equals mean |flow| / NTC read back from f_123456's CSV."""
+        run_sweep(manifest)
+        ntc = {
+            f"{l.from_country}-{l.to_country}": l.ntc
+            for l in read_system(manifest.system_manifest).interconnectors
+        }
+        flows = {link: [] for link in ntc}
+        with open(Path(manifest.out_dir) / "states" / "f_123456.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["family"] == "flow" and row["country"] in flows:
+                    flows[row["country"]].append(abs(float(row["value"])))
+        expected = {
+            link: float(np.mean(values) / ntc[link])
+            for link, values in sorted(flows.items())
+            if values and ntc[link] > 0
+        }
+        assert expected
+        assert compare_interconnection(manifest)["utilization"] == expected
 
     def test_missing_state_rejected(self, manifest):
         run_sweep(manifest)
