@@ -23,7 +23,7 @@ from .model import (
     PowerSystemSpec,
     TimeSeriesSet,
 )
-from .solve import SolveOptions, solve
+from .solve import SolveOptions, SolveResult, solve
 
 FACTOR_NUMBERS = {
     "interconnection": 1,
@@ -173,12 +173,14 @@ def derive_reference_shares(
     spec: PowerSystemSpec,
     reference_country: str,
     solve_options: SolveOptions | None = None,
+    reuse: dict[str, SolveResult] | None = None,
 ) -> ReferenceShares:
     """Shares from running the reference country in isolation.
 
     Offshore wind uses the isolated run's optimal capacity; exogenous
     (non-expandable) technologies use their fixed capacities. All shares
-    are denominated per MWh of the reference's yearly load.
+    are denominated per MWh of the reference's yearly load. ``reuse`` is
+    passed on to ``solve``.
     """
     try:
         ref = spec.country(reference_country)
@@ -186,7 +188,7 @@ def derive_reference_shares(
         raise HarmonizeError(f"reference country {reference_country} not in spec") from None
     sub = isolate_country(spec, reference_country)
     lp, _ = assemble(sub)
-    result = solve(lp, solve_options)
+    result = solve(lp, solve_options, reuse)
     if result.status != "optimal":
         raise HarmonizeError(
             f"isolated reference run for {reference_country} is {result.status}"

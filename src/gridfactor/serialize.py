@@ -5,7 +5,8 @@ entity tables and references one CSV per series family. Each entity
 table is a list of one model dataclass's fields (``Country``,
 ``Technology``, ``Interconnector``, ``ExogenousCapacity``), so the
 dataclasses are the only statement of its keys. CSV layout is
-``hour,<country>...`` with 0-indexed hours and plain decimal floats.
+``hour,<country>...`` with 0-indexed hours and plain decimal floats;
+``nan`` and ``inf`` are refused.
 Round-trips are exact: floats are emitted via shortest-repr.
 
 This module owns the ``series`` layout and the manifest digest, which
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -147,9 +149,13 @@ def read_series_csv(path: Path, horizon: int) -> dict[str, np.ndarray]:
             if hour != row_idx:
                 raise ManifestError(f"{path}: hours must be 0-indexed and contiguous")
             try:
-                data.append([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise ManifestError(f"{where}: {exc}") from None
+            bad = [text for text, v in zip(row[1:], values) if not math.isfinite(v)]
+            if bad:
+                raise ManifestError(f"{where}: value {bad[0]!r} is not finite")
+            data.append(values)
     if len(data) != horizon:
         raise ManifestError(f"{path}: expected {horizon} rows, found {len(data)}")
     arr = np.asarray(data)

@@ -2,22 +2,23 @@
 
 Two backends sit behind ``solve``: HiGHS, the default, and the built-in
 reference simplex (dense, certificate-friendly), used only when asked
-for. HiGHS gets the LP as stored, in one model: CSR rows, and row
-bounds (-inf, rhs], [rhs, inf) or [rhs, rhs] from the relations. It
-runs on one thread. Its optimal, infeasible, unbounded and
-iteration-limit statuses keep their names; any other reads
+for. HiGHS gets each independent block of the LP as its own model: CSR
+rows, and row bounds (-inf, rhs], [rhs, inf) or [rhs, rhs] from the
+relations. It runs on one thread. Its optimal, infeasible, unbounded
+and iteration-limit statuses keep their names; any other reads
 ``numerical``. Row duals follow the dZ/db convention (non-positive for
 binding <= rows of a minimization).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
+import scipy.sparse as sp
 
-from .lp import LinearProgram
+from .lp import LinearProgram, lp_digest
 from .model import GridFactorError
 from .simplex import simplex_solve
 
@@ -42,17 +43,115 @@ class SolveResult:
     dual: np.ndarray
     iterations: int
     method: str
+    blocks: int = 1  # independent blocks solved one at a time
+    reused_blocks: int = 0  # blocks answered from ``solve``'s ``reuse`` dict
 
 
-def solve(lp: LinearProgram, options: SolveOptions | None = None) -> SolveResult:
+def solve(
+    lp: LinearProgram,
+    options: SolveOptions | None = None,
+    reuse: dict[str, SolveResult] | None = None,
+) -> SolveResult:
+    """Solve ``lp``; HiGHS solves each independent block on its own.
+
+    Blocks are solved in block order. Their objectives and iterations add
+    up, and ``options.iteration_limit`` is one budget for the whole LP:
+    each block gets what the blocks before it left. The first block that
+    is not optimal gives the LP its status. An LP of one block is one
+    HiGHS call on the LP as given.
+
+    ``reuse`` maps the ``lp_digest`` of a block to its optimal result.
+    A block found there is not solved again; one solved here is added.
+    """
     options = options or SolveOptions()
     if not all(np.isfinite(a).all() for a in (lp.c, lp.A.data, lp.rhs)):
         raise SolveError(f"LP {lp.name!r} has a non-finite cost, coefficient or right-hand side")
     if options.method == "simplex":
         return _solve_simplex(lp, options)
-    if options.method == "highs":
-        return _solve_highs(lp, options)
-    raise SolveError(f"unknown solve method {options.method!r}")
+    if options.method != "highs":
+        raise SolveError(f"unknown solve method {options.method!r}")
+
+    parts = _independent_blocks(lp)
+    if not parts:
+        result, reused = _solve_block(lp, options, reuse)
+        return replace(result, reused_blocks=1) if reused else result
+    primal, dual = np.zeros(lp.n_cols), np.zeros(lp.n_rows)
+    objective, iterations, reused_blocks = 0.0, 0, 0
+    for rows, cols in parts:
+        block = LinearProgram(
+            A=lp.A[rows][:, cols],
+            c=lp.c[cols],
+            lb=lp.lb[cols],
+            ub=lp.ub[cols],
+            relations=lp.relations[rows],
+            rhs=lp.rhs[rows],
+            name=lp.name,
+        )
+        budget = replace(options, iteration_limit=options.iteration_limit - iterations)
+        result, reused = _solve_block(block, budget, reuse)
+        iterations += result.iterations
+        reused_blocks += reused
+        if result.status != "optimal":
+            objective, primal, dual = float("nan"), np.zeros(lp.n_cols), np.zeros(lp.n_rows)
+            break
+        objective += result.objective
+        primal[cols] = result.primal
+        dual[rows] = result.dual
+    return SolveResult(
+        status=result.status,
+        objective=objective,
+        primal=primal,
+        dual=dual,
+        iterations=iterations,
+        method="highs",
+        blocks=len(parts),
+        reused_blocks=reused_blocks,
+    )
+
+
+def _independent_blocks(lp: LinearProgram) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices of each independent block, in block order.
+
+    The blocks are the connected components of the graph whose nodes are
+    the LP's rows and columns and whose edges are ``A``'s stored entries.
+    A row without entries, or a column in no row, joins the first block,
+    so that every block has rows and columns. Empty when the LP is one
+    block.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    A = lp.A
+    m, n = A.shape
+    # rows are nodes 0..m-1, columns nodes m..m+n-1 with no edges of their own
+    indptr = np.concatenate([A.indptr, np.full(n, A.indptr[-1], dtype=A.indptr.dtype)])
+    graph = sp.csr_matrix((A.data, A.indices + m, indptr), shape=(m + n, m + n))
+    count, labels = connected_components(graph, directed=True, connection="weak")
+    whole = (np.bincount(labels[:m], minlength=count) > 0) & (
+        np.bincount(labels[m:], minlength=count) > 0
+    )
+    blocks = np.flatnonzero(whole)
+    if blocks.size < 2:
+        return []
+    labels = np.where(whole[labels], labels, blocks[0])
+    return [(np.flatnonzero(labels[:m] == b), np.flatnonzero(labels[m:] == b)) for b in blocks]
+
+
+def _solve_block(
+    lp: LinearProgram, options: SolveOptions, reuse: dict[str, SolveResult] | None
+) -> tuple[SolveResult, bool]:
+    """HiGHS result for one block, and whether it came from ``reuse``."""
+    if reuse is None:
+        return _solve_highs(lp, options), False
+    key = lp_digest(lp)
+    known = reuse.get(key)
+    # HiGHS is deterministic: with more iterations left than the stored
+    # solve took, solving again would retrace it
+    if known is not None and known.iterations < options.iteration_limit:
+        return known, True
+    result = _solve_highs(lp, options)
+    if result.status == "optimal":
+        reuse[key] = result
+    return result, False
 
 
 def _solve_simplex(lp: LinearProgram, options: SolveOptions) -> SolveResult:

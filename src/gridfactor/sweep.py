@@ -6,6 +6,12 @@ run under a bounded process pool; the ledger is assembled by the parent
 in canonical state order, so output is invariant to the parallelism
 level. Per-state artifacts are content-addressed by spec and LP hashes
 for resume and audit.
+
+Within one sweep, the blocks of isolated states are kept by
+``lp_digest`` and not solved again (``_REUSE``): an isolated state is
+one block per country, and a country's block repeats across states and
+matches the reference country's own solve. A reused block returns its stored result,
+iteration count included, so ledgers do not depend on what was reused.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .lp import assemble, lp_digest, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
 from .serialize import manifest_digest, read_system, system_doc
-from .solve import SolveOptions, solve, verify_certificate
+from .solve import SolveOptions, SolveResult, solve, verify_certificate
 
 VERSION = "1.0.0"
 LEDGER_SCHEMA = "gridfactor-ledger/3"
@@ -47,6 +53,16 @@ LEDGER_SCHEMA = "gridfactor-ledger/3"
 
 class SweepError(GridFactorError):
     pass
+
+
+# lp_digest of a block -> its optimal result, for the length of one
+# run_sweep; each pool worker starts from a copy of the parent's
+_REUSE: dict[str, SolveResult] = {}
+
+
+def _seed_reuse(results: dict[str, SolveResult]) -> None:
+    """Pool initializer: start the worker's dict from the parent's."""
+    _REUSE.update(results)
 
 
 @dataclass(frozen=True)
@@ -130,7 +146,8 @@ def _run_state(payload) -> dict:
         mps_dir = out_dir / "mps"
         mps_dir.mkdir(parents=True, exist_ok=True)
         write_mps(lp, mps_dir / f"{state_name}.mps")
-    result = solve(lp, solver)
+    # a coupled state's LP is one block that no other state repeats
+    result = solve(lp, solver, None if scenario.interconnection_enabled else _REUSE)
 
     entry = {
         "state": state_name,
@@ -166,9 +183,13 @@ def _run_state(payload) -> dict:
         csv_path, meta_path = _state_paths(out_dir, state_name)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_solution_csv(csv_path, lp, result.primal)
-        meta_path.write_text(
-            json.dumps({**entry, "timing_seconds": wall}, indent=2, sort_keys=True) + "\n"
-        )
+        meta = {
+            **entry,
+            "timing_seconds": wall,
+            "blocks": result.blocks,
+            "reused_blocks": result.reused_blocks,
+        }
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return {**entry, "timing_seconds": wall}
 
 
@@ -188,23 +209,30 @@ def run_sweep(
     states = enumerate_subset_states(manifest.factors)
     completed = dict(completed or {})
 
-    shares = derive_reference_shares(base, manifest.reference_country, manifest.solver)
-    _write_shares(out_dir / "reference_shares.json", shares)
+    try:
+        shares = derive_reference_shares(
+            base, manifest.reference_country, manifest.solver, _REUSE
+        )
+        _write_shares(out_dir / "reference_shares.json", shares)
 
-    pending = [s for s in states if s.name not in completed]
-    payloads = [
-        (base, shares, s.name, manifest.solver, str(out_dir), manifest.export_mps)
-        for s in pending
-    ]
-    entries = dict(completed)
-    if manifest.workers == 1 or len(payloads) <= 1:
-        for payload in payloads:
-            entry = _run_state(payload)
-            entries[entry["state"]] = entry
-    else:
-        with ProcessPoolExecutor(max_workers=manifest.workers) as pool:
-            for entry in pool.map(_run_state, payloads):
+        pending = [s for s in states if s.name not in completed]
+        payloads = [
+            (base, shares, s.name, manifest.solver, str(out_dir), manifest.export_mps)
+            for s in pending
+        ]
+        entries = dict(completed)
+        if manifest.workers == 1 or len(payloads) <= 1:
+            for payload in payloads:
+                entry = _run_state(payload)
                 entries[entry["state"]] = entry
+        else:
+            with ProcessPoolExecutor(
+                max_workers=manifest.workers, initializer=_seed_reuse, initargs=(dict(_REUSE),)
+            ) as pool:
+                for entry in pool.map(_run_state, payloads):
+                    entries[entry["state"]] = entry
+    finally:
+        _REUSE.clear()
 
     ledger = _assemble_ledger(manifest, states, entries)
     write_ledger(ledger, out_dir / "ledger.json")

@@ -70,6 +70,16 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         assert f"error: {load_file}, line 5: could not convert" in result.stderr
 
+    def test_non_finite_series_value_exit_1(self, runner, system_dir):
+        cf_file = Path(system_dir).parent / "cf_solar_pv.csv"
+        lines = cf_file.read_text().splitlines()
+        lines[13] = "12,nan," + lines[13].split(",", 2)[2]
+        cf_file.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {cf_file}, line 14: value 'nan' is not finite" in result.stderr
+
     def test_missing_series_file_exit_1(self, runner, system_dir):
         load_file = Path(system_dir).parent / "load.csv"
         load_file.unlink()

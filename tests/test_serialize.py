@@ -137,8 +137,11 @@ class TestRejection:
             ("1.0,1.0,1.0", "line 3: hour '1.0' is not an integer"),
             ("1,1.0", "line 3: 2 fields, header has 3"),
             ("1,1.0,1.0,1.0", "line 3: 4 fields, header has 3"),
+            ("1,nan,1.0", "line 3: value 'nan' is not finite"),
+            ("1,1.0,inf", "line 3: value 'inf' is not finite"),
+            ("1,-inf,1.0", "line 3: value '-inf' is not finite"),
         ],
-        ids=["value", "hour", "short-row", "long-row"],
+        ids=["value", "hour", "short-row", "long-row", "nan", "inf", "-inf"],
     )
     def test_bad_row_named(self, tmp_path, row, message):
         path = tmp_path / "s.csv"

@@ -7,9 +7,9 @@ import scipy.optimize._highspy._core as highs_core
 import scipy.sparse as sp
 
 from gridfactor import assemble, solve, verify_certificate
-from gridfactor.harmonize import FactorState, apply_factor_state
+from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
 from gridfactor.lp import LinearProgram
-from gridfactor.solve import SolveError, SolveOptions
+from gridfactor.solve import SolveError, SolveOptions, _solve_highs
 
 from _oracles import row_assemble
 from conftest import wind_only_spec
@@ -43,13 +43,13 @@ class TestBackendAgreement:
             solve(lp, SolveOptions(method="barrier"))
 
 
-def tiny_lp(A, relations, rhs, c, lb=None):
+def tiny_lp(A, relations, rhs, c, lb=None, ub=None):
     n = len(c)
     return LinearProgram(
-        A=sp.csr_matrix(np.asarray(A, dtype=float)),
+        A=sp.csr_matrix(np.asarray(A, dtype=float).reshape(len(relations), n)),
         c=np.asarray(c, dtype=float),
         lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
-        ub=np.full(n, np.inf),
+        ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
         relations=np.asarray(relations),
         rhs=np.asarray(rhs, dtype=float),
     )
@@ -98,6 +98,121 @@ class TestHighsStatus:
         (lp.A.data if field == "A" else getattr(lp, field))[0] = np.nan
         with pytest.raises(SolveError, match="non-finite"):
             solve(lp)
+
+
+@pytest.fixture(scope="module")
+def isolated_lps():
+    """The isolated (block-diagonal) states of a 3-country system, by name."""
+    spec = synthesize_system(seed=11, n_countries=3, horizon=72, correlation=-0.5)
+    shares = derive_reference_shares(spec, "AA")
+    return {
+        name: assemble(apply_factor_state(spec, FactorState.parse(name), shares))[0]
+        for name in ("f_0", "f_2", "f_3456", "f_23456")
+    }
+
+
+# two independent blocks: min x0 s.t. x0 >= 1, and min x1 s.t. x1 >= 2
+TWO_BLOCKS = ([[1.0, 0.0], [0.0, 1.0]], [">", ">"], [1.0, 2.0], [1.0, 1.0])
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("name", ["f_0", "f_2", "f_3456", "f_23456"])
+    def test_split_matches_monolithic_solve(self, isolated_lps, name):
+        lp = isolated_lps[name]
+        split = solve(lp)
+        whole = _solve_highs(lp, SolveOptions())
+        assert split.status == whole.status == "optimal"
+        assert split.blocks == 3 and split.reused_blocks == 0
+        assert split.objective == pytest.approx(whole.objective, rel=1e-9)
+        assert verify_certificate(lp, split).ok
+
+    def test_coupled_lp_is_one_unchanged_call(self):
+        spec = synthesize_system(seed=11, n_countries=3, horizon=72, correlation=-0.5)
+        lp, _ = assemble(apply_factor_state(spec, FactorState.parse("f_123456"), None))
+        split = solve(lp)
+        whole = _solve_highs(lp, SolveOptions())
+        assert split.blocks == 1
+        assert split.objective == whole.objective
+        assert split.iterations == whole.iterations
+        assert np.array_equal(split.primal, whole.primal)
+        assert np.array_equal(split.dual, whole.dual)
+
+    def test_blocks_write_back_in_lp_order(self):
+        # rows and columns of the two blocks interleave
+        lp = tiny_lp(
+            [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 2.0, 0.0]],
+            [">", ">", "<"],
+            [3.0, 1.0, 10.0],
+            [5.0, 1.0, 2.0],
+        )
+        result = solve(lp)
+        assert result.blocks == 2
+        assert result.objective == pytest.approx(5.0)
+        assert np.allclose(result.primal, [0.0, 3.0, 1.0])
+        assert np.allclose(result.dual, [1.0, 2.0, 0.0])
+
+    def test_infeasible_block_makes_lp_infeasible(self):
+        A, relations, rhs, c = TWO_BLOCKS
+        lp = tiny_lp(A, relations, rhs, c, ub=[np.inf, 1.0])
+        result = solve(lp)
+        assert (result.status, result.blocks) == ("infeasible", 2)
+        assert np.isnan(result.objective)
+        assert not result.primal.any() and not result.dual.any()
+
+    def test_iteration_limit_is_one_budget(self, isolated_lps):
+        lp = isolated_lps["f_23456"]
+        needed = solve(lp).iterations
+        # each block alone needs fewer iterations than this
+        result = solve(lp, SolveOptions(iteration_limit=needed - 1))
+        assert result.status == "iteration-limit"
+        assert result.iterations <= needed - 1
+
+    @pytest.mark.parametrize("relation,status", [("=", "infeasible"), ("<", "optimal")])
+    def test_empty_row_is_honoured(self, relation, status):
+        A, relations, rhs, c = TWO_BLOCKS
+        lp = tiny_lp(A + [[0.0, 0.0]], relations + [relation], rhs + [5.0], c)
+        assert lp.A.indptr[-1] == lp.A.indptr[-2]  # no stored entry in the last row
+        result = solve(lp)
+        assert (result.status, result.blocks) == (status, 2)
+
+    def test_column_in_no_row_takes_its_cost_optimal_bound(self):
+        A, relations, rhs, c = TWO_BLOCKS
+        lp = tiny_lp(
+            [row + [0.0, 0.0] for row in A],
+            relations,
+            rhs,
+            c + [-2.0, 2.0],
+            lb=[0.0, 0.0, 1.0, 1.0],
+            ub=[np.inf, np.inf, 3.0, 3.0],
+        )
+        result = solve(lp)
+        assert (result.status, result.blocks) == ("optimal", 2)
+        assert np.allclose(result.primal, [1.0, 2.0, 3.0, 1.0])
+        assert result.objective == pytest.approx(1.0 + 2.0 - 6.0 + 2.0)
+
+    def test_known_blocks_are_not_solved_again(self, isolated_lps, monkeypatch):
+        lp = isolated_lps["f_23456"]
+        reuse = {}
+        first = solve(lp, reuse=reuse)
+        assert (first.blocks, first.reused_blocks, len(reuse)) == (3, 0, 3)
+        solve_module = sys.modules["gridfactor.solve"]  # the package's `solve` shadows it
+        monkeypatch.setattr(
+            solve_module, "_solve_highs", lambda *a: pytest.fail("solved a known block")
+        )
+        again = solve(lp, reuse=reuse)
+        assert (again.blocks, again.reused_blocks) == (3, 3)
+        assert again.objective == first.objective
+        assert again.iterations == first.iterations
+        assert np.array_equal(again.primal, first.primal)
+        assert np.array_equal(again.dual, first.dual)
+
+    def test_known_block_is_solved_again_within_a_smaller_budget(self, isolated_lps):
+        lp = isolated_lps["f_23456"]
+        reuse = {}
+        solve(lp, reuse=reuse)
+        result = solve(lp, SolveOptions(iteration_limit=1), reuse)
+        assert (result.status, result.reused_blocks) == ("iteration-limit", 0)
+        assert result.iterations <= 1
 
 
 class TestCertificates:

@@ -142,6 +142,48 @@ class TestRunSweep:
             )
 
 
+class TestBlockReuse:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reuse_does_not_change_outputs(self, system_dir, tmp_path, monkeypatch, workers):
+        def sweep(label):
+            m = RunManifest(
+                system_manifest=str(system_dir),
+                reference_country="AA",
+                out_dir=str(tmp_path / label),
+                factors=(1, 2),
+                solver=OPTIONS,
+                workers=workers,
+            )
+            ledger = run_sweep(m)
+            out = Path(m.out_dir)
+            states = {
+                p.stem: json.loads(p.read_text()) for p in (out / "states").glob("*.json")
+            }
+            outputs = [
+                ledger_comparison_bytes(ledger),
+                (out / "decomposition.csv").read_bytes(),
+                (out / "reference_shares.json").read_bytes(),
+            ]
+            return outputs, ledger, states
+
+        reusing, ledger, states = sweep("reuse")
+        assert sweep_mod._REUSE == {}
+        blocks = {name: s["blocks"] for name, s in states.items()}
+        assert blocks == {"f_3456": 2, "f_13456": 1, "f_23456": 2, "f_123456": 1}
+        # f_23456's AA block is the LP of the reference solve
+        assert states["f_23456"]["reused_blocks"] >= 1
+        assert all("blocks" not in e and "reused_blocks" not in e for e in ledger["entries"])
+
+        class Forgetful(dict):
+            def get(self, key, default=None):
+                return default
+
+        monkeypatch.setattr(sweep_mod, "_REUSE", Forgetful())
+        solving, _, states = sweep("solve")
+        assert all(s["reused_blocks"] == 0 for s in states.values())
+        assert reusing == solving
+
+
 class TestResume:
     def test_only_missing_states_solved(self, manifest, monkeypatch):
         ledger = run_sweep(manifest)
