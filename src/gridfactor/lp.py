@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,10 +110,15 @@ class LinearProgram:
         return out
 
 
+def _name_head(key: tuple) -> str:
+    """A block's column names up to the hour: ``G[AA,wind`` of ``G[AA,wind,0]``."""
+    return f"{_PREFIX[key[0]]}[{','.join(key[1:])}"
+
+
 def _column_labels(blocks: dict[tuple, slice]):
     """Yield ``(name, metadata)`` of every column, in column order."""
     for key, block in blocks.items():
-        head = f"{_PREFIX[key[0]]}[{','.join(key[1:])}"
+        head = _name_head(key)
         if key[0].startswith("cap_"):
             yield f"{head}]", (*key, None)
         else:
@@ -125,14 +131,37 @@ def write_solution_csv(path, lp: LinearProgram, primal) -> None:
 
     Metadata fills ``family, country, technology, hour`` in order, so a
     flow's line sits under ``country`` and its hour under ``technology``.
+    The bytes are those of ``csv.writer``; each hourly block's lines are
+    formatted from its fixed parts and written before the next block's.
     """
+    values = np.asarray(primal, dtype=float).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["column", "family", "country", "technology", "hour", "value"])
-        values = np.asarray(primal, dtype=float).tolist()
-        for (name, meta), value in zip(_column_labels(lp.blocks), values, strict=True):
-            fields = ["" if f is None else f for f in (meta + (None,))[:4]]
-            writer.writerow([name, *fields, repr(value)])
+        fh.write("column,family,country,technology,hour,value\r\n")
+        labelled = sum(block.stop - block.start for block in lp.blocks.values())
+        if labelled != len(values):
+            raise ValueError(f"{len(values)} values for {labelled} labelled columns")
+        for key, block in lp.blocks.items():
+            head = _name_head(key)
+            if key[0].startswith("cap_"):
+                fh.write(f"{_csv_fields([f'{head}]', *key, ''])},{values[block.start]!r}\r\n")
+                continue
+            # the name holds a comma, so csv quotes it and doubles its quotes
+            name = '"' + head.replace('"', '""') + ","
+            fields = f']",{_csv_fields(key)},'
+            tail = ",," if key[0] == "flow" else ","
+            fh.write(
+                "".join(
+                    f"{name}{h}{fields}{h}{tail}{v!r}\r\n"
+                    for h, v in enumerate(values[block.start : block.stop])
+                )
+            )
+
+
+def _csv_fields(fields) -> str:
+    """``fields`` joined as one ``csv.writer`` row, without its line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ builder shares only the result containers (``LinearProgram``,
 factorization oracles read tables through ``MetricTable.value`` only.
 """
 
+import csv
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -631,3 +632,18 @@ def scan_capacities(spec: PowerSystemSpec, col_meta, primal) -> dict:
         if meta[0] == "cap_power" and meta[2] in vre_ids:
             caps[(meta[1], meta[2])] = float(primal[j])
     return caps
+
+
+# --------------------------------------------------------------------------
+# Solution CSV through ``csv.writer``, one row per column: the byte
+# reference for ``lp.write_solution_csv``.
+
+
+def csv_write_solution(path, lp: LinearProgram, primal) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["column", "family", "country", "technology", "hour", "value"])
+        values = np.asarray(primal, dtype=float).tolist()
+        for name, meta, value in zip(lp.col_names, lp.col_meta, values, strict=True):
+            fields = ["" if f is None else f for f in (meta + (None,))[:4]]
+            writer.writerow([name, *fields, repr(value)])

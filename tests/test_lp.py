@@ -3,9 +3,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gridfactor import annuity, assemble, solve
-from gridfactor.lp import BuildError, write_solution_csv
+from gridfactor.harmonize import FactorState, apply_factor_state
+from gridfactor.lp import BuildError, LinearProgram, write_solution_csv
+from gridfactor.mps import read_mps, write_mps
 from gridfactor.model import (
     Country,
     ExogenousCapacity,
@@ -16,7 +19,7 @@ from gridfactor.model import (
 )
 from gridfactor.solve import SolveOptions, verify_certificate
 
-from _oracles import row_assemble
+from _oracles import csv_write_solution, row_assemble
 from conftest import wind_only_spec
 
 
@@ -251,3 +254,64 @@ def test_solution_csv_rows(small_spec, tmp_path):
         ("G[AB,wind_onshore,7]", ["gen", "AB", "wind_onshore", "7"]),
     ):
         assert by_name[name] == [name, *fields, repr(float(primal[lp.col_names.index(name)]))]
+
+
+def _quoted_names_lp() -> LinearProgram:
+    """Ids with a quote and a comma, which ``csv.writer`` must quote."""
+    blocks = {
+        ("gen", 'A"B', "x,y"): slice(0, 3),
+        ("cap_power", 'A"B', "x,y"): slice(3, 4),
+        ("flow", 'A"B-C'): slice(4, 6),
+    }
+    n = 6
+    return LinearProgram(
+        A=sp.csr_matrix((1, n)),
+        c=np.zeros(n),
+        lb=np.zeros(n),
+        ub=np.ones(n),
+        relations=np.asarray(["<"]),
+        rhs=np.ones(1),
+        blocks=blocks,
+    )
+
+
+class TestSolutionCsvBytes:
+    """``write_solution_csv`` writes the bytes of one ``csv.writer`` row per column."""
+
+    @staticmethod
+    def _both(lp, primal, tmp_path):
+        paths = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+        for write, path in zip((write_solution_csv, csv_write_solution), paths):
+            write(path, lp, primal)
+        return tuple(path.read_bytes() for path in paths)
+
+    @pytest.mark.parametrize("state", ["f_123456", "f_23456"])
+    def test_matches_csv_writer(self, small_spec, tmp_path, state):
+        lp, _ = assemble(apply_factor_state(small_spec, FactorState.parse(state), None))
+        primal = solve(lp).primal
+        fast, oracle = self._both(lp, primal, tmp_path)
+        assert fast == oracle
+        assert fast.count(b"\r\n") == lp.n_cols + 1
+
+    def test_matches_csv_writer_on_odd_values(self, small_spec, tmp_path):
+        lp, _ = assemble(small_spec)
+        rng = np.random.default_rng(3)
+        primal = rng.normal(size=lp.n_cols) * 10.0 ** rng.integers(-30, 30, size=lp.n_cols)
+        primal[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320]
+        fast, oracle = self._both(lp, primal, tmp_path)
+        assert fast == oracle
+
+    def test_matches_csv_writer_on_quoted_names(self, tmp_path):
+        lp = _quoted_names_lp()
+        fast, oracle = self._both(lp, np.arange(lp.n_cols) / 7.0, tmp_path)
+        assert fast == oracle
+        assert b'"G[A""B,x,y,2]",gen,"A""B","x,y",2,' in fast
+
+    def test_lp_without_blocks_is_refused_like_csv_writer(self, small_spec, tmp_path):
+        lp = read_mps(write_mps(assemble(small_spec)[0]))
+        assert not lp.blocks and lp.n_cols > 0
+        primal = np.zeros(lp.n_cols)
+        for write, path in ((write_solution_csv, "fast.csv"), (csv_write_solution, "oracle.csv")):
+            with pytest.raises(ValueError):
+                write(tmp_path / path, lp, primal)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -7,6 +7,7 @@ import scipy.optimize._highspy._core as highs_core
 import scipy.sparse as sp
 
 from gridfactor import assemble, solve, verify_certificate
+from gridfactor.factorize import extract_storage_metrics
 from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
 from gridfactor.lp import LinearProgram
 from gridfactor.solve import SolveError, SolveOptions, _solve_highs
@@ -98,6 +99,62 @@ class TestHighsStatus:
         (lp.A.data if field == "A" else getattr(lp, field))[0] = np.nan
         with pytest.raises(SolveError, match="non-finite"):
             solve(lp)
+
+
+class TestNoColumns:
+    """An LP without columns is decided from its rows at x = 0."""
+
+    @pytest.mark.parametrize("method", ["highs", "simplex"])
+    @pytest.mark.parametrize(
+        "relation,rhs,status",
+        [
+            ("=", 5.0, "infeasible"),
+            ("<", 5.0, "optimal"),
+            ("<", -5.0, "infeasible"),
+            (">", 5.0, "infeasible"),
+        ],
+    )
+    def test_rows_at_zero_decide(self, method, relation, rhs, status):
+        lp = tiny_lp([], [relation], [rhs], [])
+        result = solve(lp, SolveOptions(method=method))
+        assert (result.status, result.iterations, result.method) == (status, 0, method)
+        assert result.primal.shape == (0,) and result.dual.shape == (1,)
+        if status == "optimal":
+            assert result.objective == 0.0
+            assert verify_certificate(lp, result).ok
+        else:
+            assert np.isnan(result.objective)
+
+    def test_row_within_tolerance_holds(self):
+        lp = tiny_lp([], ["=", ">"], [1e-9, 0.0], [])
+        assert solve(lp).status == "optimal"
+
+
+class TestSimplexVariant:
+    """Aggregate storage metrics are unique across optimal vertices, unlike flows.
+
+    So is each country's share in an isolated state, where every country
+    is its own block. In a coupled state the split between countries can
+    move from one optimal vertex to another, so only totals are compared.
+    """
+
+    @pytest.mark.parametrize("name", ["f_123456", "f_23456"])
+    def test_storage_metrics_match_reference_simplex(self, mini_spec, name):
+        shares = derive_reference_shares(mini_spec, "AA")
+        scenario = apply_factor_state(mini_spec, FactorState.parse(name), shares)
+        lp, _ = assemble(scenario)
+        highs = solve(lp)
+        reference = solve(lp, SolveOptions(method="simplex", iteration_limit=200_000))
+        assert highs.status == reference.status == "optimal"
+        assert highs.blocks == (1 if name == "f_123456" else 2)
+        got, got_by_country = extract_storage_metrics(scenario, lp, highs)
+        want, want_by_country = extract_storage_metrics(scenario, lp, reference)
+        # a metric that is 0 at the optimum reads as rounding noise, ~1e-12
+        tol = 1e-8 * max(abs(v) for v in want.values())
+        assert got == pytest.approx(want, rel=1e-8, abs=tol)
+        if highs.blocks > 1:
+            for code, metrics in want_by_country.items():
+                assert got_by_country[code] == pytest.approx(metrics, rel=1e-8, abs=tol)
 
 
 @pytest.fixture(scope="module")
