@@ -23,7 +23,7 @@ from .model import (
     PowerSystemSpec,
     TimeSeriesSet,
 )
-from .solve import SolveOptions, SolveResult, solve
+from .solve import ReuseKey, SolveOptions, SolveResult, solve
 
 FACTOR_NUMBERS = {
     "interconnection": 1,
@@ -173,7 +173,7 @@ def derive_reference_shares(
     spec: PowerSystemSpec,
     reference_country: str,
     solve_options: SolveOptions | None = None,
-    reuse: dict[str, SolveResult] | None = None,
+    reuse: dict[ReuseKey, SolveResult] | None = None,
 ) -> ReferenceShares:
     """Shares from running the reference country in isolation.
 

@@ -7,11 +7,23 @@ in canonical state order, so output is invariant to the parallelism
 level. Per-state artifacts are content-addressed by spec and LP hashes
 for resume and audit.
 
+Each state but the roots of the factor lattice starts HiGHS from the
+final simplex basis of one parent state (``warm_parents``): the state
+less the highest of factors 6, 4 and 3 that it has and the design
+varies. Those factors change profiles only, so parent and child share
+the LP's shape. Interconnection (1) and hydro (5) change the shape, and
+a wind (2) neighbour's basis starts slower than a cold solve. A state
+runs as soon as its parent is done, with the parent's basis in its
+payload; a child of a parent that is not optimal solves cold. A parent
+state persists its basis as ``states/<name>.basis.npy`` for resume.
+
 Within one sweep, the blocks of isolated states are kept by
-``lp_digest`` and not solved again (``_REUSE``): an isolated state is
-one block per country, and a country's block repeats across states and
-matches the reference country's own solve. A reused block returns its stored result,
-iteration count included, so ledgers do not depend on what was reused.
+``lp_digest`` and start (``_REUSE``) and not solved again: an isolated
+state is one block per country, and a country's block repeats across
+states and matches the reference country's own solve. HiGHS is
+deterministic, so a state's result depends only on its LP and start:
+ledgers do not depend on what was reused, on the schedule or on the
+worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -45,7 +57,7 @@ from .lp import assemble, lp_digest, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
 from .serialize import manifest_digest, read_system, system_doc
-from .solve import SolveOptions, SolveResult, solve, verify_certificate
+from .solve import ReuseKey, SolveOptions, SolveResult, solve, verify_certificate
 
 VERSION = "1.0.0"
 LEDGER_SCHEMA = "gridfactor-ledger/3"
@@ -55,14 +67,47 @@ class SweepError(GridFactorError):
     pass
 
 
-# lp_digest of a block -> its optimal result, for the length of one
-# run_sweep; each pool worker starts from a copy of the parent's
-_REUSE: dict[str, SolveResult] = {}
+# (lp_digest, start digest) of a block -> its optimal result, for the
+# length of one run_sweep; each pool worker starts from a copy of the parent's
+_REUSE: dict[ReuseKey, SolveResult] = {}
 
 
-def _seed_reuse(results: dict[str, SolveResult]) -> None:
+def _seed_reuse(results: dict[ReuseKey, SolveResult]) -> None:
     """Pool initializer: start the worker's dict from the parent's."""
     _REUSE.update(results)
+
+
+# factors a state may drop to find its warm-start parent, highest first;
+# they change profiles only, never the LP's shape
+_WARM_FACTORS = (6, 4, 3)
+
+
+def warm_parents(factors: tuple[int, ...]) -> dict[str, str | None]:
+    """Each state of the design -> the state whose basis it starts from.
+
+    The parent drops the highest of factors 6, 4 and 3 that the state
+    has and the design varies; a state with none of them is a root
+    (None) and solves cold. The rule depends on names only, so every
+    schedule warm-starts a state from the same parent.
+    """
+    parents = {}
+    for state in enumerate_subset_states(factors):
+        active = set(state.active_factors)
+        drop = next((f for f in _WARM_FACTORS if f in active and f in factors), None)
+        parents[state.name] = (
+            None if drop is None else FactorState.from_factors(active - {drop}).name
+        )
+    return parents
+
+
+def _basis_states(manifest: RunManifest) -> set[str]:
+    """States whose final basis the sweep keeps: the warm-start parents.
+
+    The reference simplex returns no basis, so under it there are none.
+    """
+    if manifest.solver.method != "highs":
+        return set()
+    return {p for p in warm_parents(manifest.factors).values() if p is not None}
 
 
 @dataclass(frozen=True)
@@ -129,14 +174,23 @@ def spec_digest(spec: PowerSystemSpec) -> str:
     return h.hexdigest()
 
 
-def _state_paths(out_dir: Path, state_name: str) -> tuple[Path, Path]:
+def _state_paths(out_dir: Path, state_name: str) -> tuple[Path, Path, Path]:
+    """A state's solution CSV, its metadata JSON and its final basis."""
     states = out_dir / "states"
-    return states / f"{state_name}.csv", states / f"{state_name}.json"
+    return (
+        states / f"{state_name}.csv",
+        states / f"{state_name}.json",
+        states / f"{state_name}.basis.npy",
+    )
 
 
-def _run_state(payload) -> dict:
-    """Build, solve, and persist one factor state (process-pool task)."""
-    (base, shares, state_name, solver, out_dir, export_mps) = payload
+def _run_state(payload) -> tuple[dict, np.ndarray | None]:
+    """Build, solve, and persist one factor state (process-pool task).
+
+    Returns the ledger entry and, for a state with children
+    (``keep_basis``), its final basis when optimal.
+    """
+    (base, shares, state_name, solver, out_dir, export_mps, warm_from, start, keep_basis) = payload
     out_dir = Path(out_dir)
     state = FactorState.parse(state_name)
     started = time.perf_counter()
@@ -147,7 +201,8 @@ def _run_state(payload) -> dict:
         mps_dir.mkdir(parents=True, exist_ok=True)
         write_mps(lp, mps_dir / f"{state_name}.mps")
     # a coupled state's LP is one block that no other state repeats
-    result = solve(lp, solver, None if scenario.interconnection_enabled else _REUSE)
+    reuse = None if scenario.interconnection_enabled else _REUSE
+    result = solve(lp, solver, reuse, start, keep_basis)
 
     entry = {
         "state": state_name,
@@ -180,34 +235,46 @@ def _run_state(payload) -> dict:
             for key, cols in lp.blocks.items()
             if key[0] == "flow" and lp.ub[cols.start] > 0
         }
-        csv_path, meta_path = _state_paths(out_dir, state_name)
+        csv_path, meta_path, basis_path = _state_paths(out_dir, state_name)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_solution_csv(csv_path, lp, result.primal)
+        if keep_basis:
+            np.save(basis_path, result.basis)
         meta = {
             **entry,
             "timing_seconds": wall,
             "blocks": result.blocks,
             "reused_blocks": result.reused_blocks,
+            "warm_from": warm_from,
         }
         meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return {**entry, "timing_seconds": wall}
+    basis = result.basis if keep_basis else None
+    return {**entry, "timing_seconds": wall}, basis
 
 
 def run_sweep(
     manifest: RunManifest,
     completed: dict[str, dict] | None = None,
+    bases: dict[str, np.ndarray] | None = None,
 ) -> dict:
     """Execute the sweep and return the ledger document.
 
-    ``completed`` carries already-solved entries (used by resume); only
-    the remaining states are solved. On any non-optimal state the
-    partial ledger is written before raising.
+    ``completed`` carries already-solved entries and ``bases`` the final
+    bases of the completed states that have children (both used by
+    resume); only the remaining states are solved. Each state starts
+    from its ``warm_parents`` parent's basis and is submitted as soon as
+    that parent is done; at one worker the states run in canonical
+    order, which puts every parent before its children. On any
+    non-optimal state the partial ledger is written before raising.
     """
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = read_system(manifest.system_manifest)
     states = enumerate_subset_states(manifest.factors)
     completed = dict(completed or {})
+    bases = dict(bases or {})
+    parents = warm_parents(manifest.factors)
+    basis_states = _basis_states(manifest)
 
     try:
         shares = derive_reference_shares(
@@ -215,22 +282,46 @@ def run_sweep(
         )
         _write_shares(out_dir / "reference_shares.json", shares)
 
-        pending = [s for s in states if s.name not in completed]
-        payloads = [
-            (base, shares, s.name, manifest.solver, str(out_dir), manifest.export_mps)
-            for s in pending
-        ]
         entries = dict(completed)
-        if manifest.workers == 1 or len(payloads) <= 1:
-            for payload in payloads:
-                entry = _run_state(payload)
-                entries[entry["state"]] = entry
+        pending = [s.name for s in states if s.name not in completed]
+
+        def payload(name: str):
+            parent = parents[name]
+            start = bases.get(parent)
+            warm_from = parent if start is not None else None
+            return (
+                base, shares, name, manifest.solver, str(out_dir), manifest.export_mps,
+                warm_from, start, name in basis_states,
+            )
+
+        def record(name: str, outcome: tuple[dict, np.ndarray | None]) -> None:
+            entry, basis = outcome
+            entries[name] = entry
+            if basis is not None:
+                bases[name] = basis
+
+        if manifest.workers == 1 or len(pending) <= 1:
+            for name in pending:
+                record(name, _run_state(payload(name)))
         else:
+            waiting: dict[str, list[str]] = {}
+            ready = []
+            for name in pending:
+                if parents[name] in pending:
+                    waiting.setdefault(parents[name], []).append(name)
+                else:
+                    ready.append(name)
             with ProcessPoolExecutor(
                 max_workers=manifest.workers, initializer=_seed_reuse, initargs=(dict(_REUSE),)
             ) as pool:
-                for entry in pool.map(_run_state, payloads):
-                    entries[entry["state"]] = entry
+                running = {pool.submit(_run_state, payload(name)): name for name in ready}
+                while running:
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        name = running.pop(future)
+                        record(name, future.result())
+                        for child in waiting.pop(name, ()):
+                            running[pool.submit(_run_state, payload(child))] = child
     finally:
         _REUSE.clear()
 
@@ -293,18 +384,24 @@ def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
     if ledger.get("manifest_hash") != manifest.digest():
         raise SweepError("ledger manifest hash does not match this manifest")
     out_dir = Path(manifest.out_dir)
-    completed = {}
+    completed, bases = {}, {}
+    basis_states = _basis_states(manifest)
     timing = ledger.get("timing", {})
     for entry in ledger.get("entries", []):
+        name = entry["state"]
         if entry.get("status") != "optimal" or not entry["certificate"]["ok"]:
             continue
-        csv_path, meta_path = _state_paths(out_dir, entry["state"])
-        if csv_path.exists() and meta_path.exists():
-            completed[entry["state"]] = {
-                **entry,
-                "timing_seconds": timing.get(entry["state"], 0.0),
-            }
-    return run_sweep(manifest, completed=completed)
+        csv_path, meta_path, basis_path = _state_paths(out_dir, name)
+        if not (csv_path.exists() and meta_path.exists()):
+            continue
+        # a parent without its basis is solved again, so that its children
+        # start where a fresh sweep would start them
+        if name in basis_states:
+            if not basis_path.exists():
+                continue
+            bases[name] = np.load(basis_path)
+        completed[name] = {**entry, "timing_seconds": timing.get(name, 0.0)}
+    return run_sweep(manifest, completed=completed, bases=bases)
 
 
 def _write_shares(path: Path, shares: ReferenceShares) -> None:

@@ -5,6 +5,7 @@ line so the suite doubles as a sign-off report. Criteria with a runtime
 budget assert on wall-clock time as well as on correctness.
 """
 
+import dataclasses
 import itertools
 import time
 from contextlib import contextmanager
@@ -24,6 +25,7 @@ from gridfactor.factorize import (
 from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
 from gridfactor.residual import ResidualSeries, peak_coincidence, positive_events
 from gridfactor.simplex import simplex_solve
+import gridfactor.sweep as sweep_mod
 from gridfactor.solve import SolveOptions
 from gridfactor.sweep import (
     RunManifest,
@@ -78,7 +80,7 @@ def reproduction_sweep(tmp_path_factory):
     started = time.perf_counter()
     ledger = run_sweep(run)
     elapsed = time.perf_counter() - started
-    return ledger, elapsed
+    return ledger, elapsed, run
 
 
 def test_criterion_1_factorization_identities(report):
@@ -161,7 +163,7 @@ def test_criterion_3_lp_oracle_equivalence(report):
 
 def test_criterion_4_qualitative_reproduction(report, reproduction_sweep):
     with report(4, "interconnection cuts long-duration storage, wind leads"):
-        ledger, elapsed = reproduction_sweep
+        ledger, elapsed, _ = reproduction_sweep
         assert elapsed < 300.0, f"64-state sweep took {elapsed:.1f}s"
 
         by_state = {e["state"]: e for e in ledger["entries"]}
@@ -177,6 +179,36 @@ def test_criterion_4_qualitative_reproduction(report, reproduction_sweep):
         assert decomp.shares is not None
         wind = decomp.shares[2]
         assert all(wind > decomp.shares[j] for j in (3, 4, 5, 6))
+
+
+def test_warm_starts_agree_with_cold_solves(reproduction_sweep, monkeypatch):
+    """Objectives, aggregate storage metrics and decompositions of the
+    warm-started sweep match a sweep of cold solves; the LPs are
+    degenerate, so flows and the interconnected states' per-country
+    split may not."""
+    warm, _, run = reproduction_sweep
+    real = sweep_mod.warm_parents
+    monkeypatch.setattr(sweep_mod, "warm_parents", lambda f: dict.fromkeys(real(f)))
+    cold = run_sweep(dataclasses.replace(run, out_dir=run.out_dir + "-cold", workers=2))
+
+    warm_by, cold_by = ({e["state"]: e for e in ledger["entries"]} for ledger in (warm, cold))
+    assert warm_by.keys() == cold_by.keys()
+    assert all(e["certificate"]["ok"] for e in (*warm_by.values(), *cold_by.values()))
+    assert sum(e["iterations"] for e in warm_by.values()) < sum(
+        e["iterations"] for e in cold_by.values()
+    )
+    for name, entry in cold_by.items():
+        assert warm_by[name]["objective"] == pytest.approx(entry["objective"], rel=1e-9)
+    for metric in cold_by["f_0"]["metrics"]:
+        scale = max(abs(e["metrics"][metric]) for e in cold_by.values())
+        for name, entry in cold_by.items():
+            assert abs(warm_by[name]["metrics"][metric] - entry["metrics"][metric]) <= 1e-9 * scale
+        decomposed = [
+            next(d for d in decompositions_from_ledger(ledger) if d.metric == metric)
+            for ledger in (warm, cold)
+        ]
+        got, want = ([d.baseline, *d.totals.values()] for d in decomposed)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9 * scale)
 
 
 def test_criterion_5_scaled_copy_null(report, three_country_spec):

@@ -272,6 +272,112 @@ class TestBlocks:
         assert result.iterations <= 1
 
 
+@pytest.fixture(scope="module")
+def coupled_lp():
+    spec = synthesize_system(seed=11, n_countries=3, horizon=72, correlation=-0.5)
+    return assemble(apply_factor_state(spec, FactorState.parse("f_123456"), None))[0]
+
+
+class TestStartBasis:
+    def test_restart_from_own_basis_takes_no_iterations(self, coupled_lp):
+        first = solve(coupled_lp, keep_basis=True)
+        assert first.iterations > 0
+        assert first.basis.dtype == np.int8
+        assert first.basis.shape == (coupled_lp.n_cols + coupled_lp.n_rows,)
+        # one basic variable per row
+        assert np.count_nonzero(first.basis == 1) == coupled_lp.n_rows
+        again = solve(coupled_lp, start=first.basis, keep_basis=True)
+        assert again.iterations == 0
+        assert again.objective == pytest.approx(first.objective, rel=1e-12)
+        assert np.array_equal(again.basis, first.basis)
+
+    def test_basis_is_only_read_when_kept(self, coupled_lp):
+        assert solve(coupled_lp).basis is None
+
+    def test_basis_agrees_with_highs_own(self, coupled_lp, monkeypatch):
+        """``getBasis`` may put a fixed column or ``=`` row at either bound."""
+        solve_module = sys.modules["gridfactor.solve"]
+        real = solve_module._final_basis
+        reported = []
+
+        def spy(highs, lp, primal):
+            final = highs.getBasis()
+            reported.append([int(s) for s in (*final.col_status, *final.row_status)])
+            return real(highs, lp, primal)
+
+        monkeypatch.setattr(solve_module, "_final_basis", spy)
+        ours = _solve_highs(coupled_lp, SolveOptions(), keep_basis=True).basis
+        theirs = np.array(reported[0], dtype=np.int8)
+        lp = coupled_lp
+        fixed = np.concatenate([lp.lb == lp.ub, lp.relations == "="])
+        assert np.array_equal(ours[~fixed], theirs[~fixed])
+        at_bound = np.isin(theirs[fixed], (0, 2))
+        assert np.array_equal(ours[fixed][at_bound], np.zeros(at_bound.sum()))
+        assert np.array_equal(ours[fixed][~at_bound], theirs[fixed][~at_bound])
+
+    def test_block_basis_round_trips_in_lp_order(self):
+        # the interleaved two-block LP of TestBlocks: x = (0, 3, 1)
+        lp = tiny_lp(
+            [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 2.0, 0.0]],
+            [">", ">", "<"],
+            [3.0, 1.0, 10.0],
+            [5.0, 1.0, 2.0],
+        )
+        result = solve(lp, keep_basis=True)
+        assert result.blocks == 2
+        # x0 at its lower bound, x1 and x2 basic; rows 0 and 1 bind, row 2 is slack
+        assert result.basis.tolist() == [0, 1, 1, 0, 0, 1]
+        again = solve(lp, start=result.basis, keep_basis=True)
+        assert (again.iterations, again.objective) == (0, result.objective)
+        assert np.array_equal(again.basis, result.basis)
+
+    def test_blocks_restart_from_their_slices(self, isolated_lps):
+        lp = isolated_lps["f_23456"]
+        first = solve(lp, keep_basis=True)
+        assert first.blocks == 3
+        again = solve(lp, start=first.basis, keep_basis=True)
+        assert again.iterations == 0
+        assert again.objective == pytest.approx(first.objective, rel=1e-12)
+        assert np.array_equal(again.basis, first.basis)
+
+    def test_start_of_wrong_length_raises(self, coupled_lp):
+        start = solve(coupled_lp, keep_basis=True).basis
+        with pytest.raises(SolveError, match="start basis"):
+            solve(coupled_lp, start=start[:-1])
+
+    def test_start_rejected_by_highs_raises(self):
+        A, relations, rhs, c = TWO_BLOCKS
+        lp = tiny_lp(A, relations, rhs, c)
+        with pytest.raises(SolveError, match="rejected the start basis"):
+            solve(lp, start=np.ones(4, dtype=np.int8))  # four basic for two rows
+
+    def test_unknown_status_raises(self):
+        A, relations, rhs, c = TWO_BLOCKS
+        lp = tiny_lp(A, relations, rhs, c)
+        with pytest.raises(SolveError, match="unknown status"):
+            solve(lp, start=np.array([0, 0, 1, 7], dtype=np.int8))
+
+    def test_reference_simplex_takes_no_start(self, coupled_lp):
+        start = solve(coupled_lp, keep_basis=True).basis
+        with pytest.raises(SolveError, match="no start basis"):
+            solve(coupled_lp, SolveOptions(method="simplex"), start=start)
+
+    def test_warm_result_never_answers_another_start(self, isolated_lps):
+        lp = isolated_lps["f_23456"]
+        start = solve(isolated_lps["f_3456"], keep_basis=True).basis
+        reuse = {}
+        cold = solve(lp, reuse=reuse)
+        assert (cold.reused_blocks, len(reuse)) == (0, 3)
+        assert all(result.basis is not None for result in reuse.values())
+        warm = solve(lp, reuse=reuse, start=start, keep_basis=True)
+        assert (warm.reused_blocks, len(reuse)) == (0, 6)
+        again = solve(lp, reuse=reuse, start=start, keep_basis=True)
+        assert (again.reused_blocks, len(reuse)) == (3, 6)
+        assert again.iterations == warm.iterations
+        assert np.array_equal(again.primal, warm.primal)
+        assert np.array_equal(again.basis, warm.basis)
+
+
 class TestCertificates:
     @pytest.mark.parametrize("method", ["simplex", "highs"])
     def test_optimal_result_verifies(self, mini_spec, method):

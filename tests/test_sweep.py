@@ -19,6 +19,7 @@ from gridfactor.sweep import (
     ledger_comparison_bytes,
     resume,
     run_sweep,
+    warm_parents,
 )
 
 OPTIONS = SolveOptions(method="highs")
@@ -142,31 +143,41 @@ class TestRunSweep:
             )
 
 
+def sweep_outputs(system_dir, out_dir, factors, workers):
+    """Run a sweep; its comparable outputs, ledger and ``states/*.json``."""
+    m = RunManifest(
+        system_manifest=str(system_dir),
+        reference_country="AA",
+        out_dir=str(out_dir),
+        factors=factors,
+        solver=OPTIONS,
+        workers=workers,
+    )
+    ledger = run_sweep(m)
+    out = Path(m.out_dir)
+    states = {
+        p.name.removesuffix(".json"): json.loads(p.read_text())
+        for p in (out / "states").glob("*.json")
+    }
+    outputs = [
+        ledger_comparison_bytes(ledger),
+        (out / "decomposition.csv").read_bytes(),
+        (out / "reference_shares.json").read_bytes(),
+    ]
+    return outputs, ledger, states
+
+
+class Forgetful(dict):
+    """A reuse dict that never answers."""
+
+    def get(self, key, default=None):
+        return default
+
+
 class TestBlockReuse:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reuse_does_not_change_outputs(self, system_dir, tmp_path, monkeypatch, workers):
-        def sweep(label):
-            m = RunManifest(
-                system_manifest=str(system_dir),
-                reference_country="AA",
-                out_dir=str(tmp_path / label),
-                factors=(1, 2),
-                solver=OPTIONS,
-                workers=workers,
-            )
-            ledger = run_sweep(m)
-            out = Path(m.out_dir)
-            states = {
-                p.stem: json.loads(p.read_text()) for p in (out / "states").glob("*.json")
-            }
-            outputs = [
-                ledger_comparison_bytes(ledger),
-                (out / "decomposition.csv").read_bytes(),
-                (out / "reference_shares.json").read_bytes(),
-            ]
-            return outputs, ledger, states
-
-        reusing, ledger, states = sweep("reuse")
+        reusing, ledger, states = sweep_outputs(system_dir, tmp_path / "reuse", (1, 2), workers)
         assert sweep_mod._REUSE == {}
         blocks = {name: s["blocks"] for name, s in states.items()}
         assert blocks == {"f_3456": 2, "f_13456": 1, "f_23456": 2, "f_123456": 1}
@@ -174,14 +185,89 @@ class TestBlockReuse:
         assert states["f_23456"]["reused_blocks"] >= 1
         assert all("blocks" not in e and "reused_blocks" not in e for e in ledger["entries"])
 
-        class Forgetful(dict):
-            def get(self, key, default=None):
-                return default
-
         monkeypatch.setattr(sweep_mod, "_REUSE", Forgetful())
-        solving, _, states = sweep("solve")
+        solving, _, states = sweep_outputs(system_dir, tmp_path / "solve", (1, 2), workers)
         assert all(s["reused_blocks"] == 0 for s in states.values())
         assert reusing == solving
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reuse_does_not_change_warm_outputs(self, system_dir, tmp_path, monkeypatch, workers):
+        reusing, _, states = sweep_outputs(system_dir, tmp_path / "reuse", (1, 3, 4), workers)
+        assert sweep_mod._REUSE == {}
+        assert sum(s["warm_from"] is not None for s in states.values()) == 6
+        # f_2456 and f_2356 start from f_256, whose AA block is the reference LP
+        assert sum(s["reused_blocks"] for s in states.values()) >= 1
+
+        monkeypatch.setattr(sweep_mod, "_REUSE", Forgetful())
+        solving, _, states = sweep_outputs(system_dir, tmp_path / "solve", (1, 3, 4), workers)
+        assert all(s["reused_blocks"] == 0 for s in states.values())
+        assert reusing == solving
+
+
+class TestWarmStarts:
+    def test_parent_rule_by_name(self):
+        parents = warm_parents((1, 2, 3, 4, 5, 6))
+        assert len(parents) == 64
+        assert parents["f_1346"] == "f_134"
+        assert parents["f_123456"] == "f_12345"
+        assert parents["f_13"] == "f_1"
+        assert parents["f_12"] is None
+        assert parents["f_125"] is None
+        roots = sorted(name for name, parent in parents.items() if parent is None)
+        assert roots == sorted(["f_0", "f_1", "f_2", "f_5", "f_12", "f_15", "f_25", "f_125"])
+
+    def test_fixed_factors_are_never_dropped(self):
+        assert set(warm_parents((1, 2)).values()) == {None}
+        assert warm_parents((1, 3, 4)) == {
+            "f_256": None,
+            "f_1256": None,
+            "f_2356": "f_256",
+            "f_2456": "f_256",
+            "f_12356": "f_1256",
+            "f_12456": "f_1256",
+            "f_23456": "f_2356",
+            "f_123456": "f_12356",
+        }
+
+    def test_only_highs_sweeps_keep_bases(self, manifest):
+        warm = dataclasses.replace(manifest, factors=(1, 3, 4))
+        assert sweep_mod._basis_states(warm) == {"f_256", "f_1256", "f_2356", "f_12356"}
+        # the reference simplex returns no basis, so resume wants none
+        simplex = dataclasses.replace(warm, solver=SolveOptions(method="simplex"))
+        assert sweep_mod._basis_states(simplex) == set()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_states_record_their_parent(self, system_dir, tmp_path, workers):
+        _, ledger, states = sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), workers)
+        parents = warm_parents((1, 3, 4))
+        assert {name: s["warm_from"] for name, s in states.items()} == parents
+        assert all("warm_from" not in e for e in ledger["entries"])
+        # bases are kept for the parents only
+        kept = {p.name for p in (tmp_path / "out" / "states").glob("*.basis.npy")}
+        assert kept == {f"{name}.basis.npy" for name in parents.values() if name}
+        for name in kept:
+            basis = np.load(tmp_path / "out" / "states" / name)
+            assert basis.dtype == np.int8
+
+    def test_child_of_a_failed_parent_solves_cold(self, system_dir, tmp_path, monkeypatch):
+        original = sweep_mod._run_state
+
+        def failing_f256(payload):
+            entry, basis = original(payload)
+            if payload[2] == "f_256":
+                return {**entry, "status": "numerical"}, None
+            return entry, basis
+
+        monkeypatch.setattr(sweep_mod, "_run_state", failing_f256)
+        with pytest.raises(SweepError, match="optimality"):
+            sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), 1)
+        states = {
+            p.name.removesuffix(".json"): json.loads(p.read_text())
+            for p in (tmp_path / "out" / "states").glob("*.json")
+        }
+        assert states["f_2356"]["warm_from"] is None
+        assert states["f_2456"]["warm_from"] is None
+        assert states["f_23456"]["warm_from"] == "f_2356"
 
 
 class TestResume:
@@ -206,6 +292,34 @@ class TestResume:
         resumed = resume(manifest, ledger_path)
         assert calls == [victim]
         assert len(resumed["entries"]) == 4
+
+    @pytest.mark.parametrize(
+        "removed,solved",
+        [
+            # a warm child: it starts again from its parent's persisted basis
+            ((".csv", ".json"), ["f_23456"]),
+            # a parent without its basis counts as not completed
+            ((".basis.npy",), ["f_2356"]),
+        ],
+    )
+    def test_resume_matches_a_fresh_sweep(self, manifest, monkeypatch, removed, solved):
+        warm = dataclasses.replace(manifest, factors=(1, 3, 4))
+        fresh = run_sweep(warm)
+        for suffix in removed:
+            (Path(warm.out_dir) / "states" / f"{solved[0]}{suffix}").unlink()
+
+        calls = []
+        original = sweep_mod._run_state
+
+        def counting(payload):
+            calls.append(payload[2])
+            return original(payload)
+
+        monkeypatch.setattr(sweep_mod, "_run_state", counting)
+        resumed = resume(warm, Path(warm.out_dir) / "ledger.json")
+        assert calls == solved
+        assert ledger_comparison_bytes(resumed) == ledger_comparison_bytes(fresh)
+        assert (Path(warm.out_dir) / "states" / "f_2356.basis.npy").exists()
 
     def test_states_reuse_the_parent_system(self, manifest, monkeypatch):
         calls = []
