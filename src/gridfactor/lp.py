@@ -194,6 +194,17 @@ def _present(spec: PowerSystemSpec, code: str, tech: Technology) -> bool:
     return e.power_discharge > 0 or e.power_charge > 0 or e.energy > 0
 
 
+def portfolio(spec: PowerSystemSpec) -> list[tuple[str, Technology]]:
+    """The (country, technology) pairs that get columns, in column order.
+
+    For given countries, technologies, lines and horizon, the portfolio
+    and the interconnection switch fix the LP's columns and rows.
+    """
+    codes = sorted(c.code for c in spec.countries)
+    techs = sorted(spec.technologies, key=lambda t: t.id)
+    return [(code, tech) for code in codes for tech in techs if _present(spec, code, tech)]
+
+
 def _bounds(tech: Technology, exogenous: float) -> tuple[float, float]:
     """Free for expandable technologies, else fixed at the exogenous capacity."""
     return (0.0, INF) if tech.expandable else (exogenous, exogenous)
@@ -287,38 +298,35 @@ class _Rows(_Registry):
         self.relations.append(np.full(self.horizon, relation))
 
 
-def _layout(spec: PowerSystemSpec, codes, techs) -> _Columns:
+def _layout(spec: PowerSystemSpec) -> _Columns:
     cols = _Columns(spec.time_series.horizon)
-    for code in codes:
-        for tech in techs:
-            if not _present(spec, code, tech):
-                continue
-            cols.present.append((code, tech))
-            tid = tech.id
-            e = spec.exogenous_capacity(code, tid)
-            charge, discharge, energy = (
-                _bounds(tech, v) for v in (e.power_charge, e.power_discharge, e.energy)
-            )
-            if tech.kind in GENERATING:
-                cols.hourly(("gen", code, tid))
-                cols.capacity(("cap_power", code, tid), *_power_bounds(spec, code, tech))
-            elif tech.kind == "storage":
-                cols.hourly(("sto_in", code, tid))
-                cols.hourly(("sto_out", code, tid))
-                cols.hourly(("sto_level", code, tid))
-                cols.capacity(("cap_charge", code, tid), *charge)
-                cols.capacity(("cap_discharge", code, tid), *discharge)
-                cols.capacity(("cap_energy", code, tid), *energy)
-            elif tech.kind == "reservoir":
-                if code not in spec.time_series.reservoir_inflow:
-                    raise BuildError(f"missing inflow series for reservoir {tid} in {code}")
-                cols.hourly(("rsv_out", code, tid))
-                cols.hourly(("rsv_spill", code, tid))
-                cols.hourly(("rsv_level", code, tid))
-                cols.capacity(("cap_discharge", code, tid), *discharge)
-                cols.capacity(("cap_energy", code, tid), *energy)
-            else:  # pragma: no cover - kinds validated upstream
-                raise BuildError(f"unsupported technology kind {tech.kind!r}")
+    cols.present = portfolio(spec)
+    for code, tech in cols.present:
+        tid = tech.id
+        e = spec.exogenous_capacity(code, tid)
+        charge, discharge, energy = (
+            _bounds(tech, v) for v in (e.power_charge, e.power_discharge, e.energy)
+        )
+        if tech.kind in GENERATING:
+            cols.hourly(("gen", code, tid))
+            cols.capacity(("cap_power", code, tid), *_power_bounds(spec, code, tech))
+        elif tech.kind == "storage":
+            cols.hourly(("sto_in", code, tid))
+            cols.hourly(("sto_out", code, tid))
+            cols.hourly(("sto_level", code, tid))
+            cols.capacity(("cap_charge", code, tid), *charge)
+            cols.capacity(("cap_discharge", code, tid), *discharge)
+            cols.capacity(("cap_energy", code, tid), *energy)
+        elif tech.kind == "reservoir":
+            if code not in spec.time_series.reservoir_inflow:
+                raise BuildError(f"missing inflow series for reservoir {tid} in {code}")
+            cols.hourly(("rsv_out", code, tid))
+            cols.hourly(("rsv_spill", code, tid))
+            cols.hourly(("rsv_level", code, tid))
+            cols.capacity(("cap_discharge", code, tid), *discharge)
+            cols.capacity(("cap_energy", code, tid), *energy)
+        else:  # pragma: no cover - kinds validated upstream
+            raise BuildError(f"unsupported technology kind {tech.kind!r}")
 
     if spec.interconnection_enabled:
         for line in sorted(spec.interconnectors, key=lambda l: (l.from_country, l.to_country)):
@@ -458,8 +466,7 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
 def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
     """Build the full LP plus a count report; deterministic for a given spec."""
     codes = sorted(c.code for c in spec.countries)
-    techs = sorted(spec.technologies, key=lambda t: t.id)
-    cols = _layout(spec, codes, techs)
+    cols = _layout(spec)
     c = build_objective(spec, cols)
     rows = _Rows(cols.horizon)
     _balance_rows(spec, cols, rows, codes)

@@ -308,46 +308,23 @@ def _solve_highs(
     optimal = status == "optimal"
     info = highs.getInfo()
     solution = highs.getSolution()
-    primal = np.asarray(solution.col_value) if optimal else np.zeros(lp.n_cols)
     return SolveResult(
         status=status,
         objective=float(info.objective_function_value) if optimal else float("nan"),
-        primal=primal,
+        primal=np.asarray(solution.col_value) if optimal else np.zeros(lp.n_cols),
         dual=np.asarray(solution.row_dual) if optimal else np.zeros(lp.n_rows),
         iterations=int(info.simplex_iteration_count),
         method="highs",
-        basis=_final_basis(highs, lp, primal) if optimal and keep_basis else None,
+        basis=_final_basis(highs, lp) if optimal and keep_basis else None,
     )
 
 
-# HighsBasisStatus values of a basis array (module docstring)
-_LOWER, _BASIC, _UPPER, _ZERO = 0, 1, 2, 3
-
-
-def _final_basis(highs, lp: LinearProgram, primal: np.ndarray) -> np.ndarray:
-    """The solved model's basis in LP order.
-
-    ``getBasis`` hands back one Python object per status, which costs
-    each sweep process about 1.5 MB of peak memory at 2 countries x
-    168 h; ``getBasicVariables`` gives the basic ones as one array. A
-    nonbasic column sits at its bound nearer ``primal`` (at zero when
-    free), a nonbasic row at the bound its relation gives it.
-    ``getBasis`` may call a fixed column or ``=`` row ``_UPPER`` where
-    this says ``_LOWER``; HiGHS starts a fixed variable at its value
-    either way.
-    """
-    to_lower, to_upper = np.abs(primal - lp.lb), np.abs(lp.ub - primal)
-    cols = np.where(
-        np.isfinite(lp.lb) & ~(to_upper < to_lower),
-        _LOWER,
-        np.where(np.isfinite(lp.ub), _UPPER, _ZERO),
-    )
-    rows = np.where(lp.relations == "<", _UPPER, _LOWER)
-    basis = np.concatenate([cols, rows]).astype(np.int8)
-    _, basic = highs.getBasicVariables()
-    # a basic row r is listed as -1 - r
-    basis[np.where(basic >= 0, basic, lp.n_cols - 1 - basic)] = _BASIC
-    return basis
+def _final_basis(highs, lp: LinearProgram) -> np.ndarray:
+    """The solved model's basis in LP order; raise if HiGHS has none."""
+    basis = highs.getBasis()
+    if not basis.valid:
+        raise SolveError(f"HiGHS holds no valid final basis of LP {lp.name!r}")
+    return np.array(basis.col_status + basis.row_status, dtype=np.int8)
 
 
 def _set_basis(highs, highs_core, lp: LinearProgram, start: np.ndarray) -> None:
@@ -361,8 +338,8 @@ def _set_basis(highs, highs_core, lp: LinearProgram, start: np.ndarray) -> None:
         raise SolveError(f"start basis of LP {lp.name!r} holds an unknown status")
     statuses = [highs_core.HighsBasisStatus(value) for value in range(kinds)]
     basis = highs_core.HighsBasis()
-    basis.col_status = [statuses[s] for s in start[: lp.n_cols]]
-    basis.row_status = [statuses[s] for s in start[lp.n_cols :]]
+    basis.col_status = [statuses[s] for s in start[: lp.n_cols].tolist()]
+    basis.row_status = [statuses[s] for s in start[lp.n_cols :].tolist()]
     basis.alien, basis.valid = False, True
     if highs.setBasis(basis) == highs_core.HighsStatus.kError:
         raise SolveError(f"HiGHS rejected the start basis of LP {lp.name!r}")

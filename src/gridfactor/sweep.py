@@ -10,12 +10,16 @@ for resume and audit.
 Each state but the roots of the factor lattice starts HiGHS from the
 final simplex basis of one parent state (``warm_parents``): the state
 less the highest of factors 6, 4 and 3 that it has and the design
-varies. Those factors change profiles only, so parent and child share
-the LP's shape. Interconnection (1) and hydro (5) change the shape, and
-a wind (2) neighbour's basis starts slower than a cold solve. A state
-runs as soon as its parent is done, with the parent's basis in its
-payload; a child of a parent that is not optimal solves cold. A parent
-state persists its basis as ``states/<name>.basis.npy`` for resume.
+varies. Solar (3) and load (4) change profiles only. Bioenergy (6)
+changes a portfolio, which adds or removes a country's bioenergy
+columns where its own and the reference's presence differ; a state
+whose LP differs in shape from its parent's is a root too
+(``_warm_starts``). Interconnection (1) and hydro (5) change the shape,
+and a wind (2) neighbour's basis starts slower than a cold solve. A
+state runs as soon as its parent is done, with the parent's basis in
+its payload; a child of a parent that is not optimal solves cold. A
+parent state persists its basis as ``states/<name>.basis.npy`` for
+resume.
 
 Within one sweep, the blocks of isolated states are kept by
 ``lp_digest`` and start (``_REUSE``) and not solved again: an isolated
@@ -53,7 +57,7 @@ from .harmonize import (
     derive_reference_shares,
     enumerate_subset_states,
 )
-from .lp import assemble, lp_digest, write_solution_csv
+from .lp import assemble, lp_digest, portfolio, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
 from .serialize import manifest_digest, read_system, system_doc
@@ -77,8 +81,7 @@ def _seed_reuse(results: dict[ReuseKey, SolveResult]) -> None:
     _REUSE.update(results)
 
 
-# factors a state may drop to find its warm-start parent, highest first;
-# they change profiles only, never the LP's shape
+# factors a state may drop to find its warm-start parent, highest first
 _WARM_FACTORS = (6, 4, 3)
 
 
@@ -100,14 +103,38 @@ def warm_parents(factors: tuple[int, ...]) -> dict[str, str | None]:
     return parents
 
 
-def _basis_states(manifest: RunManifest) -> set[str]:
-    """States whose final basis the sweep keeps: the warm-start parents.
+def _warm_starts(
+    manifest: RunManifest, base: PowerSystemSpec, shares: ReferenceShares
+) -> dict[str, str | None]:
+    """Each state of the sweep -> the state it starts from, or None.
 
-    The reference simplex returns no basis, so under it there are none.
+    The ``warm_parents`` parent, where the sweep solves with HiGHS (the
+    reference simplex takes no start) and the parent's LP has the
+    child's columns and rows.
     """
+    parents = warm_parents(manifest.factors)
     if manifest.solver.method != "highs":
-        return set()
-    return {p for p in warm_parents(manifest.factors).values() if p is not None}
+        return dict.fromkeys(parents)
+    shapes = {
+        state.name: _lp_shape(apply_factor_state(base, state, shares))
+        for state in enumerate_subset_states(manifest.factors)
+    }
+    return {
+        name: parent if parent is not None and shapes[parent] == shapes[name] else None
+        for name, parent in parents.items()
+    }
+
+
+def _lp_shape(scenario: PowerSystemSpec) -> tuple:
+    """What sets one state's LP columns and rows apart from another's.
+
+    States of one sweep share countries, technologies, lines and
+    horizon, so their portfolios and interconnection switches decide.
+    """
+    return (
+        scenario.interconnection_enabled,
+        tuple((code, tech.id) for code, tech in portfolio(scenario)),
+    )
 
 
 @dataclass(frozen=True)
@@ -252,29 +279,22 @@ def _run_state(payload) -> tuple[dict, np.ndarray | None]:
     return {**entry, "timing_seconds": wall}, basis
 
 
-def run_sweep(
-    manifest: RunManifest,
-    completed: dict[str, dict] | None = None,
-    bases: dict[str, np.ndarray] | None = None,
-) -> dict:
+def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -> dict:
     """Execute the sweep and return the ledger document.
 
-    ``completed`` carries already-solved entries and ``bases`` the final
-    bases of the completed states that have children (both used by
-    resume); only the remaining states are solved. Each state starts
-    from its ``warm_parents`` parent's basis and is submitted as soon as
-    that parent is done; at one worker the states run in canonical
-    order, which puts every parent before its children. On any
-    non-optimal state the partial ledger is written before raising.
+    ``completed`` carries already-solved entries (used by resume); only
+    the remaining states are solved. A completed state with children
+    counts only when its ``states/<name>.basis.npy`` is there, so that
+    its children start where a fresh sweep would start them. Each state
+    starts from its ``_warm_starts`` parent's basis and is submitted as
+    soon as that parent is done; at one worker the states run in
+    canonical order, which puts every parent before its children. On
+    any non-optimal state the partial ledger is written before raising.
     """
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = read_system(manifest.system_manifest)
     states = enumerate_subset_states(manifest.factors)
-    completed = dict(completed or {})
-    bases = dict(bases or {})
-    parents = warm_parents(manifest.factors)
-    basis_states = _basis_states(manifest)
 
     try:
         shares = derive_reference_shares(
@@ -282,8 +302,17 @@ def run_sweep(
         )
         _write_shares(out_dir / "reference_shares.json", shares)
 
-        entries = dict(completed)
-        pending = [s.name for s in states if s.name not in completed]
+        parents = _warm_starts(manifest, base, shares)
+        basis_states = {p for p in parents.values() if p is not None}
+        entries, bases = {}, {}
+        for name, entry in (completed or {}).items():
+            if name in basis_states:
+                basis_path = _state_paths(out_dir, name)[2]
+                if not basis_path.exists():
+                    continue
+                bases[name] = np.load(basis_path)
+            entries[name] = entry
+        pending = [s.name for s in states if s.name not in entries]
 
         def payload(name: str):
             parent = parents[name]
@@ -384,24 +413,17 @@ def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
     if ledger.get("manifest_hash") != manifest.digest():
         raise SweepError("ledger manifest hash does not match this manifest")
     out_dir = Path(manifest.out_dir)
-    completed, bases = {}, {}
-    basis_states = _basis_states(manifest)
+    completed = {}
     timing = ledger.get("timing", {})
     for entry in ledger.get("entries", []):
         name = entry["state"]
         if entry.get("status") != "optimal" or not entry["certificate"]["ok"]:
             continue
-        csv_path, meta_path, basis_path = _state_paths(out_dir, name)
+        csv_path, meta_path, _ = _state_paths(out_dir, name)
         if not (csv_path.exists() and meta_path.exists()):
             continue
-        # a parent without its basis is solved again, so that its children
-        # start where a fresh sweep would start them
-        if name in basis_states:
-            if not basis_path.exists():
-                continue
-            bases[name] = np.load(basis_path)
         completed[name] = {**entry, "timing_seconds": timing.get(name, 0.0)}
-    return run_sweep(manifest, completed=completed, bases=bases)
+    return run_sweep(manifest, completed=completed)
 
 
 def _write_shares(path: Path, shares: ReferenceShares) -> None:

@@ -294,26 +294,13 @@ class TestStartBasis:
     def test_basis_is_only_read_when_kept(self, coupled_lp):
         assert solve(coupled_lp).basis is None
 
-    def test_basis_agrees_with_highs_own(self, coupled_lp, monkeypatch):
-        """``getBasis`` may put a fixed column or ``=`` row at either bound."""
-        solve_module = sys.modules["gridfactor.solve"]
-        real = solve_module._final_basis
-        reported = []
+    def test_missing_final_basis_raises(self, coupled_lp):
+        class NoBasis:
+            def getBasis(self):
+                return highs_core.HighsBasis()  # valid is False
 
-        def spy(highs, lp, primal):
-            final = highs.getBasis()
-            reported.append([int(s) for s in (*final.col_status, *final.row_status)])
-            return real(highs, lp, primal)
-
-        monkeypatch.setattr(solve_module, "_final_basis", spy)
-        ours = _solve_highs(coupled_lp, SolveOptions(), keep_basis=True).basis
-        theirs = np.array(reported[0], dtype=np.int8)
-        lp = coupled_lp
-        fixed = np.concatenate([lp.lb == lp.ub, lp.relations == "="])
-        assert np.array_equal(ours[~fixed], theirs[~fixed])
-        at_bound = np.isin(theirs[fixed], (0, 2))
-        assert np.array_equal(ours[fixed][at_bound], np.zeros(at_bound.sum()))
-        assert np.array_equal(ours[fixed][~at_bound], theirs[fixed][~at_bound])
+        with pytest.raises(SolveError, match="no valid final basis"):
+            sys.modules["gridfactor.solve"]._final_basis(NoBasis(), coupled_lp)
 
     def test_block_basis_round_trips_in_lp_order(self):
         # the interleaved two-block LP of TestBlocks: x = (0, 3, 1)

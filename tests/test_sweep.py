@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import gridfactor.sweep as sweep_mod
-from gridfactor.harmonize import enumerate_subset_states
+from gridfactor import write_system
+from gridfactor.harmonize import derive_reference_shares, enumerate_subset_states
 from gridfactor.serialize import read_system
 from gridfactor.solve import SolveOptions
 from gridfactor.sweep import (
@@ -229,12 +230,40 @@ class TestWarmStarts:
             "f_123456": "f_12356",
         }
 
-    def test_only_highs_sweeps_keep_bases(self, manifest):
+    def test_reference_simplex_sweeps_start_every_state_cold(self, manifest):
         warm = dataclasses.replace(manifest, factors=(1, 3, 4))
-        assert sweep_mod._basis_states(warm) == {"f_256", "f_1256", "f_2356", "f_12356"}
-        # the reference simplex returns no basis, so resume wants none
+        base = read_system(warm.system_manifest)
+        shares = derive_reference_shares(base, "AA")
+        assert sweep_mod._warm_starts(warm, base, shares) == warm_parents((1, 3, 4))
+        # the reference simplex takes no start, so no state waits for a parent
         simplex = dataclasses.replace(warm, solver=SolveOptions(method="simplex"))
-        assert sweep_mod._basis_states(simplex) == set()
+        assert set(sweep_mod._warm_starts(simplex, base, shares).values()) == {None}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parent_of_another_shape_is_not_started_from(self, small_spec, tmp_path, workers):
+        # AB has no bioenergy of its own; harmonized, it gets the reference's
+        # share, so harmonizing bioenergy adds AB's bioenergy columns
+        spec = dataclasses.replace(
+            small_spec,
+            exogenous_capacities=tuple(
+                e
+                for e in small_spec.exogenous_capacities
+                if (e.country, e.technology) != ("AB", "bioenergy")
+            ),
+        )
+        system = write_system(spec, tmp_path / "system")
+        _, ledger, states = sweep_outputs(system, tmp_path / "out", (1, 3, 6), workers)
+        assert {name: s["warm_from"] for name, s in states.items()} == {
+            "f_245": None,
+            "f_1245": None,
+            "f_2345": "f_245",
+            "f_2456": None,
+            "f_12345": "f_1245",
+            "f_12456": None,
+            "f_23456": None,
+            "f_123456": None,
+        }
+        assert all(e["certificate"]["ok"] for e in ledger["entries"])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_states_record_their_parent(self, system_dir, tmp_path, workers):
