@@ -28,7 +28,7 @@ from .model import (
     annuity,
     validate,
 )
-from .mps import read_mps, write_mps
+from .mps import write_mps
 from .residual import (
     ResidualEvent,
     ResidualSeries,
@@ -77,7 +77,6 @@ __all__ = [
     "peak_hour_cross_section",
     "peak_residual_hour",
     "positive_events",
-    "read_mps",
     "read_system",
     "residual_series",
     "resume",

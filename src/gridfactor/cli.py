@@ -39,7 +39,7 @@ from .residual import (
     write_events_csv,
 )
 from .serialize import read_system, write_system
-from .solve import SolveOptions, solve
+from .solve import solve
 from .sweep import (
     RunManifest,
     VERSION,
@@ -66,9 +66,6 @@ class _StateParam(click.ParamType):
 
 
 STATE = _StateParam()
-METHOD = click.option(
-    "--method", type=click.Choice(["highs", "simplex"]), default="highs", show_default=True
-)
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
@@ -100,14 +97,14 @@ def _domain_errors(fn):
     return wrapper
 
 
-def _scenario_spec(spec, state: FactorState, reference: str | None, options: SolveOptions):
+def _scenario_spec(spec, state: FactorState, reference: str | None):
     if not state.harmonizes:
         return apply_factor_state(spec, state, None)
     if reference is None:
         raise click.UsageError(
             f"state {state.name} harmonizes at least one factor; --reference is required"
         )
-    shares = derive_reference_shares(spec, reference, options)
+    shares = derive_reference_shares(spec, reference)
     return apply_factor_state(spec, state, shares)
 
 
@@ -135,19 +132,17 @@ def cmd_validate(manifest):
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
 @click.option("--state", type=STATE, default="f_123456", show_default=True)
 @click.option("--reference", default=None, help="Reference country for harmonization.")
-@METHOD
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Solution CSV path.")
 @click.option("--mps-out", type=click.Path(dir_okay=False), default=None)
 @_domain_errors
-def cmd_solve(manifest, state, reference, method, out, mps_out):
+def cmd_solve(manifest, state, reference, out, mps_out):
     """Build and solve one scenario; print objective and storage metrics."""
-    options = SolveOptions(method=method)
     spec = read_system(manifest)
-    scenario = _scenario_spec(spec, state, reference, options)
+    scenario = _scenario_spec(spec, state, reference)
     lp, _ = assemble(scenario)
     if mps_out:
         write_mps(lp, mps_out)
-    result = solve(lp, options)
+    result = solve(lp)
     if result.status != "optimal":
         click.echo(f"error: scenario {state.name} is {result.status}", err=True)
         sys.exit(1)
@@ -165,11 +160,10 @@ def cmd_solve(manifest, state, reference, method, out, mps_out):
 @click.option("--factors", default="1,2,3,4,5,6", show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--fixture-label", default="default", show_default=True)
-@METHOD
 @click.option("--export-mps", is_flag=True)
 @click.option("--resume", "do_resume", is_flag=True, help="Continue a partial sweep.")
 @_domain_errors
-def cmd_sweep(manifest, reference, out_dir, factors, workers, fixture_label, method, export_mps, do_resume):
+def cmd_sweep(manifest, reference, out_dir, factors, workers, fixture_label, export_mps, do_resume):
     """Run the factorial sweep and write ledger plus decomposition files."""
     run = RunManifest(
         system_manifest=manifest,
@@ -177,7 +171,6 @@ def cmd_sweep(manifest, reference, out_dir, factors, workers, fixture_label, met
         out_dir=out_dir,
         factors=_parse_factors(factors),
         fixture_label=fixture_label,
-        solver=SolveOptions(method=method),
         workers=workers,
         export_mps=export_mps,
     )
@@ -216,17 +209,15 @@ def cmd_factorize(ledger, out_prefix):
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
 @click.option("--state", type=STATE, default="f_23456", show_default=True)
 @click.option("--reference", default=None)
-@METHOD
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--exclude", default="", help="Comma-separated countries to drop from events.")
 @_domain_errors
-def cmd_residual(manifest, state, reference, method, out_dir, exclude):
+def cmd_residual(manifest, state, reference, out_dir, exclude):
     """Residual-load analytics from the optimal capacities of one scenario."""
-    options = SolveOptions(method=method)
     spec = read_system(manifest)
-    scenario = _scenario_spec(spec, state, reference, options)
+    scenario = _scenario_spec(spec, state, reference)
     lp, _ = assemble(scenario)
-    result = solve(lp, options)
+    result = solve(lp)
     if result.status != "optimal":
         click.echo(f"error: scenario {state.name} is {result.status}", err=True)
         sys.exit(1)
@@ -282,7 +273,7 @@ def cmd_synthesize(seed, countries, horizon, correlation, out_dir):
 def cmd_export_lp(manifest, state, reference, out):
     """Write one scenario's LP as fixed-format MPS."""
     spec = read_system(manifest)
-    scenario = _scenario_spec(spec, state, reference, SolveOptions())
+    scenario = _scenario_spec(spec, state, reference)
     lp, _ = assemble(scenario)
     write_mps(lp, out)
     click.echo(out)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -40,7 +40,6 @@ class MetricTable:
     metric: str
     factors: tuple[int, ...]
     values: Mapping[frozenset[int], float]
-    provenance: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         expected = 1 << len(self.factors)

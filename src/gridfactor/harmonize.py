@@ -23,7 +23,7 @@ from .model import (
     PowerSystemSpec,
     TimeSeriesSet,
 )
-from .solve import ReuseKey, SolveOptions, SolveResult, solve
+from .solve import SOLVER, ReuseKey, SolveOptions, SolveResult, solve
 
 FACTOR_NUMBERS = {
     "interconnection": 1,
@@ -217,7 +217,7 @@ def derive_reference_shares(
         technology_shares=tech_shares,
         provenance={
             "objective": result.objective,
-            "solver": result.method,
+            "solver": SOLVER,
             "horizon": spec.time_series.horizon,
         },
     )

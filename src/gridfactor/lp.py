@@ -63,8 +63,8 @@ class LinearProgram:
 
     ``blocks`` maps ``(family, country, tech)`` or ``("flow", line)`` to its
     column slice, in column order, and is the LP's only layout: column
-    names and metadata are derived from it. It is empty for an LP read
-    from MPS, which therefore has no column labels.
+    names and metadata are derived from it. It is empty for an LP not
+    built by ``assemble``, which therefore has no column labels.
     """
 
     A: sp.csr_matrix

@@ -7,7 +7,7 @@ power in MW, energy in MWh, overnight investment costs in EUR/kW
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -163,9 +163,6 @@ class PowerSystemSpec:
             if code == country:
                 return mw
         return None
-
-    def with_(self, **changes) -> "PowerSystemSpec":
-        return replace(self, **changes)
 
 
 def annuity(overnight_cost: float, lifetime: float, rate: float) -> float:

@@ -1,10 +1,10 @@
-"""Fixed-format MPS export and import.
+"""Fixed-format MPS export, for audit and for other solvers.
 
 Field layout (1-indexed character columns): indicator 2-3, name fields
 5-12 and 15-22, value fields 25-36 and 50-61, second name field 40-47.
 Row/column identifiers are synthesized as ``R<index>`` / ``X<index>``
-because fixed MPS limits names to eight characters. An LP read back has
-an empty block map and so no column labels.
+because fixed MPS limits names to eight characters, so the file keeps no
+column labels.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lp import LinearProgram
 from .model import GridFactorError
 
 _OBJ = "COST"
 _RELATION_TO_KIND = {"<": "L", ">": "G", "=": "E"}
-_KIND_TO_RELATION = {v: k for k, v in _RELATION_TO_KIND.items()}
 
 
 class MpsError(GridFactorError):
@@ -87,107 +85,3 @@ def write_mps(lp: LinearProgram, path: str | Path | None = None) -> str:
         Path(path).write_text(text)
     return text
 
-
-def read_mps(source: str | Path) -> LinearProgram:
-    """Parse an MPS file (as written by :func:`write_mps` or compatible)."""
-    text = Path(source).read_text() if isinstance(source, Path) else source
-    if isinstance(source, str) and "\n" not in source:
-        text = Path(source).read_text()
-
-    name = "IMPORTED"
-    section = None
-    obj_row: str | None = None
-    row_kinds: dict[str, str] = {}
-    row_order: list[str] = []
-    row_index: dict[str, int] = {}
-    col_order: list[str] = []
-    col_index: dict[str, int] = {}
-    entries: list[tuple[int, int, float]] = []
-    obj_coeffs: dict[int, float] = {}
-    rhs: dict[str, float] = {}
-    bounds: dict[int, list[float]] = {}
-
-    def col_id(colname: str) -> int:
-        if colname not in col_index:
-            col_index[colname] = len(col_order)
-            col_order.append(colname)
-            bounds[col_index[colname]] = [0.0, np.inf]
-        return col_index[colname]
-
-    for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        if not raw[0].isspace():
-            parts = raw.split()
-            section = parts[0].upper()
-            if section == "NAME" and len(parts) > 1:
-                name = parts[1]
-            if section == "ENDATA":
-                break
-            continue
-        parts = raw.split()
-        if section == "ROWS":
-            kind, rowname = parts[0].upper(), parts[1]
-            if kind == "N":
-                if obj_row is None:
-                    obj_row = rowname
-                continue
-            if kind not in _KIND_TO_RELATION:
-                raise MpsError(f"unsupported row kind {kind!r}")
-            row_kinds[rowname] = kind
-            row_index[rowname] = len(row_order)
-            row_order.append(rowname)
-        elif section == "COLUMNS":
-            colname = parts[0]
-            j = col_id(colname)
-            for rowname, value in zip(parts[1::2], parts[2::2]):
-                if rowname == obj_row:
-                    obj_coeffs[j] = float(value)
-                elif rowname in row_index:
-                    entries.append((row_index[rowname], j, float(value)))
-                else:
-                    raise MpsError(f"unknown row {rowname!r}")
-        elif section == "RHS":
-            for rowname, value in zip(parts[1::2], parts[2::2]):
-                if rowname != obj_row:
-                    rhs[rowname] = float(value)
-        elif section == "RANGES":
-            raise MpsError("RANGES sections are not supported")
-        elif section == "BOUNDS":
-            kind = parts[0].upper()
-            j = col_id(parts[2])
-            value = float(parts[3]) if len(parts) > 3 else 0.0
-            if kind == "UP":
-                bounds[j][1] = value
-            elif kind == "LO":
-                bounds[j][0] = value
-            elif kind == "FX":
-                bounds[j] = [value, value]
-            elif kind == "FR":
-                bounds[j] = [-np.inf, np.inf]
-            elif kind == "MI":
-                bounds[j][0] = -np.inf
-            elif kind == "PL":
-                bounds[j][1] = np.inf
-            else:
-                raise MpsError(f"unsupported bound kind {kind!r}")
-
-    n_rows, n_cols = len(row_order), len(col_order)
-    data = [v for (_, _, v) in entries]
-    ri = [i for (i, _, _) in entries]
-    ci = [j for (_, j, _) in entries]
-    A = sp.csr_matrix((data, (ri, ci)), shape=(n_rows, n_cols), dtype=float)
-    c = np.zeros(n_cols)
-    for j, v in obj_coeffs.items():
-        c[j] = v
-    lb = np.array([bounds[j][0] for j in range(n_cols)])
-    ub = np.array([bounds[j][1] for j in range(n_cols)])
-    return LinearProgram(
-        A=A,
-        c=c,
-        lb=lb,
-        ub=ub,
-        relations=np.asarray([_KIND_TO_RELATION[row_kinds[r]] for r in row_order]),
-        rhs=np.asarray([rhs.get(r, 0.0) for r in row_order]),
-        name=name,
-    )

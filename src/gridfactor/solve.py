@@ -1,10 +1,8 @@
-"""LP solving and optimality-certificate verification.
+"""LP solving with HiGHS, and optimality-certificate verification.
 
-Two backends sit behind ``solve``: HiGHS, the default, and the built-in
-reference simplex (dense, certificate-friendly), used only when asked
-for. HiGHS gets each independent block of the LP as its own model: CSR
-rows, and row bounds (-inf, rhs], [rhs, inf) or [rhs, rhs] from the
-relations. It runs on one thread with the primal revised simplex
+``solve`` hands HiGHS each independent block of the LP as its own
+model: CSR rows, and row bounds (-inf, rhs], [rhs, inf) or [rhs, rhs]
+from the relations. It runs on one thread with the primal revised simplex
 (Huangfu & Hall, *Math. Prog. Comp.* 2018, describe both of HiGHS's
 simplex variants): on the capacity-expansion LPs here it takes 15-30 %
 more iterations than the default dual simplex but 0.61-0.82 of its CPU
@@ -13,7 +11,9 @@ country blocks. Its optimal, infeasible, unbounded and iteration-limit
 statuses keep their names; any other reads ``numerical``. An LP with no
 columns never reaches a solver: it is optimal with objective 0 when
 every row holds at x = 0, else infeasible. Row duals follow the dZ/db
-convention (non-positive for binding <= rows of a minimization).
+convention (non-positive for binding <= rows of a minimization). The
+test suite checks HiGHS's results against a dense reference simplex
+(``tests/_oracles.py``).
 
 A HiGHS solve can start from a simplex basis and hand back its final
 one. A basis is one ``int8`` array in LP order, the column statuses and
@@ -35,7 +35,9 @@ import scipy.sparse as sp
 
 from .lp import LinearProgram, lp_digest
 from .model import GridFactorError
-from .simplex import simplex_solve
+
+# the solver that ledger entries and reference shares name
+SOLVER = "highs"
 
 
 class SolveError(GridFactorError):
@@ -44,7 +46,6 @@ class SolveError(GridFactorError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    method: str = "highs"  # highs | simplex
     iteration_limit: int = 100_000
 
 
@@ -57,7 +58,6 @@ class SolveResult:
     primal: np.ndarray
     dual: np.ndarray
     iterations: int
-    method: str
     blocks: int = 1  # independent blocks solved one at a time
     reused_blocks: int = 0  # blocks answered from ``solve``'s ``reuse`` dict
     # final simplex basis in LP order (module docstring), when asked for
@@ -91,26 +91,18 @@ def solve(
     ``start`` is a basis in LP order (module docstring) for HiGHS to
     start from; one of the wrong length, or one HiGHS rejects, raises
     ``SolveError``. With ``keep_basis`` an optimal result carries its
-    final basis in that form. The reference simplex takes no start and
-    returns no basis.
+    final basis in that form.
     """
     options = options or SolveOptions()
     if not all(np.isfinite(a).all() for a in (lp.c, lp.A.data, lp.rhs)):
         raise SolveError(f"LP {lp.name!r} has a non-finite cost, coefficient or right-hand side")
-    if options.method not in ("highs", "simplex"):
-        raise SolveError(f"unknown solve method {options.method!r}")
-    if start is not None:
-        if options.method != "highs":
-            raise SolveError(f"solve method {options.method!r} takes no start basis")
-        if start.shape != (lp.n_cols + lp.n_rows,):
-            raise SolveError(
-                f"start basis of LP {lp.name!r} has shape {start.shape}, "
-                f"not ({lp.n_cols + lp.n_rows},): one status per column and row"
-            )
+    if start is not None and start.shape != (lp.n_cols + lp.n_rows,):
+        raise SolveError(
+            f"start basis of LP {lp.name!r} has shape {start.shape}, "
+            f"not ({lp.n_cols + lp.n_rows},): one status per column and row"
+        )
     if lp.n_cols == 0:
-        return _solve_without_columns(lp, options)
-    if options.method == "simplex":
-        return _solve_simplex(lp, options)
+        return _solve_without_columns(lp)
 
     parts = _independent_blocks(lp)
     if not parts:
@@ -151,7 +143,6 @@ def solve(
         primal=primal,
         dual=dual,
         iterations=iterations,
-        method="highs",
         blocks=len(parts),
         reused_blocks=reused_blocks,
         basis=basis,
@@ -223,7 +214,7 @@ def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
 _EMPTY_ROW_TOL = 1e-7
 
 
-def _solve_without_columns(lp: LinearProgram, options: SolveOptions) -> SolveResult:
+def _solve_without_columns(lp: LinearProgram) -> SolveResult:
     """Decide an LP with no columns from its rows at x = 0; no solver runs."""
     lower, upper = _row_bounds(lp)
     optimal = bool(np.all((lower <= _EMPTY_ROW_TOL) & (upper >= -_EMPTY_ROW_TOL)))
@@ -233,27 +224,6 @@ def _solve_without_columns(lp: LinearProgram, options: SolveOptions) -> SolveRes
         primal=np.zeros(0),
         dual=np.zeros(lp.n_rows),
         iterations=0,
-        method=options.method,
-    )
-
-
-def _solve_simplex(lp: LinearProgram, options: SolveOptions) -> SolveResult:
-    outcome = simplex_solve(
-        lp.A.toarray(),
-        lp.relations,
-        lp.rhs,
-        lp.c,
-        lp.lb,
-        lp.ub,
-        iteration_limit=options.iteration_limit,
-    )
-    return SolveResult(
-        status=outcome.status,
-        objective=outcome.objective,
-        primal=outcome.x,
-        dual=outcome.y,
-        iterations=outcome.iterations,
-        method="simplex",
     )
 
 
@@ -291,11 +261,16 @@ def _solve_highs(
     matrix.start_, matrix.index_, matrix.value_ = lp.A.indptr, lp.A.indices, lp.A.data
 
     highs = highs_core._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("threads", 1)
-    highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-    highs.setOptionValue("simplex_iteration_limit", options.iteration_limit)
-    highs.setOptionValue("ipm_iteration_limit", options.iteration_limit)
+    for option, value in (
+        ("output_flag", False),
+        ("threads", 1),
+        ("simplex_strategy", _PRIMAL_SIMPLEX),
+        ("simplex_iteration_limit", options.iteration_limit),
+        ("ipm_iteration_limit", options.iteration_limit),
+    ):
+        # an option HiGHS rejects keeps its old value, so a bad limit would not limit
+        if highs.setOptionValue(option, value) == highs_core.HighsStatus.kError:
+            raise SolveError(f"HiGHS rejected option {option}={value!r} for LP {lp.name!r}")
     # kWarning is normal: HiGHS drops the LP's explicit zeros and tiny coefficients
     passed = highs.passModel(model)
     if passed == highs_core.HighsStatus.kError:
@@ -314,7 +289,6 @@ def _solve_highs(
         primal=np.asarray(solution.col_value) if optimal else np.zeros(lp.n_cols),
         dual=np.asarray(solution.row_dual) if optimal else np.zeros(lp.n_rows),
         iterations=int(info.simplex_iteration_count),
-        method="highs",
         basis=_final_basis(highs, lp) if optimal and keep_basis else None,
     )
 

@@ -61,7 +61,7 @@ from .lp import assemble, lp_digest, portfolio, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
 from .serialize import manifest_digest, read_system, system_doc
-from .solve import ReuseKey, SolveOptions, SolveResult, solve, verify_certificate
+from .solve import SOLVER, ReuseKey, SolveOptions, SolveResult, solve, verify_certificate
 
 VERSION = "1.0.0"
 LEDGER_SCHEMA = "gridfactor-ledger/3"
@@ -108,13 +108,10 @@ def _warm_starts(
 ) -> dict[str, str | None]:
     """Each state of the sweep -> the state it starts from, or None.
 
-    The ``warm_parents`` parent, where the sweep solves with HiGHS (the
-    reference simplex takes no start) and the parent's LP has the
-    child's columns and rows.
+    The ``warm_parents`` parent, where the parent's LP has the child's
+    columns and rows.
     """
     parents = warm_parents(manifest.factors)
-    if manifest.solver.method != "highs":
-        return dict.fromkeys(parents)
     shapes = {
         state.name: _lp_shape(apply_factor_state(base, state, shares))
         for state in enumerate_subset_states(manifest.factors)
@@ -238,7 +235,7 @@ def _run_state(payload) -> tuple[dict, np.ndarray | None]:
         "status": result.status,
         "objective": float(result.objective),
         "iterations": result.iterations,
-        "solver": result.method,
+        "solver": SOLVER,
         "certificate": None,
         "metrics": {},
         "per_country": {},

@@ -5,19 +5,26 @@ can disagree with the implementation under test. The row-by-row LP
 builder shares only the result containers (``LinearProgram``,
 ``BuildReport``) and the model's annuity formula with the package; the
 factorization oracles read tables through ``MetricTable.value`` only.
+The reference simplex, which HiGHS's results are checked against, hands
+back the package's ``SolveResult`` through ``simplex_lp``; the MPS
+reader reads what ``write_mps`` writes back into a ``LinearProgram``.
 """
 
 import csv
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from gridfactor.factorize import FactorizeError, MetricTable
 from gridfactor.lp import INF, BuildError, BuildReport, LinearProgram
 from gridfactor.model import HOURS_PER_YEAR, PowerSystemSpec, Technology, annuity
+from gridfactor.mps import MpsError
+from gridfactor.solve import SolveResult
 
 FEAS_TOL = 1e-7
 
@@ -647,3 +654,357 @@ def csv_write_solution(path, lp: LinearProgram, primal) -> None:
         for name, meta, value in zip(lp.col_names, lp.col_meta, values, strict=True):
             fields = ["" if f is None else f for f in (meta + (None,))[:4]]
             writer.writerow([name, *fields, repr(value)])
+
+
+# --------------------------------------------------------------------------
+# Reference simplex: a dense bounded-variable revised simplex, two-phase
+# with artificial variables; Dantzig pricing with a Bland's-rule fallback
+# after a degeneracy streak, lowest-column-index tie-breaks throughout, so
+# repeated solves of the same LP are identical. Desk-scale LPs only.
+
+AT_LB, AT_UB, FREE, BASIC = 0, 1, 2, 3
+
+_DEGENERACY_STREAK_LIMIT = 50
+
+
+@dataclass
+class SimplexOutcome:
+    status: str  # optimal | infeasible | unbounded | iteration-limit
+    x: np.ndarray  # values of the structural columns
+    y: np.ndarray  # row duals, dZ/db convention
+    objective: float
+    iterations: int
+
+
+def simplex_solve(
+    A: np.ndarray,
+    relations: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    iteration_limit: int = 50_000,
+    tol: float = 1e-9,
+) -> SimplexOutcome:
+    """Minimize c'x subject to A x (<=, =, >=) b and lb <= x <= ub."""
+    m, n = A.shape
+    slack_rows = [i for i in range(m) if relations[i] != "="]
+    n_slack = len(slack_rows)
+
+    # Equality form: structural columns, one slack per inequality row,
+    # one artificial per row.
+    total = n + n_slack + m
+    Af = np.zeros((m, total))
+    Af[:, :n] = A
+    lo = np.concatenate([lb, np.zeros(n_slack), np.zeros(m)])
+    hi = np.concatenate([ub, np.full(n_slack, np.inf), np.full(m, np.inf)])
+    for k, i in enumerate(slack_rows):
+        Af[i, n + k] = 1.0 if relations[i] == "<" else -1.0
+
+    # Nonbasic start at the finite bound nearest zero.
+    x = np.zeros(total)
+    status = np.full(total, FREE, dtype=int)
+    for j in range(n + n_slack):
+        if np.isfinite(lo[j]):
+            x[j], status[j] = lo[j], AT_LB
+        elif np.isfinite(hi[j]):
+            x[j], status[j] = hi[j], AT_UB
+
+    resid = b - Af[:, : n + n_slack] @ x[: n + n_slack]
+    art0 = n + n_slack
+    for i in range(m):
+        j = art0 + i
+        Af[i, j] = 1.0 if resid[i] >= 0 else -1.0
+        x[j] = abs(resid[i])
+        status[j] = BASIC
+    basis = list(range(art0, art0 + m))
+
+    phase1_cost = np.zeros(total)
+    phase1_cost[art0:] = 1.0
+    state = _State(Af, b, lo, hi, x, status, basis, tol)
+
+    iters1, st = _iterate(state, phase1_cost, iteration_limit)
+    if st == "iteration-limit":
+        return SimplexOutcome("iteration-limit", x[:n].copy(), np.zeros(m), float("nan"), iters1)
+    state.recompute_basics()
+    scale = 1.0 + float(np.abs(b).sum())
+    if phase1_cost @ state.x > 1e-7 * scale:
+        return SimplexOutcome("infeasible", x[:n].copy(), np.zeros(m), float("nan"), iters1)
+
+    # Pin artificials to zero for phase 2.
+    state.hi[art0:] = 0.0
+    for j in range(art0, art0 + m):
+        if state.status[j] != BASIC:
+            state.status[j] = AT_LB
+            state.x[j] = 0.0
+
+    phase2_cost = np.concatenate([c, np.zeros(n_slack + m)])
+    iters2, st = _iterate(state, phase2_cost, iteration_limit - iters1)
+    iterations = iters1 + iters2
+    state.recompute_basics()
+    xs = state.x[:n].copy()
+    if st == "unbounded":
+        return SimplexOutcome("unbounded", xs, np.zeros(m), float("-inf"), iterations)
+    if st == "iteration-limit":
+        return SimplexOutcome("iteration-limit", xs, np.zeros(m), float(c @ xs), iterations)
+    y = state.duals(phase2_cost)
+    return SimplexOutcome("optimal", xs, y, float(c @ xs), iterations)
+
+
+class _State:
+    def __init__(self, A, b, lo, hi, x, status, basis, tol):
+        self.A = A
+        self.b = b
+        self.lo = lo
+        self.hi = hi
+        self.x = x
+        self.status = status
+        self.basis = basis
+        self.tol = tol
+        self._factor = None
+
+    def refactor(self):
+        B = self.A[:, self.basis]
+        self._factor = la.lu_factor(B)
+
+    def btran(self, v):
+        return la.lu_solve(self._factor, v, trans=1)
+
+    def ftran(self, v):
+        return la.lu_solve(self._factor, v)
+
+    def duals(self, cost):
+        self.refactor()
+        return self.btran(cost[self.basis])
+
+    def recompute_basics(self):
+        """Re-solve basic values against the exact RHS to shed drift."""
+        nonbasic = np.ones(self.A.shape[1], dtype=bool)
+        nonbasic[self.basis] = False
+        rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
+        self.refactor()
+        self.x[self.basis] = self.ftran(rhs)
+
+
+def _iterate(state: _State, cost: np.ndarray, max_iters: int) -> tuple[int, str]:
+    A, lo, hi, x, status = state.A, state.lo, state.hi, state.x, state.status
+    tol = state.tol
+    m = A.shape[0]
+    degen_streak = 0
+    iters = 0
+
+    while True:
+        if iters >= max_iters:
+            return iters, "iteration-limit"
+        state.refactor()
+        y = state.btran(cost[state.basis])
+        d = cost - y @ A  # reduced costs
+
+        use_bland = degen_streak > _DEGENERACY_STREAK_LIMIT
+        entering, direction = _select_entering(d, status, tol, use_bland)
+        if entering is None:
+            return iters, "optimal"
+
+        w = state.ftran(A[:, entering])
+        # Basic variable i changes at rate -direction * w[i] per unit step.
+        best_limit = np.inf
+        leaving_pos = -1
+        hits_lower = True
+        for pos in range(m):
+            jb = state.basis[pos]
+            rate = direction * w[pos]
+            if rate > tol:
+                limit = (x[jb] - lo[jb]) / rate
+                hit_low = True
+            elif rate < -tol:
+                limit = (x[jb] - hi[jb]) / rate
+                hit_low = False
+            else:
+                continue
+            limit = max(limit, 0.0)
+            if limit < best_limit - tol or (
+                limit < best_limit + tol
+                and (leaving_pos < 0 or jb < state.basis[leaving_pos])
+            ):
+                best_limit = limit
+                leaving_pos = pos
+                hits_lower = hit_low
+
+        own_range = hi[entering] - lo[entering]
+        bound_flip = np.isfinite(own_range) and own_range < best_limit - tol
+        if bound_flip:
+            step = own_range
+        elif leaving_pos < 0:
+            return iters, "unbounded"
+        else:
+            step = best_limit
+
+        x[entering] += direction * step
+        for pos in range(m):
+            x[state.basis[pos]] -= direction * step * w[pos]
+
+        if bound_flip:
+            status[entering] = AT_UB if status[entering] == AT_LB else AT_LB
+        else:
+            jb = state.basis[leaving_pos]
+            if lo[jb] == hi[jb] or hits_lower:
+                status[jb] = AT_LB
+                x[jb] = lo[jb]
+            else:
+                status[jb] = AT_UB
+                x[jb] = hi[jb]
+            state.basis[leaving_pos] = entering
+            status[entering] = BASIC
+
+        degen_streak = degen_streak + 1 if step <= tol else 0
+        iters += 1
+
+
+def _select_entering(
+    d: np.ndarray, status: np.ndarray, tol: float, bland: bool
+) -> tuple[int | None, float]:
+    eligible_lb = (status == AT_LB) & (d < -tol)
+    eligible_ub = (status == AT_UB) & (d > tol)
+    eligible_fr = (status == FREE) & (np.abs(d) > tol)
+    eligible = eligible_lb | eligible_ub | eligible_fr
+    idx = np.nonzero(eligible)[0]
+    if idx.size == 0:
+        return None, 0.0
+    if bland:
+        j = int(idx[0])
+    else:
+        j = int(idx[np.argmax(np.abs(d[idx]))])
+    direction = 1.0 if d[j] < 0 else -1.0
+    return j, direction
+
+
+def simplex_lp(lp: LinearProgram, iteration_limit: int = 100_000) -> SolveResult:
+    """``lp`` solved by the reference simplex, as a ``SolveResult``."""
+    outcome = simplex_solve(
+        lp.A.toarray(),
+        lp.relations,
+        lp.rhs,
+        lp.c,
+        lp.lb,
+        lp.ub,
+        iteration_limit=iteration_limit,
+    )
+    return SolveResult(
+        status=outcome.status,
+        objective=outcome.objective,
+        primal=outcome.x,
+        dual=outcome.y,
+        iterations=outcome.iterations,
+    )
+
+
+# --------------------------------------------------------------------------
+# Fixed-format MPS reader, the inverse of ``gridfactor.mps.write_mps``. An
+# LP read back has an empty block map and so no column labels.
+
+_KIND_TO_RELATION = {"L": "<", "G": ">", "E": "="}
+
+
+def read_mps(source: str | Path) -> LinearProgram:
+    """Parse an MPS file (as written by :func:`write_mps` or compatible)."""
+    text = Path(source).read_text() if isinstance(source, Path) else source
+    if isinstance(source, str) and "\n" not in source:
+        text = Path(source).read_text()
+
+    name = "IMPORTED"
+    section = None
+    obj_row: str | None = None
+    row_kinds: dict[str, str] = {}
+    row_order: list[str] = []
+    row_index: dict[str, int] = {}
+    col_order: list[str] = []
+    col_index: dict[str, int] = {}
+    entries: list[tuple[int, int, float]] = []
+    obj_coeffs: dict[int, float] = {}
+    rhs: dict[str, float] = {}
+    bounds: dict[int, list[float]] = {}
+
+    def col_id(colname: str) -> int:
+        if colname not in col_index:
+            col_index[colname] = len(col_order)
+            col_order.append(colname)
+            bounds[col_index[colname]] = [0.0, np.inf]
+        return col_index[colname]
+
+    for raw in text.splitlines():
+        if not raw.strip() or raw.lstrip().startswith("*"):
+            continue
+        if not raw[0].isspace():
+            parts = raw.split()
+            section = parts[0].upper()
+            if section == "NAME" and len(parts) > 1:
+                name = parts[1]
+            if section == "ENDATA":
+                break
+            continue
+        parts = raw.split()
+        if section == "ROWS":
+            kind, rowname = parts[0].upper(), parts[1]
+            if kind == "N":
+                if obj_row is None:
+                    obj_row = rowname
+                continue
+            if kind not in _KIND_TO_RELATION:
+                raise MpsError(f"unsupported row kind {kind!r}")
+            row_kinds[rowname] = kind
+            row_index[rowname] = len(row_order)
+            row_order.append(rowname)
+        elif section == "COLUMNS":
+            colname = parts[0]
+            j = col_id(colname)
+            for rowname, value in zip(parts[1::2], parts[2::2]):
+                if rowname == obj_row:
+                    obj_coeffs[j] = float(value)
+                elif rowname in row_index:
+                    entries.append((row_index[rowname], j, float(value)))
+                else:
+                    raise MpsError(f"unknown row {rowname!r}")
+        elif section == "RHS":
+            for rowname, value in zip(parts[1::2], parts[2::2]):
+                if rowname != obj_row:
+                    rhs[rowname] = float(value)
+        elif section == "RANGES":
+            raise MpsError("RANGES sections are not supported")
+        elif section == "BOUNDS":
+            kind = parts[0].upper()
+            j = col_id(parts[2])
+            value = float(parts[3]) if len(parts) > 3 else 0.0
+            if kind == "UP":
+                bounds[j][1] = value
+            elif kind == "LO":
+                bounds[j][0] = value
+            elif kind == "FX":
+                bounds[j] = [value, value]
+            elif kind == "FR":
+                bounds[j] = [-np.inf, np.inf]
+            elif kind == "MI":
+                bounds[j][0] = -np.inf
+            elif kind == "PL":
+                bounds[j][1] = np.inf
+            else:
+                raise MpsError(f"unsupported bound kind {kind!r}")
+
+    n_rows, n_cols = len(row_order), len(col_order)
+    data = [v for (_, _, v) in entries]
+    ri = [i for (i, _, _) in entries]
+    ci = [j for (_, j, _) in entries]
+    A = sp.csr_matrix((data, (ri, ci)), shape=(n_rows, n_cols), dtype=float)
+    c = np.zeros(n_cols)
+    for j, v in obj_coeffs.items():
+        c[j] = v
+    lb = np.array([bounds[j][0] for j in range(n_cols)])
+    ub = np.array([bounds[j][1] for j in range(n_cols)])
+    return LinearProgram(
+        A=A,
+        c=c,
+        lb=lb,
+        ub=ub,
+        relations=np.asarray([_KIND_TO_RELATION[row_kinds[r]] for r in row_order]),
+        rhs=np.asarray([rhs.get(r, 0.0) for r in row_order]),
+        name=name,
+    )

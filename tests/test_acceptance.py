@@ -24,9 +24,7 @@ from gridfactor.factorize import (
 )
 from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
 from gridfactor.residual import ResidualSeries, peak_coincidence, positive_events
-from gridfactor.simplex import simplex_solve
 import gridfactor.sweep as sweep_mod
-from gridfactor.solve import SolveOptions
 from gridfactor.sweep import (
     RunManifest,
     decompositions_from_ledger,
@@ -34,10 +32,15 @@ from gridfactor.sweep import (
     run_sweep,
 )
 
-from _oracles import brute_force_lp_minimum, brute_positive_events, factor_total, random_box_lp
+from _oracles import (
+    brute_force_lp_minimum,
+    brute_positive_events,
+    factor_total,
+    random_box_lp,
+    simplex_lp,
+    simplex_solve,
+)
 from conftest import wind_only_spec
-
-HIGHS = SolveOptions(method="highs")
 
 
 @pytest.fixture
@@ -74,7 +77,6 @@ def reproduction_sweep(tmp_path_factory):
         system_manifest=str(manifest_path),
         reference_country="AA",
         out_dir=str(base / "out"),
-        solver=HIGHS,
         workers=4,
     )
     started = time.perf_counter()
@@ -152,7 +154,7 @@ def test_criterion_3_lp_oracle_equivalence(report):
         # hand-checkable instance: covering load 1 MW at cf 0.5 needs 2 MW
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0])
         lp, _ = assemble(spec)
-        result = solve(lp, SolveOptions(method="simplex"))
+        result = simplex_lp(lp)
         assert result.status == "optimal"
         (j,) = lp.find_columns("cap_power", country="AA", tech="wind")
         assert result.primal[j] == 2.0
@@ -213,14 +215,14 @@ def test_warm_starts_agree_with_cold_solves(reproduction_sweep, monkeypatch):
 
 def test_criterion_5_scaled_copy_null(report, three_country_spec):
     with report(5, "harmonizing every factor nullifies interconnection"):
-        shares = derive_reference_shares(three_country_spec, "AA", HIGHS)
+        shares = derive_reference_shares(three_country_spec, "AA")
         objectives = {}
         for name in ("f_0", "f_1"):
             scenario = apply_factor_state(
                 three_country_spec, FactorState.parse(name), shares
             )
             lp, _ = assemble(scenario)
-            result = solve(lp, HIGHS)
+            result = solve(lp)
             assert result.status == "optimal"
             objectives[name] = result.objective
         effect = abs(objectives["f_1"] - objectives["f_0"])
@@ -261,7 +263,6 @@ def test_criterion_7_determinism(report, system_dir, tmp_path):
                 system_manifest=str(system_dir),
                 reference_country="AA",
                 out_dir=str(tmp_path / f"run{i}"),
-                solver=HIGHS,
                 workers=workers,
                 export_mps=True,
             )

@@ -1,15 +1,20 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gridfactor
 from gridfactor import read_system
 from gridfactor.cli import main
-from gridfactor.mps import read_mps
 from gridfactor.sweep import LEDGER_SCHEMA, VERSION, read_ledger
+
+from _oracles import read_mps
 
 
 @pytest.fixture
@@ -94,7 +99,7 @@ class TestSolve:
         out = tmp_path / "solution.csv"
         result = runner.invoke(
             main,
-            ["solve", str(system_dir), "--method", "highs", "--out", str(out)],
+            ["solve", str(system_dir), "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         assert "state f_123456: objective" in result.output
@@ -130,8 +135,6 @@ class TestSolve:
                 "f_0",
                 "--reference",
                 "AA",
-                "--method",
-                "highs",
             ],
         )
         assert result.exit_code == 0, result.output
@@ -151,8 +154,6 @@ class TestSweepAndFactorize:
                 str(out_dir),
                 "--factors",
                 "interconnection,wind",
-                "--method",
-                "highs",
             ],
         )
         assert result.exit_code == 0, result.output
@@ -274,8 +275,6 @@ class TestResidual:
             [
                 "residual",
                 str(system_dir),
-                "--method",
-                "highs",
                 "--out",
                 str(out_dir),
             ],
@@ -291,7 +290,7 @@ class TestResidual:
         out_dir = tmp_path / "res"
         result = runner.invoke(
             main,
-            ["residual", wind_dir, "--method", "highs", "--out", str(out_dir)],
+            ["residual", wind_dir, "--out", str(out_dir)],
         )
         assert result.exit_code == 0, result.output
         lines = (out_dir / "events.csv").read_text().splitlines()
@@ -306,8 +305,6 @@ class TestResidual:
             [
                 "residual",
                 str(system_dir),
-                "--method",
-                "highs",
                 "--out",
                 str(out_dir),
                 "--exclude",
@@ -381,3 +378,29 @@ def test_package_version_matches_ledger_version():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["version"] == VERSION
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [("solve", []), ("sweep", ["--reference", "AA", "--out"]), ("residual", ["--out"])],
+)
+def test_method_flag_is_gone(runner, system_dir, tmp_path, command, options):
+    out = [str(tmp_path / "out")] if options else []
+    argv = [command, str(system_dir), *options, *out, "--method", "highs"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert "No such option '--method'" in result.stderr
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """The reference simplex's dense LU stays out of the start-up path."""
+    src = Path(gridfactor.__file__).resolve().parents[1]
+    probe = "import sys, gridfactor; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

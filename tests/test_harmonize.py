@@ -13,9 +13,6 @@ from gridfactor import (
     solve,
 )
 from gridfactor.harmonize import FactorState, HarmonizeError
-from gridfactor.solve import SolveOptions
-
-OPTIONS = SolveOptions(method="highs")
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +24,7 @@ def spec():
 
 @pytest.fixture(scope="module")
 def shares(spec):
-    return derive_reference_shares(spec, "AA", OPTIONS)
+    return derive_reference_shares(spec, "AA")
 
 
 class TestFactorState:
@@ -104,12 +101,13 @@ class TestReferenceShares:
             else e
             for e in spec.exogenous_capacities
         )
-        scaled = spec.with_(
+        scaled = dataclasses.replace(
+            spec,
             countries=countries,
             exogenous_capacities=exogenous,
             time_series=dataclasses.replace(ts, load=load, reservoir_inflow=inflow),
         )
-        scaled_shares = derive_reference_shares(scaled, "AA", OPTIONS)
+        scaled_shares = derive_reference_shares(scaled, "AA")
         assert scaled_shares.offshore_share == pytest.approx(shares.offshore_share, rel=1e-6)
         for tid, s in shares.technology_shares.items():
             t = scaled_shares.technology_shares[tid]
@@ -126,9 +124,9 @@ class TestReferenceShares:
 class TestApplyFactorState:
     def test_all_native_is_identity_plus_flag(self, spec, shares):
         out = apply_factor_state(spec, FactorState.parse("f_123456"), shares)
-        assert out == spec.with_(interconnection_enabled=True)
+        assert out == dataclasses.replace(spec, interconnection_enabled=True)
         out_iso = apply_factor_state(spec, FactorState.parse("f_23456"), shares)
-        assert out_iso == spec.with_(interconnection_enabled=False)
+        assert out_iso == dataclasses.replace(spec, interconnection_enabled=False)
 
     def test_idempotent(self, spec, shares):
         for name in ("f_0", "f_14", "f_25", "f_123456"):
@@ -208,4 +206,4 @@ class TestApplyFactorState:
         for name in ("f_0", "f_1", "f_123456"):
             scenario = apply_factor_state(spec, FactorState.parse(name), shares)
             lp, _ = assemble(scenario)
-            assert solve(lp, OPTIONS).status == "optimal", name
+            assert solve(lp).status == "optimal", name

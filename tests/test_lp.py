@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from gridfactor import annuity, assemble, solve
 from gridfactor.harmonize import FactorState, apply_factor_state
 from gridfactor.lp import BuildError, LinearProgram, write_solution_csv
-from gridfactor.mps import read_mps, write_mps
+from gridfactor.mps import write_mps
 from gridfactor.model import (
     Country,
     ExogenousCapacity,
@@ -17,9 +17,9 @@ from gridfactor.model import (
     Technology,
     TimeSeriesSet,
 )
-from gridfactor.solve import SolveOptions, verify_certificate
+from gridfactor.solve import verify_certificate
 
-from _oracles import csv_write_solution, row_assemble
+from _oracles import csv_write_solution, read_mps, row_assemble, simplex_lp
 from conftest import wind_only_spec
 
 
@@ -28,7 +28,7 @@ class TestWindOnlyHandOracle:
         """Constant 1 MW load, cf 0.5: N = 2 MW, cost = 2000 kW * annuity."""
         spec = wind_only_spec(np.ones(8760), np.full(8760, 0.5))
         lp, _ = assemble(spec)
-        result = solve(lp, SolveOptions(method="highs"))
+        result = solve(lp)
         assert result.status == "optimal"
         n = result.primal[lp.col_names.index("N[AA,wind]")]
         assert n == pytest.approx(2.0, rel=1e-9)
@@ -38,7 +38,7 @@ class TestWindOnlyHandOracle:
     def test_two_hour_instance_exact_on_simplex(self):
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0])
         lp, _ = assemble(spec)
-        result = solve(lp, SolveOptions(method="simplex"))
+        result = simplex_lp(lp)
         assert result.status == "optimal"
         assert result.primal[lp.col_names.index("N[AA,wind]")] == 2.0
 
@@ -52,7 +52,8 @@ class TestStructure:
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0])
         second = Country(code="AB", yearly_load_total=spec.countries[0].yearly_load_total)
         ts = spec.time_series
-        spec2 = spec.with_(
+        spec2 = dataclasses.replace(
+            spec,
             countries=spec.countries + (second,),
             time_series=dataclasses.replace(
                 ts,
@@ -81,7 +82,7 @@ class TestStructure:
 
     def test_disabling_interconnection_removes_flow_columns(self, small_spec):
         lp_on, _ = assemble(small_spec)
-        lp_off, _ = assemble(small_spec.with_(interconnection_enabled=False))
+        lp_off, _ = assemble(dataclasses.replace(small_spec, interconnection_enabled=False))
         flows = len(lp_on.find_columns("flow"))
         assert flows == 48 * len(small_spec.interconnectors)
         assert lp_off.find_columns("flow") == []
@@ -111,7 +112,8 @@ class TestStructure:
         )
         second = Country(code="AB", yearly_load_total=base.countries[0].yearly_load_total)
         ts = base.time_series
-        spec = base.with_(
+        spec = dataclasses.replace(
+            base,
             countries=base.countries + (second,),
             technologies=base.technologies + (storage,),
             time_series=dataclasses.replace(
@@ -136,7 +138,8 @@ class TestStructure:
 
     def test_missing_inflow_raises(self, small_spec):
         ts = small_spec.time_series
-        spec = small_spec.with_(
+        spec = dataclasses.replace(
+            small_spec,
             time_series=dataclasses.replace(ts, reservoir_inflow={})
         )
         with pytest.raises(BuildError, match="missing inflow series"):
@@ -159,13 +162,13 @@ class TestSystemBalanceInvariants:
 
     def test_optimal_solution_is_feasible(self, small_spec):
         lp, _ = assemble(small_spec)
-        result = solve(lp, SolveOptions(method="highs"))
+        result = solve(lp)
         report = verify_certificate(lp, result)
         assert report.ok, report.messages
 
     def test_storage_no_free_energy(self, small_spec):
         lp, _ = assemble(small_spec)
-        result = solve(lp, SolveOptions(method="highs"))
+        result = solve(lp)
         for tech_id, eta in (("lithium_ion", 0.92 * 0.92), ("power_to_gas", 0.25)):
             for code in ("AA", "AB"):
                 charged = sum(
@@ -195,13 +198,13 @@ class TestStoragePhysics:
             lifetime=20,
             duration_class="long",
         )
-        return base.with_(technologies=base.technologies + (storage,))
+        return dataclasses.replace(base, technologies=base.technologies + (storage,))
 
     @pytest.mark.parametrize("eta,charged_for_one_mwh", [(1.0, 1.0), (0.5, 4.0)])
     def test_round_trip_losses(self, eta, charged_for_one_mwh):
         spec = self._shift_spec(eta)
         lp, _ = assemble(spec)
-        result = solve(lp, SolveOptions(method="simplex"))
+        result = simplex_lp(lp)
         assert result.status == "optimal"
         charged = sum(result.primal[j] for j in lp.find_columns("sto_in"))
         assert charged == pytest.approx(charged_for_one_mwh, rel=1e-9)
@@ -214,7 +217,7 @@ class TestStoragePhysics:
 def test_zero_demand_expandable_only_costs_nothing():
     spec = wind_only_spec([0.0, 0.0], [0.5, 1.0])
     lp, _ = assemble(spec)
-    result = solve(lp, SolveOptions(method="simplex"))
+    result = simplex_lp(lp)
     assert result.status == "optimal"
     assert result.objective == 0.0
 

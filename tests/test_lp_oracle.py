@@ -14,7 +14,6 @@ from gridfactor.harmonize import enumerate_states
 from gridfactor.lp import lp_digest
 from gridfactor.model import ExogenousCapacity
 from gridfactor.residual import capacities_from_result
-from gridfactor.solve import SolveOptions
 
 from _oracles import (
     row_assemble,
@@ -96,7 +95,8 @@ def run_of_river_spec(base, profile):
     cf = dict(ts.capacity_factors)
     if profile:
         cf[(code, "run_of_river")] = np.linspace(0.2, 1.0, ts.horizon)
-    return base.with_(
+    return dataclasses.replace(
+        base,
         technologies=base.technologies + (ror,),
         exogenous_capacities=base.exogenous_capacities
         + (ExogenousCapacity(country=code, technology="run_of_river", power_discharge=150.0),),
@@ -113,8 +113,8 @@ def test_three_country_spec(three_country_spec):
 
 
 def test_interconnection_off(small_spec, three_country_spec):
-    assert_identical(small_spec.with_(interconnection_enabled=False))
-    assert_identical(three_country_spec.with_(interconnection_enabled=False))
+    assert_identical(dataclasses.replace(small_spec, interconnection_enabled=False))
+    assert_identical(dataclasses.replace(three_country_spec, interconnection_enabled=False))
 
 
 @pytest.mark.parametrize("profile", [False, True])
@@ -135,11 +135,11 @@ def test_single_hour_cyclic_storage(small_spec):
         capacity_factors={k: v[:1] for k, v in ts.capacity_factors.items()},
         reservoir_inflow={k: v[:1] for k, v in ts.reservoir_inflow.items()},
     )
-    assert_identical(small_spec.with_(time_series=one))
+    assert_identical(dataclasses.replace(small_spec, time_series=one))
 
 
 def test_all_harmonized_states(small_spec):
-    shares = derive_reference_shares(small_spec, "AA", SolveOptions(method="highs"))
+    shares = derive_reference_shares(small_spec, "AA")
     states = enumerate_states()
     assert len(states) == 64
     for state in states:
@@ -148,7 +148,7 @@ def test_all_harmonized_states(small_spec):
 
 def test_block_lookups_all_harmonized_states(small_spec, three_country_spec):
     rng = np.random.default_rng(8)
-    shares = derive_reference_shares(small_spec, "AA", SolveOptions(method="highs"))
+    shares = derive_reference_shares(small_spec, "AA")
     for state in enumerate_states():
         assert_lookups_match_scans(apply_factor_state(small_spec, state, shares), rng)
     assert_lookups_match_scans(three_country_spec, rng)

@@ -64,7 +64,8 @@ class TestValidate:
         bad = cf[key].copy()
         bad[0] = 1.3
         cf[key] = bad
-        spec = small_spec.with_(
+        spec = dataclasses.replace(
+            small_spec,
             time_series=dataclasses.replace(ts, capacity_factors=cf)
         )
         assert any("capacity factor out of [0,1]" in v for v in validate(spec))
@@ -73,11 +74,13 @@ class TestValidate:
         ts = small_spec.time_series
         load = dict(ts.load)
         load["AA"] = load["AA"][:-1]
-        spec = small_spec.with_(time_series=dataclasses.replace(ts, load=load))
+        spec = dataclasses.replace(small_spec, time_series=dataclasses.replace(ts, load=load))
         assert any("series length mismatch" in v for v in validate(spec))
 
     def test_duplicate_country_codes(self, small_spec):
-        spec = small_spec.with_(countries=small_spec.countries + (small_spec.countries[0],))
+        spec = dataclasses.replace(
+            small_spec, countries=small_spec.countries + (small_spec.countries[0],)
+        )
         assert any("not unique" in v for v in validate(spec))
 
     def test_yearly_load_consistency(self, small_spec):
@@ -85,7 +88,7 @@ class TestValidate:
             dataclasses.replace(c, yearly_load_total=c.yearly_load_total * 2)
             for c in small_spec.countries
         )
-        spec = small_spec.with_(countries=countries)
+        spec = dataclasses.replace(small_spec, countries=countries)
         assert any("yearly_load_total inconsistent" in v for v in validate(spec))
 
 
@@ -121,5 +124,5 @@ def test_spec_equality_covers_series():
     assert a == b
     load = dict(b.time_series.load)
     load["AA"] = load["AA"] + 1.0
-    c = b.with_(time_series=dataclasses.replace(b.time_series, load=load))
+    c = dataclasses.replace(b, time_series=dataclasses.replace(b.time_series, load=load))
     assert a != c

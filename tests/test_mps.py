@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gridfactor import assemble, read_mps, solve, verify_certificate, write_mps
+from gridfactor import assemble, solve, verify_certificate, write_mps
 from gridfactor.mps import MpsError, mps_column_name, mps_row_name
-from gridfactor.solve import SolveOptions
 
+from _oracles import read_mps, simplex_lp
 from conftest import wind_only_spec
 
 
@@ -56,8 +56,8 @@ class TestRoundTrip:
         back = read_mps(path)
         assert back.n_cols == lp.n_cols
         assert back.n_rows == lp.n_rows
-        a = solve(lp, SolveOptions(method="highs"))
-        b = solve(back, SolveOptions(method="highs"))
+        a = solve(lp)
+        b = solve(back)
         # 12-character MPS value fields cap coefficients at ~12 significant
         # digits, so round-tripped objectives agree to ~1e-9 relative.
         assert b.objective == pytest.approx(a.objective, rel=1e-6)
@@ -81,8 +81,8 @@ class TestRoundTrip:
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0])
         lp, _ = assemble(spec)
         imported = read_mps(write_mps(lp))
-        external = solve(imported, SolveOptions(method="highs"))
-        native = solve(lp, SolveOptions(method="simplex"))
+        external = solve(imported)
+        native = simplex_lp(lp)
         assert external.objective == pytest.approx(native.objective, rel=1e-6)
         assert verify_certificate(imported, external).ok
 

@@ -14,7 +14,6 @@ from gridfactor.residual import (
     residual_series,
     write_events_csv,
 )
-from gridfactor.solve import SolveOptions
 
 from _oracles import brute_positive_events
 
@@ -59,7 +58,7 @@ class TestResidualSeries:
 
     def test_capacities_from_solution(self, small_spec):
         lp, _ = assemble(small_spec)
-        result = solve(lp, SolveOptions(method="highs"))
+        result = solve(lp)
         caps = capacities_from_result(small_spec, lp, result)
         vre = small_spec.techs_of_kind("variable-renewable")
         assert len(caps) == len(small_spec.countries) * len(vre)
@@ -146,7 +145,7 @@ class TestCrossSection:
 
     def test_anti_correlated_fixture(self, small_spec):
         lp, _ = assemble(small_spec)
-        result = solve(lp, SolveOptions(method="highs"))
+        result = solve(lp)
         caps = capacities_from_result(small_spec, lp, result)
         rows = peak_hour_cross_section(small_spec, caps)
         assert len(rows) == 2  # 2 countries x 1 other

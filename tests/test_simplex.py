@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from gridfactor.simplex import simplex_solve
-
-from _oracles import brute_force_lp_minimum, random_box_lp
+from _oracles import brute_force_lp_minimum, random_box_lp, simplex_solve
 
 
 def _solve(c, A, relations, b, lb, ub):

@@ -12,7 +12,7 @@ from gridfactor.harmonize import FactorState, apply_factor_state, derive_referen
 from gridfactor.lp import LinearProgram
 from gridfactor.solve import SolveError, SolveOptions, _solve_highs
 
-from _oracles import row_assemble
+from _oracles import row_assemble, simplex_lp
 from conftest import wind_only_spec
 from gridfactor import synthesize_system
 
@@ -23,11 +23,18 @@ def mini_spec():
     return synthesize_system(seed=5, n_countries=2, horizon=12, correlation=-0.8)
 
 
+def solve_with(method, lp, iteration_limit=100_000):
+    """``lp`` solved by ``solve`` (HiGHS) or by the reference simplex."""
+    if method == "simplex":
+        return simplex_lp(lp, iteration_limit)
+    return solve(lp, SolveOptions(iteration_limit=iteration_limit))
+
+
 class TestBackendAgreement:
     def test_highs_matches_simplex(self, mini_spec):
         lp, _ = assemble(mini_spec)
-        a = solve(lp, SolveOptions(method="highs"))
-        b = solve(lp, SolveOptions(method="simplex", iteration_limit=200_000))
+        a = solve(lp)
+        b = simplex_lp(lp, iteration_limit=200_000)
         assert a.status == b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, rel=1e-8)
 
@@ -35,13 +42,7 @@ class TestBackendAgreement:
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0])
         lp, _ = assemble(spec)
         result = solve(lp)
-        assert result.method == "highs"
         assert result.status == "optimal"
-
-    def test_unknown_method_rejected(self, small_spec):
-        lp, _ = assemble(small_spec)
-        with pytest.raises(SolveError):
-            solve(lp, SolveOptions(method="barrier"))
 
 
 def tiny_lp(A, relations, rhs, c, lb=None, ub=None):
@@ -62,7 +63,7 @@ class TestHighsStatus:
         troubled = getattr(highs_core.HighsModelStatus, status)
         monkeypatch.setattr(highs_core._Highs, "getModelStatus", lambda self: troubled)
         lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
-        result = solve(lp, SolveOptions(method="highs"))
+        result = solve(lp)
         assert result.status == "numerical"
         assert np.isnan(result.objective)
         assert not result.primal.any() and not result.dual.any()
@@ -78,7 +79,7 @@ class TestHighsStatus:
     def test_iteration_limit(self):
         spec = synthesize_system(seed=7, n_countries=3, horizon=168)
         lp, _ = assemble(apply_factor_state(spec, FactorState.parse("f_123456"), None))
-        result = solve(lp, SolveOptions(method="highs", iteration_limit=1))
+        result = solve(lp, SolveOptions(iteration_limit=1))
         assert result.status == "iteration-limit"
         assert result.iterations <= 1
 
@@ -86,12 +87,18 @@ class TestHighsStatus:
         monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
         lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
         with pytest.raises(SolveError, match=f"scipy {scipy.__version__}: no HiGHS binding"):
-            solve(lp, SolveOptions(method="highs"))
+            solve(lp)
 
     def test_rejected_model_raises(self):
         lp = tiny_lp([[1.0]], ["<"], [1.0], [1.0], lb=[np.inf])
         with pytest.raises(SolveError, match="passModel returned kError"):
-            solve(lp, SolveOptions(method="highs"))
+            solve(lp)
+
+    def test_rejected_option_raises(self):
+        # HiGHS keeps its old value for an option it rejects: here, no limit
+        lp = tiny_lp([[1.0]], [">"], [1.0], [1.0])
+        with pytest.raises(SolveError, match="rejected option simplex_iteration_limit=-5"):
+            solve(lp, SolveOptions(iteration_limit=-5))
 
     @pytest.mark.parametrize("field", ["c", "A", "rhs"])
     def test_non_finite_input_raises(self, field):
@@ -116,8 +123,9 @@ class TestNoColumns:
     )
     def test_rows_at_zero_decide(self, method, relation, rhs, status):
         lp = tiny_lp([], [relation], [rhs], [])
-        result = solve(lp, SolveOptions(method=method))
-        assert (result.status, result.iterations, result.method) == (status, 0, method)
+        assert solve(lp).iterations == 0  # no solver runs
+        result = solve_with(method, lp)
+        assert result.status == status
         assert result.primal.shape == (0,) and result.dual.shape == (1,)
         if status == "optimal":
             assert result.objective == 0.0
@@ -144,7 +152,7 @@ class TestSimplexVariant:
         scenario = apply_factor_state(mini_spec, FactorState.parse(name), shares)
         lp, _ = assemble(scenario)
         highs = solve(lp)
-        reference = solve(lp, SolveOptions(method="simplex", iteration_limit=200_000))
+        reference = simplex_lp(lp, iteration_limit=200_000)
         assert highs.status == reference.status == "optimal"
         assert highs.blocks == (1 if name == "f_123456" else 2)
         got, got_by_country = extract_storage_metrics(scenario, lp, highs)
@@ -344,11 +352,6 @@ class TestStartBasis:
         with pytest.raises(SolveError, match="unknown status"):
             solve(lp, start=np.array([0, 0, 1, 7], dtype=np.int8))
 
-    def test_reference_simplex_takes_no_start(self, coupled_lp):
-        start = solve(coupled_lp, keep_basis=True).basis
-        with pytest.raises(SolveError, match="no start basis"):
-            solve(coupled_lp, SolveOptions(method="simplex"), start=start)
-
     def test_warm_result_never_answers_another_start(self, isolated_lps):
         lp = isolated_lps["f_23456"]
         start = solve(isolated_lps["f_3456"], keep_basis=True).basis
@@ -369,7 +372,7 @@ class TestCertificates:
     @pytest.mark.parametrize("method", ["simplex", "highs"])
     def test_optimal_result_verifies(self, mini_spec, method):
         lp, _ = assemble(mini_spec)
-        result = solve(lp, SolveOptions(method=method, iteration_limit=200_000))
+        result = solve_with(method, lp, iteration_limit=200_000)
         report = verify_certificate(lp, result)
         assert report.ok, report.messages
         assert report.primal_residual <= 1e-6 * (1 + np.abs(lp.rhs).max())
@@ -377,7 +380,7 @@ class TestCertificates:
 
     def test_highs_verifies_on_larger_instance(self, small_spec):
         lp, _ = assemble(small_spec)
-        result = solve(lp, SolveOptions(method="highs"))
+        result = solve(lp)
         assert verify_certificate(lp, result).ok
 
     def test_perturbed_primal_flagged(self):
@@ -405,14 +408,14 @@ class TestDualConvention:
         lp, _ = assemble(spec)
         row_meta = row_assemble(spec)[2].row_meta  # same A, bit for bit
         for method in ("simplex", "highs"):
-            result = solve(lp, SolveOptions(method=method))
+            result = solve_with(method, lp)
             balance = [i for i, m in enumerate(row_meta) if m[0] == "balance"]
             assert all(result.dual[i] >= -1e-9 for i in balance)
             # finite-difference check on hour 0
             bumped = lp.rhs.copy()
             bumped[balance[0]] += 1e-3
             lp.rhs = bumped
-            bumped_result = solve(lp, SolveOptions(method=method))
+            bumped_result = solve_with(method, lp)
             gain = (bumped_result.objective - result.objective) / 1e-3
             lp.rhs[balance[0]] -= 1e-3
             assert gain == pytest.approx(result.dual[balance[0]], rel=1e-4, abs=1e-6)

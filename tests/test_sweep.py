@@ -8,9 +8,8 @@ import pytest
 
 import gridfactor.sweep as sweep_mod
 from gridfactor import write_system
-from gridfactor.harmonize import derive_reference_shares, enumerate_subset_states
+from gridfactor.harmonize import enumerate_subset_states
 from gridfactor.serialize import read_system
-from gridfactor.solve import SolveOptions
 from gridfactor.sweep import (
     LEDGER_SCHEMA,
     RunManifest,
@@ -22,8 +21,6 @@ from gridfactor.sweep import (
     run_sweep,
     warm_parents,
 )
-
-OPTIONS = SolveOptions(method="highs")
 
 
 def synthetic_ledger(factors=(1, 2, 3, 4, 5, 6)):
@@ -42,7 +39,6 @@ def manifest(system_dir, tmp_path):
         reference_country="AA",
         out_dir=str(tmp_path / "out"),
         factors=(1, 2),
-        solver=OPTIONS,
     )
 
 
@@ -87,7 +83,6 @@ class TestRunSweep:
                 reference_country="AA",
                 out_dir=str(tmp_path / f"out{i}"),
                 factors=(1, 2),
-                solver=OPTIONS,
                 workers=workers,
                 export_mps=True,
             )
@@ -151,7 +146,6 @@ def sweep_outputs(system_dir, out_dir, factors, workers):
         reference_country="AA",
         out_dir=str(out_dir),
         factors=factors,
-        solver=OPTIONS,
         workers=workers,
     )
     ledger = run_sweep(m)
@@ -229,15 +223,6 @@ class TestWarmStarts:
             "f_23456": "f_2356",
             "f_123456": "f_12356",
         }
-
-    def test_reference_simplex_sweeps_start_every_state_cold(self, manifest):
-        warm = dataclasses.replace(manifest, factors=(1, 3, 4))
-        base = read_system(warm.system_manifest)
-        shares = derive_reference_shares(base, "AA")
-        assert sweep_mod._warm_starts(warm, base, shares) == warm_parents((1, 3, 4))
-        # the reference simplex takes no start, so no state waits for a parent
-        simplex = dataclasses.replace(warm, solver=SolveOptions(method="simplex"))
-        assert set(sweep_mod._warm_starts(simplex, base, shares).values()) == {None}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parent_of_another_shape_is_not_started_from(self, small_spec, tmp_path, workers):
@@ -409,7 +394,6 @@ class TestResume:
             reference_country="AB",
             out_dir=manifest.out_dir,
             factors=(1, 2),
-            solver=OPTIONS,
         )
         with pytest.raises(SweepError, match="hash"):
             resume(tampered, Path(manifest.out_dir) / "ledger.json")
@@ -420,7 +404,6 @@ class TestResume:
             reference_country="AA",
             out_dir=manifest.out_dir,
             factors=(1, 2),
-            solver=OPTIONS,
             workers=8,
         )
         assert other.digest() == manifest.digest()
