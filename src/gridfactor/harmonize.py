@@ -188,7 +188,9 @@ def derive_reference_shares(
         raise HarmonizeError(f"reference country {reference_country} not in spec") from None
     sub = isolate_country(spec, reference_country)
     lp, _ = assemble(sub)
-    result = solve(lp, solve_options, reuse)
+    # kept with its basis, the stored block also answers a sweep state
+    # that hands its basis on
+    result = solve(lp, solve_options, reuse, keep_basis=reuse is not None)
     if result.status != "optimal":
         raise HarmonizeError(
             f"isolated reference run for {reference_country} is {result.status}"

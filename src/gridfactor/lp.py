@@ -8,10 +8,12 @@ by +/- NTC. Column and row ordering is deterministic (sorted by entity
 id, then hour) so repeated builds are bit-identical.
 
 Every hourly family of one (country, technology) occupies a contiguous
-column slice and every constraint family a contiguous row block, so the
-matrix is emitted as coordinate arrays per block rather than row by row.
-The map of column slices is the LP's only layout: column names and
-metadata are derived from it on demand, and rows carry no labels.
+column slice and every constraint family of one country or (country,
+technology) a contiguous row block, so the matrix is emitted as
+coordinate arrays per block rather than row by row. The maps of column
+slices and row blocks are the LP's only layout: column names and
+metadata are derived from the column map on demand, and rows carry no
+names.
 """
 
 from __future__ import annotations
@@ -62,8 +64,10 @@ class LinearProgram:
     """Minimization LP: ``A x (relations) rhs``, ``lb <= x <= ub``, cost ``c``.
 
     ``blocks`` maps ``(family, country, tech)`` or ``("flow", line)`` to its
-    column slice, in column order, and is the LP's only layout: column
-    names and metadata are derived from it. It is empty for an LP not
+    column slice, in column order, and ``row_blocks`` maps
+    ``("balance", country)`` or ``(family, country, tech)`` to its row
+    slice, in row order. They are the LP's only layout: column names and
+    metadata are derived from ``blocks``. Both are empty for an LP not
     built by ``assemble``, which therefore has no column labels.
     """
 
@@ -74,6 +78,7 @@ class LinearProgram:
     relations: np.ndarray
     rhs: np.ndarray
     blocks: dict[tuple, slice] = field(default_factory=dict)
+    row_blocks: dict[tuple, slice] = field(default_factory=dict)
     name: str = "GRIDFACT"
 
     @property
@@ -272,19 +277,22 @@ class _Rows(_Registry):
 
     def __init__(self, horizon: int):
         super().__init__(horizon)
+        self.blocks: dict[tuple, slice] = {}  # ("balance", country) or (family, country, tech)
         self.relations: list[np.ndarray] = []
         self.rhs: list[np.ndarray] = []
         self.ri: list[np.ndarray] = []
         self.ci: list[np.ndarray] = []
         self.data: list[np.ndarray] = []
 
-    def block(self, family: str, relation: str, terms, rhs=0.0) -> None:
+    def block(self, key: tuple, relation: str, terms, rhs=0.0) -> None:
         """One row per hour; ``terms`` are (column, coefficient) pairs over hours.
 
-        A column, coefficient or ``rhs`` may be a scalar (the same for
-        every hour) or a length-``horizon`` array.
+        ``key`` names the block, its family first. A column, coefficient
+        or ``rhs`` may be a scalar (the same for every hour) or a
+        length-``horizon`` array.
         """
-        first = self._add(family, self.horizon)
+        first = self._add(key[0], self.horizon)
+        self.blocks[key] = slice(first, self.n)
         cols = np.empty((len(terms), self.horizon), dtype=np.int64)
         coeffs = np.empty((len(terms), self.horizon))
         for t, (col, coeff) in enumerate(terms):
@@ -393,7 +401,7 @@ def _balance_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows, codes) -> 
             terms[line.from_country].append((flows, 1.0))
             terms[line.to_country].append((flows, -1.0))
     for code in codes:
-        rows.block("balance", "=", terms[code], spec.time_series.load[code])
+        rows.block(("balance", code), "=", terms[code], spec.time_series.load[code])
 
 
 def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None:
@@ -420,11 +428,11 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                     np.asarray(profile, dtype=float) if profile is not None else 1.0
                 )
             gen, cap = cols.hours(("gen", *key)), cols.blocks[("cap_power", *key)].start
-            rows.block("gen_cap", "<", [(gen, 1.0), (cap, -avail)])
+            rows.block(("gen_cap", *key), "<", [(gen, 1.0), (cap, -avail)])
         elif tech.kind == "storage":
             level, inp, out = (cols.hours((f, *key)) for f in ("sto_level", "sto_in", "sto_out"))
             rows.block(
-                "sto_balance",
+                ("sto_balance", *key),
                 "=",
                 [
                     (level, 1.0),
@@ -439,13 +447,13 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                 ("sto_discharge_cap", out, "cap_discharge"),
             ):
                 cap_col = cols.blocks[(cap, *key)].start
-                rows.block(family, "<", [(hourly, 1.0), (cap_col, -1.0)])
+                rows.block((family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
         elif tech.kind == "reservoir":
             level, out, spill = (
                 cols.hours((f, *key)) for f in ("rsv_level", "rsv_out", "rsv_spill")
             )
             rows.block(
-                "rsv_balance",
+                ("rsv_balance", *key),
                 "=",
                 [
                     (level, 1.0),
@@ -460,7 +468,7 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                 ("rsv_discharge_cap", out, "cap_discharge"),
             ):
                 cap_col = cols.blocks[(cap, *key)].start
-                rows.block(family, "<", [(hourly, 1.0), (cap_col, -1.0)])
+                rows.block((family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
 
 
 def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
@@ -485,6 +493,7 @@ def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
         relations=np.concatenate(rows.relations),
         rhs=np.concatenate(rows.rhs),
         blocks=cols.blocks,
+        row_blocks=rows.blocks,
     )
     report = BuildReport(
         horizon=cols.horizon,
@@ -498,7 +507,7 @@ def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
 def lp_digest(lp: LinearProgram) -> str:
     """SHA-256 of the LP's numbers: shape, CSR arrays, costs, bounds, rows.
 
-    The block map is left out; two LPs with equal digests are the same
+    The block maps are left out; two LPs with equal digests are the same
     optimization problem in the same column and row order.
     """
     h = hashlib.sha256()

@@ -3,25 +3,37 @@
 ``solve`` hands HiGHS each independent block of the LP as its own
 model: CSR rows, and row bounds (-inf, rhs], [rhs, inf) or [rhs, rhs]
 from the relations. It runs on one thread with the primal revised simplex
-(Huangfu & Hall, *Math. Prog. Comp.* 2018, describe both of HiGHS's
-simplex variants): on the capacity-expansion LPs here it takes 15-30 %
-more iterations than the default dual simplex but 0.61-0.82 of its CPU
-time on coupled 3-country x 168 h LPs, and 0.88-0.91 on isolated
-country blocks. Its optimal, infeasible, unbounded and iteration-limit
-statuses keep their names; any other reads ``numerical``. An LP with no
-columns never reaches a solver: it is optimal with objective 0 when
-every row holds at x = 0, else infeasible. Row duals follow the dZ/db
-convention (non-positive for binding <= rows of a minimization). The
-test suite checks HiGHS's results against a dense reference simplex
-(``tests/_oracles.py``).
+by default (Huangfu & Hall, *Math. Prog. Comp.* 2018, describe both of
+HiGHS's simplex variants): on the capacity-expansion LPs here, solved
+cold, it takes 15-30 % more iterations than the dual simplex but
+0.61-0.82 of its CPU time on coupled 3-country x 168 h LPs, and
+0.88-0.91 on isolated country blocks. Its optimal, infeasible,
+unbounded and iteration-limit statuses keep their names; any other
+reads ``numerical``. An LP with no columns never reaches a solver: it
+is optimal with objective 0 when every row holds at x = 0, else
+infeasible. Row duals follow the dZ/db convention (non-positive for
+binding <= rows of a minimization). The test suite checks HiGHS's
+results against a dense reference simplex (``tests/_oracles.py``).
 
 A HiGHS solve can start from a simplex basis and hand back its final
 one. A basis is one ``int8`` array in LP order, the column statuses and
 then the row statuses, with HiGHS's ``HighsBasisStatus`` values (0 at
 lower bound, 1 basic, 2 at upper bound, 3 free at zero, 4 nonbasic).
-Each independent block starts from its slice of it. A started solve
-skips presolve, so from a nearby LP's optimal basis it takes a fraction
-of the iterations of a cold one.
+Each independent block starts from its slice of it. A slice that does
+not hold one basic status per row goes to HiGHS as an alien basis,
+which HiGHS repairs before it starts. A started solve skips presolve,
+so from a nearby LP's optimal basis it takes a fraction of the
+iterations of a cold one.
+
+``map_basis`` carries a basis from one assembled LP to another of other
+columns or rows, by the block keys of the two layouts: shared blocks
+keep their statuses, new columns start nonbasic at their lower bound
+and new rows basic. After a change that moves right-hand sides only or
+adds columns at a bound, that start stays dual feasible, the textbook
+case for the dual simplex (Koberstein, PhD thesis, Paderborn 2005);
+``solve(..., simplex="dual")`` runs HiGHS's dual simplex
+(``simplex_strategy`` 1) instead of the primal. A sweep does so on the
+edges that add interconnection or native load (``gridfactor.sweep``).
 """
 
 from __future__ import annotations
@@ -62,11 +74,15 @@ class SolveResult:
     reused_blocks: int = 0  # blocks answered from ``solve``'s ``reuse`` dict
     # final simplex basis in LP order (module docstring), when asked for
     basis: np.ndarray | None = None
+    alien_start: bool = False  # a block's start went to HiGHS to repair
 
 
-# ``solve``'s reuse key of a block: its lp_digest, and a digest of its
-# start basis or None for a cold start
-ReuseKey = tuple[str, str | None]
+# ``solve``'s reuse key of a block: its lp_digest, a digest of its start
+# basis or None for a cold start, and the simplex variant
+ReuseKey = tuple[str, str | None, str]
+
+# HiGHS ``simplex_strategy`` of each simplex variant (module docstring)
+_SIMPLEX_STRATEGY = {"primal": 4, "dual": 1}
 
 
 def solve(
@@ -75,6 +91,7 @@ def solve(
     reuse: dict[ReuseKey, SolveResult] | None = None,
     start: np.ndarray | None = None,
     keep_basis: bool = False,
+    simplex: str = "primal",
 ) -> SolveResult:
     """Solve ``lp``; HiGHS solves each independent block on its own.
 
@@ -84,16 +101,18 @@ def solve(
     is not optimal gives the LP its status. An LP of one block is one
     HiGHS call on the LP as given.
 
-    ``reuse`` maps a block's ``ReuseKey`` to its optimal result, final
-    basis included. A block found there is not solved again; one solved
-    here is added.
+    ``reuse`` maps a block's ``ReuseKey`` to its optimal result. A block
+    found there is not solved again; one solved here is added. A stored
+    result without a final basis does not answer a caller that keeps one.
 
     ``start`` is a basis in LP order (module docstring) for HiGHS to
     start from; one of the wrong length, or one HiGHS rejects, raises
     ``SolveError``. With ``keep_basis`` an optimal result carries its
-    final basis in that form.
+    final basis in that form. ``simplex`` is ``"primal"`` or ``"dual"``.
     """
     options = options or SolveOptions()
+    if simplex not in _SIMPLEX_STRATEGY:
+        raise SolveError(f"unknown simplex variant {simplex!r}: {sorted(_SIMPLEX_STRATEGY)}")
     if not all(np.isfinite(a).all() for a in (lp.c, lp.A.data, lp.rhs)):
         raise SolveError(f"LP {lp.name!r} has a non-finite cost, coefficient or right-hand side")
     if start is not None and start.shape != (lp.n_cols + lp.n_rows,):
@@ -106,11 +125,11 @@ def solve(
 
     parts = _independent_blocks(lp)
     if not parts:
-        result, reused = _solve_block(lp, options, reuse, start, keep_basis)
+        result, reused = _solve_block(lp, options, reuse, start, keep_basis, simplex)
         return replace(result, reused_blocks=1) if reused else result
     primal, dual = np.zeros(lp.n_cols), np.zeros(lp.n_rows)
     basis = np.zeros(lp.n_cols + lp.n_rows, dtype=np.int8) if keep_basis else None
-    objective, iterations, reused_blocks = 0.0, 0, 0
+    objective, iterations, reused_blocks, alien = 0.0, 0, 0, False
     for rows, cols in parts:
         # the block's positions in an LP-order basis
         order = np.concatenate([cols, lp.n_cols + rows])
@@ -125,9 +144,10 @@ def solve(
         )
         budget = replace(options, iteration_limit=options.iteration_limit - iterations)
         block_start = None if start is None else start[order]
-        result, reused = _solve_block(block, budget, reuse, block_start, keep_basis)
+        result, reused = _solve_block(block, budget, reuse, block_start, keep_basis, simplex)
         iterations += result.iterations
         reused_blocks += reused
+        alien = alien or result.alien_start
         if result.status != "optimal":
             objective, primal, dual = float("nan"), np.zeros(lp.n_cols), np.zeros(lp.n_rows)
             basis = None
@@ -146,7 +166,41 @@ def solve(
         blocks=len(parts),
         reused_blocks=reused_blocks,
         basis=basis,
+        alien_start=alien,
     )
+
+
+def map_basis(
+    basis: np.ndarray,
+    blocks: dict[tuple, slice],
+    row_blocks: dict[tuple, slice],
+    lp: LinearProgram,
+) -> np.ndarray:
+    """A basis of an LP laid out by ``blocks`` and ``row_blocks``, on ``lp``'s layout.
+
+    Both LPs come from ``assemble`` with one horizon. A column or row
+    block whose key both layouts have keeps its statuses; a new column
+    starts nonbasic at its lower bound (0), a new row basic (1). Equal
+    layouts give back ``basis`` itself. The result may hold more or
+    fewer basic statuses than ``lp`` has rows; ``solve`` hands such a
+    start to HiGHS to repair.
+    """
+    if blocks == lp.blocks and row_blocks == lp.row_blocks:
+        return basis
+    source_cols = sum(block.stop - block.start for block in blocks.values())
+    mapped = np.zeros(lp.n_cols + lp.n_rows, dtype=np.int8)
+    mapped[lp.n_cols :] = 1
+    for target, source, at, start_at in (
+        (lp.blocks, blocks, 0, 0),
+        (lp.row_blocks, row_blocks, lp.n_cols, source_cols),
+    ):
+        for key, to in target.items():
+            came = source.get(key)
+            if came is not None:
+                mapped[at + to.start : at + to.stop] = basis[
+                    start_at + came.start : start_at + came.stop
+                ]
+    return mapped
 
 
 def _independent_blocks(lp: LinearProgram) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -182,21 +236,24 @@ def _solve_block(
     reuse: dict[ReuseKey, SolveResult] | None,
     start: np.ndarray | None,
     keep_basis: bool,
+    simplex: str,
 ) -> tuple[SolveResult, bool]:
-    """HiGHS result for one block, and whether it came from ``reuse``.
-
-    A result stored in ``reuse`` always carries its basis, so a stored
-    block can answer a caller that keeps bases.
-    """
+    """HiGHS result for one block, and whether it came from ``reuse``."""
     if reuse is None:
-        return _solve_highs(lp, options, start, keep_basis), False
-    key = (lp_digest(lp), None if start is None else hashlib.sha256(start.tobytes()).hexdigest())
+        return _solve_highs(lp, options, start, keep_basis, simplex), False
+    started = None if start is None else hashlib.sha256(start.tobytes()).hexdigest()
+    key = (lp_digest(lp), started, simplex)
     known = reuse.get(key)
-    # HiGHS is deterministic: from the same start and with more iterations
-    # left than the stored solve took, solving again would retrace it
-    if known is not None and known.iterations < options.iteration_limit:
+    # HiGHS is deterministic: from the same start, by the same simplex and
+    # with more iterations left than the stored solve took, solving again
+    # would retrace it; a result stored without its basis has none to give
+    if (
+        known is not None
+        and known.iterations < options.iteration_limit
+        and (known.basis is not None or not keep_basis)
+    ):
         return known, True
-    result = _solve_highs(lp, options, start, keep_basis=True)
+    result = _solve_highs(lp, options, start, keep_basis, simplex)
     if result.status == "optimal":
         reuse[key] = result
     return result, False
@@ -227,9 +284,6 @@ def _solve_without_columns(lp: LinearProgram) -> SolveResult:
     )
 
 
-# HiGHS ``simplex_strategy`` 4: the primal revised simplex (module docstring)
-_PRIMAL_SIMPLEX = 4
-
 # HighsModelStatus name -> status name; any other status (kUnboundedOrInfeasible,
 # kSolveError, ...) is numerical trouble, never a claim about the LP
 _HIGHS_STATUS = {
@@ -245,6 +299,7 @@ def _solve_highs(
     options: SolveOptions,
     start: np.ndarray | None = None,
     keep_basis: bool = False,
+    simplex: str = "primal",
 ) -> SolveResult:
     try:
         import scipy.optimize._highspy._core as highs_core
@@ -264,7 +319,7 @@ def _solve_highs(
     for option, value in (
         ("output_flag", False),
         ("threads", 1),
-        ("simplex_strategy", _PRIMAL_SIMPLEX),
+        ("simplex_strategy", _SIMPLEX_STRATEGY[simplex]),
         ("simplex_iteration_limit", options.iteration_limit),
         ("ipm_iteration_limit", options.iteration_limit),
     ):
@@ -275,8 +330,7 @@ def _solve_highs(
     passed = highs.passModel(model)
     if passed == highs_core.HighsStatus.kError:
         raise SolveError(f"HiGHS rejected LP {lp.name!r}: passModel returned {passed.name}")
-    if start is not None:
-        _set_basis(highs, highs_core, lp, start)
+    alien = start is not None and _set_basis(highs, highs_core, lp, start)
     highs.run()
 
     status = _HIGHS_STATUS.get(highs.getModelStatus().name, "numerical")
@@ -290,6 +344,7 @@ def _solve_highs(
         dual=np.asarray(solution.row_dual) if optimal else np.zeros(lp.n_rows),
         iterations=int(info.simplex_iteration_count),
         basis=_final_basis(highs, lp) if optimal and keep_basis else None,
+        alien_start=alien,
     )
 
 
@@ -301,11 +356,11 @@ def _final_basis(highs, lp: LinearProgram) -> np.ndarray:
     return np.array(basis.col_status + basis.row_status, dtype=np.int8)
 
 
-def _set_basis(highs, highs_core, lp: LinearProgram, start: np.ndarray) -> None:
+def _set_basis(highs, highs_core, lp: LinearProgram, start: np.ndarray) -> bool:
     """Give ``highs`` the start basis ``start``; raise if HiGHS rejects it.
 
-    The basis is not alien: HiGHS checks that it has one basic variable
-    per row instead of repairing it.
+    A start without one basic status per row is passed as alien, and
+    HiGHS repairs it; return whether it was.
     """
     kinds = len(highs_core.HighsBasisStatus.__members__)
     if start.size and not (0 <= start.min() and start.max() < kinds):
@@ -314,9 +369,11 @@ def _set_basis(highs, highs_core, lp: LinearProgram, start: np.ndarray) -> None:
     basis = highs_core.HighsBasis()
     basis.col_status = [statuses[s] for s in start[: lp.n_cols].tolist()]
     basis.row_status = [statuses[s] for s in start[lp.n_cols :].tolist()]
-    basis.alien, basis.valid = False, True
+    alien = bool(np.count_nonzero(start == 1) != lp.n_rows)
+    basis.alien, basis.valid = alien, True
     if highs.setBasis(basis) == highs_core.HighsStatus.kError:
         raise SolveError(f"HiGHS rejected the start basis of LP {lp.name!r}")
+    return alien
 
 
 @dataclass

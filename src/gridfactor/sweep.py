@@ -10,24 +10,30 @@ for resume and audit.
 Each state but the roots of the factor lattice starts HiGHS from the
 final simplex basis of one parent state (``warm_parents``): the state
 less the highest of factors 6, 4 and 3 that it has and the design
-varies. Solar (3) and load (4) change profiles only. Bioenergy (6)
-changes a portfolio, which adds or removes a country's bioenergy
-columns where its own and the reference's presence differ; a state
-whose LP differs in shape from its parent's is a root too
-(``_warm_starts``). Interconnection (1) and hydro (5) change the shape,
-and a wind (2) neighbour's basis starts slower than a cold solve. A
-state runs as soon as its parent is done, with the parent's basis in
-its payload; a child of a parent that is not optimal solves cold. A
-parent state persists its basis as ``states/<name>.basis.npy`` for
-resume.
+varies, else less hydro (5), else less interconnection (1). Wind (2) is
+never dropped: a wind neighbour's basis saves no time and costs the
+reuse of the reference country's block. So the full design's roots are
+``f_0`` and ``f_2``, and they solve cold. The parent's basis is carried
+to the child's LP by block key (``map_basis``): interconnection adds
+flow columns, and hydro and bioenergy add or remove a country's
+columns and rows where its own portfolio and the reference's differ.
+A start that does not have one basic status per row goes to HiGHS as
+alien and is repaired there. The edges of interconnection (1) and load
+(4) run the dual simplex, every other edge and every cold solve the
+primal: the variant belongs to the edge, not to an option. A state
+runs as soon as its parent is done, with the parent's basis and block
+maps in its payload; a child of a parent that is not optimal solves
+cold. A parent state persists its basis as ``states/<name>.basis.npy``
+for resume, which rebuilds the block maps by assembling the parent's
+LP.
 
 Within one sweep, the blocks of isolated states are kept by
-``lp_digest`` and start (``_REUSE``) and not solved again: an isolated
-state is one block per country, and a country's block repeats across
-states and matches the reference country's own solve. HiGHS is
-deterministic, so a state's result depends only on its LP and start:
-ledgers do not depend on what was reused, on the schedule or on the
-worker count.
+``lp_digest``, start and simplex variant (``_REUSE``) and not solved
+again: an isolated state is one block per country, and a country's
+block repeats across states and matches the reference country's own
+solve. HiGHS is deterministic, so a state's result depends only on its
+LP, start and simplex variant: ledgers do not depend on what was
+reused, on the schedule or on the worker count.
 """
 
 from __future__ import annotations
@@ -57,11 +63,19 @@ from .harmonize import (
     derive_reference_shares,
     enumerate_subset_states,
 )
-from .lp import assemble, lp_digest, portfolio, write_solution_csv
+from .lp import assemble, lp_digest, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
 from .serialize import manifest_digest, read_system, system_doc
-from .solve import SOLVER, ReuseKey, SolveOptions, SolveResult, solve, verify_certificate
+from .solve import (
+    SOLVER,
+    ReuseKey,
+    SolveOptions,
+    SolveResult,
+    map_basis,
+    solve,
+    verify_certificate,
+)
 
 VERSION = "1.0.0"
 LEDGER_SCHEMA = "gridfactor-ledger/3"
@@ -71,8 +85,9 @@ class SweepError(GridFactorError):
     pass
 
 
-# (lp_digest, start digest) of a block -> its optimal result, for the
-# length of one run_sweep; each pool worker starts from a copy of the parent's
+# (lp_digest, start digest, simplex) of a block -> its optimal result, for
+# the length of one run_sweep; each pool worker starts from a copy of the
+# parent's
 _REUSE: dict[ReuseKey, SolveResult] = {}
 
 
@@ -81,17 +96,20 @@ def _seed_reuse(results: dict[ReuseKey, SolveResult]) -> None:
     _REUSE.update(results)
 
 
-# factors a state may drop to find its warm-start parent, highest first
-_WARM_FACTORS = (6, 4, 3)
+# factors a state may drop to find its warm-start parent, first choice first
+_WARM_FACTORS = (6, 4, 3, 5, 1)
+
+# factors whose edges run the dual simplex
+_DUAL_FACTORS = frozenset({1, 4})
 
 
 def warm_parents(factors: tuple[int, ...]) -> dict[str, str | None]:
     """Each state of the design -> the state whose basis it starts from.
 
-    The parent drops the highest of factors 6, 4 and 3 that the state
-    has and the design varies; a state with none of them is a root
-    (None) and solves cold. The rule depends on names only, so every
-    schedule warm-starts a state from the same parent.
+    The parent drops the first of factors 6, 4, 3, 5 and 1 that the
+    state has and the design varies; a state with none of them is a
+    root (None) and solves cold. The rule depends on names only, so
+    every schedule warm-starts a state from the same parent.
     """
     parents = {}
     for state in enumerate_subset_states(factors):
@@ -103,35 +121,21 @@ def warm_parents(factors: tuple[int, ...]) -> dict[str, str | None]:
     return parents
 
 
-def _warm_starts(
-    manifest: RunManifest, base: PowerSystemSpec, shares: ReferenceShares
-) -> dict[str, str | None]:
-    """Each state of the sweep -> the state it starts from, or None.
-
-    The ``warm_parents`` parent, where the parent's LP has the child's
-    columns and rows.
-    """
-    parents = warm_parents(manifest.factors)
-    shapes = {
-        state.name: _lp_shape(apply_factor_state(base, state, shares))
-        for state in enumerate_subset_states(manifest.factors)
-    }
-    return {
-        name: parent if parent is not None and shapes[parent] == shapes[name] else None
-        for name, parent in parents.items()
-    }
-
-
-def _lp_shape(scenario: PowerSystemSpec) -> tuple:
-    """What sets one state's LP columns and rows apart from another's.
-
-    States of one sweep share countries, technologies, lines and
-    horizon, so their portfolios and interconnection switches decide.
-    """
-    return (
-        scenario.interconnection_enabled,
-        tuple((code, tech.id) for code, tech in portfolio(scenario)),
+def _edge_simplex(name: str, parent: str) -> str:
+    """The simplex variant of the edge from state ``parent`` to state ``name``."""
+    added = set(FactorState.parse(name).active_factors) - set(
+        FactorState.parse(parent).active_factors
     )
+    return "dual" if added & _DUAL_FACTORS else "primal"
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """A parent's final basis and the block maps of its LP."""
+
+    statuses: np.ndarray
+    blocks: dict[tuple, slice]
+    row_blocks: dict[tuple, slice]
 
 
 @dataclass(frozen=True)
@@ -208,13 +212,13 @@ def _state_paths(out_dir: Path, state_name: str) -> tuple[Path, Path, Path]:
     )
 
 
-def _run_state(payload) -> tuple[dict, np.ndarray | None]:
+def _run_state(payload) -> tuple[dict, _Basis | None]:
     """Build, solve, and persist one factor state (process-pool task).
 
     Returns the ledger entry and, for a state with children
-    (``keep_basis``), its final basis when optimal.
+    (``keep_basis``), its final basis and block maps when optimal.
     """
-    (base, shares, state_name, solver, out_dir, export_mps, warm_from, start, keep_basis) = payload
+    (base, shares, state_name, solver, out_dir, export_mps, warm_from, parent, keep_basis) = payload
     out_dir = Path(out_dir)
     state = FactorState.parse(state_name)
     started = time.perf_counter()
@@ -226,7 +230,11 @@ def _run_state(payload) -> tuple[dict, np.ndarray | None]:
         write_mps(lp, mps_dir / f"{state_name}.mps")
     # a coupled state's LP is one block that no other state repeats
     reuse = None if scenario.interconnection_enabled else _REUSE
-    result = solve(lp, solver, reuse, start, keep_basis)
+    start, simplex = None, "primal"
+    if parent is not None:
+        start = map_basis(parent.statuses, parent.blocks, parent.row_blocks, lp)
+        simplex = _edge_simplex(state_name, warm_from)
+    result = solve(lp, solver, reuse, start, keep_basis, simplex)
 
     entry = {
         "state": state_name,
@@ -270,9 +278,13 @@ def _run_state(payload) -> tuple[dict, np.ndarray | None]:
             "blocks": result.blocks,
             "reused_blocks": result.reused_blocks,
             "warm_from": warm_from,
+            "simplex": simplex,
+            "alien_start": result.alien_start,
         }
         meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    basis = result.basis if keep_basis else None
+    basis = None
+    if keep_basis and result.basis is not None:
+        basis = _Basis(result.basis, lp.blocks, lp.row_blocks)
     return {**entry, "timing_seconds": wall}, basis
 
 
@@ -283,7 +295,7 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
     the remaining states are solved. A completed state with children
     counts only when its ``states/<name>.basis.npy`` is there, so that
     its children start where a fresh sweep would start them. Each state
-    starts from its ``_warm_starts`` parent's basis and is submitted as
+    starts from its ``warm_parents`` parent's basis and is submitted as
     soon as that parent is done; at one worker the states run in
     canonical order, which puts every parent before its children. On
     any non-optimal state the partial ledger is written before raising.
@@ -299,28 +311,28 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
         )
         _write_shares(out_dir / "reference_shares.json", shares)
 
-        parents = _warm_starts(manifest, base, shares)
+        parents = warm_parents(manifest.factors)
         basis_states = {p for p in parents.values() if p is not None}
         entries, bases = {}, {}
         for name, entry in (completed or {}).items():
-            if name in basis_states:
-                basis_path = _state_paths(out_dir, name)[2]
-                if not basis_path.exists():
-                    continue
-                bases[name] = np.load(basis_path)
-            entries[name] = entry
+            if name not in basis_states or _state_paths(out_dir, name)[2].exists():
+                entries[name] = entry
         pending = [s.name for s in states if s.name not in entries]
+        # a completed parent's block maps come from assembling its LP again
+        for name in sorted({parents[child] for child in pending} & entries.keys()):
+            lp, _ = assemble(apply_factor_state(base, FactorState.parse(name), shares))
+            statuses = np.load(_state_paths(out_dir, name)[2])
+            bases[name] = _Basis(statuses, lp.blocks, lp.row_blocks)
 
         def payload(name: str):
-            parent = parents[name]
-            start = bases.get(parent)
-            warm_from = parent if start is not None else None
+            parent = bases.get(parents[name])
+            warm_from = parents[name] if parent is not None else None
             return (
                 base, shares, name, manifest.solver, str(out_dir), manifest.export_mps,
-                warm_from, start, name in basis_states,
+                warm_from, parent, name in basis_states,
             )
 
-        def record(name: str, outcome: tuple[dict, np.ndarray | None]) -> None:
+        def record(name: str, outcome: tuple[dict, _Basis | None]) -> None:
             entry, basis = outcome
             entries[name] = entry
             if basis is not None:

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from gridfactor import annuity, assemble, solve
 from gridfactor.harmonize import FactorState, apply_factor_state
-from gridfactor.lp import BuildError, LinearProgram, write_solution_csv
+from gridfactor.lp import BuildError, LinearProgram, lp_digest, write_solution_csv
 from gridfactor.mps import write_mps
 from gridfactor.model import (
     Country,
@@ -47,6 +47,19 @@ class TestStructure:
     def test_balance_row_counts(self, small_spec):
         _, report = assemble(small_spec)
         assert report.rows_by_family["balance"] == 2 * 48  # countries x hours
+
+    def test_row_blocks_tile_the_rows(self, small_spec):
+        lp, report = assemble(small_spec)
+        slices = list(lp.row_blocks.values())
+        assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+        assert slices[-1].stop == lp.n_rows
+        assert list(lp.row_blocks)[:2] == [("balance", "AA"), ("balance", "AB")]
+        for family, count in report.rows_by_family.items():
+            rows = [s.stop - s.start for key, s in lp.row_blocks.items() if key[0] == family]
+            assert sum(rows) == count
+        # the block maps are layout, not part of the optimization problem
+        bare = dataclasses.replace(lp, blocks={}, row_blocks={})
+        assert lp_digest(bare) == lp_digest(lp)
 
     def test_two_by_two_balance_counting(self):
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0])

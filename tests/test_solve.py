@@ -10,7 +10,7 @@ from gridfactor import assemble, solve, verify_certificate
 from gridfactor.factorize import extract_storage_metrics
 from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
 from gridfactor.lp import LinearProgram
-from gridfactor.solve import SolveError, SolveOptions, _solve_highs
+from gridfactor.solve import SolveError, SolveOptions, _solve_highs, map_basis
 
 from _oracles import row_assemble, simplex_lp
 from conftest import wind_only_spec
@@ -340,11 +340,29 @@ class TestStartBasis:
         with pytest.raises(SolveError, match="start basis"):
             solve(coupled_lp, start=start[:-1])
 
+    def test_start_with_too_many_basics_is_repaired(self):
+        A, relations, rhs, c = TWO_BLOCKS
+        lp = tiny_lp(A, relations, rhs, c)
+        result = solve(lp, start=np.ones(4, dtype=np.int8))  # four basic for two rows
+        assert (result.status, result.alien_start) == ("optimal", True)
+        assert result.objective == pytest.approx(3.0)
+        assert verify_certificate(lp, result).ok
+
     def test_start_rejected_by_highs_raises(self):
+        class Refusing:
+            def setBasis(self, basis):
+                return highs_core.HighsStatus.kError
+
         A, relations, rhs, c = TWO_BLOCKS
         lp = tiny_lp(A, relations, rhs, c)
         with pytest.raises(SolveError, match="rejected the start basis"):
-            solve(lp, start=np.ones(4, dtype=np.int8))  # four basic for two rows
+            sys.modules["gridfactor.solve"]._set_basis(
+                Refusing(), highs_core, lp, np.array([1, 1, 0, 0], dtype=np.int8)
+            )
+
+    def test_unknown_simplex_variant_raises(self, coupled_lp):
+        with pytest.raises(SolveError, match="simplex variant"):
+            solve(coupled_lp, simplex="barrier")
 
     def test_unknown_status_raises(self):
         A, relations, rhs, c = TWO_BLOCKS
@@ -358,7 +376,13 @@ class TestStartBasis:
         reuse = {}
         cold = solve(lp, reuse=reuse)
         assert (cold.reused_blocks, len(reuse)) == (0, 3)
+        # a result stored without its basis answers only callers that keep none
+        assert all(result.basis is None for result in reuse.values())
+        assert solve(lp, reuse=reuse).reused_blocks == 3
+        kept = solve(lp, reuse=reuse, keep_basis=True)
+        assert (kept.reused_blocks, len(reuse)) == (0, 3)
         assert all(result.basis is not None for result in reuse.values())
+        assert solve(lp, reuse=reuse, keep_basis=True).reused_blocks == 3
         warm = solve(lp, reuse=reuse, start=start, keep_basis=True)
         assert (warm.reused_blocks, len(reuse)) == (0, 6)
         again = solve(lp, reuse=reuse, start=start, keep_basis=True)
@@ -366,6 +390,102 @@ class TestStartBasis:
         assert again.iterations == warm.iterations
         assert np.array_equal(again.primal, warm.primal)
         assert np.array_equal(again.basis, warm.basis)
+        # a block solved by the dual simplex from the same start is stored apart
+        dual = solve(lp, reuse=reuse, start=start, keep_basis=True, simplex="dual")
+        assert (dual.reused_blocks, len(reuse)) == (0, 9)
+        again = solve(lp, reuse=reuse, start=start, keep_basis=True, simplex="dual")
+        assert (again.reused_blocks, again.iterations) == (3, dual.iterations)
+
+
+@pytest.fixture(scope="module")
+def lattice_lps():
+    """States of a 3-country system whose LPs differ in shape, by name.
+
+    f_1 adds flow columns to f_0. Harmonized hydro gives every country
+    the reference's reservoir, so f_5 (native hydro) has fewer columns
+    and rows than f_0. f_6 has f_0's layout.
+    """
+    spec = synthesize_system(seed=11, n_countries=3, horizon=72, correlation=-0.5)
+    shares = derive_reference_shares(spec, "AA")
+    return {
+        name: assemble(apply_factor_state(spec, FactorState.parse(name), shares))[0]
+        for name in ("f_0", "f_1", "f_5", "f_6")
+    }
+
+
+class TestMapBasis:
+    @pytest.fixture(scope="class")
+    def bases(self, lattice_lps):
+        return {name: solve(lp, keep_basis=True).basis for name, lp in lattice_lps.items()}
+
+    @staticmethod
+    def mapped(bases, lattice_lps, source, target):
+        lp = lattice_lps[source]
+        return map_basis(bases[source], lp.blocks, lp.row_blocks, lattice_lps[target])
+
+    def test_equal_layouts_give_back_the_same_array(self, lattice_lps, bases):
+        assert lattice_lps["f_6"].row_blocks == lattice_lps["f_0"].row_blocks
+        assert self.mapped(bases, lattice_lps, "f_0", "f_6") is bases["f_0"]
+
+    @pytest.mark.parametrize("source,target", [("f_0", "f_1"), ("f_0", "f_5"), ("f_5", "f_0")])
+    def test_shared_keys_keep_their_statuses(self, lattice_lps, bases, source, target):
+        start = self.mapped(bases, lattice_lps, source, target)
+        old, new = lattice_lps[source], lattice_lps[target]
+        assert start.shape == (new.n_cols + new.n_rows,)
+        shared = 0
+        for maps, old_at, new_at in (
+            ("blocks", 0, 0),
+            ("row_blocks", old.n_cols, new.n_cols),
+        ):
+            old_map, new_map = getattr(old, maps), getattr(new, maps)
+            for key in old_map.keys() & new_map.keys():
+                was, now = old_map[key], new_map[key]
+                assert np.array_equal(
+                    start[new_at + now.start : new_at + now.stop],
+                    bases[source][old_at + was.start : old_at + was.stop],
+                )
+                shared += 1
+        assert shared > 0
+
+    def test_new_flow_columns_start_at_their_lower_bound(self, lattice_lps, bases):
+        start = self.mapped(bases, lattice_lps, "f_0", "f_1")
+        flows = lattice_lps["f_1"].find_columns("flow")
+        assert flows and not start[flows].any()
+        assert np.count_nonzero(start == 1) == lattice_lps["f_1"].n_rows
+
+    def test_new_rows_start_basic(self, lattice_lps, bases):
+        # f_0's harmonized reservoirs are rows that f_5 lacks
+        start = self.mapped(bases, lattice_lps, "f_5", "f_0")
+        lp, parent = lattice_lps["f_0"], lattice_lps["f_5"]
+        new_rows = [
+            lp.n_cols + r
+            for key, rows in lp.row_blocks.items()
+            if key not in parent.row_blocks
+            for r in range(rows.start, rows.stop)
+        ]
+        new_cols = [
+            j
+            for key, cols in lp.blocks.items()
+            if key not in parent.blocks
+            for j in range(cols.start, cols.stop)
+        ]
+        assert new_rows and new_cols
+        assert (start[new_rows] == 1).all()
+        assert (start[new_cols] == 0).all()
+
+    @pytest.mark.parametrize("simplex", ["primal", "dual"])
+    def test_hydro_edge_gives_an_alien_start_that_certifies(
+        self, lattice_lps, bases, simplex
+    ):
+        lp = lattice_lps["f_5"]
+        start = self.mapped(bases, lattice_lps, "f_0", "f_5")
+        assert np.count_nonzero(start == 1) != lp.n_rows
+        warm = solve(lp, start=start, simplex=simplex)
+        cold = solve(lp)
+        assert (warm.status, warm.alien_start, cold.alien_start) == ("optimal", True, False)
+        assert warm.iterations < cold.iterations
+        assert verify_certificate(lp, warm).ok
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
 class TestCertificates:

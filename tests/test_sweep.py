@@ -189,8 +189,9 @@ class TestBlockReuse:
     def test_reuse_does_not_change_warm_outputs(self, system_dir, tmp_path, monkeypatch, workers):
         reusing, _, states = sweep_outputs(system_dir, tmp_path / "reuse", (1, 3, 4), workers)
         assert sweep_mod._REUSE == {}
-        assert sum(s["warm_from"] is not None for s in states.values()) == 6
-        # f_2456 and f_2356 start from f_256, whose AA block is the reference LP
+        assert sum(s["warm_from"] is not None for s in states.values()) == 7
+        # f_256's AA block is the reference LP, and f_2456 and f_23456 solve
+        # one AA block from one start by the dual simplex
         assert sum(s["reused_blocks"] for s in states.values()) >= 1
 
         monkeypatch.setattr(sweep_mod, "_REUSE", Forgetful())
@@ -206,16 +207,23 @@ class TestWarmStarts:
         assert parents["f_1346"] == "f_134"
         assert parents["f_123456"] == "f_12345"
         assert parents["f_13"] == "f_1"
-        assert parents["f_12"] is None
-        assert parents["f_125"] is None
+        # then hydro, then interconnection; wind is never dropped
+        assert parents["f_125"] == "f_12"
+        assert parents["f_12"] == "f_2"
+        assert parents["f_1"] == "f_0"
         roots = sorted(name for name, parent in parents.items() if parent is None)
-        assert roots == sorted(["f_0", "f_1", "f_2", "f_5", "f_12", "f_15", "f_25", "f_125"])
+        assert roots == ["f_0", "f_2"]
 
     def test_fixed_factors_are_never_dropped(self):
-        assert set(warm_parents((1, 2)).values()) == {None}
+        assert warm_parents((1, 2)) == {
+            "f_3456": None,
+            "f_13456": "f_3456",
+            "f_23456": None,
+            "f_123456": "f_23456",
+        }
         assert warm_parents((1, 3, 4)) == {
             "f_256": None,
-            "f_1256": None,
+            "f_1256": "f_256",
             "f_2356": "f_256",
             "f_2456": "f_256",
             "f_12356": "f_1256",
@@ -225,9 +233,11 @@ class TestWarmStarts:
         }
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_parent_of_another_shape_is_not_started_from(self, small_spec, tmp_path, workers):
+    def test_parent_of_another_shape_is_started_from(
+        self, small_spec, tmp_path, monkeypatch, workers
+    ):
         # AB has no bioenergy of its own; harmonized, it gets the reference's
-        # share, so harmonizing bioenergy adds AB's bioenergy columns
+        # share, so harmonizing bioenergy adds AB's bioenergy columns and rows
         spec = dataclasses.replace(
             small_spec,
             exogenous_capacities=tuple(
@@ -240,15 +250,24 @@ class TestWarmStarts:
         _, ledger, states = sweep_outputs(system, tmp_path / "out", (1, 3, 6), workers)
         assert {name: s["warm_from"] for name, s in states.items()} == {
             "f_245": None,
-            "f_1245": None,
+            "f_1245": "f_245",
             "f_2345": "f_245",
-            "f_2456": None,
+            "f_2456": "f_245",
             "f_12345": "f_1245",
-            "f_12456": None,
-            "f_23456": None,
-            "f_123456": None,
+            "f_12456": "f_1245",
+            "f_23456": "f_2345",
+            "f_123456": "f_12345",
         }
+        # f_2456 drops AB's bioenergy columns and rows, and with them basic
+        # statuses, so HiGHS repairs its start
+        assert states["f_2456"]["alien_start"]
+        assert {name for name, s in states.items() if s["simplex"] == "dual"} == {"f_1245"}
         assert all(e["certificate"]["ok"] for e in ledger["entries"])
+
+        monkeypatch.setattr(sweep_mod, "warm_parents", lambda f: dict.fromkeys(warm_parents(f)))
+        _, cold, _ = sweep_outputs(system, tmp_path / "cold", (1, 3, 6), workers)
+        for warm_entry, cold_entry in zip(ledger["entries"], cold["entries"]):
+            assert warm_entry["objective"] == pytest.approx(cold_entry["objective"], rel=1e-9)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_states_record_their_parent(self, system_dir, tmp_path, workers):
@@ -311,16 +330,21 @@ class TestResume:
         "removed,solved",
         [
             # a warm child: it starts again from its parent's persisted basis
-            ((".csv", ".json"), ["f_23456"]),
+            (["f_23456.csv", "f_23456.json"], ["f_23456"]),
             # a parent without its basis counts as not completed
-            ((".basis.npy",), ["f_2356"]),
+            (["f_2356.basis.npy"], ["f_2356"]),
+            # an interconnected child of an isolated parent, whose block maps
+            # come from assembling its LP again
+            (["f_1256.csv", "f_1256.json"], ["f_1256"]),
+            # ... or from solving the parent again
+            (["f_1256.csv", "f_1256.json", "f_256.basis.npy"], ["f_256", "f_1256"]),
         ],
     )
     def test_resume_matches_a_fresh_sweep(self, manifest, monkeypatch, removed, solved):
         warm = dataclasses.replace(manifest, factors=(1, 3, 4))
         fresh = run_sweep(warm)
-        for suffix in removed:
-            (Path(warm.out_dir) / "states" / f"{solved[0]}{suffix}").unlink()
+        for name in removed:
+            (Path(warm.out_dir) / "states" / name).unlink()
 
         calls = []
         original = sweep_mod._run_state
@@ -333,7 +357,12 @@ class TestResume:
         resumed = resume(warm, Path(warm.out_dir) / "ledger.json")
         assert calls == solved
         assert ledger_comparison_bytes(resumed) == ledger_comparison_bytes(fresh)
-        assert (Path(warm.out_dir) / "states" / "f_2356.basis.npy").exists()
+        parents = warm_parents(warm.factors)
+        for name in solved:
+            meta = json.loads((Path(warm.out_dir) / "states" / f"{name}.json").read_text())
+            assert meta["warm_from"] == parents[name]
+        for name in set(parents.values()) - {None}:
+            assert (Path(warm.out_dir) / "states" / f"{name}.basis.npy").exists()
 
     def test_states_reuse_the_parent_system(self, manifest, monkeypatch):
         calls = []
