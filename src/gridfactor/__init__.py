@@ -39,7 +39,7 @@ from .residual import (
     residual_series,
 )
 from .serialize import read_system, write_system
-from .solve import SolveOptions, SolveResult, solve, verify_certificate
+from .solve import SolveOptions, SolveResult, verify_certificate
 from .sweep import RunManifest, VERSION, compare_interconnection, resume, run_sweep
 from .synth import synthesize_system
 
@@ -82,7 +82,6 @@ __all__ = [
     "resume",
     "run_sweep",
     "shared_interactions_totals",
-    "solve",
     "synthesize_system",
     "validate",
     "verify_certificate",

@@ -4,8 +4,8 @@ A sweep derives the reference country's capacity shares once, then
 builds and solves one LP per factor state. States are independent and
 run under a bounded process pool; the ledger is assembled by the parent
 in canonical state order, so output is invariant to the parallelism
-level. Per-state artifacts are content-addressed by spec and LP hashes
-for resume and audit.
+level. Per-state artifacts are named by state; the ledger records each
+state's spec and LP hashes for resume and audit.
 
 Each state but the roots of the factor lattice starts HiGHS from the
 final simplex basis of one parent state (``warm_parents``): the state
@@ -78,7 +78,7 @@ from .solve import (
 )
 
 VERSION = "1.0.0"
-LEDGER_SCHEMA = "gridfactor-ledger/3"
+LEDGER_SCHEMA = "gridfactor-ledger/4"
 
 
 class SweepError(GridFactorError):
@@ -247,7 +247,6 @@ def _run_state(payload) -> tuple[dict, _Basis | None]:
         "certificate": None,
         "metrics": {},
         "per_country": {},
-        "utilization": {},
     }
     if result.status == "optimal":
         cert = verify_certificate(lp, result)
@@ -260,13 +259,10 @@ def _run_state(payload) -> tuple[dict, _Basis | None]:
     if result.status == "optimal":
         agg, by_country = extract_storage_metrics(scenario, lp, result)
         entry["metrics"] = {**agg, "objective_eur": float(result.objective)}
-        entry["per_country"] = by_country
-        # mean |flow| / NTC per line; a flow block's upper bound is its line's NTC
-        entry["utilization"] = {
-            key[1]: float(np.mean(np.abs(result.primal[cols])) / lp.ub[cols.start])
-            for key, cols in lp.blocks.items()
-            if key[0] == "flow" and lp.ub[cols.start] > 0
-        }
+        # a line lets storage sit in either country at equal cost, so an
+        # interconnected state's per-country split is not determined
+        if not scenario.interconnection_enabled:
+            entry["per_country"] = by_country
         csv_path, meta_path, basis_path = _state_paths(out_dir, state_name)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_solution_csv(csv_path, lp, result.primal)
@@ -297,14 +293,17 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
     its children start where a fresh sweep would start them. Each state
     starts from its ``warm_parents`` parent's basis and is submitted as
     soon as that parent is done; at one worker the states run in
-    canonical order, which puts every parent before its children. On
-    any non-optimal state the partial ledger is written before raising.
+    canonical order, which puts every parent before its children. The
+    ledger is written before raising: of every state on a non-optimal
+    one, of the finished states on any exception (``KeyboardInterrupt``
+    too), so that ``resume`` goes on from them.
     """
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = read_system(manifest.system_manifest)
     states = enumerate_subset_states(manifest.factors)
 
+    entries: dict[str, dict] = {}
     try:
         shares = derive_reference_shares(
             base, manifest.reference_country, manifest.solver, _REUSE
@@ -313,7 +312,7 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
 
         parents = warm_parents(manifest.factors)
         basis_states = {p for p in parents.values() if p is not None}
-        entries, bases = {}, {}
+        bases = {}
         for name, entry in (completed or {}).items():
             if name not in basis_states or _state_paths(out_dir, name)[2].exists():
                 entries[name] = entry
@@ -360,6 +359,10 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
                         record(name, future.result())
                         for child in waiting.pop(name, ()):
                             running[pool.submit(_run_state, payload(child))] = child
+    except BaseException:
+        if entries:
+            write_ledger(_assemble_ledger(manifest, states, entries), out_dir / "ledger.json")
+        raise
     finally:
         _REUSE.clear()
 
@@ -380,9 +383,12 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
 
 
 def _assemble_ledger(manifest: RunManifest, states, entries: dict[str, dict]) -> dict:
+    """The ledger of the finished states among ``states``, in their order."""
     ordered = []
     timing = {}
     for state in states:
+        if state.name not in entries:
+            continue
         entry = dict(entries[state.name])
         timing[state.name] = entry.pop("timing_seconds", 0.0)
         ordered.append(entry)
@@ -489,11 +495,13 @@ def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:
 
 
 def compare_interconnection(manifest: RunManifest) -> dict:
-    """Storage-metric reductions and interconnector utilization.
+    """Aggregate storage-metric reductions from interconnection.
 
     Compares the all-native interconnected state (f_123456 over the full
     design, or the manifest's full varied set) against the same state
-    with interconnection disabled.
+    with interconnection disabled. The report holds one ``metrics``
+    block: each storage metric's isolated and interconnected value and
+    their absolute and relative reduction.
     """
     ledger = read_ledger(Path(manifest.out_dir) / "ledger.json")
     full = FactorState.from_factors(set(range(1, 7))).name
@@ -503,30 +511,17 @@ def compare_interconnection(manifest: RunManifest) -> dict:
         if needed not in by_state or by_state[needed]["status"] != "optimal":
             raise SweepError(f"comparison needs an optimal solve of {needed}")
 
-    utilization = by_state[full]["utilization"]
-    report: dict = {"metrics": {}, "per_country": {}, "utilization": utilization}
+    metrics = {}
     for metric in STORAGE_METRICS:
         a = by_state[isolated]["metrics"][metric]
         b = by_state[full]["metrics"][metric]
-        report["metrics"][metric] = {
+        metrics[metric] = {
             "isolated": a,
             "interconnected": b,
             "absolute_reduction": a - b,
             "relative_reduction": (a - b) / a if a else 0.0,
         }
-    for code, vals in by_state[isolated]["per_country"].items():
-        report["per_country"][code] = {}
-        for metric in STORAGE_METRICS:
-            a = vals[metric]
-            b = by_state[full]["per_country"][code][metric]
-            report["per_country"][code][metric] = {
-                "isolated": a,
-                "interconnected": b,
-                "absolute_reduction": a - b,
-                "relative_reduction": (a - b) / a if a else 0.0,
-            }
-
-    return report
+    return {"metrics": metrics}
 
 
 def write_comparison(report: dict, path: str | Path) -> None:

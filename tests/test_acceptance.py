@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridfactor import assemble, solve, synthesize_system, write_system
+from gridfactor import assemble, synthesize_system, write_system
 from gridfactor.defaults import NTC_MW, _EXOGENOUS_GW, COUNTRY_CODES, default_technologies
 from gridfactor.factorize import (
     MetricTable,
@@ -24,6 +24,7 @@ from gridfactor.factorize import (
 )
 from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
 from gridfactor.residual import ResidualSeries, peak_coincidence, positive_events
+from gridfactor.solve import solve
 import gridfactor.sweep as sweep_mod
 from gridfactor.sweep import (
     RunManifest,

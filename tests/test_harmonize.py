@@ -10,9 +10,9 @@ from gridfactor import (
     enumerate_states,
     enumerate_subset_states,
     isolate_country,
-    solve,
 )
 from gridfactor.harmonize import FactorState, HarmonizeError
+from gridfactor.solve import solve
 
 
 @pytest.fixture(scope="module")

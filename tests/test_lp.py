@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gridfactor import annuity, assemble, solve
+from gridfactor import annuity, assemble
 from gridfactor.harmonize import FactorState, apply_factor_state
 from gridfactor.lp import BuildError, LinearProgram, lp_digest, write_solution_csv
 from gridfactor.mps import write_mps
@@ -17,7 +17,7 @@ from gridfactor.model import (
     Technology,
     TimeSeriesSet,
 )
-from gridfactor.solve import verify_certificate
+from gridfactor.solve import solve, verify_certificate
 
 from _oracles import csv_write_solution, read_mps, row_assemble, simplex_lp
 from conftest import wind_only_spec

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gridfactor import assemble, solve, verify_certificate, write_mps
+from gridfactor import assemble, verify_certificate, write_mps
 from gridfactor.mps import MpsError, mps_column_name, mps_row_name
+from gridfactor.solve import solve
 
 from _oracles import read_mps, simplex_lp
 from conftest import wind_only_spec

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridfactor import assemble, solve
+from gridfactor import assemble
 from gridfactor.residual import (
     ResidualError,
     ResidualSeries,
@@ -14,6 +14,7 @@ from gridfactor.residual import (
     residual_series,
     write_events_csv,
 )
+from gridfactor.solve import solve
 
 from _oracles import brute_positive_events
 

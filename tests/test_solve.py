@@ -6,11 +6,12 @@ import scipy
 import scipy.optimize._highspy._core as highs_core
 import scipy.sparse as sp
 
-from gridfactor import assemble, solve, verify_certificate
+from gridfactor import assemble, verify_certificate
 from gridfactor.factorize import extract_storage_metrics
 from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
 from gridfactor.lp import LinearProgram
-from gridfactor.solve import SolveError, SolveOptions, _solve_highs, map_basis
+import gridfactor.solve as solve_mod
+from gridfactor.solve import SolveError, SolveOptions, _solve_highs, map_basis, solve
 
 from _oracles import row_assemble, simplex_lp
 from conftest import wind_only_spec
@@ -28,6 +29,14 @@ def solve_with(method, lp, iteration_limit=100_000):
     if method == "simplex":
         return simplex_lp(lp, iteration_limit)
     return solve(lp, SolveOptions(iteration_limit=iteration_limit))
+
+
+def test_module_path_names_the_module():
+    """``gridfactor.solve`` is the module; the package does not shadow it."""
+    import gridfactor.solve as m
+
+    assert m is sys.modules["gridfactor.solve"] is solve_mod
+    assert callable(m.solve) and m.solve is solve
 
 
 class TestBackendAgreement:
@@ -260,9 +269,8 @@ class TestBlocks:
         reuse = {}
         first = solve(lp, reuse=reuse)
         assert (first.blocks, first.reused_blocks, len(reuse)) == (3, 0, 3)
-        solve_module = sys.modules["gridfactor.solve"]  # the package's `solve` shadows it
         monkeypatch.setattr(
-            solve_module, "_solve_highs", lambda *a: pytest.fail("solved a known block")
+            solve_mod, "_solve_highs", lambda *a: pytest.fail("solved a known block")
         )
         again = solve(lp, reuse=reuse)
         assert (again.blocks, again.reused_blocks) == (3, 3)
@@ -308,7 +316,7 @@ class TestStartBasis:
                 return highs_core.HighsBasis()  # valid is False
 
         with pytest.raises(SolveError, match="no valid final basis"):
-            sys.modules["gridfactor.solve"]._final_basis(NoBasis(), coupled_lp)
+            solve_mod._final_basis(NoBasis(), coupled_lp)
 
     def test_block_basis_round_trips_in_lp_order(self):
         # the interleaved two-block LP of TestBlocks: x = (0, 3, 1)
@@ -356,7 +364,7 @@ class TestStartBasis:
         A, relations, rhs, c = TWO_BLOCKS
         lp = tiny_lp(A, relations, rhs, c)
         with pytest.raises(SolveError, match="rejected the start basis"):
-            sys.modules["gridfactor.solve"]._set_basis(
+            solve_mod._set_basis(
                 Refusing(), highs_core, lp, np.array([1, 1, 0, 0], dtype=np.int8)
             )
 
