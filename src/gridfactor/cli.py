@@ -97,15 +97,27 @@ def _domain_errors(fn):
     return wrapper
 
 
-def _scenario_spec(spec, state: FactorState, reference: str | None):
-    if not state.harmonizes:
-        return apply_factor_state(spec, state, None)
-    if reference is None:
-        raise click.UsageError(
-            f"state {state.name} harmonizes at least one factor; --reference is required"
-        )
-    shares = derive_reference_shares(spec, reference)
-    return apply_factor_state(spec, state, shares)
+def _scenario_lp(manifest, state: FactorState, reference: str | None):
+    """Read ``manifest``, apply ``state`` and assemble: the scenario and its LP."""
+    spec = read_system(manifest)
+    shares = None
+    if state.harmonizes:
+        if reference is None:
+            raise click.UsageError(
+                f"state {state.name} harmonizes at least one factor; --reference is required"
+            )
+        shares = derive_reference_shares(spec, reference)
+    scenario = apply_factor_state(spec, state, shares)
+    lp, _ = assemble(scenario)
+    return scenario, lp
+
+
+def _solve_optimal(lp, state: FactorState):
+    """Solve ``lp``; raise ``GridFactorError`` unless it is optimal."""
+    result = solve(lp)
+    if result.status != "optimal":
+        raise GridFactorError(f"scenario {state.name} is {result.status}")
+    return result
 
 
 @click.group()
@@ -137,15 +149,10 @@ def cmd_validate(manifest):
 @_domain_errors
 def cmd_solve(manifest, state, reference, out, mps_out):
     """Build and solve one scenario; print objective and storage metrics."""
-    spec = read_system(manifest)
-    scenario = _scenario_spec(spec, state, reference)
-    lp, _ = assemble(scenario)
+    scenario, lp = _scenario_lp(manifest, state, reference)
     if mps_out:
         write_mps(lp, mps_out)
-    result = solve(lp)
-    if result.status != "optimal":
-        click.echo(f"error: scenario {state.name} is {result.status}", err=True)
-        sys.exit(1)
+    result = _solve_optimal(lp, state)
     if out:
         write_solution_csv(out, lp, result.primal)
     click.echo(f"state {state.name}: objective {result.objective!r} EUR")
@@ -214,13 +221,8 @@ def cmd_factorize(ledger, out_prefix):
 @_domain_errors
 def cmd_residual(manifest, state, reference, out_dir, exclude):
     """Residual-load analytics from the optimal capacities of one scenario."""
-    spec = read_system(manifest)
-    scenario = _scenario_spec(spec, state, reference)
-    lp, _ = assemble(scenario)
-    result = solve(lp)
-    if result.status != "optimal":
-        click.echo(f"error: scenario {state.name} is {result.status}", err=True)
-        sys.exit(1)
+    scenario, lp = _scenario_lp(manifest, state, reference)
+    result = _solve_optimal(lp, state)
     caps = capacities_from_result(scenario, lp, result)
     series = residual_series(scenario, caps)
 
@@ -272,9 +274,7 @@ def cmd_synthesize(seed, countries, horizon, correlation, out_dir):
 @_domain_errors
 def cmd_export_lp(manifest, state, reference, out):
     """Write one scenario's LP as fixed-format MPS."""
-    spec = read_system(manifest)
-    scenario = _scenario_spec(spec, state, reference)
-    lp, _ = assemble(scenario)
+    _, lp = _scenario_lp(manifest, state, reference)
     write_mps(lp, out)
     click.echo(out)
 

@@ -4,9 +4,10 @@ A system lives in a directory: ``manifest.json`` holds scalars and
 entity tables and references one CSV per series family. Each entity
 table is a list of one model dataclass's fields (``Country``,
 ``Technology``, ``Interconnector``, ``ExogenousCapacity``), so the
-dataclasses are the only statement of its keys. CSV layout is
-``hour,<country>...`` with 0-indexed hours and plain decimal floats;
-``nan`` and ``inf`` are refused.
+dataclasses are the only statement of its keys. A value of the wrong
+JSON type or shape raises ``ManifestError`` naming its field. CSV
+layout is ``hour,<country>...``, each country once, with 0-indexed
+hours and plain decimal floats; ``nan`` and ``inf`` are refused.
 Round-trips are exact: floats are emitted via shortest-repr.
 
 This module owns the ``series`` layout and the manifest digest, which
@@ -76,14 +77,17 @@ def _check_keys(
         raise ManifestError(f"missing keys in {where}: {sorted(missing)}")
 
 
-# JSON values accepted for a dataclass field annotation, and their name in messages;
-# ``bool`` is an ``int`` subclass, so a number field rejects it explicitly
+# JSON values accepted for a dataclass field annotation or a manifest shape, and
+# their name in messages; ``bool`` is an ``int`` subclass, so a number field
+# rejects it explicitly
 _JSON_TYPES = {
     "str": ((str,), "a string"),
     "str | None": ((str, type(None)), "a string or null"),
     "float": ((int, float), "a number"),
     "int": ((int,), "an integer"),
     "bool": ((bool,), "a boolean"),
+    "list": ((list,), "a list"),
+    "object": ((dict,), "an object"),
 }
 
 
@@ -93,8 +97,11 @@ def _check_type(value: Any, annotation: str, where: str) -> None:
         raise ManifestError(f"{where} must be {name}, got {value!r}")
 
 
-def _entities(entries, cls, where: str) -> tuple:
-    """``cls`` instances from manifest entries keyed and typed by its fields."""
+def _entities(doc: Mapping[str, Any], table: str) -> tuple:
+    """A table's dataclass instances from its entries, keyed and typed by its fields."""
+    cls, where = _TABLES[table]
+    entries = doc.get(table, [])
+    _check_type(entries, "list", table)
     annotations = {f.name: f.type for f in fields(cls)}
     required = {
         f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
@@ -137,6 +144,9 @@ def read_series_csv(path: Path, horizon: int) -> dict[str, np.ndarray]:
         if not header or header[0] != "hour":
             raise ManifestError(f"{path}: first column must be 'hour'")
         columns = header[1:]
+        repeated = sorted({c for c in columns if columns.count(c) > 1})
+        if repeated:
+            raise ManifestError(f"{path}: column {repeated[0]!r} repeats in the header")
         data: list[list[float]] = []
         for row_idx, row in enumerate(reader):
             where = f"{path}, line {reader.line_num}"
@@ -188,6 +198,21 @@ def write_system(spec: PowerSystemSpec, directory: str | Path) -> Path:
     return manifest_path
 
 
+def _check_series(series: Any) -> None:
+    """Raise unless ``series`` is an object of file names.
+
+    Its ``capacity_factors`` is an object of them too, by technology.
+    """
+    _check_type(series, "object", "series entry")
+    _check_keys(series, _SERIES_KEYS, {"load"}, "series entry")
+    _check_type(series.get("capacity_factors", {}), "object", "series entry: capacity_factors")
+    for key in ("load", "reservoir_inflow"):
+        if key in series:
+            _check_type(series[key], "str", f"series entry: {key}")
+    for tech, name in series.get("capacity_factors", {}).items():
+        _check_type(name, "str", f"series entry: capacity_factors: {tech}")
+
+
 def _series_files(manifest_path: Path, series: Mapping[str, Any]) -> list[Path]:
     """Paths of the series files a manifest names, in file-name order."""
     names = [series["load"], *series.get("capacity_factors", {}).values()]
@@ -208,7 +233,7 @@ def _read_manifest(manifest_path: Path) -> tuple[bytes, dict[str, Any]]:
     if doc.get("schema") != SCHEMA:
         raise ManifestError(f"{manifest_path}: unsupported schema {doc.get('schema')!r}")
     _check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "manifest")
-    _check_keys(doc["series"], _SERIES_KEYS, {"load"}, "series entry")
+    _check_series(doc["series"])
     missing = [str(p) for p in _series_files(manifest_path, doc["series"]) if not p.is_file()]
     if missing:
         raise ManifestError(f"{manifest_path}: missing series files {missing}")
@@ -234,10 +259,7 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
     _check_type(doc["annuity_rate"], "float", "annuity_rate")
     _check_type(doc["interconnection_enabled"], "bool", "interconnection_enabled")
     horizon = doc["horizon"]
-    tables = {
-        table: _entities(doc.get(table, []), cls, where)
-        for table, (cls, where) in _TABLES.items()
-    }
+    tables = {table: _entities(doc, table) for table in _TABLES}
 
     series = doc["series"]
     load = read_series_csv(directory / series["load"], horizon)
@@ -256,7 +278,17 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
         ),
         interconnection_enabled=doc["interconnection_enabled"],
         annuity_rate=float(doc["annuity_rate"]),
-        offshore_overrides=tuple(
-            (code, float(mw)) for code, mw in doc.get("offshore_overrides", [])
-        ),
+        offshore_overrides=_offshore_overrides(doc.get("offshore_overrides", [])),
     )
+
+
+def _offshore_overrides(pairs: Any) -> tuple[tuple[str, float], ...]:
+    """The manifest's ``offshore_overrides``, [country code, MW] pairs."""
+    _check_type(pairs, "list", "offshore_overrides")
+    for i, pair in enumerate(pairs):
+        where = f"offshore_overrides {i}"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ManifestError(f"{where} must be [country code, number], got {pair!r}")
+        _check_type(pair[0], "str", f"{where}: country code")
+        _check_type(pair[1], "float", f"{where}: capacity")
+    return tuple((code, float(mw)) for code, mw in pairs)

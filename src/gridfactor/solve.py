@@ -28,8 +28,11 @@ iterations of a cold one.
 ``map_basis`` carries a basis from one assembled LP to another of other
 columns or rows, by the block keys of the two layouts: shared blocks
 keep their statuses, new columns start nonbasic at their lower bound
-and new rows basic. After a change that moves right-hand sides only or
-adds columns at a bound, that start stays dual feasible, the textbook
+and new rows basic. It needs the source LP's two block maps, not the
+LP itself: a sweep hands a parent state's basis to its children as a
+basis file plus the block keys and lengths of the parent's LP, in its
+``states/`` directory. After a change that moves right-hand sides only
+or adds columns at a bound, that start stays dual feasible, the textbook
 case for the dual simplex (Koberstein, PhD thesis, Paderborn 2005);
 ``solve(..., simplex="dual")`` runs HiGHS's dual simplex
 (``simplex_strategy`` 1) instead of the primal. A sweep does so on the
@@ -121,7 +124,7 @@ def solve(
             f"not ({lp.n_cols + lp.n_rows},): one status per column and row"
         )
     if lp.n_cols == 0:
-        return _solve_without_columns(lp)
+        return _solve_without_columns(lp, keep_basis)
 
     parts = _independent_blocks(lp)
     if not parts:
@@ -271,8 +274,11 @@ def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
 _EMPTY_ROW_TOL = 1e-7
 
 
-def _solve_without_columns(lp: LinearProgram) -> SolveResult:
-    """Decide an LP with no columns from its rows at x = 0; no solver runs."""
+def _solve_without_columns(lp: LinearProgram, keep_basis: bool) -> SolveResult:
+    """Decide an LP with no columns from its rows at x = 0; no solver runs.
+
+    Its basis, when kept, is every row basic.
+    """
     lower, upper = _row_bounds(lp)
     optimal = bool(np.all((lower <= _EMPTY_ROW_TOL) & (upper >= -_EMPTY_ROW_TOL)))
     return SolveResult(
@@ -281,6 +287,7 @@ def _solve_without_columns(lp: LinearProgram) -> SolveResult:
         primal=np.zeros(0),
         dual=np.zeros(lp.n_rows),
         iterations=0,
+        basis=np.ones(lp.n_rows, dtype=np.int8) if optimal and keep_basis else None,
     )
 
 
@@ -391,11 +398,11 @@ class CertificateReport:
     messages: list[str] = field(default_factory=list)
 
 
-def verify_certificate(
-    lp: LinearProgram,
-    result: SolveResult,
-    feas_tol: float = 1e-6,
-) -> CertificateReport:
+# relative tolerance of every optimality condition ``verify_certificate`` checks
+_FEAS_TOL = 1e-6
+
+
+def verify_certificate(lp: LinearProgram, result: SolveResult) -> CertificateReport:
     """Check primal feasibility, dual feasibility, and complementary slackness."""
     if result.status != "optimal":
         raise SolveError("certificates are only defined for optimal results")
@@ -405,19 +412,8 @@ def verify_certificate(
 
     ax = lp.A @ x
     slack = lp.rhs - ax
-    primal_residual = 0.0
-    for rel in ("<", "=", ">"):
-        mask = lp.relations == rel
-        if not mask.any():
-            continue
-        if rel == "<":
-            viol = np.maximum(-slack[mask], 0.0)
-        elif rel == ">":
-            viol = np.maximum(slack[mask], 0.0)
-        else:
-            viol = np.abs(slack[mask])
-        worst = float(viol.max(initial=0.0))
-        primal_residual = max(primal_residual, worst)
+    lower, upper = _row_bounds(lp)
+    primal_residual = float(np.maximum(np.maximum(lower - ax, ax - upper), 0.0).max(initial=0.0))
 
     bound_residual = float(
         max(
@@ -437,9 +433,10 @@ def verify_certificate(
 
     d = lp.c - lp.A.T @ y  # reduced costs
     scale = 1.0 + float(np.abs(lp.c).max(initial=0.0))
-    atol = feas_tol * (1.0 + np.maximum(np.abs(lp.lb), 0.0))
+    atol = _FEAS_TOL * (1.0 + np.maximum(np.abs(lp.lb), 0.0))
     at_lb = np.isfinite(lp.lb) & (x <= lp.lb + atol)
-    at_ub = np.isfinite(lp.ub) & (x >= lp.ub - feas_tol * (1.0 + np.abs(np.where(np.isfinite(lp.ub), lp.ub, 0.0))))
+    finite_ub = np.where(np.isfinite(lp.ub), lp.ub, 0.0)
+    at_ub = np.isfinite(lp.ub) & (x >= lp.ub - _FEAS_TOL * (1.0 + np.abs(finite_ub)))
     interior = ~at_lb & ~at_ub
     reduced_cost_residual = float(
         max(
@@ -451,8 +448,8 @@ def verify_certificate(
 
     complementarity_residual = float(np.abs(y * slack).max(initial=0.0))
 
-    pos = d > feas_tol * scale
-    neg = d < -feas_tol * scale
+    pos = d > _FEAS_TOL * scale
+    neg = d < -_FEAS_TOL * scale
     contrib = np.zeros_like(d)
     contrib[pos] = d[pos] * lp.lb[pos]
     contrib[neg] = d[neg] * lp.ub[neg]
@@ -461,14 +458,14 @@ def verify_certificate(
         contrib = np.where(np.isfinite(contrib), contrib, 0.0)
     dual_objective = float(y @ lp.rhs + contrib.sum())
     duality_gap = abs(result.objective - dual_objective)
-    gap_tol = feas_tol * (1.0 + abs(result.objective))
+    gap_tol = _FEAS_TOL * (1.0 + abs(result.objective))
 
     rhs_scale = 1.0 + float(np.abs(lp.rhs).max(initial=0.0))
     ok = (
-        primal_residual <= feas_tol * rhs_scale
-        and bound_residual <= feas_tol * rhs_scale
-        and dual_sign_residual <= feas_tol * scale
-        and reduced_cost_residual <= feas_tol * scale
+        primal_residual <= _FEAS_TOL * rhs_scale
+        and bound_residual <= _FEAS_TOL * rhs_scale
+        and dual_sign_residual <= _FEAS_TOL * scale
+        and reduced_cost_residual <= _FEAS_TOL * scale
         and duality_gap <= gap_tol
         and not messages
     )

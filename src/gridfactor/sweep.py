@@ -21,11 +21,14 @@ A start that does not have one basic status per row goes to HiGHS as
 alien and is repaired there. The edges of interconnection (1) and load
 (4) run the dual simplex, every other edge and every cold solve the
 primal: the variant belongs to the edge, not to an option. A state
-runs as soon as its parent is done, with the parent's basis and block
-maps in its payload; a child of a parent that is not optimal solves
-cold. A parent state persists its basis as ``states/<name>.basis.npy``
-for resume, which rebuilds the block maps by assembling the parent's
-LP.
+runs as soon as its parent is done. A parent hands its children its
+final basis and its LP's block ``layout`` (column and row block keys in
+order, with their lengths) through ``states/<name>.basis.npy`` and
+``states/<name>.json`` only. A child reads them only when the parent's
+entry, from this run or a resumed one's completed states, is optimal,
+so an earlier run's files in a reused output directory are never read;
+a child of a parent that is not optimal solves cold. Resume solves a
+completed parent without its basis or layout again.
 
 Within one sweep, the blocks of isolated states are kept by
 ``lp_digest``, start and simplex variant (``_REUSE``) and not solved
@@ -130,15 +133,6 @@ def _edge_simplex(name: str, parent: str) -> str:
 
 
 @dataclass(frozen=True)
-class _Basis:
-    """A parent's final basis and the block maps of its LP."""
-
-    statuses: np.ndarray
-    blocks: dict[tuple, slice]
-    row_blocks: dict[tuple, slice]
-
-
-@dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce one sweep."""
 
@@ -212,13 +206,33 @@ def _state_paths(out_dir: Path, state_name: str) -> tuple[Path, Path, Path]:
     )
 
 
-def _run_state(payload) -> tuple[dict, _Basis | None]:
+def _layout(lp) -> dict:
+    """The block keys of ``lp``'s columns and rows in order, with their lengths."""
+    return {
+        part: [[list(key), block.stop - block.start] for key, block in blocks.items()]
+        for part, blocks in (("columns", lp.blocks), ("rows", lp.row_blocks))
+    }
+
+
+def _block_maps(layout: dict) -> list[dict[tuple, slice]]:
+    """The column and row block maps that ``_layout`` recorded."""
+    maps = []
+    for part in ("columns", "rows"):
+        at, blocks = 0, {}
+        for key, length in layout[part]:
+            blocks[tuple(key)], at = slice(at, at + length), at + length
+        maps.append(blocks)
+    return maps
+
+
+def _run_state(payload) -> dict:
     """Build, solve, and persist one factor state (process-pool task).
 
-    Returns the ledger entry and, for a state with children
-    (``keep_basis``), its final basis and block maps when optimal.
+    Starts from the basis and layout of parent ``warm_from`` in
+    ``states/``; with ``keep_basis``, an optimal state writes its own
+    there. Returns the ledger entry.
     """
-    (base, shares, state_name, solver, out_dir, export_mps, warm_from, parent, keep_basis) = payload
+    (base, shares, state_name, solver, out_dir, export_mps, warm_from, keep_basis) = payload
     out_dir = Path(out_dir)
     state = FactorState.parse(state_name)
     started = time.perf_counter()
@@ -231,8 +245,10 @@ def _run_state(payload) -> tuple[dict, _Basis | None]:
     # a coupled state's LP is one block that no other state repeats
     reuse = None if scenario.interconnection_enabled else _REUSE
     start, simplex = None, "primal"
-    if parent is not None:
-        start = map_basis(parent.statuses, parent.blocks, parent.row_blocks, lp)
+    if warm_from is not None:
+        _, meta_path, basis_path = _state_paths(out_dir, warm_from)
+        layout = json.loads(meta_path.read_text())["layout"]
+        start = map_basis(np.load(basis_path), *_block_maps(layout), lp)
         simplex = _edge_simplex(state_name, warm_from)
     result = solve(lp, solver, reuse, start, keep_basis, simplex)
 
@@ -266,8 +282,6 @@ def _run_state(payload) -> tuple[dict, _Basis | None]:
         csv_path, meta_path, basis_path = _state_paths(out_dir, state_name)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_solution_csv(csv_path, lp, result.primal)
-        if keep_basis:
-            np.save(basis_path, result.basis)
         meta = {
             **entry,
             "timing_seconds": wall,
@@ -277,97 +291,73 @@ def _run_state(payload) -> tuple[dict, _Basis | None]:
             "simplex": simplex,
             "alien_start": result.alien_start,
         }
+        if keep_basis:
+            np.save(basis_path, result.basis)
+            meta["layout"] = _layout(lp)
         meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    basis = None
-    if keep_basis and result.basis is not None:
-        basis = _Basis(result.basis, lp.blocks, lp.row_blocks)
-    return {**entry, "timing_seconds": wall}, basis
+    return {**entry, "timing_seconds": wall}
 
 
 def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -> dict:
     """Execute the sweep and return the ledger document.
 
     ``completed`` carries already-solved entries (used by resume); only
-    the remaining states are solved. A completed state with children
-    counts only when its ``states/<name>.basis.npy`` is there, so that
-    its children start where a fresh sweep would start them. Each state
-    starts from its ``warm_parents`` parent's basis and is submitted as
-    soon as that parent is done; at one worker the states run in
-    canonical order, which puts every parent before its children. The
-    ledger is written before raising: of every state on a non-optimal
-    one, of the finished states on any exception (``KeyboardInterrupt``
-    too), so that ``resume`` goes on from them.
+    the remaining states are solved, with no more workers than states. A
+    state is submitted as soon as its ``warm_parents`` parent is done; at
+    one worker the states run in canonical order, parents first. The ledger
+    of the finished states is written however the sweep ends,
+    ``KeyboardInterrupt`` included, so that ``resume`` goes on from them.
     """
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = read_system(manifest.system_manifest)
     states = enumerate_subset_states(manifest.factors)
+    parents = warm_parents(manifest.factors)
+    basis_states = {p for p in parents.values() if p is not None}
+    entries = dict(completed or {})
+    pending = [s.name for s in states if s.name not in entries]
 
-    entries: dict[str, dict] = {}
     try:
         shares = derive_reference_shares(
             base, manifest.reference_country, manifest.solver, _REUSE
         )
         _write_shares(out_dir / "reference_shares.json", shares)
 
-        parents = warm_parents(manifest.factors)
-        basis_states = {p for p in parents.values() if p is not None}
-        bases = {}
-        for name, entry in (completed or {}).items():
-            if name not in basis_states or _state_paths(out_dir, name)[2].exists():
-                entries[name] = entry
-        pending = [s.name for s in states if s.name not in entries]
-        # a completed parent's block maps come from assembling its LP again
-        for name in sorted({parents[child] for child in pending} & entries.keys()):
-            lp, _ = assemble(apply_factor_state(base, FactorState.parse(name), shares))
-            statuses = np.load(_state_paths(out_dir, name)[2])
-            bases[name] = _Basis(statuses, lp.blocks, lp.row_blocks)
-
         def payload(name: str):
-            parent = bases.get(parents[name])
-            warm_from = parents[name] if parent is not None else None
+            parent = parents[name]
+            optimal = parent in entries and entries[parent]["status"] == "optimal"
             return (
                 base, shares, name, manifest.solver, str(out_dir), manifest.export_mps,
-                warm_from, parent, name in basis_states,
+                parent if optimal else None, name in basis_states,
             )
 
-        def record(name: str, outcome: tuple[dict, _Basis | None]) -> None:
-            entry, basis = outcome
-            entries[name] = entry
-            if basis is not None:
-                bases[name] = basis
-
-        if manifest.workers == 1 or len(pending) <= 1:
+        workers = min(manifest.workers, len(pending))
+        if workers <= 1:
             for name in pending:
-                record(name, _run_state(payload(name)))
+                entries[name] = _run_state(payload(name))
         else:
-            waiting: dict[str, list[str]] = {}
-            ready = []
+            # a state waits for its parent when that is pending, else for None
+            waiting: dict[str | None, list[str]] = {}
             for name in pending:
-                if parents[name] in pending:
-                    waiting.setdefault(parents[name], []).append(name)
-                else:
-                    ready.append(name)
+                parent = parents[name] if parents[name] in pending else None
+                waiting.setdefault(parent, []).append(name)
             with ProcessPoolExecutor(
-                max_workers=manifest.workers, initializer=_seed_reuse, initargs=(dict(_REUSE),)
+                max_workers=workers, initializer=_seed_reuse, initargs=(dict(_REUSE),)
             ) as pool:
+                ready = waiting.pop(None, ())
                 running = {pool.submit(_run_state, payload(name)): name for name in ready}
                 while running:
                     done, _ = wait(running, return_when=FIRST_COMPLETED)
                     for future in done:
                         name = running.pop(future)
-                        record(name, future.result())
+                        entries[name] = future.result()
                         for child in waiting.pop(name, ()):
                             running[pool.submit(_run_state, payload(child))] = child
-    except BaseException:
-        if entries:
-            write_ledger(_assemble_ledger(manifest, states, entries), out_dir / "ledger.json")
-        raise
     finally:
         _REUSE.clear()
-
-    ledger = _assemble_ledger(manifest, states, entries)
-    write_ledger(ledger, out_dir / "ledger.json")
+        ledger = _assemble_ledger(manifest, states, entries)
+        if entries:
+            write_ledger(ledger, out_dir / "ledger.json")
 
     failures = [e["state"] for e in ledger["entries"] if e["status"] != "optimal"]
     if failures:
@@ -419,7 +409,10 @@ def ledger_comparison_bytes(ledger: dict) -> bytes:
 
 
 def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
-    """Finish a partial sweep; completed states are not re-solved."""
+    """Finish a partial sweep; completed states are not re-solved.
+
+    A parent state counts as completed only with its basis and layout.
+    """
     ledger = read_ledger(ledger_path)
     if ledger.get("schema") != LEDGER_SCHEMA:
         raise SweepError(
@@ -428,14 +421,19 @@ def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
     if ledger.get("manifest_hash") != manifest.digest():
         raise SweepError("ledger manifest hash does not match this manifest")
     out_dir = Path(manifest.out_dir)
+    basis_states = set(warm_parents(manifest.factors).values()) - {None}
     completed = {}
     timing = ledger.get("timing", {})
     for entry in ledger.get("entries", []):
         name = entry["state"]
         if entry.get("status") != "optimal" or not entry["certificate"]["ok"]:
             continue
-        csv_path, meta_path, _ = _state_paths(out_dir, name)
+        csv_path, meta_path, basis_path = _state_paths(out_dir, name)
         if not (csv_path.exists() and meta_path.exists()):
+            continue
+        if name in basis_states and not (
+            basis_path.exists() and "layout" in json.loads(meta_path.read_text())
+        ):
             continue
         completed[name] = {**entry, "timing_seconds": timing.get(name, 0.0)}
     return run_sweep(manifest, completed=completed)

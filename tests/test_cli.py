@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -93,6 +94,22 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         assert f"missing series files ['{load_file}']" in result.stderr
 
+    @pytest.mark.parametrize(
+        "series,message",
+        [
+            (5, "series entry must be an object, got 5"),
+            ({"load": 5}, "series entry: load must be a string, got 5"),
+        ],
+    )
+    def test_malformed_series_entry_exit_1(self, runner, system_dir, series, message):
+        doc = json.loads(Path(system_dir).read_text())
+        doc["series"] = series
+        Path(system_dir).write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert f"error: {message}" in result.stderr
+
 
 class TestSolve:
     def test_native_state(self, runner, system_dir, tmp_path):
@@ -124,6 +141,23 @@ class TestSolve:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
         assert "error: reference country ZZ not in spec" in result.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "residual"])
+    def test_non_optimal_state_exit_1(self, runner, system_dir, tmp_path, monkeypatch, command):
+        import gridfactor.cli as cli_mod
+
+        real = cli_mod.solve
+        monkeypatch.setattr(
+            cli_mod, "solve", lambda lp: dataclasses.replace(real(lp), status="infeasible")
+        )
+        args = [command, str(system_dir), "--state", "f_123456"]
+        if command == "residual":
+            args += ["--out", str(tmp_path / "residual")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: scenario f_123456 is infeasible\n"
+        assert result.stdout == ""
 
     def test_fully_harmonized_state(self, runner, system_dir):
         result = runner.invoke(

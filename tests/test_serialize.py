@@ -95,8 +95,61 @@ class TestRejection:
                 True,
                 "interconnector entry 0: ntc must be a number, got True",
             ),
+            (("countries",), 5, "countries must be a list, got 5"),
+            (("series",), 5, "series entry must be an object, got 5"),
+            (("series",), {"load": 5}, "series entry: load must be a string, got 5"),
+            (
+                ("series", "capacity_factors"),
+                ["cf_solar_pv.csv"],
+                "series entry: capacity_factors must be an object, got ['cf_solar_pv.csv']",
+            ),
+            (
+                ("series", "capacity_factors", "solar_pv"),
+                1,
+                "series entry: capacity_factors: solar_pv must be a string, got 1",
+            ),
+            (
+                ("offshore_overrides",),
+                {"AA": 1.0},
+                "offshore_overrides must be a list, got {'AA': 1.0}",
+            ),
+            (
+                ("offshore_overrides",),
+                [["AA"]],
+                "offshore_overrides 0 must be [country code, number], got ['AA']",
+            ),
+            (
+                ("offshore_overrides",),
+                ["AA"],
+                "offshore_overrides 0 must be [country code, number], got 'AA'",
+            ),
+            (
+                ("offshore_overrides",),
+                [["AA", "x"]],
+                "offshore_overrides 0: capacity must be a number, got 'x'",
+            ),
+            (
+                ("offshore_overrides",),
+                [[1, 2.0]],
+                "offshore_overrides 0: country code must be a string, got 1",
+            ),
         ],
-        ids=["entry", "horizon", "number", "bool-as-number"],
+        ids=[
+            "entry",
+            "horizon",
+            "number",
+            "bool-as-number",
+            "table",
+            "series",
+            "series-file",
+            "capacity-factor-files",
+            "capacity-factor-file",
+            "overrides",
+            "override-length",
+            "override-pair",
+            "override-number",
+            "override-code",
+        ],
     )
     def test_wrong_type_named(self, tmp_path, small_spec, path, value, message):
         manifest = write_system(small_spec, tmp_path / "sys")
@@ -149,6 +202,13 @@ class TestRejection:
         with pytest.raises(ManifestError) as info:
             read_series_csv(path, 2)
         assert str(info.value) == f"{path}, {message}"
+
+    def test_repeated_column_named(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("hour,AA,AB,AA\n0,1.0,2.0,3.0\n")
+        with pytest.raises(ManifestError) as info:
+            read_series_csv(path, 1)
+        assert str(info.value) == f"{path}: column 'AA' repeats in the header"
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "s.csv"

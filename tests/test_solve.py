@@ -146,6 +146,11 @@ class TestNoColumns:
         lp = tiny_lp([], ["=", ">"], [1e-9, 0.0], [])
         assert solve(lp).status == "optimal"
 
+    def test_kept_basis_is_every_row_basic(self):
+        lp = tiny_lp([], ["<", ">"], [5.0, -1.0], [])
+        assert solve(lp, keep_basis=True).basis.tolist() == [1, 1]
+        assert solve(lp).basis is None
+
 
 class TestSimplexVariant:
     """Aggregate storage metrics are unique across optimal vertices, unlike flows.

@@ -1,14 +1,20 @@
 import csv
 import dataclasses
 import json
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gridfactor.sweep as sweep_mod
-from gridfactor import write_system
-from gridfactor.harmonize import enumerate_subset_states
+from gridfactor import assemble, read_system, write_system
+from gridfactor.harmonize import (
+    FactorState,
+    apply_factor_state,
+    derive_reference_shares,
+    enumerate_subset_states,
+)
 from gridfactor.sweep import (
     LEDGER_SCHEMA,
     RunManifest,
@@ -285,10 +291,10 @@ class TestWarmStarts:
         original = sweep_mod._run_state
 
         def failing_f256(payload):
-            entry, basis = original(payload)
+            entry = original(payload)
             if payload[2] == "f_256":
-                return {**entry, "status": "numerical"}, None
-            return entry, basis
+                return {**entry, "status": "numerical"}
+            return entry
 
         monkeypatch.setattr(sweep_mod, "_run_state", failing_f256)
         with pytest.raises(SweepError, match="optimality"):
@@ -300,6 +306,72 @@ class TestWarmStarts:
         assert states["f_2356"]["warm_from"] is None
         assert states["f_2456"]["warm_from"] is None
         assert states["f_23456"]["warm_from"] == "f_2356"
+
+    def test_child_of_a_failed_parent_ignores_an_earlier_sweep(
+        self, system_dir, tmp_path, monkeypatch
+    ):
+        """A finished sweep's bases and layouts in ``out/`` are not read by a new one."""
+        sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), 1)
+        self.test_child_of_a_failed_parent_solves_cold(system_dir, tmp_path, monkeypatch)
+
+    def test_failed_parent_leaves_its_earlier_files_unread(self, system_dir, tmp_path, monkeypatch):
+        sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), 1)
+        original = sweep_mod._run_state
+
+        def failing_f256(payload):
+            # fails without writing, so the earlier sweep's f_256 files stay
+            if payload[2] == "f_256":
+                return {"state": "f_256", "status": "numerical", "timing_seconds": 0.0}
+            return original(payload)
+
+        monkeypatch.setattr(sweep_mod, "_run_state", failing_f256)
+        with pytest.raises(SweepError, match="optimality"):
+            sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), 1)
+        assert (tmp_path / "out" / "states" / "f_256.basis.npy").exists()
+        for child in ("f_1256", "f_2356", "f_2456"):
+            meta = json.loads((tmp_path / "out" / "states" / f"{child}.json").read_text())
+            assert meta["warm_from"] is None
+
+    def test_parents_record_their_layout(self, system_dir, tmp_path):
+        _, _, states = sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), 1)
+        parents = set(warm_parents((1, 3, 4)).values()) - {None}
+        assert {name for name, s in states.items() if "layout" in s} == parents
+        spec = read_system(system_dir)
+        shares = derive_reference_shares(spec, "AA")
+        for name in parents:
+            lp, _ = assemble(apply_factor_state(spec, FactorState.parse(name), shares))
+            assert sweep_mod._block_maps(states[name]["layout"]) == [lp.blocks, lp.row_blocks]
+
+    def test_pool_has_no_more_workers_than_pending_states(self, manifest, monkeypatch):
+        run_sweep(manifest)
+        ledger_path = Path(manifest.out_dir) / "ledger.json"
+        ledger = json.loads(ledger_path.read_text())
+        ledger["entries"] = [e for e in ledger["entries"] if e["state"] == "f_3456"]
+        ledger_path.write_text(json.dumps(ledger))
+
+        pools = []
+
+        class Recording:
+            """Runs each task at once in this process and records its size."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", Recording)
+        resumed = resume(dataclasses.replace(manifest, workers=5), ledger_path)
+        assert pools == [3]
+        assert len(resumed["entries"]) == 4
 
 
 class TestResume:
@@ -333,7 +405,7 @@ class TestResume:
             # a parent without its basis counts as not completed
             (["f_2356.basis.npy"], ["f_2356"]),
             # an interconnected child of an isolated parent, whose block maps
-            # come from assembling its LP again
+            # come from the parent's recorded layout
             (["f_1256.csv", "f_1256.json"], ["f_1256"]),
             # ... or from solving the parent again
             (["f_1256.csv", "f_1256.json", "f_256.basis.npy"], ["f_256", "f_1256"]),
@@ -362,6 +434,36 @@ class TestResume:
             assert meta["warm_from"] == parents[name]
         for name in set(parents.values()) - {None}:
             assert (Path(warm.out_dir) / "states" / f"{name}.basis.npy").exists()
+
+    @pytest.mark.parametrize(
+        "removed,solved",
+        [
+            ([], ["f_256"]),
+            (["f_1256.csv", "f_1256.json"], ["f_256", "f_1256"]),
+        ],
+    )
+    def test_parent_without_layout_is_solved_again(self, manifest, monkeypatch, removed, solved):
+        warm = dataclasses.replace(manifest, factors=(1, 3, 4))
+        fresh = run_sweep(warm)
+        states = Path(warm.out_dir) / "states"
+        meta = json.loads((states / "f_256.json").read_text())
+        del meta["layout"]
+        (states / "f_256.json").write_text(json.dumps(meta))
+        for name in removed:
+            (states / name).unlink()
+
+        calls = []
+        original = sweep_mod._run_state
+
+        def counting(payload):
+            calls.append(payload[2])
+            return original(payload)
+
+        monkeypatch.setattr(sweep_mod, "_run_state", counting)
+        resumed = resume(warm, Path(warm.out_dir) / "ledger.json")
+        assert calls == solved
+        assert ledger_comparison_bytes(resumed) == ledger_comparison_bytes(fresh)
+        assert "layout" in json.loads((states / "f_256.json").read_text())
 
     def test_interrupted_sweep_resumes(self, manifest, monkeypatch, tmp_path):
         """An interrupt leaves the ledger of the finished states, and resume completes it."""
