@@ -254,6 +254,10 @@ def _validate_time_series(spec: PowerSystemSpec) -> list[str]:
         elif np.any((np.asarray(series) < 0) | (np.asarray(series) > 1)):
             out.append(f"{tag}: capacity factor out of [0,1]")
 
+    for code in ts.load:
+        if code not in codes:
+            out.append(f"load ({code}): unknown country")
+
     for c in spec.countries:
         if c.code not in ts.load:
             out.append(f"country {c.code}: missing load series")

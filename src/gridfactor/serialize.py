@@ -144,6 +144,8 @@ def read_series_csv(path: Path, horizon: int) -> dict[str, np.ndarray]:
         if not header or header[0] != "hour":
             raise ManifestError(f"{path}: first column must be 'hour'")
         columns = header[1:]
+        if "" in columns:
+            raise ManifestError(f"{path}: column {columns.index('') + 2} has no name")
         repeated = sorted({c for c in columns if columns.count(c) > 1})
         if repeated:
             raise ManifestError(f"{path}: column {repeated[0]!r} repeats in the header")

@@ -2,7 +2,12 @@
 
 ``solve`` hands HiGHS each independent block of the LP as its own
 model: CSR rows, and row bounds (-inf, rhs], [rhs, inf) or [rhs, rhs]
-from the relations. It runs on one thread with the primal revised simplex
+from the relations. An LP of two or more blocks has them solved at once
+on a thread pool, one thread per block up to the CPUs the process may
+use; HiGHS releases the GIL while it solves. A process that
+``multiprocessing`` started solves its blocks in order on its own
+thread, since a sweep's pool already runs one such process per CPU.
+Each HiGHS model runs on one thread with the primal revised simplex
 by default (Huangfu & Hall, *Math. Prog. Comp.* 2018, describe both of
 HiGHS's simplex variants): on the capacity-expansion LPs here, solved
 cold, it takes 15-30 % more iterations than the dual simplex but
@@ -42,6 +47,9 @@ edges that add interconnection or native load (``gridfactor.sweep``).
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,7 +81,7 @@ class SolveResult:
     primal: np.ndarray
     dual: np.ndarray
     iterations: int
-    blocks: int = 1  # independent blocks solved one at a time
+    blocks: int = 1  # independent blocks, each solved as its own HiGHS model
     reused_blocks: int = 0  # blocks answered from ``solve``'s ``reuse`` dict
     # final simplex basis in LP order (module docstring), when asked for
     basis: np.ndarray | None = None
@@ -98,11 +106,14 @@ def solve(
 ) -> SolveResult:
     """Solve ``lp``; HiGHS solves each independent block on its own.
 
-    Blocks are solved in block order. Their objectives and iterations add
-    up, and ``options.iteration_limit`` is one budget for the whole LP:
-    each block gets what the blocks before it left. The first block that
-    is not optimal gives the LP its status. An LP of one block is one
-    HiGHS call on the LP as given.
+    Blocks may be solved at once on a thread pool (module docstring);
+    their results are taken in block order, so the result does not
+    depend on the thread count. Each block gets the whole
+    ``options.iteration_limit``. The first block that is not optimal
+    gives the LP its status; the objectives and iterations of the blocks
+    up to it add up, and a block after it counts for nothing, solved or
+    not. A block that raises ends the solve: blocks not yet started are
+    cancelled. An LP of one block is one HiGHS call on the LP as given.
 
     ``reuse`` maps a block's ``ReuseKey`` to its optimal result. A block
     found there is not solved again; one solved here is added. A stored
@@ -130,12 +141,9 @@ def solve(
     if not parts:
         result, reused = _solve_block(lp, options, reuse, start, keep_basis, simplex)
         return replace(result, reused_blocks=1) if reused else result
-    primal, dual = np.zeros(lp.n_cols), np.zeros(lp.n_rows)
-    basis = np.zeros(lp.n_cols + lp.n_rows, dtype=np.int8) if keep_basis else None
-    objective, iterations, reused_blocks, alien = 0.0, 0, 0, False
-    for rows, cols in parts:
-        # the block's positions in an LP-order basis
-        order = np.concatenate([cols, lp.n_cols + rows])
+
+    def solve_part(part: tuple[np.ndarray, np.ndarray]) -> tuple[SolveResult, bool]:
+        rows, cols = part
         block = LinearProgram(
             A=lp.A[rows][:, cols],
             c=lp.c[cols],
@@ -145,21 +153,31 @@ def solve(
             rhs=lp.rhs[rows],
             name=lp.name,
         )
-        budget = replace(options, iteration_limit=options.iteration_limit - iterations)
-        block_start = None if start is None else start[order]
-        result, reused = _solve_block(block, budget, reuse, block_start, keep_basis, simplex)
-        iterations += result.iterations
-        reused_blocks += reused
-        alien = alien or result.alien_start
-        if result.status != "optimal":
-            objective, primal, dual = float("nan"), np.zeros(lp.n_cols), np.zeros(lp.n_rows)
-            basis = None
-            break
-        objective += result.objective
-        primal[cols] = result.primal
-        dual[rows] = result.dual
-        if basis is not None:
-            basis[order] = result.basis
+        block_start = None if start is None else start[_basis_order(lp, rows, cols)]
+        return _solve_block(block, options, reuse, block_start, keep_basis, simplex)
+
+    primal, dual = np.zeros(lp.n_cols), np.zeros(lp.n_rows)
+    basis = np.zeros(lp.n_cols + lp.n_rows, dtype=np.int8) if keep_basis else None
+    objective, iterations, reused_blocks, alien = 0.0, 0, 0, False
+    pool = _block_pool(len(parts))
+    try:
+        outcomes = map(solve_part, parts) if pool is None else pool.map(solve_part, parts)
+        for (rows, cols), (result, reused) in zip(parts, outcomes):
+            iterations += result.iterations
+            reused_blocks += reused
+            alien = alien or result.alien_start
+            if result.status != "optimal":
+                objective, primal, dual = float("nan"), np.zeros(lp.n_cols), np.zeros(lp.n_rows)
+                basis = None
+                break
+            objective += result.objective
+            primal[cols] = result.primal
+            dual[rows] = result.dual
+            if basis is not None:
+                basis[_basis_order(lp, rows, cols)] = result.basis
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return SolveResult(
         status=result.status,
         objective=objective,
@@ -233,6 +251,33 @@ def _independent_blocks(lp: LinearProgram) -> list[tuple[np.ndarray, np.ndarray]
     return [(np.flatnonzero(labels[:m] == b), np.flatnonzero(labels[m:] == b)) for b in blocks]
 
 
+def _basis_order(lp: LinearProgram, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The positions of a block's columns and rows in an LP-order basis."""
+    return np.concatenate([cols, lp.n_cols + rows])
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _block_pool(blocks: int) -> ThreadPoolExecutor | None:
+    """A thread pool to solve ``blocks`` blocks on, or None to solve them in order.
+
+    One thread per block, up to the CPUs the process may use. None for
+    fewer than two threads, and in a process that ``multiprocessing``
+    started: a sweep's pool already runs one worker per CPU, and threads
+    there would only add HiGHS working sets.
+    """
+    threads = min(blocks, _usable_cpus())
+    if threads < 2 or multiprocessing.parent_process() is not None:
+        return None
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="highs-block")
+
+
 def _solve_block(
     lp: LinearProgram,
     options: SolveOptions,
@@ -241,7 +286,13 @@ def _solve_block(
     keep_basis: bool,
     simplex: str,
 ) -> tuple[SolveResult, bool]:
-    """HiGHS result for one block, and whether it came from ``reuse``."""
+    """HiGHS result for one block, and whether it came from ``reuse``.
+
+    Several threads may read and write ``reuse`` at once (``solve``).
+    Each ``get`` and each assignment is one dict operation, atomic under
+    the GIL. Two threads that miss the same key both solve the block and
+    both store it; HiGHS is deterministic, so the two results are equal.
+    """
     if reuse is None:
         return _solve_highs(lp, options, start, keep_basis, simplex), False
     started = None if start is None else hashlib.sha256(start.tobytes()).hexdigest()

@@ -30,6 +30,12 @@ so an earlier run's files in a reused output directory are never read;
 a child of a parent that is not optimal solves cold. Resume solves a
 completed parent without its basis or layout again.
 
+A sweep's pool workers solve an isolated state's blocks one after
+another on one thread: the pool already runs one worker per CPU, and
+``solve`` starts no threads in a process that ``multiprocessing``
+started. A sweep at one worker runs its states in the calling
+process, so there an isolated state's blocks are solved at once.
+
 Within one sweep, the blocks of isolated states are kept by
 ``lp_digest``, start and simplex variant (``_REUSE``) and not solved
 again: an isolated state is one block per country, and a country's

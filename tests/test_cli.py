@@ -95,6 +95,21 @@ class TestValidate:
         assert f"missing series files ['{load_file}']" in result.stderr
 
     @pytest.mark.parametrize(
+        "column,message",
+        [("ZZ", "load (ZZ): unknown country"), ("", "column 4 has no name")],
+        ids=["unknown", "unnamed"],
+    )
+    def test_load_column_of_no_country_exit_1(self, runner, system_dir, column, message):
+        load_file = Path(system_dir).parent / "load.csv"
+        lines = load_file.read_text().splitlines()
+        lines = [f"{lines[0]},{column}"] + [f"{line},1.0" for line in lines[1:]]
+        load_file.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert message in result.stderr
+
+    @pytest.mark.parametrize(
         "series,message",
         [
             (5, "series entry must be an object, got 5"),

@@ -77,6 +77,12 @@ class TestValidate:
         spec = dataclasses.replace(small_spec, time_series=dataclasses.replace(ts, load=load))
         assert any("series length mismatch" in v for v in validate(spec))
 
+    def test_load_of_unknown_country(self, small_spec):
+        ts = small_spec.time_series
+        load = {**ts.load, "ZZ": ts.load["AA"]}
+        spec = dataclasses.replace(small_spec, time_series=dataclasses.replace(ts, load=load))
+        assert validate(spec) == ["load (ZZ): unknown country"]
+
     def test_duplicate_country_codes(self, small_spec):
         spec = dataclasses.replace(
             small_spec, countries=small_spec.countries + (small_spec.countries[0],)

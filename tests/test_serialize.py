@@ -210,6 +210,15 @@ class TestRejection:
             read_series_csv(path, 1)
         assert str(info.value) == f"{path}: column 'AA' repeats in the header"
 
+    @pytest.mark.parametrize("header", ["hour,AA,,AB", "hour,AA,AB,"])
+    def test_unnamed_column_refused(self, tmp_path, header):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{header}\n0,1.0,2.0,3.0\n")
+        with pytest.raises(ManifestError) as info:
+            read_series_csv(path, 1)
+        column = header.split(",").index("") + 1
+        assert str(info.value) == f"{path}: column {column} has no name"
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("hour,AA\n0,1.0\n")

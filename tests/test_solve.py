@@ -1,4 +1,6 @@
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -238,13 +240,20 @@ class TestBlocks:
         assert np.isnan(result.objective)
         assert not result.primal.any() and not result.dual.any()
 
-    def test_iteration_limit_is_one_budget(self, isolated_lps):
+    def test_iteration_limit_is_per_block(self, isolated_lps):
         lp = isolated_lps["f_23456"]
-        needed = solve(lp).iterations
-        # each block alone needs fewer iterations than this
-        result = solve(lp, SolveOptions(iteration_limit=needed - 1))
-        assert result.status == "iteration-limit"
-        assert result.iterations <= needed - 1
+        reuse = {}
+        total = solve(lp, reuse=reuse).iterations
+        needed = sorted(result.iterations for result in reuse.values())
+        assert len(needed) == 3 and sum(needed) == total
+        # HiGHS stops at iteration-limit once its count reaches the limit
+        enough = solve(lp, SolveOptions(iteration_limit=needed[-1] + 1))
+        assert needed[-1] + 1 < total
+        assert (enough.status, enough.iterations) == ("optimal", total)
+        short = solve(lp, SolveOptions(iteration_limit=needed[0] - 1))
+        assert short.status == "iteration-limit"
+        # the first block stops, and the blocks after it count for nothing
+        assert short.iterations <= needed[0] - 1
 
     @pytest.mark.parametrize("relation,status", [("=", "infeasible"), ("<", "optimal")])
     def test_empty_row_is_honoured(self, relation, status):
@@ -408,6 +417,131 @@ class TestStartBasis:
         assert (dual.reused_blocks, len(reuse)) == (0, 9)
         again = solve(lp, reuse=reuse, start=start, keep_basis=True, simplex="dual")
         assert (again.reused_blocks, again.iterations) == (3, dual.iterations)
+
+
+class TestThreads:
+    """Blocks solved at once on a thread pool give what blocks solved in order give.
+
+    The CPU count is patched, so that the pool runs on a one-CPU machine too.
+    """
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The thread count of each pool ``solve`` builds, with two CPUs to use."""
+        built = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(solve_mod, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(solve_mod, "_usable_cpus", lambda: 2)
+        return built
+
+    @staticmethod
+    def in_order(monkeypatch, *args, **kwargs):
+        """``solve`` with one CPU to use: its blocks in order, on this thread."""
+        with monkeypatch.context() as m:
+            m.setattr(solve_mod, "_usable_cpus", lambda: 1)
+            return solve(*args, **kwargs)
+
+    # each state's start is the final basis of a neighbour of the same layout
+    NEIGHBOUR = {"f_0": "f_2", "f_2": "f_0", "f_3456": "f_23456", "f_23456": "f_3456"}
+
+    @pytest.mark.parametrize("started", [False, True], ids=["cold", "started"])
+    @pytest.mark.parametrize("name", sorted(NEIGHBOUR))
+    def test_threads_match_blocks_in_order(self, isolated_lps, pools, monkeypatch, name, started):
+        lp = isolated_lps[name]
+        start = None
+        if started:
+            neighbour = isolated_lps[self.NEIGHBOUR[name]]
+            start = self.in_order(monkeypatch, neighbour, keep_basis=True).basis
+        threaded = solve(lp, start=start, keep_basis=True)
+        in_order = self.in_order(monkeypatch, lp, start=start, keep_basis=True)
+        assert pools == [2]
+        assert threaded.status == "optimal" and threaded.blocks == 3
+        for field in ("objective", "iterations", "blocks", "reused_blocks", "alien_start"):
+            assert getattr(threaded, field) == getattr(in_order, field)
+        for field in ("primal", "dual", "basis"):
+            assert np.array_equal(getattr(threaded, field), getattr(in_order, field))
+
+    def test_no_more_threads_than_blocks(self, isolated_lps, pools, monkeypatch):
+        monkeypatch.setattr(solve_mod, "_usable_cpus", lambda: 8)
+        assert solve(isolated_lps["f_23456"]).blocks == 3
+        assert pools == [3]
+
+    @pytest.mark.parametrize("case", ["one block", "pool worker"])
+    def test_no_pool_where_threads_do_not_help(self, isolated_lps, coupled_lp, monkeypatch, case):
+        monkeypatch.setattr(solve_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(
+            solve_mod, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("built a thread pool")
+        )
+        if case == "one block":
+            assert solve(coupled_lp).blocks == 1
+        else:
+            monkeypatch.setattr(solve_mod.multiprocessing, "parent_process", lambda: object())
+            assert solve(isolated_lps["f_23456"]).blocks == 3
+
+    @pytest.mark.parametrize("error", [SolveError, KeyboardInterrupt])
+    def test_failing_block_cancels_the_queued_ones(self, monkeypatch, error):
+        # four one-column blocks: min x_k s.t. x_k >= k, k = 1..4
+        lp = tiny_lp(np.eye(4), [">"] * 4, [1.0, 2.0, 3.0, 4.0], [1.0] * 4)
+        shut = threading.Event()
+
+        class Watched(ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                # what is still queued is cancelled before the held blocks end
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                shut.set()
+                super().shutdown(wait=wait)
+
+        solved = []
+        highs = solve_mod._solve_highs
+
+        def failing(block, *args):
+            solved.append(int(block.rhs[0]))
+            if solved[-1] == 1:
+                raise error("block 1 failed")
+            # hold the other thread until the solve has given up
+            if not shut.wait(timeout=30):
+                raise RuntimeError("the pool was never shut down")
+            return highs(block, *args)
+
+        monkeypatch.setattr(solve_mod, "ThreadPoolExecutor", Watched)
+        monkeypatch.setattr(solve_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(solve_mod, "_solve_highs", failing)
+        with pytest.raises(error, match="block 1 failed"):
+            solve(lp)
+        # block 2 ran beside block 1; block 3 may have started before the
+        # failure was seen; block 4 was still queued
+        assert solved[0] in (1, 2) and 4 not in solved
+
+    def test_equal_blocks_solved_at_once_leave_one_entry(self, isolated_lps, pools, monkeypatch):
+        lp = isolated_lps["f_23456"]
+        rows, cols = solve_mod._independent_blocks(lp)[0]
+        copies = 4  # more threads than a 2-CPU machine has
+        twins = LinearProgram(
+            A=sp.block_diag([lp.A[rows][:, cols]] * copies, format="csr"),
+            c=np.tile(lp.c[cols], copies),
+            lb=np.tile(lp.lb[cols], copies),
+            ub=np.tile(lp.ub[cols], copies),
+            relations=np.tile(lp.relations[rows], copies),
+            rhs=np.tile(lp.rhs[rows], copies),
+        )
+        monkeypatch.setattr(solve_mod, "_usable_cpus", lambda: copies)
+        reuse = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = solve(twins, reuse=reuse)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [copies]
+        in_order = self.in_order(monkeypatch, twins)
+        assert (threaded.status, threaded.blocks, len(reuse)) == ("optimal", copies, 1)
+        assert np.array_equal(threaded.primal, in_order.primal)
+        assert threaded.objective == in_order.objective
 
 
 @pytest.fixture(scope="module")
