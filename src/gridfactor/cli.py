@@ -221,14 +221,17 @@ def cmd_factorize(ledger, out_prefix):
 @_domain_errors
 def cmd_residual(manifest, state, reference, out_dir, exclude):
     """Residual-load analytics from the optimal capacities of one scenario."""
+    excluded = tuple(c.strip() for c in exclude.split(",") if c.strip())
     scenario, lp = _scenario_lp(manifest, state, reference)
+    unknown = sorted(set(excluded) - {c.code for c in scenario.countries})
+    if unknown:
+        raise click.UsageError(f"--exclude names no country of the system: {unknown}")
     result = _solve_optimal(lp, state)
     caps = capacities_from_result(scenario, lp, result)
     series = residual_series(scenario, caps)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    excluded = tuple(c.strip() for c in exclude.split(",") if c.strip())
     write_events_csv(series, out / "events.csv", exclude=excluded)
     if len(scenario.countries) >= 2:
         write_cross_section_csv(

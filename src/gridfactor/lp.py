@@ -22,9 +22,9 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (
     HOURS_PER_YEAR,
@@ -33,6 +33,11 @@ from .model import (
     Technology,
     annuity,
 )
+
+# scipy.sparse is imported in ``assemble``, so that ``import gridfactor``
+# and the commands that build no LP load no scipy module
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 INF = float("inf")
 GENERATING = ("dispatchable", "variable-renewable", "run-of-river")
@@ -473,6 +478,8 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
 
 def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
     """Build the full LP plus a count report; deterministic for a given spec."""
+    import scipy.sparse as sp
+
     codes = sorted(c.code for c in spec.countries)
     cols = _layout(spec)
     c = build_objective(spec, cols)

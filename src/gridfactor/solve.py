@@ -53,8 +53,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
-import scipy.sparse as sp
 
 from .lp import LinearProgram, lp_digest
 from .model import GridFactorError
@@ -69,6 +67,14 @@ class SolveError(GridFactorError):
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Solver limits; each independent block gets the whole budget.
+
+    HiGHS stops a block with ``iteration-limit`` once its simplex
+    iteration count reaches ``iteration_limit``, even where the block
+    would be optimal at exactly that count: a block that needs N
+    iterations needs a limit of at least N + 1.
+    """
+
     iteration_limit: int = 100_000
 
 
@@ -233,6 +239,7 @@ def _independent_blocks(lp: LinearProgram) -> list[tuple[np.ndarray, np.ndarray]
     so that every block has rows and columns. Empty when the LP is one
     block.
     """
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     A = lp.A
@@ -362,6 +369,8 @@ def _solve_highs(
     try:
         import scipy.optimize._highspy._core as highs_core
     except ImportError as exc:
+        import scipy
+
         raise SolveError(f"scipy {scipy.__version__}: no HiGHS binding ({exc})") from exc
 
     model = highs_core.HighsLp()

@@ -363,6 +363,16 @@ class TestResidual:
         assert result.exit_code == 0, result.output
         assert len((out_dir / "events.csv").read_text().splitlines()) == 1
 
+    def test_unknown_exclusion_exit_2(self, runner, system_dir, tmp_path):
+        out_dir = tmp_path / "res"
+        result = runner.invoke(
+            main,
+            ["residual", str(system_dir), "--out", str(out_dir), "--exclude", "AA,ZZ, AX"],
+        )
+        assert result.exit_code == 2
+        assert "--exclude names no country of the system: ['AX', 'ZZ']" in result.stderr
+        assert not out_dir.exists()
+
 
 class TestSynthesize:
     def test_reproducible_across_invocations(self, runner, tmp_path):
@@ -439,6 +449,47 @@ def test_method_flag_is_gone(runner, system_dir, tmp_path, command, options):
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
     assert "No such option '--method'" in result.stderr
+
+
+def _scipy_modules_after(probe: str) -> list[str]:
+    """The ``scipy*`` modules a fresh interpreter holds after running ``probe``."""
+    src = Path(gridfactor.__file__).resolve().parents[1]
+    code = probe + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(k for k in sys.modules if k.startswith('scipy'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestStartUpLoadsNoScipy:
+    """Commands that build no LP never import scipy."""
+
+    def test_import_read_validate_and_synthesize(self, system_dir):
+        probe = (
+            "import gridfactor, gridfactor.cli\n"
+            "from gridfactor import read_system, synthesize_system, validate\n"
+            f"assert validate(read_system({str(system_dir)!r})) == []\n"
+            "synthesize_system(seed=3, n_countries=2, horizon=24)"
+        )
+        assert _scipy_modules_after(probe) == []
+
+    def test_factorize_a_finished_ledger(self, runner, system_dir, tmp_path):
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", str(system_dir), "--reference", "AA", "--out", str(out_dir)]
+        result = runner.invoke(main, [*args, "--factors", "interconnection,wind"])
+        assert result.exit_code == 0, result.output
+        probe = (
+            "from gridfactor.cli import main\n"
+            f"main(['factorize', {str(out_dir / 'ledger.json')!r}], standalone_mode=False)"
+        )
+        assert _scipy_modules_after(probe) == []
 
 
 def test_import_leaves_scipy_linalg_unloaded():
