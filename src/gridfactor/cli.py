@@ -39,7 +39,7 @@ from .residual import (
     write_events_csv,
 )
 from .serialize import read_system, write_system
-from .solve import solve
+from .solve import solve, verify_certificate
 from .sweep import (
     RunManifest,
     VERSION,
@@ -74,7 +74,7 @@ def _parse_factors(text: str) -> tuple[int, ...]:
         token = token.strip().lower()
         if not token:
             continue
-        if token.isdigit():
+        if token.isdigit() and int(token) in FACTOR_NUMBERS.values():
             numbers.append(int(token))
         elif token in FACTOR_NUMBERS:
             numbers.append(FACTOR_NUMBERS[token])
@@ -113,10 +113,12 @@ def _scenario_lp(manifest, state: FactorState, reference: str | None):
 
 
 def _solve_optimal(lp, state: FactorState):
-    """Solve ``lp``; raise ``GridFactorError`` unless it is optimal."""
+    """Solve ``lp``; raise ``GridFactorError`` unless it is optimal and certified."""
     result = solve(lp)
     if result.status != "optimal":
         raise GridFactorError(f"scenario {state.name} is {result.status}")
+    if not verify_certificate(lp, result).ok:
+        raise GridFactorError(f"scenario {state.name} failed the optimality certificate check")
     return result
 
 

@@ -96,29 +96,26 @@ class FactorState:
         return cls.from_factors(set(nums))
 
 
-def enumerate_states(n_factors: int = 6) -> list[FactorState]:
-    """All 2^n states over factors 1..n, f_0 first, full set last.
+def _by_size(numbers):
+    """Subsets of ``numbers`` by size, then lexicographically by digits.
 
-    Ordered by subset size, then lexicographically by digits, so runs
-    and ledgers list states in one canonical order.
+    Runs and ledgers list states in this one canonical order.
     """
+    for size in range(len(numbers) + 1):
+        yield from itertools.combinations(numbers, size)
+
+
+def enumerate_states(n_factors: int = 6) -> list[FactorState]:
+    """All 2^n states over factors 1..n, f_0 first, full set last."""
     if n_factors < 1 or n_factors > 6:
         raise HarmonizeError("n_factors must be between 1 and 6")
-    subsets: list[tuple[int, ...]] = []
-    for size in range(n_factors + 1):
-        subsets.extend(itertools.combinations(range(1, n_factors + 1), size))
-    return [FactorState.from_factors(set(s)) for s in subsets]
+    return [FactorState.from_factors(set(s)) for s in _by_size(range(1, n_factors + 1))]
 
 
 def enumerate_subset_states(factor_numbers: tuple[int, ...]) -> list[FactorState]:
     """2^k states varying only the given factors; the rest stay native (B)."""
     fixed = set(FACTOR_NAMES) - set(factor_numbers)
-    ordered = sorted(factor_numbers)
-    states = []
-    for size in range(len(ordered) + 1):
-        for combo in itertools.combinations(ordered, size):
-            states.append(FactorState.from_factors(set(combo) | fixed))
-    return states
+    return [FactorState.from_factors(set(s) | fixed) for s in _by_size(sorted(factor_numbers))]
 
 
 @dataclass(frozen=True)
@@ -256,42 +253,31 @@ def apply_factor_state(
         wind_techs = spec.techs_in_group("wind")
         if not wind_techs:
             raise HarmonizeError("wind harmonization requires wind-group technologies")
-        for tech in wind_techs:
-            ref_series = cf[(shares.reference_country, tech.id)]
-            for code in codes:
-                cf[(code, tech.id)] = ref_series
+        _reference_profiles(cf, wind_techs, ref, codes)
         overrides = tuple(
             (code, shares.offshore_share * spec.country(code).yearly_load_total)
             for code in sorted(codes)
         )
     if not state.solar:
-        for tech in spec.techs_in_group("solar"):
-            ref_series = cf[(shares.reference_country, tech.id)]
-            for code in codes:
-                cf[(code, tech.id)] = ref_series
+        _reference_profiles(cf, spec.techs_in_group("solar"), ref, codes)
 
     if not state.load:
-        ref_series = np.asarray(load[shares.reference_country], dtype=float)
+        ref_series = np.asarray(load[ref], dtype=float)
         ref_total = float(ref_series.sum())
         if ref_total <= 0:
             raise HarmonizeError("reference load series sums to zero")
         shape = ref_series / ref_total
         for code in codes:
-            if code == shares.reference_country:
+            if code == ref:
                 continue  # exact fixed point for the reference
             own_total = float(np.asarray(load[code]).sum())
             load[code] = shape * own_total
 
-    hydro_techs = spec.techs_in_group("hydro")
-    bio_techs = spec.techs_in_group("bioenergy")
     if not state.hydro:
-        exogenous, inflow = _harmonize_portfolio(
-            spec, hydro_techs, exogenous, shares, rescale_inflow=True, inflow=inflow
-        )
+        exogenous = _reference_capacities(spec, "hydro", exogenous, shares)
+        inflow = _reference_inflow(spec, exogenous, ref, inflow)
     if not state.bioenergy:
-        exogenous, _ = _harmonize_portfolio(
-            spec, bio_techs, exogenous, shares, rescale_inflow=False, inflow=inflow
-        )
+        exogenous = _reference_capacities(spec, "bioenergy", exogenous, shares)
 
     new_ts = TimeSeriesSet(
         horizon=ts.horizon,
@@ -308,21 +294,26 @@ def apply_factor_state(
     )
 
 
-def _harmonize_portfolio(
+def _reference_profiles(cf: dict, techs, ref: str, codes) -> None:
+    """Give every country the reference country's profile of each of ``techs``."""
+    for tech in techs:
+        ref_series = cf[(ref, tech.id)]
+        for code in codes:
+            cf[(code, tech.id)] = ref_series
+
+
+def _reference_capacities(
     spec: PowerSystemSpec,
-    techs,
+    group: str,
     exogenous: list[ExogenousCapacity],
     shares: ReferenceShares,
-    rescale_inflow: bool,
-    inflow: dict,
-) -> tuple[list[ExogenousCapacity], dict]:
-    tech_ids = {t.id for t in techs if not t.expandable}
-    kept = [e for e in exogenous if e.technology not in tech_ids]
+) -> list[ExogenousCapacity]:
+    """``exogenous`` with the legacy capacities of ``group`` per load of the reference's."""
+    tech_ids = sorted(t.id for t in spec.techs_in_group(group) if not t.expandable)
     added: list[ExogenousCapacity] = []
-    codes = sorted(c.code for c in spec.countries)
-    for code in codes:
+    for code in sorted(c.code for c in spec.countries):
         yearly = spec.country(code).yearly_load_total
-        for tid in sorted(tech_ids):
+        for tid in tech_ids:
             s = shares.technology_shares.get(tid)
             if s is None:
                 raise HarmonizeError(f"missing reference share for technology {tid}")
@@ -337,29 +328,33 @@ def _harmonize_portfolio(
                     energy=s.energy * yearly,
                 )
             )
+    return [e for e in exogenous if e.technology not in tech_ids] + added
 
-    new_inflow = dict(inflow)
-    if rescale_inflow:
-        reservoir_ids = {t.id for t in techs if t.kind == "reservoir"}
-        ref_code = shares.reference_country
-        ref_power = sum(
-            e.power_discharge
-            for e in added
-            if e.country == ref_code and e.technology in reservoir_ids
-        )
-        ref_series = inflow.get(ref_code)
-        for code in codes:
-            own_power = sum(
-                e.power_discharge
-                for e in added
-                if e.country == code and e.technology in reservoir_ids
-            )
-            if own_power > 0 and (ref_series is None or ref_power <= 0):
-                raise HarmonizeError(
-                    "hydro harmonization needs a reference inflow series"
-                )
-            if own_power > 0:
-                new_inflow[code] = np.asarray(ref_series) * (own_power / ref_power)
-            else:
-                new_inflow.pop(code, None)
-    return kept + added, new_inflow
+
+def _reference_inflow(
+    spec: PowerSystemSpec,
+    exogenous: list[ExogenousCapacity],
+    ref: str,
+    inflow: dict,
+) -> dict:
+    """The reference's inflow, scaled by each country's hydro reservoir power.
+
+    A country without reservoir power keeps no inflow series.
+    """
+    reservoirs = {
+        t.id for t in spec.techs_in_group("hydro") if t.kind == "reservoir" and not t.expandable
+    }
+    power = {c.code: 0.0 for c in spec.countries}
+    for e in exogenous:
+        if e.technology in reservoirs:
+            power[e.country] += e.power_discharge
+    ref_series = inflow.get(ref)
+    scaled = dict(inflow)
+    for code in sorted(power):
+        if power[code] <= 0:
+            scaled.pop(code, None)
+        elif ref_series is None or power[ref] <= 0:
+            raise HarmonizeError("hydro harmonization needs a reference inflow series")
+        else:
+            scaled[code] = np.asarray(ref_series) * (power[code] / power[ref])
+    return scaled

@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 INF = float("inf")
-GENERATING = ("dispatchable", "variable-renewable", "run-of-river")
 
 
 class BuildError(GridFactorError):
@@ -61,6 +60,29 @@ _PREFIX = {
     "rsv_spill": "SPILL",
     "rsv_level": "RLVL",
     "flow": "F",
+}
+
+# The columns of each technology kind, in column order: its hourly
+# families, each with its sign in the country's balance row (0: not in
+# it), then its capacity families, each with the ``ExogenousCapacity``
+# field that fixes it when the technology is not expandable.
+_GENERATOR = ((("gen", 1.0),), (("cap_power", "power_discharge"),))
+_KINDS = {
+    "dispatchable": _GENERATOR,
+    "variable-renewable": _GENERATOR,
+    "run-of-river": _GENERATOR,
+    "storage": (
+        (("sto_in", -1.0), ("sto_out", 1.0), ("sto_level", 0.0)),
+        (
+            ("cap_charge", "power_charge"),
+            ("cap_discharge", "power_discharge"),
+            ("cap_energy", "energy"),
+        ),
+    ),
+    "reservoir": (
+        (("rsv_out", 1.0), ("rsv_spill", 0.0), ("rsv_level", 0.0)),
+        (("cap_discharge", "power_discharge"), ("cap_energy", "energy")),
+    ),
 }
 
 
@@ -215,61 +237,69 @@ def portfolio(spec: PowerSystemSpec) -> list[tuple[str, Technology]]:
     return [(code, tech) for code in codes for tech in techs if _present(spec, code, tech)]
 
 
-def _bounds(tech: Technology, exogenous: float) -> tuple[float, float]:
-    """Free for expandable technologies, else fixed at the exogenous capacity."""
-    return (0.0, INF) if tech.expandable else (exogenous, exogenous)
+def _capacity(
+    spec: PowerSystemSpec, code: str, tech: Technology, family: str, exogenous: str
+) -> tuple[float, float, float]:
+    """Bounds and objective coefficient of one capacity column.
 
-
-def _power_bounds(spec: PowerSystemSpec, code: str, tech: Technology) -> tuple[float, float]:
+    Legacy capacity is fixed at its ``exogenous`` field and costs nothing,
+    being sunk. Expandable capacity costs its annualized investment plus
+    fixed cost, per kW or kWh while capacities are MW or MWh (hence the
+    factor 1000), scaled by horizon/8760 so sub-year instances stay
+    economically consistent. Expandable offshore power is fixed at the
+    country's override, if any, and at zero where it may not be built.
+    """
     if not tech.expandable:
-        v = spec.exogenous_capacity(code, tech.id).power_discharge
-        return v, v
+        v = getattr(spec.exogenous_capacity(code, tech.id), exogenous)
+        return v, v, 0.0
+    overnight, fixed, what = {
+        "cap_power": (tech.overnight_cost_power, tech.fixed_cost, "technology"),
+        "cap_charge": (tech.overnight_cost_charge, 0.0, "storage"),
+        "cap_discharge": (tech.overnight_cost_discharge, tech.fixed_cost, "storage"),
+        "cap_energy": (tech.overnight_cost_energy, 0.0, "storage"),
+    }[family]
+    if overnight <= 0:
+        raise BuildError(f"expandable {what} {tech.id}: missing overnight_cost_{family[4:]}")
+    year_scale = spec.time_series.horizon / HOURS_PER_YEAR
+    cost = (annuity(overnight, tech.lifetime, spec.annuity_rate) + fixed) * 1000.0 * year_scale
     if tech.offshore:
         override = spec.offshore_override(code)
         if override is not None:
-            return override, override
+            return override, override, cost
         if not spec.country(code).offshore_eligible:
-            return 0.0, 0.0
-    return 0.0, INF
+            return 0.0, 0.0, cost
+    return 0.0, INF, cost
 
 
-class _Registry:
-    """Per-family counts of columns or rows, in order."""
+def _family_counts(blocks: dict[tuple, slice]) -> dict[str, int]:
+    """Columns or rows per family, families in order of first appearance."""
+    counts: dict[str, int] = {}
+    for key, block in blocks.items():
+        counts[key[0]] = counts.get(key[0], 0) + block.stop - block.start
+    return counts
+
+
+class _Columns:
+    """Column layout: an hourly family is one slice, a capacity one column."""
 
     def __init__(self, horizon: int):
         self.horizon = horizon
         self.n = 0
-        self.counts: dict[str, int] = {}
-
-    def _add(self, family: str, n: int) -> int:
-        """Reserve the next ``n`` indices for ``family``; return the first."""
-        first = self.n
-        self.n += n
-        self.counts[family] = self.counts.get(family, 0) + n
-        return first
-
-
-class _Columns(_Registry):
-    """Column layout: an hourly family is one slice, a capacity one column."""
-
-    def __init__(self, horizon: int):
-        super().__init__(horizon)
-        self.lb: list[float] = []
-        self.ub: list[float] = []
         self.blocks: dict[tuple, slice] = {}  # (family, country, tech) or ("flow", line)
+        self.values: list[tuple[float, float, float]] = []  # (lb, ub, cost) per block
         self.present: list[tuple[str, Technology]] = []  # (country, tech) in column order
 
-    def hourly(self, key: tuple, lo: float = 0.0, up: float = INF) -> None:
-        self._block(key, self.horizon, lo, up)
+    def add(self, key: tuple, n: int, lo: float = 0.0, up: float = INF, cost: float = 0.0):
+        """Reserve the next ``n`` columns for block ``key``, each with these bounds and cost."""
+        self.blocks[key] = slice(self.n, self.n + n)
+        self.n += n
+        self.values.append((lo, up, cost))
 
-    def capacity(self, key: tuple, lo: float, up: float) -> None:
-        self._block(key, 1, lo, up)
-
-    def _block(self, key: tuple, n: int, lo: float, up: float) -> None:
-        first = self._add(key[0], n)
-        self.blocks[key] = slice(first, self.n)
-        self.lb += [lo] * n
-        self.ub += [up] * n
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per column: lower bound, upper bound, cost."""
+        values = np.array(self.values, dtype=float).reshape(-1, 3)
+        lengths = [block.stop - block.start for block in self.blocks.values()]
+        return tuple(np.repeat(values[:, i], lengths) for i in range(3))
 
     def hours(self, key: tuple) -> np.ndarray:
         """Column indices of an hourly slice, hour 0 first."""
@@ -277,11 +307,12 @@ class _Columns(_Registry):
         return np.arange(block.start, block.stop)
 
 
-class _Rows(_Registry):
+class _Rows:
     """Row blocks of ``horizon`` rows each, plus their coordinate triples."""
 
     def __init__(self, horizon: int):
-        super().__init__(horizon)
+        self.horizon = horizon
+        self.n = 0
         self.blocks: dict[tuple, slice] = {}  # ("balance", country) or (family, country, tech)
         self.relations: list[np.ndarray] = []
         self.rhs: list[np.ndarray] = []
@@ -296,7 +327,8 @@ class _Rows(_Registry):
         or ``rhs`` may be a scalar (the same for every hour) or a
         length-``horizon`` array.
         """
-        first = self._add(key[0], self.horizon)
+        first = self.n
+        self.n += self.horizon
         self.blocks[key] = slice(first, self.n)
         cols = np.empty((len(terms), self.horizon), dtype=np.int64)
         coeffs = np.empty((len(terms), self.horizon))
@@ -312,75 +344,29 @@ class _Rows(_Registry):
 
 
 def _layout(spec: PowerSystemSpec) -> _Columns:
+    """The columns with their bounds and objective coefficients.
+
+    An hourly column in a balance row costs the technology's marginal cost.
+    """
     cols = _Columns(spec.time_series.horizon)
     cols.present = portfolio(spec)
     for code, tech in cols.present:
-        tid = tech.id
-        e = spec.exogenous_capacity(code, tid)
-        charge, discharge, energy = (
-            _bounds(tech, v) for v in (e.power_charge, e.power_discharge, e.energy)
-        )
-        if tech.kind in GENERATING:
-            cols.hourly(("gen", code, tid))
-            cols.capacity(("cap_power", code, tid), *_power_bounds(spec, code, tech))
-        elif tech.kind == "storage":
-            cols.hourly(("sto_in", code, tid))
-            cols.hourly(("sto_out", code, tid))
-            cols.hourly(("sto_level", code, tid))
-            cols.capacity(("cap_charge", code, tid), *charge)
-            cols.capacity(("cap_discharge", code, tid), *discharge)
-            cols.capacity(("cap_energy", code, tid), *energy)
-        elif tech.kind == "reservoir":
-            if code not in spec.time_series.reservoir_inflow:
-                raise BuildError(f"missing inflow series for reservoir {tid} in {code}")
-            cols.hourly(("rsv_out", code, tid))
-            cols.hourly(("rsv_spill", code, tid))
-            cols.hourly(("rsv_level", code, tid))
-            cols.capacity(("cap_discharge", code, tid), *discharge)
-            cols.capacity(("cap_energy", code, tid), *energy)
-        else:  # pragma: no cover - kinds validated upstream
+        if tech.kind not in _KINDS:  # pragma: no cover - kinds validated upstream
             raise BuildError(f"unsupported technology kind {tech.kind!r}")
+        if tech.kind == "reservoir" and code not in spec.time_series.reservoir_inflow:
+            raise BuildError(f"missing inflow series for reservoir {tech.id} in {code}")
+        hourly, capacities = _KINDS[tech.kind]
+        for family, sign in hourly:
+            cost = tech.marginal_cost if sign else 0.0
+            cols.add((family, code, tech.id), cols.horizon, cost=cost)
+        for family, exogenous in capacities:
+            cols.add((family, code, tech.id), 1, *_capacity(spec, code, tech, family, exogenous))
 
     if spec.interconnection_enabled:
         for line in sorted(spec.interconnectors, key=lambda l: (l.from_country, l.to_country)):
             tag = f"{line.from_country}-{line.to_country}"
-            cols.hourly(("flow", tag), -line.ntc, line.ntc)
+            cols.add(("flow", tag), cols.horizon, -line.ntc, line.ntc)
     return cols
-
-
-def _capacity_cost(tech: Technology, family: str, rate: float) -> float:
-    """Annualized investment (plus fixed cost) per kW or kWh of one capacity family."""
-    cost, fixed, what = {
-        "cap_power": (tech.overnight_cost_power, tech.fixed_cost, "technology"),
-        "cap_charge": (tech.overnight_cost_charge, 0.0, "storage"),
-        "cap_discharge": (tech.overnight_cost_discharge, tech.fixed_cost, "storage"),
-        "cap_energy": (tech.overnight_cost_energy, 0.0, "storage"),
-    }[family]
-    if cost <= 0:
-        raise BuildError(f"expandable {what} {tech.id}: missing overnight_cost_{family[4:]}")
-    return annuity(cost, tech.lifetime, rate) + fixed
-
-
-def build_objective(spec: PowerSystemSpec, cols: _Columns) -> np.ndarray:
-    """Objective coefficients: marginal costs plus annualized investment.
-
-    Investment annuities and fixed costs apply to expandable capacity
-    only (legacy capacity is sunk) and are scaled by horizon/8760 so
-    sub-year instances stay economically consistent. Overnight costs are
-    per kW / kWh while capacities are MW / MWh, hence the factor 1000.
-    """
-    c = np.zeros(cols.n)
-    year_scale = cols.horizon / HOURS_PER_YEAR
-    for key, block in cols.blocks.items():
-        family = key[0]
-        if family == "flow":
-            continue
-        tech = spec.technology(key[2])
-        if family in ("gen", "rsv_out", "sto_in", "sto_out"):
-            c[block] = tech.marginal_cost
-        elif family.startswith("cap_") and tech.expandable:
-            c[block] = _capacity_cost(tech, family, spec.annuity_rate) * 1000.0 * year_scale
-    return c
 
 
 def _balance_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows, codes) -> None:
@@ -392,14 +378,9 @@ def _balance_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows, codes) -> 
     """
     terms: dict[str, list] = {code: [] for code in codes}
     for code, tech in cols.present:
-        tid = tech.id
-        if tech.kind in GENERATING:
-            terms[code].append((cols.hours(("gen", code, tid)), 1.0))
-        elif tech.kind == "storage":
-            terms[code].append((cols.hours(("sto_out", code, tid)), 1.0))
-            terms[code].append((cols.hours(("sto_in", code, tid)), -1.0))
-        elif tech.kind == "reservoir":
-            terms[code].append((cols.hours(("rsv_out", code, tid)), 1.0))
+        for family, sign in _KINDS[tech.kind][0]:
+            if sign:
+                terms[code].append((cols.hours((family, code, tech.id)), sign))
     if spec.interconnection_enabled:
         for line in spec.interconnectors:
             flows = cols.hours(("flow", f"{line.from_country}-{line.to_country}"))
@@ -412,17 +393,26 @@ def _balance_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows, codes) -> 
 def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None:
     """Capacity coupling, storage and reservoir balances.
 
-    Storage levels follow ``L_h = retention * L_{h-1} + eta_in * in_h -
-    out_h / eta_out`` with cyclic closure (hour 0 wraps to the last
-    hour). Curtailment is the implicit slack of ``G <= cf * N``.
-    Run-of-river availability is the inflow profile (capacity-factor
-    series if provided, else 1) times the technology's efficiency.
+    Curtailment is the implicit slack of ``G <= cf * N``. Run-of-river
+    availability is the inflow profile (capacity-factor series if
+    provided, else 1) times the technology's efficiency.
     """
     ts = spec.time_series
     for code, tech in cols.present:
-        tid = tech.id
-        key = (code, tid)
-        if tech.kind in GENERATING:
+        key = (code, tech.id)
+        if tech.kind == "storage":
+            flows = [
+                ("sto_in", -tech.efficiency_in, "cap_charge"),
+                ("sto_out", 1.0 / tech.efficiency_out, "cap_discharge"),
+            ]
+            _level_rows(cols, rows, "sto", key, tech, flows, 0.0)
+        elif tech.kind == "reservoir":
+            flows = [
+                ("rsv_out", 1.0 / tech.efficiency_out, "cap_discharge"),
+                ("rsv_spill", 1.0, None),
+            ]
+            _level_rows(cols, rows, "rsv", key, tech, flows, ts.reservoir_inflow[code])
+        else:
             if tech.kind == "dispatchable":
                 avail = 1.0
             elif tech.kind == "variable-renewable":
@@ -432,48 +422,37 @@ def _technology_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows) -> None
                 avail = tech.efficiency_out * (
                     np.asarray(profile, dtype=float) if profile is not None else 1.0
                 )
-            gen, cap = cols.hours(("gen", *key)), cols.blocks[("cap_power", *key)].start
-            rows.block(("gen_cap", *key), "<", [(gen, 1.0), (cap, -avail)])
-        elif tech.kind == "storage":
-            level, inp, out = (cols.hours((f, *key)) for f in ("sto_level", "sto_in", "sto_out"))
-            rows.block(
-                ("sto_balance", *key),
-                "=",
-                [
-                    (level, 1.0),
-                    (np.roll(level, 1), -tech.self_discharge_retention),
-                    (inp, -tech.efficiency_in),
-                    (out, 1.0 / tech.efficiency_out),
-                ],
-            )
-            for family, hourly, cap in (
-                ("sto_level_cap", level, "cap_energy"),
-                ("sto_charge_cap", inp, "cap_charge"),
-                ("sto_discharge_cap", out, "cap_discharge"),
-            ):
-                cap_col = cols.blocks[(cap, *key)].start
-                rows.block((family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
-        elif tech.kind == "reservoir":
-            level, out, spill = (
-                cols.hours((f, *key)) for f in ("rsv_level", "rsv_out", "rsv_spill")
-            )
-            rows.block(
-                ("rsv_balance", *key),
-                "=",
-                [
-                    (level, 1.0),
-                    (np.roll(level, 1), -tech.self_discharge_retention),
-                    (out, 1.0 / tech.efficiency_out),
-                    (spill, 1.0),
-                ],
-                ts.reservoir_inflow[code],
-            )
-            for family, hourly, cap in (
-                ("rsv_level_cap", level, "cap_energy"),
-                ("rsv_discharge_cap", out, "cap_discharge"),
-            ):
-                cap_col = cols.blocks[(cap, *key)].start
-                rows.block((family, *key), "<", [(hourly, 1.0), (cap_col, -1.0)])
+            _capacity_row(cols, rows, key, "gen_cap", "gen", "cap_power", avail)
+
+
+def _level_rows(cols: _Columns, rows: _Rows, prefix: str, key: tuple, tech, flows, inflow):
+    """Rows of a level: storage and reservoirs share its balance and bounds.
+
+    The level ``<prefix>_level`` follows ``L_h = retention * L_{h-1} +
+    inflow_h - sum(a * F_h)``, with cyclic closure (hour 0 wraps to the
+    last hour), in row block ``<prefix>_balance``. ``flows`` holds
+    ``(F, a, capacity)`` per flow family ``F``. Row block
+    ``<prefix>_level_cap`` bounds the level by ``cap_energy``, then
+    ``<prefix>_<x>_cap`` bounds each flow whose capacity is ``cap_<x>``.
+    """
+    level = cols.hours((f"{prefix}_level", *key))
+    rows.block(
+        (f"{prefix}_balance", *key),
+        "=",
+        [(level, 1.0), (np.roll(level, 1), -tech.self_discharge_retention)]
+        + [(cols.hours((flow, *key)), a) for flow, a, _ in flows],
+        inflow,
+    )
+    _capacity_row(cols, rows, key, f"{prefix}_level_cap", f"{prefix}_level", "cap_energy")
+    for flow, _, capacity in flows:
+        if capacity is not None:
+            _capacity_row(cols, rows, key, f"{prefix}_{capacity[4:]}_cap", flow, capacity)
+
+
+def _capacity_row(cols: _Columns, rows: _Rows, key: tuple, family, hourly, capacity, avail=1.0):
+    """Row block ``(family, *key)``: ``hourly <= avail * capacity``, column families of ``key``."""
+    cap = cols.blocks[(capacity, *key)].start
+    rows.block((family, *key), "<", [(cols.hours((hourly, *key)), 1.0), (cap, -avail)])
 
 
 def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
@@ -482,7 +461,6 @@ def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
 
     codes = sorted(c.code for c in spec.countries)
     cols = _layout(spec)
-    c = build_objective(spec, cols)
     rows = _Rows(cols.horizon)
     _balance_rows(spec, cols, rows, codes)
     _technology_rows(spec, cols, rows)
@@ -492,11 +470,12 @@ def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
         shape=(rows.n, cols.n),
         dtype=float,
     )
+    lb, ub, c = cols.arrays()
     lp = LinearProgram(
         A=A,
         c=c,
-        lb=np.asarray(cols.lb, dtype=float),
-        ub=np.asarray(cols.ub, dtype=float),
+        lb=lb,
+        ub=ub,
         relations=np.concatenate(rows.relations),
         rhs=np.concatenate(rows.rhs),
         blocks=cols.blocks,
@@ -505,8 +484,8 @@ def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
     report = BuildReport(
         horizon=cols.horizon,
         interconnection_enabled=spec.interconnection_enabled,
-        columns_by_family=cols.counts,
-        rows_by_family=rows.counts,
+        columns_by_family=_family_counts(lp.blocks),
+        rows_by_family=_family_counts(lp.row_blocks),
     )
     return lp, report
 

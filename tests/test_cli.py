@@ -174,6 +174,28 @@ class TestSolve:
         assert result.stderr == "error: scenario f_123456 is infeasible\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("command", ["solve", "residual"])
+    def test_uncertified_state_exit_1(self, runner, system_dir, tmp_path, monkeypatch, command):
+        import gridfactor.cli as cli_mod
+
+        real = cli_mod.verify_certificate
+        monkeypatch.setattr(
+            cli_mod,
+            "verify_certificate",
+            lambda lp, result: dataclasses.replace(real(lp, result), ok=False),
+        )
+        args = [command, str(system_dir), "--state", "f_123456"]
+        if command == "residual":
+            args += ["--out", str(tmp_path / "residual")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == (
+            "error: scenario f_123456 failed the optimality certificate check\n"
+        )
+        assert result.stdout == ""
+        assert not (tmp_path / "residual").exists()
+
     def test_fully_harmonized_state(self, runner, system_dir):
         result = runner.invoke(
             main,
@@ -268,6 +290,18 @@ class TestSweepAndFactorize:
         assert isinstance(result.exception, SystemExit)
         assert "must include 1 (interconnection)" in result.stderr
         assert not (out_dir / "ledger.json").exists()
+
+    @pytest.mark.parametrize("factor", ["7", "0"])
+    def test_out_of_range_factor_exit_2(self, runner, system_dir, tmp_path, factor):
+        out_dir = tmp_path / "sweep"
+        result = runner.invoke(
+            main,
+            ["sweep", str(system_dir), "--reference", "AA", "--out", str(out_dir)]
+            + ["--factors", f"1,{factor}"],
+        )
+        assert result.exit_code == 2
+        assert f"unknown factor '{factor}'" in result.stderr
+        assert not out_dir.exists()
 
     def test_resume_flag_requires_ledger(self, runner, system_dir, tmp_path):
         result = runner.invoke(

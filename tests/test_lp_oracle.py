@@ -8,11 +8,25 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from gridfactor import Technology, apply_factor_state, assemble, derive_reference_shares
+from gridfactor import (
+    PowerSystemSpec,
+    Technology,
+    TimeSeriesSet,
+    apply_factor_state,
+    assemble,
+    derive_reference_shares,
+    validate,
+)
+from gridfactor.defaults import (
+    default_countries,
+    default_exogenous_capacities,
+    default_interconnectors,
+    default_technologies,
+)
 from gridfactor.factorize import extract_storage_metrics
 from gridfactor.harmonize import enumerate_states
 from gridfactor.lp import lp_digest
-from gridfactor.model import ExogenousCapacity
+from gridfactor.model import HOURS_PER_YEAR, ExogenousCapacity
 from gridfactor.residual import capacities_from_result
 
 from _oracles import (
@@ -104,6 +118,36 @@ def run_of_river_spec(base, profile):
     )
 
 
+def default_portfolio_spec(horizon=48):
+    """AT, CH and DE with the built-in technologies, legacy capacities and lines.
+
+    Series are synthetic; every country has reservoir inflow.
+    """
+    codes = ("AT", "CH", "DE")
+    rng = np.random.default_rng(3)
+    techs = default_technologies()
+    scale = {"AT": 7e3, "CH": 7e3, "DE": 6e4}  # MW
+    load = {code: scale[code] * (0.8 + 0.4 * rng.random(horizon)) for code in codes}
+    cf = {
+        (code, t.id): rng.random(horizon)
+        for code in codes
+        for t in techs
+        if t.kind == "variable-renewable"
+    }
+    inflow = {code: 0.1 * scale[code] * rng.random(horizon) for code in codes}
+    totals = {code: float(load[code].sum()) * HOURS_PER_YEAR / horizon for code in codes}
+    return PowerSystemSpec(
+        countries=default_countries(totals),
+        technologies=techs,
+        time_series=TimeSeriesSet(
+            horizon=horizon, capacity_factors=cf, load=load, reservoir_inflow=inflow
+        ),
+        interconnectors=default_interconnectors(codes),
+        exogenous_capacities=default_exogenous_capacities(codes),
+        interconnection_enabled=True,
+    )
+
+
 def test_small_spec(small_spec):
     assert_identical(small_spec)
 
@@ -153,6 +197,28 @@ def test_block_lookups_all_harmonized_states(small_spec, three_country_spec):
         assert_lookups_match_scans(apply_factor_state(small_spec, state, shares), rng)
     assert_lookups_match_scans(three_country_spec, rng)
     assert_lookups_match_scans(run_of_river_spec(small_spec, profile=True), rng)
+
+
+def test_default_portfolio_all_harmonized_states():
+    """Legacy (non-expandable) storage and reservoirs, in every state.
+
+    The lookups do not depend on the horizon, so a shorter one keeps
+    their full scans quick.
+    """
+    spec = default_portfolio_spec()
+    assert validate(spec) == []
+    lp, _ = assemble(spec)
+    assert lp.find_columns("cap_charge", tech="pumped_hydro_open")
+    assert lp.find_columns("rsv_level", country="CH", tech="reservoir")
+    shares = derive_reference_shares(spec, "DE")
+    for state in enumerate_states():
+        assert_identical(apply_factor_state(spec, state, shares))
+
+    short = default_portfolio_spec(horizon=4)
+    shares = derive_reference_shares(short, "DE")
+    rng = np.random.default_rng(9)
+    for state in enumerate_states():
+        assert_lookups_match_scans(apply_factor_state(short, state, shares), rng)
 
 
 def test_pinned_digest():

@@ -101,6 +101,25 @@ class TestRunSweep:
         assert ledgers[0] == ledgers[1] == ledgers[2]
         assert mps[0] == mps[1] == mps[2]
 
+    def test_states_agree_across_worker_counts(self, system_dir, tmp_path):
+        """Only ``timing_seconds`` and ``reused_blocks`` record the schedule."""
+        schedule = {"timing_seconds", "reused_blocks"}
+        trees = []
+        for workers in (1, 2):
+            sweep_outputs(system_dir, tmp_path / f"w{workers}", (1, 3, 4), workers)
+            states = tmp_path / f"w{workers}" / "states"
+            files = {p.name: p.read_bytes() for p in states.iterdir() if p.suffix != ".json"}
+            docs = {
+                p.name: {k: v for k, v in json.loads(p.read_text()).items() if k not in schedule}
+                for p in states.glob("*.json")
+            }
+            trees.append((files, docs))
+        files, docs = trees[0]
+        assert len(docs) == 8
+        assert sum(name.endswith(".csv") for name in files) == 8
+        assert sum(name.endswith(".basis.npy") for name in files) >= 1
+        assert trees[0] == trees[1]
+
     def test_entries_carry_certificates(self, manifest):
         ledger = run_sweep(manifest)
         for entry in ledger["entries"]:
