@@ -12,7 +12,6 @@ the decomposition always sums to the difference of interest.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -21,6 +20,7 @@ import numpy as np
 
 from .harmonize import FACTOR_NAMES
 from .model import GridFactorError
+from .serialize import write_json
 
 INTERCONNECTION = 1
 
@@ -224,33 +224,29 @@ def decomposition_rows(decomp: FactorDecomposition) -> list[dict]:
     return rows
 
 
-def write_decompositions_csv(decomps: list[FactorDecomposition], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+def write_decompositions(decomps: list[FactorDecomposition], prefix: str | Path) -> None:
+    """Write ``decomps`` to ``<prefix>.csv`` (``decomposition_rows``) and ``<prefix>.json``."""
+    with open(f"{prefix}.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["metric", "term", "subset", "value", "share"])
         writer.writeheader()
         for d in decomps:
-            for row in decomposition_rows(d):
-                writer.writerow(row)
-
-
-def write_decompositions_json(decomps: list[FactorDecomposition], path: str | Path) -> None:
-    doc = []
-    for d in decomps:
-        doc.append(
-            {
-                "metric": d.metric,
-                "factors": list(d.factors),
-                "int": d.int_value,
-                "baseline_interconnection": d.baseline,
-                "totals": {FACTOR_NAMES[j]: v for j, v in sorted(d.totals.items())},
-                "shares": None
-                if d.shares is None
-                else {FACTOR_NAMES[j]: v for j, v in sorted(d.shares.items())},
-                "degenerate": d.degenerate,
-                "terms": {
-                    "".join(str(i) for i in sorted(s)): v
-                    for s, v in sorted(d.terms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-                },
-            }
-        )
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            writer.writerows(decomposition_rows(d))
+    doc = [
+        {
+            "metric": d.metric,
+            "factors": list(d.factors),
+            "int": d.int_value,
+            "baseline_interconnection": d.baseline,
+            "totals": {FACTOR_NAMES[j]: v for j, v in sorted(d.totals.items())},
+            "shares": None
+            if d.shares is None
+            else {FACTOR_NAMES[j]: v for j, v in sorted(d.shares.items())},
+            "degenerate": d.degenerate,
+            "terms": {
+                "".join(str(i) for i in sorted(s)): v
+                for s, v in sorted(d.terms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+            },
+        }
+        for d in decomps
+    ]
+    write_json(f"{prefix}.json", doc)

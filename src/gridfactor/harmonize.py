@@ -23,7 +23,7 @@ from .model import (
     PowerSystemSpec,
     TimeSeriesSet,
 )
-from .solve import SOLVER, ReuseKey, SolveOptions, SolveResult, solve
+from .solve import SOLVER, ReuseKey, SolveOptions, SolveResult, solve, verify_certificate
 
 FACTOR_NUMBERS = {
     "interconnection": 1,
@@ -176,8 +176,9 @@ def derive_reference_shares(
 
     Offshore wind uses the isolated run's optimal capacity; exogenous
     (non-expandable) technologies use their fixed capacities. All shares
-    are denominated per MWh of the reference's yearly load. ``reuse`` is
-    passed on to ``solve``.
+    are denominated per MWh of the reference's yearly load. A run that is
+    not optimal or fails its certificate raises ``HarmonizeError``.
+    ``reuse`` is passed on to ``solve``.
     """
     try:
         ref = spec.country(reference_country)
@@ -191,6 +192,11 @@ def derive_reference_shares(
     if result.status != "optimal":
         raise HarmonizeError(
             f"isolated reference run for {reference_country} is {result.status}"
+        )
+    if not verify_certificate(lp, result).ok:
+        raise HarmonizeError(
+            f"isolated reference run for {reference_country} failed the optimality "
+            "certificate check"
         )
 
     offshore_mw = 0.0

@@ -8,7 +8,9 @@ dataclasses are the only statement of its keys. A value of the wrong
 JSON type or shape raises ``ManifestError`` naming its field. CSV
 layout is ``hour,<country>...``, each country once, with 0-indexed
 hours and plain decimal floats; ``nan`` and ``inf`` are refused.
-Round-trips are exact: floats are emitted via shortest-repr.
+Round-trips are exact: floats are emitted via shortest-repr. A system
+that ``model.validate`` rejects is refused on read. ``write_json`` is
+the one JSON format of every file gridfactor writes.
 
 This module owns the ``series`` layout and the manifest digest, which
 hashes the manifest and every series file it names.
@@ -34,6 +36,7 @@ from .model import (
     PowerSystemSpec,
     Technology,
     TimeSeriesSet,
+    validate,
 )
 
 SCHEMA = "gridfactor-system/1"
@@ -196,8 +199,13 @@ def write_system(spec: PowerSystemSpec, directory: str | Path) -> Path:
 
     doc = {**system_doc(spec), "schema": SCHEMA, "series": series_entry}
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, doc)
     return manifest_path
+
+
+def write_json(path: str | Path, doc: Any) -> None:
+    """Write ``doc`` in the one JSON format of every file gridfactor writes."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _check_series(series: Any) -> None:
@@ -253,7 +261,11 @@ def manifest_digest(manifest_path: str | Path) -> str:
 
 
 def read_system(manifest_path: str | Path) -> PowerSystemSpec:
-    """Read a system from its manifest; unknown keys are rejected."""
+    """Read a system from its manifest; unknown keys are rejected.
+
+    A system that ``validate`` rejects raises ``ManifestError`` naming
+    every violation.
+    """
     manifest_path = Path(manifest_path)
     directory = manifest_path.parent
     _, doc = _read_manifest(manifest_path)
@@ -273,7 +285,7 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
         for code, arr in read_series_csv(directory / fname, horizon).items():
             cf[(code, tech)] = arr
 
-    return PowerSystemSpec(
+    spec = PowerSystemSpec(
         **tables,
         time_series=TimeSeriesSet(
             horizon=horizon, capacity_factors=cf, load=load, reservoir_inflow=inflow
@@ -282,6 +294,10 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
         annuity_rate=float(doc["annuity_rate"]),
         offshore_overrides=_offshore_overrides(doc.get("offshore_overrides", [])),
     )
+    violations = validate(spec)
+    if violations:
+        raise ManifestError(f"{manifest_path}: invalid system:\n  " + "\n  ".join(violations))
+    return spec
 
 
 def _offshore_overrides(pairs: Any) -> tuple[tuple[str, float], ...]:

@@ -62,8 +62,7 @@ from .factorize import (
     STORAGE_METRICS,
     extract_storage_metrics,
     shared_interactions_totals,
-    write_decompositions_csv,
-    write_decompositions_json,
+    write_decompositions,
 )
 from .harmonize import (
     FactorState,
@@ -75,7 +74,7 @@ from .harmonize import (
 from .lp import assemble, lp_digest, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
-from .serialize import manifest_digest, read_system, system_doc
+from .serialize import manifest_digest, read_system, system_doc, write_json
 from .solve import (
     SOLVER,
     ReuseKey,
@@ -300,13 +299,17 @@ def _run_state(payload) -> dict:
         if keep_basis:
             np.save(basis_path, result.basis)
             meta["layout"] = _layout(lp)
-        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        write_json(meta_path, meta)
     return {**entry, "timing_seconds": wall}
 
 
 def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -> dict:
-    """Execute the sweep and return the ledger document.
+    """Execute the sweep, write its outputs and return the ledger document.
 
+    Writes ``reference_shares.json``, ``states/``, ``ledger.json``, the
+    ``decomposition.csv``/``.json`` pair and
+    ``interconnection_report.json`` (``compare_interconnection``) to
+    ``manifest.out_dir``, and ``mps/`` with ``export_mps``.
     ``completed`` carries already-solved entries (used by resume); only
     the remaining states are solved, with no more workers than states. A
     state is submitted as soon as its ``warm_parents`` parent is done; at
@@ -363,7 +366,7 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
         _REUSE.clear()
         ledger = _assemble_ledger(manifest, states, entries)
         if entries:
-            write_ledger(ledger, out_dir / "ledger.json")
+            write_json(out_dir / "ledger.json", ledger)
 
     failures = [e["state"] for e in ledger["entries"] if e["status"] != "optimal"]
     if failures:
@@ -372,9 +375,8 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
     if uncertified:
         raise SweepError(f"scenario(s) failed the optimality certificate check: {uncertified}")
 
-    decomps = decompositions_from_ledger(ledger)
-    write_decompositions_csv(decomps, out_dir / "decomposition.csv")
-    write_decompositions_json(decomps, out_dir / "decomposition.json")
+    write_decompositions(decompositions_from_ledger(ledger), out_dir / "decomposition")
+    write_json(out_dir / "interconnection_report.json", compare_interconnection(manifest))
     return ledger
 
 
@@ -398,10 +400,6 @@ def _assemble_ledger(manifest: RunManifest, states, entries: dict[str, dict]) ->
         "entries": ordered,
         "timing": timing,
     }
-
-
-def write_ledger(ledger: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
 
 
 def read_ledger(path: str | Path) -> dict:
@@ -454,7 +452,7 @@ def _write_shares(path: Path, shares: ReferenceShares) -> None:
         },
         "provenance": dict(shares.provenance),
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:
@@ -526,7 +524,3 @@ def compare_interconnection(manifest: RunManifest) -> dict:
             "relative_reduction": (a - b) / a if a else 0.0,
         }
     return {"metrics": metrics}
-
-
-def write_comparison(report: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

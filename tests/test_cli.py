@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import gridfactor
-from gridfactor import read_system
+from gridfactor import enumerate_subset_states, read_system
 from gridfactor.cli import main
 from gridfactor.sweep import LEDGER_SCHEMA, VERSION, read_ledger
 
@@ -124,6 +125,40 @@ class TestValidate:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
         assert f"error: {message}" in result.stderr
+
+
+@pytest.fixture
+def invalid_system_dir(tmp_path):
+    """The seed-7 2x168 system with bioenergy ``efficiency_out`` -0.5."""
+    from gridfactor import synthesize_system, write_system
+
+    spec = synthesize_system(seed=7, n_countries=2, horizon=168, correlation=-0.8)
+    technologies = tuple(
+        dataclasses.replace(t, efficiency_out=-0.5) if t.id == "bioenergy" else t
+        for t in spec.technologies
+    )
+    return write_system(dataclasses.replace(spec, technologies=technologies), tmp_path / "bad")
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("validate", []),
+        ("solve", []),
+        ("sweep", ["--reference", "AA", "--out"]),
+        ("residual", ["--out"]),
+        ("export-lp", ["--out"]),
+    ],
+)
+def test_commands_refuse_an_invalid_system(
+    runner, invalid_system_dir, tmp_path, command, options
+):
+    out = [str(tmp_path / "out")] if options else []
+    result = runner.invoke(main, [command, str(invalid_system_dir), *options, *out])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+    assert "technology bioenergy: efficiency_out out of (0, 1]" in result.stderr
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 class TestSolve:
@@ -244,8 +279,9 @@ class TestSweepAndFactorize:
         )
         assert fact.exit_code == 0, fact.output
         assert "objective_eur: INT" in fact.output
-        assert (tmp_path / "dec.csv").exists()
-        assert (tmp_path / "dec.json").exists()
+        for suffix in (".csv", ".json"):
+            written = (tmp_path / f"dec{suffix}").read_bytes()
+            assert written == (out_dir / f"decomposition{suffix}").read_bytes()
 
     @pytest.mark.parametrize("failed", [0, 2])
     def test_factorize_names_failed_state(self, runner, tmp_path, failed):
@@ -460,6 +496,21 @@ class TestExportLp:
         assert lp.n_cols > 0 and lp.n_rows > 0
         assert np.isfinite(lp.c).all()
 
+    def test_matches_the_sweep_export(self, runner, system_dir, tmp_path):
+        """``sweep --export-mps`` writes each state's LP as ``export-lp`` does."""
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", str(system_dir), "--reference", "AA", "--out", str(out_dir)]
+        result = runner.invoke(main, [*args, "--factors", "1,3", "--export-mps"])
+        assert result.exit_code == 0, result.output
+        states = sorted(s.name for s in enumerate_subset_states((1, 3)))
+        assert sorted(p.stem for p in (out_dir / "mps").iterdir()) == states
+        for name in states:
+            single = tmp_path / f"{name}.mps"
+            argv = ["export-lp", str(system_dir), "--state", name, "--reference", "AA"]
+            result = runner.invoke(main, [*argv, "--out", str(single)])
+            assert result.exit_code == 0, result.output
+            assert single.read_bytes() == (out_dir / "mps" / f"{name}.mps").read_bytes()
+
 
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
@@ -467,10 +518,14 @@ def test_version_flag(runner):
     assert "gridfactor" in result.output
 
 
-def test_package_version_matches_ledger_version():
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    assert tomllib.loads(pyproject.read_text())["project"]["version"] == VERSION
+def test_package_version_matches_ledger_version(runner):
+    """``pyproject.toml``, ``__version__`` and ``--version`` state the ledger's version."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"', project, flags=re.M)
+    assert version == gridfactor.__version__ == VERSION
+    result = runner.invoke(main, ["--version"])
+    assert result.output == f"gridfactor, version {VERSION}\n"
 
 
 @pytest.mark.parametrize(

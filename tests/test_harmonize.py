@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+import gridfactor.harmonize as harmonize_mod
 from gridfactor import (
     apply_factor_state,
     assemble,
@@ -11,6 +13,7 @@ from gridfactor import (
     enumerate_subset_states,
     isolate_country,
 )
+from gridfactor.cli import main
 from gridfactor.harmonize import FactorState, HarmonizeError
 from gridfactor.solve import solve
 
@@ -113,6 +116,23 @@ class TestReferenceShares:
             t = scaled_shares.technology_shares[tid]
             assert t.power_discharge == pytest.approx(s.power_discharge, rel=1e-9)
             assert t.energy == pytest.approx(s.energy, rel=1e-9)
+
+    def test_failed_certificate_is_refused(self, small_spec, system_dir, monkeypatch):
+        """The reference run's certificate is checked like every sweep state's."""
+        real = harmonize_mod.verify_certificate
+
+        def failing(lp, result):
+            return dataclasses.replace(real(lp, result), ok=False)
+
+        monkeypatch.setattr(harmonize_mod, "verify_certificate", failing)
+        message = "isolated reference run for AA failed the optimality certificate check"
+        with pytest.raises(HarmonizeError, match=message):
+            derive_reference_shares(small_spec, "AA")
+        result = CliRunner().invoke(
+            main, ["solve", str(system_dir), "--state", "f_1", "--reference", "AA"]
+        )
+        assert result.exit_code == 1
+        assert f"error: {message}" in result.stderr
 
     def test_isolated_subspec_has_no_lines(self, spec):
         sub = isolate_country(spec, "AB")

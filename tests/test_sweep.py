@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import gridfactor.sweep as sweep_mod
 from gridfactor import assemble, read_system, write_system
+from gridfactor.cli import main
 from gridfactor.harmonize import (
     FactorState,
     apply_factor_state,
@@ -598,6 +600,19 @@ class TestCompareInterconnection:
                 assert entry["per_country"] == {}
             else:
                 assert set(entry["per_country"]) == countries
+
+    def test_run_sweep_writes_the_cli_report(self, manifest, system_dir, tmp_path):
+        """A sweep run from Python writes the report that ``gridfactor sweep`` writes."""
+        run_sweep(manifest)
+        cli_out = tmp_path / "cli"
+        result = CliRunner().invoke(
+            main,
+            ["sweep", str(system_dir), "--reference", "AA", "--out", str(cli_out), "--factors", "1,2"],
+        )
+        assert result.exit_code == 0, result.output
+        report = Path(manifest.out_dir) / "interconnection_report.json"
+        assert report.read_bytes() == (cli_out / "interconnection_report.json").read_bytes()
+        assert json.loads(report.read_text()) == compare_interconnection(manifest)
 
     def test_missing_state_rejected(self, manifest):
         run_sweep(manifest)
