@@ -12,7 +12,6 @@ from .harmonize import (
     ReferenceShares,
     apply_factor_state,
     derive_reference_shares,
-    enumerate_states,
     enumerate_subset_states,
     isolate_country,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "compare_interconnection",
     "derive_reference_shares",
     "difference_of_interest",
-    "enumerate_states",
     "enumerate_subset_states",
     "extract_storage_metrics",
     "isolate_country",

@@ -69,10 +69,6 @@ class FactorState:
         """Whether any of wind, solar, load, hydro or bioenergy is harmonized."""
         return not (self.wind and self.solar and self.load and self.hydro and self.bioenergy)
 
-    @property
-    def mask(self) -> int:
-        return sum(1 << (n - 1) for n in self.active_factors)
-
     @classmethod
     def from_factors(cls, factors: set[int] | frozenset[int]) -> "FactorState":
         bad = set(factors) - set(FACTOR_NAMES)
@@ -103,13 +99,6 @@ def _by_size(numbers):
     """
     for size in range(len(numbers) + 1):
         yield from itertools.combinations(numbers, size)
-
-
-def enumerate_states(n_factors: int = 6) -> list[FactorState]:
-    """All 2^n states over factors 1..n, f_0 first, full set last."""
-    if n_factors < 1 or n_factors > 6:
-        raise HarmonizeError("n_factors must be between 1 and 6")
-    return [FactorState.from_factors(set(s)) for s in _by_size(range(1, n_factors + 1))]
 
 
 def enumerate_subset_states(factor_numbers: tuple[int, ...]) -> list[FactorState]:
@@ -201,9 +190,9 @@ def derive_reference_shares(
 
     offshore_mw = 0.0
     for tech in spec.technologies:
-        if tech.offshore:
-            for j in lp.find_columns("cap_power", country=reference_country, tech=tech.id):
-                offshore_mw += float(result.primal[j])
+        block = lp.blocks.get(("cap_power", reference_country, tech.id))
+        if tech.offshore and block is not None:
+            offshore_mw += float(result.primal[block.start])
 
     tech_shares: dict[str, CapacityShares] = {}
     for tech in spec.technologies:

@@ -118,44 +118,19 @@ class LinearProgram:
 
     @property
     def col_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in _column_labels(self.blocks))
-
-    @property
-    def col_meta(self) -> tuple[tuple, ...]:
-        """Per column ``(family, country, tech, hour)`` or ``("flow", line, hour)``.
-
-        A capacity column's hour is None.
-        """
-        return tuple(meta for _, meta in _column_labels(self.blocks))
-
-    def find_columns(self, family: str, country=None, tech=None, line=None) -> list[int]:
-        """Column indices of ``family``'s blocks, in column order.
-
-        ``line`` narrows flows; ``country`` and ``tech`` narrow the other
-        families. A field left as None matches anything.
-        """
-        wanted = (line,) if family == "flow" else (country, tech)
-        out: list[int] = []
-        for (fam, *where), block in self.blocks.items():
-            if fam == family and all(w is None or w == v for w, v in zip(wanted, where)):
-                out.extend(range(block.start, block.stop))
-        return out
+        names: list[str] = []
+        for key, block in self.blocks.items():
+            head = _name_head(key)
+            if key[0].startswith("cap_"):
+                names.append(f"{head}]")
+            else:
+                names.extend(f"{head},{h}]" for h in range(block.stop - block.start))
+        return tuple(names)
 
 
 def _name_head(key: tuple) -> str:
     """A block's column names up to the hour: ``G[AA,wind`` of ``G[AA,wind,0]``."""
     return f"{_PREFIX[key[0]]}[{','.join(key[1:])}"
-
-
-def _column_labels(blocks: dict[tuple, slice]):
-    """Yield ``(name, metadata)`` of every column, in column order."""
-    for key, block in blocks.items():
-        head = _name_head(key)
-        if key[0].startswith("cap_"):
-            yield f"{head}]", (*key, None)
-        else:
-            for h in range(block.stop - block.start):
-                yield f"{head},{h}]", (*key, h)
 
 
 def write_solution_csv(path, lp: LinearProgram, primal) -> None:
@@ -204,14 +179,6 @@ class BuildReport:
     interconnection_enabled: bool
     columns_by_family: dict[str, int]
     rows_by_family: dict[str, int]
-
-    @property
-    def n_columns(self) -> int:
-        return sum(self.columns_by_family.values())
-
-    @property
-    def n_rows(self) -> int:
-        return sum(self.rows_by_family.values())
 
 
 def _present(spec: PowerSystemSpec, code: str, tech: Technology) -> bool:

@@ -140,12 +140,6 @@ class PowerSystemSpec:
                 return c
         raise KeyError(code)
 
-    def technology(self, tech_id: str) -> Technology:
-        for t in self.technologies:
-            if t.id == tech_id:
-                return t
-        raise KeyError(tech_id)
-
     def techs_of_kind(self, *kinds: str) -> tuple[Technology, ...]:
         return tuple(t for t in self.technologies if t.kind in kinds)
 

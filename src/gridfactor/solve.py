@@ -451,7 +451,6 @@ class CertificateReport:
     bound_residual: float
     dual_sign_residual: float
     reduced_cost_residual: float
-    complementarity_residual: float
     duality_gap: float
     dual_objective: float
     ok: bool
@@ -463,7 +462,12 @@ _FEAS_TOL = 1e-6
 
 
 def verify_certificate(lp: LinearProgram, result: SolveResult) -> CertificateReport:
-    """Check primal feasibility, dual feasibility, and complementary slackness."""
+    """Check an optimal result's optimality certificate.
+
+    ``ok`` checks primal and bound feasibility, dual signs, reduced costs
+    and the duality gap, each to a relative tolerance. Complementary
+    slackness follows from feasibility plus a zero gap.
+    """
     if result.status != "optimal":
         raise SolveError("certificates are only defined for optimal results")
     x = result.primal
@@ -471,7 +475,6 @@ def verify_certificate(lp: LinearProgram, result: SolveResult) -> CertificateRep
     messages: list[str] = []
 
     ax = lp.A @ x
-    slack = lp.rhs - ax
     lower, upper = _row_bounds(lp)
     primal_residual = float(np.maximum(np.maximum(lower - ax, ax - upper), 0.0).max(initial=0.0))
 
@@ -506,8 +509,6 @@ def verify_certificate(lp: LinearProgram, result: SolveResult) -> CertificateRep
         )
     )
 
-    complementarity_residual = float(np.abs(y * slack).max(initial=0.0))
-
     pos = d > _FEAS_TOL * scale
     neg = d < -_FEAS_TOL * scale
     contrib = np.zeros_like(d)
@@ -534,7 +535,6 @@ def verify_certificate(lp: LinearProgram, result: SolveResult) -> CertificateRep
         bound_residual=bound_residual,
         dual_sign_residual=dual_sign_residual,
         reduced_cost_residual=reduced_cost_residual,
-        complementarity_residual=complementarity_residual,
         duality_gap=duality_gap,
         dual_objective=dual_objective,
         ok=ok,

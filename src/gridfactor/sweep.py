@@ -25,9 +25,9 @@ runs as soon as its parent is done. A parent hands its children its
 final basis and its LP's block ``layout`` (column and row block keys in
 order, with their lengths) through ``states/<name>.basis.npy`` and
 ``states/<name>.json`` only. A child reads them only when the parent's
-entry, from this run or a resumed one's completed states, is optimal,
-so an earlier run's files in a reused output directory are never read;
-a child of a parent that is not optimal solves cold. Resume solves a
+entry, from this run or a resumed one's completed states, is optimal
+and certified, so an earlier run's files in a reused output directory
+are never read; a child of any other parent solves cold. Resume solves a
 completed parent without its basis or layout again.
 
 A sweep's pool workers solve an isolated state's blocks one after
@@ -317,9 +317,9 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
     of the finished states is written however the sweep ends,
     ``KeyboardInterrupt`` included, so that ``resume`` goes on from them.
     """
+    base = read_system(manifest.system_manifest)
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = read_system(manifest.system_manifest)
     states = enumerate_subset_states(manifest.factors)
     parents = warm_parents(manifest.factors)
     basis_states = {p for p in parents.values() if p is not None}
@@ -334,10 +334,10 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
 
         def payload(name: str):
             parent = parents[name]
-            optimal = parent in entries and entries[parent]["status"] == "optimal"
+            certified = parent in entries and _certified(entries[parent])
             return (
                 base, shares, name, manifest.solver, str(out_dir), manifest.export_mps,
-                parent if optimal else None, name in basis_states,
+                parent if certified else None, name in basis_states,
             )
 
         workers = min(manifest.workers, len(pending))
@@ -402,6 +402,15 @@ def _assemble_ledger(manifest: RunManifest, states, entries: dict[str, dict]) ->
     }
 
 
+def _certified(entry: dict) -> bool:
+    """Whether a ledger entry is optimal and passed its certificate check.
+
+    Only such an entry's numbers are resumed, handed on as a warm start,
+    decomposed or compared.
+    """
+    return entry.get("status") == "optimal" and bool((entry.get("certificate") or {}).get("ok"))
+
+
 def read_ledger(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
@@ -430,7 +439,7 @@ def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
     timing = ledger.get("timing", {})
     for entry in ledger.get("entries", []):
         name = entry["state"]
-        if entry.get("status") != "optimal" or not entry["certificate"]["ok"]:
+        if not _certified(entry):
             continue
         csv_path, meta_path, basis_path = _state_paths(out_dir, name)
         if not (csv_path.exists() and meta_path.exists()):
@@ -458,10 +467,10 @@ def _write_shares(path: Path, shares: ReferenceShares) -> None:
 def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:
     """Shared-interactions decompositions of every ledger metric.
 
-    The ledger must hold exactly one optimal entry for each state of its
-    factor design, all with the same metrics; a failed, missing or
-    repeated state, or one with other metrics, raises ``SweepError``
-    naming it.
+    The ledger must hold exactly one optimal, certified entry for each
+    state of its factor design, all with the same metrics; a failed,
+    uncertified, missing or repeated state, or one with other metrics,
+    raises ``SweepError`` naming it.
     """
     factors = tuple(ledger["factors"])
     entries = ledger["entries"]
@@ -471,8 +480,12 @@ def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:
     by_state: dict[str, dict] = {}
     for entry in entries:
         name = entry["state"]
-        if entry["status"] != "optimal":
-            raise SweepError(f"scenario {name} did not solve: {entry['status']}")
+        if not _certified(entry):
+            raise SweepError(
+                f"scenario {name} did not solve: {entry['status']}"
+                if entry["status"] != "optimal"
+                else f"scenario {name} failed the optimality certificate check"
+            )
         if name in by_state:
             raise SweepError(f"ledger lists scenario {name} twice")
         got = sorted(entry["metrics"])
@@ -510,8 +523,8 @@ def compare_interconnection(manifest: RunManifest) -> dict:
     isolated = FactorState.from_factors(set(range(2, 7))).name
     by_state = {e["state"]: e for e in ledger["entries"]}
     for needed in (full, isolated):
-        if needed not in by_state or by_state[needed]["status"] != "optimal":
-            raise SweepError(f"comparison needs an optimal solve of {needed}")
+        if needed not in by_state or not _certified(by_state[needed]):
+            raise SweepError(f"comparison needs a certified optimal solve of {needed}")
 
     metrics = {}
     for metric in STORAGE_METRICS:

@@ -304,12 +304,13 @@ def build_objective(spec: PowerSystemSpec, space: VariableSpace | None = None) -
     year_scale = horizon / HOURS_PER_YEAR
     rate = spec.annuity_rate
 
+    techs = {t.id: t for t in spec.technologies}
     for meta, j in space.index.items():
         family = meta[0]
         if family == "flow":
             continue
         code, tid = meta[1], meta[2]
-        tech = spec.technology(tid)
+        tech = techs[tid]
         if family in ("gen", "rsv_out"):
             c[j] = tech.marginal_cost
         elif family in ("sto_in", "sto_out"):
@@ -586,24 +587,6 @@ def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport, Lab
 # labels it: the references for lookups through ``LinearProgram.blocks``.
 
 
-def _meta_fields(meta: tuple) -> dict:
-    if meta[0] == "flow":
-        return {"line": meta[1], "hour": meta[2]}
-    return {"country": meta[1], "tech": meta[2], "hour": meta[3]}
-
-
-def scan_find_columns(col_meta, family: str, **match) -> list[int]:
-    """Indices of columns whose metadata matches ``family`` and fields."""
-    out = []
-    for i, meta in enumerate(col_meta):
-        if meta[0] != family:
-            continue
-        fields = _meta_fields(meta)
-        if all(fields.get(k) == v for k, v in match.items()):
-            out.append(i)
-    return out
-
-
 def scan_storage_metrics(spec: PowerSystemSpec, col_meta, primal):
     """Storage energy and discharge capacity sums by duration class: (total, per country)."""
     names = (
@@ -646,12 +629,18 @@ def scan_capacities(spec: PowerSystemSpec, col_meta, primal) -> dict:
 # reference for ``lp.write_solution_csv``.
 
 
-def csv_write_solution(path, lp: LinearProgram, primal) -> None:
+def csv_write_solution(path, labels: Labels | None, primal) -> None:
+    """One row per column of ``labels``, as ``row_assemble`` labels them.
+
+    ``labels`` is None for an LP without column labels, such as one read
+    from MPS: the header is written, then ``ValueError`` raised.
+    """
+    names, metas = (labels.col_names, labels.col_meta) if labels else ((), ())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["column", "family", "country", "technology", "hour", "value"])
         values = np.asarray(primal, dtype=float).tolist()
-        for name, meta, value in zip(lp.col_names, lp.col_meta, values, strict=True):
+        for name, meta, value in zip(names, metas, values, strict=True):
             fields = ["" if f is None else f for f in (meta + (None,))[:4]]
             writer.writerow([name, *fields, repr(value)])
 

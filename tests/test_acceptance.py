@@ -157,8 +157,7 @@ def test_criterion_3_lp_oracle_equivalence(report):
         lp, _ = assemble(spec)
         result = simplex_lp(lp)
         assert result.status == "optimal"
-        (j,) = lp.find_columns("cap_power", country="AA", tech="wind")
-        assert result.primal[j] == 2.0
+        assert result.primal[lp.blocks[("cap_power", "AA", "wind")].start] == 2.0
 
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"LP oracle suite took {elapsed:.1f}s"

@@ -158,7 +158,7 @@ def test_commands_refuse_an_invalid_system(
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
     assert "technology bioenergy: efficiency_out out of (0, 1]" in result.stderr
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 class TestSolve:
@@ -287,16 +287,41 @@ class TestSweepAndFactorize:
     def test_factorize_names_failed_state(self, runner, tmp_path, failed):
         states = ["f_3456", "f_13456", "f_23456", "f_123456"]
         entries = [
-            {"state": name, "status": "optimal", "metrics": {"m": float(i)}}
+            {
+                "state": name,
+                "status": "optimal",
+                "certificate": {"ok": True},
+                "metrics": {"m": float(i)},
+            }
             for i, name in enumerate(states)
         ]
-        entries[failed].update(status="infeasible", metrics={})
+        entries[failed].update(status="infeasible", certificate=None, metrics={})
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps({"factors": [1, 2], "entries": entries}))
         result = runner.invoke(main, ["factorize", str(path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
         assert f"scenario {states[failed]} did not solve: infeasible" in result.stderr
+
+    def test_factorize_refuses_an_uncertified_state(
+        self, runner, system_dir, tmp_path, monkeypatch
+    ):
+        """A sweep whose certificates fail still writes its ledger; nothing decomposes it."""
+        import gridfactor.sweep as sweep_mod
+
+        real = sweep_mod.verify_certificate
+        monkeypatch.setattr(
+            sweep_mod,
+            "verify_certificate",
+            lambda lp, result: dataclasses.replace(real(lp, result), ok=False),
+        )
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", str(system_dir), "--reference", "AA", "--out", str(out_dir)]
+        assert runner.invoke(main, [*args, "--factors", "1,2"]).exit_code == 1
+        result = runner.invoke(main, ["factorize", str(out_dir / "ledger.json")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "scenario f_3456 failed the optimality certificate check" in result.stderr
 
     def test_unknown_reference_exit_1(self, runner, system_dir, tmp_path):
         result = runner.invoke(

@@ -9,7 +9,6 @@ from gridfactor import (
     apply_factor_state,
     assemble,
     derive_reference_shares,
-    enumerate_states,
     enumerate_subset_states,
     isolate_country,
 )
@@ -46,14 +45,11 @@ class TestFactorState:
             FactorState.parse(bad)
 
     def test_enumerate_six_factors(self):
-        states = enumerate_states(6)
+        states = enumerate_subset_states((1, 2, 3, 4, 5, 6))
         assert len(states) == 64
         assert states[0].name == "f_0"
         assert states[-1].name == "f_123456"
         assert len(set(states)) == 64  # power set, no repeats
-
-    def test_enumerate_two_factors(self):
-        assert [s.name for s in enumerate_states(2)] == ["f_0", "f_1", "f_2", "f_12"]
 
     def test_subset_states_pin_omitted_at_native(self):
         states = enumerate_subset_states((1, 2))
@@ -171,7 +167,7 @@ class TestApplyFactorState:
         # AB is not offshore eligible natively, yet receives capacity
         assert overrides["AB"] > 0
         lp, _ = assemble(out)
-        j = lp.find_columns("cap_power", country="AB", tech="wind_offshore")[0]
+        j = lp.blocks[("cap_power", "AB", "wind_offshore")].start
         assert lp.lb[j] == lp.ub[j] == overrides["AB"]
 
     def test_wind_harmonization_equalizes_series(self, spec, shares):

@@ -19,7 +19,7 @@ from gridfactor.model import (
 )
 from gridfactor.solve import solve, verify_certificate
 
-from _oracles import csv_write_solution, read_mps, row_assemble, simplex_lp
+from _oracles import Labels, csv_write_solution, read_mps, row_assemble, simplex_lp
 from conftest import wind_only_spec
 
 
@@ -89,25 +89,26 @@ class TestStructure:
     def test_flow_bounds_are_ntc(self, small_spec):
         lp, _ = assemble(small_spec)
         ntc = small_spec.interconnectors[0].ntc
-        for j in lp.find_columns("flow", line="AA-AB"):
-            assert lp.lb[j] == -ntc
-            assert lp.ub[j] == ntc
+        flows = lp.blocks[("flow", "AA-AB")]
+        assert (lp.lb[flows] == -ntc).all()
+        assert (lp.ub[flows] == ntc).all()
 
     def test_disabling_interconnection_removes_flow_columns(self, small_spec):
-        lp_on, _ = assemble(small_spec)
-        lp_off, _ = assemble(dataclasses.replace(small_spec, interconnection_enabled=False))
-        flows = len(lp_on.find_columns("flow"))
+        lp_on, report_on = assemble(small_spec)
+        isolated = dataclasses.replace(small_spec, interconnection_enabled=False)
+        lp_off, report_off = assemble(isolated)
+        flows = report_on.columns_by_family["flow"]
         assert flows == 48 * len(small_spec.interconnectors)
-        assert lp_off.find_columns("flow") == []
+        assert "flow" not in report_off.columns_by_family
         assert lp_on.n_cols - lp_off.n_cols == flows
 
     def test_metadata_is_total_and_unique(self, small_spec):
         lp, report = assemble(small_spec)
         row_meta = row_assemble(small_spec)[2].row_meta
-        assert len(set(lp.col_meta)) == lp.n_cols
+        assert len(set(lp.col_names)) == lp.n_cols
         assert len(set(row_meta)) == lp.n_rows
-        assert report.n_columns == lp.n_cols
-        assert report.n_rows == lp.n_rows
+        assert sum(report.columns_by_family.values()) == lp.n_cols
+        assert sum(report.rows_by_family.values()) == lp.n_rows
 
     def test_variable_count_formula(self):
         """2 countries x 24 h x {1 VRE, 1 storage}: closed-form column count."""
@@ -170,8 +171,9 @@ class TestSystemBalanceInvariants:
         row_meta = row_assemble(small_spec)[2].row_meta
         balance = [i for i, m in enumerate(row_meta) if m[0] == "balance"]
         total = np.asarray(lp.A[balance].sum(axis=0)).ravel()
-        for j in lp.find_columns("flow"):
-            assert total[j] == 0.0
+        for line in small_spec.interconnectors:
+            flows = lp.blocks[("flow", f"{line.from_country}-{line.to_country}")]
+            assert (total[flows] == 0.0).all()
 
     def test_optimal_solution_is_feasible(self, small_spec):
         lp, _ = assemble(small_spec)
@@ -184,14 +186,8 @@ class TestSystemBalanceInvariants:
         result = solve(lp)
         for tech_id, eta in (("lithium_ion", 0.92 * 0.92), ("power_to_gas", 0.25)):
             for code in ("AA", "AB"):
-                charged = sum(
-                    result.primal[j]
-                    for j in lp.find_columns("sto_in", country=code, tech=tech_id)
-                )
-                discharged = sum(
-                    result.primal[j]
-                    for j in lp.find_columns("sto_out", country=code, tech=tech_id)
-                )
+                charged = result.primal[lp.blocks[("sto_in", code, tech_id)]].sum()
+                discharged = result.primal[lp.blocks[("sto_out", code, tech_id)]].sum()
                 # retention = 1 for both techs, so round-trip losses only
                 assert charged * eta == pytest.approx(discharged, abs=1e-5)
 
@@ -219,7 +215,7 @@ class TestStoragePhysics:
         lp, _ = assemble(spec)
         result = simplex_lp(lp)
         assert result.status == "optimal"
-        charged = sum(result.primal[j] for j in lp.find_columns("sto_in"))
+        charged = result.primal[lp.blocks[("sto_in", "AA", "store")]].sum()
         assert charged == pytest.approx(charged_for_one_mwh, rel=1e-9)
 
     def test_power_to_gas_efficiency_product(self):
@@ -238,20 +234,18 @@ def test_zero_demand_expandable_only_costs_nothing():
 def test_exogenous_capacity_is_sunk(small_spec):
     """Non-expandable capacities contribute no investment coefficients."""
     lp, _ = assemble(small_spec)
-    for j, meta in enumerate(lp.col_meta):
-        if meta[0] in ("cap_power", "cap_charge", "cap_discharge", "cap_energy"):
-            tech = small_spec.technology(meta[2])
-            if not tech.expandable:
-                assert lp.c[j] == 0.0
-                assert lp.lb[j] == lp.ub[j]
+    techs = {t.id: t for t in small_spec.technologies}
+    for key, block in lp.blocks.items():
+        if key[0].startswith("cap_") and not techs[key[2]].expandable:
+            assert lp.c[block.start] == 0.0
+            assert lp.lb[block.start] == lp.ub[block.start]
 
 
 def test_offshore_blocked_without_eligibility(small_spec):
     lp, _ = assemble(small_spec)
     # synthetic country AB (odd index) is not offshore eligible
-    j = lp.find_columns("cap_power", country="AB", tech="wind_offshore")
-    assert len(j) == 1
-    assert lp.lb[j[0]] == 0.0 and lp.ub[j[0]] == 0.0
+    j = lp.blocks[("cap_power", "AB", "wind_offshore")].start
+    assert lp.lb[j] == 0.0 and lp.ub[j] == 0.0
 
 
 def test_solution_csv_rows(small_spec, tmp_path):
@@ -272,15 +266,15 @@ def test_solution_csv_rows(small_spec, tmp_path):
         assert by_name[name] == [name, *fields, repr(float(primal[lp.col_names.index(name)]))]
 
 
-def _quoted_names_lp() -> LinearProgram:
-    """Ids with a quote and a comma, which ``csv.writer`` must quote."""
+def _quoted_names_lp() -> tuple[LinearProgram, Labels]:
+    """Ids with a quote and a comma, which ``csv.writer`` must quote, and their labels."""
     blocks = {
         ("gen", 'A"B', "x,y"): slice(0, 3),
         ("cap_power", 'A"B', "x,y"): slice(3, 4),
         ("flow", 'A"B-C'): slice(4, 6),
     }
     n = 6
-    return LinearProgram(
+    lp = LinearProgram(
         A=sp.csr_matrix((1, n)),
         c=np.zeros(n),
         lb=np.zeros(n),
@@ -289,23 +283,45 @@ def _quoted_names_lp() -> LinearProgram:
         rhs=np.ones(1),
         blocks=blocks,
     )
+    labels = Labels(
+        col_names=(
+            *(f'G[A"B,x,y,{h}]' for h in range(3)),
+            'N[A"B,x,y]',
+            'F[A"B-C,0]',
+            'F[A"B-C,1]',
+        ),
+        col_meta=(
+            *(("gen", 'A"B', "x,y", h) for h in range(3)),
+            ("cap_power", 'A"B', "x,y", None),
+            ("flow", 'A"B-C', 0),
+            ("flow", 'A"B-C', 1),
+        ),
+        row_names=(),
+        row_meta=(),
+    )
+    return lp, labels
 
 
 class TestSolutionCsvBytes:
-    """``write_solution_csv`` writes the bytes of one ``csv.writer`` row per column."""
+    """``write_solution_csv`` writes the bytes of one ``csv.writer`` row per column.
+
+    The reference labels each column as ``row_assemble`` does, so it shares
+    no label logic with the writer.
+    """
 
     @staticmethod
-    def _both(lp, primal, tmp_path):
-        paths = tmp_path / "fast.csv", tmp_path / "oracle.csv"
-        for write, path in zip((write_solution_csv, csv_write_solution), paths):
-            write(path, lp, primal)
-        return tuple(path.read_bytes() for path in paths)
+    def _both(lp, labels, primal, tmp_path):
+        fast, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+        write_solution_csv(fast, lp, primal)
+        csv_write_solution(oracle, labels, primal)
+        return fast.read_bytes(), oracle.read_bytes()
 
     @pytest.mark.parametrize("state", ["f_123456", "f_23456"])
     def test_matches_csv_writer(self, small_spec, tmp_path, state):
-        lp, _ = assemble(apply_factor_state(small_spec, FactorState.parse(state), None))
+        spec = apply_factor_state(small_spec, FactorState.parse(state), None)
+        lp, _ = assemble(spec)
         primal = solve(lp).primal
-        fast, oracle = self._both(lp, primal, tmp_path)
+        fast, oracle = self._both(lp, row_assemble(spec)[2], primal, tmp_path)
         assert fast == oracle
         assert fast.count(b"\r\n") == lp.n_cols + 1
 
@@ -314,12 +330,12 @@ class TestSolutionCsvBytes:
         rng = np.random.default_rng(3)
         primal = rng.normal(size=lp.n_cols) * 10.0 ** rng.integers(-30, 30, size=lp.n_cols)
         primal[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320]
-        fast, oracle = self._both(lp, primal, tmp_path)
+        fast, oracle = self._both(lp, row_assemble(small_spec)[2], primal, tmp_path)
         assert fast == oracle
 
     def test_matches_csv_writer_on_quoted_names(self, tmp_path):
-        lp = _quoted_names_lp()
-        fast, oracle = self._both(lp, np.arange(lp.n_cols) / 7.0, tmp_path)
+        lp, labels = _quoted_names_lp()
+        fast, oracle = self._both(lp, labels, np.arange(lp.n_cols) / 7.0, tmp_path)
         assert fast == oracle
         assert b'"G[A""B,x,y,2]",gen,"A""B","x,y",2,' in fast
 
@@ -327,7 +343,8 @@ class TestSolutionCsvBytes:
         lp = read_mps(write_mps(assemble(small_spec)[0]))
         assert not lp.blocks and lp.n_cols > 0
         primal = np.zeros(lp.n_cols)
-        for write, path in ((write_solution_csv, "fast.csv"), (csv_write_solution, "oracle.csv")):
-            with pytest.raises(ValueError):
-                write(tmp_path / path, lp, primal)
+        with pytest.raises(ValueError):
+            write_solution_csv(tmp_path / "fast.csv", lp, primal)
+        with pytest.raises(ValueError):
+            csv_write_solution(tmp_path / "oracle.csv", None, primal)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -596,8 +596,8 @@ class TestMapBasis:
 
     def test_new_flow_columns_start_at_their_lower_bound(self, lattice_lps, bases):
         start = self.mapped(bases, lattice_lps, "f_0", "f_1")
-        flows = lattice_lps["f_1"].find_columns("flow")
-        assert flows and not start[flows].any()
+        flows = [block for key, block in lattice_lps["f_1"].blocks.items() if key[0] == "flow"]
+        assert flows and not any(start[block].any() for block in flows)
         assert np.count_nonzero(start == 1) == lattice_lps["f_1"].n_rows
 
     def test_new_rows_start_basic(self, lattice_lps, bases):

@@ -31,9 +31,17 @@ from gridfactor.sweep import (
 
 
 def synthetic_ledger(factors=(1, 2, 3, 4, 5, 6)):
-    """One optimal entry per state; metrics ``mask`` (additive) and ``const``."""
+    """One certified optimal entry per state; metrics ``mask`` (additive) and ``const``.
+
+    ``mask`` sums 2^(n - 1) over the state's active factors n.
+    """
     entries = [
-        {"state": s.name, "status": "optimal", "metrics": {"mask": float(s.mask), "const": 1.0}}
+        {
+            "state": s.name,
+            "status": "optimal",
+            "certificate": {"ok": True},
+            "metrics": {"mask": float(sum(1 << (n - 1) for n in s.active_factors)), "const": 1.0},
+        }
         for s in enumerate_subset_states(factors)
     ]
     return {"factors": list(factors), "entries": entries}
@@ -622,6 +630,15 @@ class TestCompareInterconnection:
         with pytest.raises(SweepError, match="comparison needs"):
             compare_interconnection(manifest)
 
+    def test_uncertified_state_rejected(self, manifest):
+        ledger = synthetic_ledger()
+        ledger["entries"][-1]["certificate"]["ok"] = False
+        out = Path(manifest.out_dir)
+        out.mkdir(parents=True)
+        (out / "ledger.json").write_text(json.dumps(ledger))
+        with pytest.raises(SweepError, match="certified optimal solve of f_123456"):
+            compare_interconnection(manifest)
+
 
 class TestDecompositionsFromLedger:
     def test_identity_on_real_sweep(self, manifest):
@@ -640,6 +657,14 @@ class TestDecompositionsFromLedger:
             if entry["state"] == "f_25":
                 entry["status"], entry["metrics"] = "infeasible", {}
         with pytest.raises(SweepError, match="f_25"):
+            decompositions_from_ledger(ledger)
+
+    def test_uncertified_state_named(self):
+        ledger = synthetic_ledger()
+        for entry in ledger["entries"]:
+            if entry["state"] == "f_25":
+                entry["certificate"]["ok"] = False
+        with pytest.raises(SweepError, match="f_25 failed the optimality certificate check"):
             decompositions_from_ledger(ledger)
 
     def test_failed_first_state_named(self):
