@@ -23,7 +23,7 @@ from .model import (
     PowerSystemSpec,
     TimeSeriesSet,
 )
-from .solve import SOLVER, ReuseKey, SolveOptions, SolveResult, solve, verify_certificate
+from .solve import SOLVER, SolveOptions, solve, verify_certificate
 
 FACTOR_NUMBERS = {
     "interconnection": 1,
@@ -159,7 +159,6 @@ def derive_reference_shares(
     spec: PowerSystemSpec,
     reference_country: str,
     solve_options: SolveOptions | None = None,
-    reuse: dict[ReuseKey, SolveResult] | None = None,
 ) -> ReferenceShares:
     """Shares from running the reference country in isolation.
 
@@ -167,7 +166,6 @@ def derive_reference_shares(
     (non-expandable) technologies use their fixed capacities. All shares
     are denominated per MWh of the reference's yearly load. A run that is
     not optimal or fails its certificate raises ``HarmonizeError``.
-    ``reuse`` is passed on to ``solve``.
     """
     try:
         ref = spec.country(reference_country)
@@ -175,9 +173,7 @@ def derive_reference_shares(
         raise HarmonizeError(f"reference country {reference_country} not in spec") from None
     sub = isolate_country(spec, reference_country)
     lp, _ = assemble(sub)
-    # kept with its basis, the stored block also answers a sweep state
-    # that hands its basis on
-    result = solve(lp, solve_options, reuse, keep_basis=reuse is not None)
+    result = solve(lp, solve_options)
     if result.status != "optimal":
         raise HarmonizeError(
             f"isolated reference run for {reference_country} is {result.status}"

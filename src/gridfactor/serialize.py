@@ -98,6 +98,9 @@ def _check_type(value: Any, annotation: str, where: str) -> None:
     kinds, name = _JSON_TYPES[annotation]
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise ManifestError(f"{where} must be {name}, got {value!r}")
+    # ``json`` reads NaN and Infinity as floats, and no model number may be either
+    if annotation == "float" and not math.isfinite(value):
+        raise ManifestError(f"{where} must be finite, got {value!r}")
 
 
 def _entities(doc: Mapping[str, Any], table: str) -> tuple:

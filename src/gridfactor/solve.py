@@ -46,15 +46,14 @@ edges that add interconnection or native load (``gridfactor.sweep``).
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import LinearProgram, lp_digest
+from .lp import LinearProgram
 from .model import GridFactorError
 
 # the solver that ledger entries and reference shares name
@@ -88,15 +87,10 @@ class SolveResult:
     dual: np.ndarray
     iterations: int
     blocks: int = 1  # independent blocks, each solved as its own HiGHS model
-    reused_blocks: int = 0  # blocks answered from ``solve``'s ``reuse`` dict
     # final simplex basis in LP order (module docstring), when asked for
     basis: np.ndarray | None = None
     alien_start: bool = False  # a block's start went to HiGHS to repair
 
-
-# ``solve``'s reuse key of a block: its lp_digest, a digest of its start
-# basis or None for a cold start, and the simplex variant
-ReuseKey = tuple[str, str | None, str]
 
 # HiGHS ``simplex_strategy`` of each simplex variant (module docstring)
 _SIMPLEX_STRATEGY = {"primal": 4, "dual": 1}
@@ -105,7 +99,6 @@ _SIMPLEX_STRATEGY = {"primal": 4, "dual": 1}
 def solve(
     lp: LinearProgram,
     options: SolveOptions | None = None,
-    reuse: dict[ReuseKey, SolveResult] | None = None,
     start: np.ndarray | None = None,
     keep_basis: bool = False,
     simplex: str = "primal",
@@ -120,10 +113,6 @@ def solve(
     up to it add up, and a block after it counts for nothing, solved or
     not. A block that raises ends the solve: blocks not yet started are
     cancelled. An LP of one block is one HiGHS call on the LP as given.
-
-    ``reuse`` maps a block's ``ReuseKey`` to its optimal result. A block
-    found there is not solved again; one solved here is added. A stored
-    result without a final basis does not answer a caller that keeps one.
 
     ``start`` is a basis in LP order (module docstring) for HiGHS to
     start from; one of the wrong length, or one HiGHS rejects, raises
@@ -145,10 +134,9 @@ def solve(
 
     parts = _independent_blocks(lp)
     if not parts:
-        result, reused = _solve_block(lp, options, reuse, start, keep_basis, simplex)
-        return replace(result, reused_blocks=1) if reused else result
+        return _solve_highs(lp, options, start, keep_basis, simplex)
 
-    def solve_part(part: tuple[np.ndarray, np.ndarray]) -> tuple[SolveResult, bool]:
+    def solve_part(part: tuple[np.ndarray, np.ndarray]) -> SolveResult:
         rows, cols = part
         block = LinearProgram(
             A=lp.A[rows][:, cols],
@@ -160,17 +148,16 @@ def solve(
             name=lp.name,
         )
         block_start = None if start is None else start[_basis_order(lp, rows, cols)]
-        return _solve_block(block, options, reuse, block_start, keep_basis, simplex)
+        return _solve_highs(block, options, block_start, keep_basis, simplex)
 
     primal, dual = np.zeros(lp.n_cols), np.zeros(lp.n_rows)
     basis = np.zeros(lp.n_cols + lp.n_rows, dtype=np.int8) if keep_basis else None
-    objective, iterations, reused_blocks, alien = 0.0, 0, 0, False
+    objective, iterations, alien = 0.0, 0, False
     pool = _block_pool(len(parts))
     try:
         outcomes = map(solve_part, parts) if pool is None else pool.map(solve_part, parts)
-        for (rows, cols), (result, reused) in zip(parts, outcomes):
+        for (rows, cols), result in zip(parts, outcomes):
             iterations += result.iterations
-            reused_blocks += reused
             alien = alien or result.alien_start
             if result.status != "optimal":
                 objective, primal, dual = float("nan"), np.zeros(lp.n_cols), np.zeros(lp.n_rows)
@@ -191,7 +178,6 @@ def solve(
         dual=dual,
         iterations=iterations,
         blocks=len(parts),
-        reused_blocks=reused_blocks,
         basis=basis,
         alien_start=alien,
     )
@@ -283,41 +269,6 @@ def _block_pool(blocks: int) -> ThreadPoolExecutor | None:
     if threads < 2 or multiprocessing.parent_process() is not None:
         return None
     return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="highs-block")
-
-
-def _solve_block(
-    lp: LinearProgram,
-    options: SolveOptions,
-    reuse: dict[ReuseKey, SolveResult] | None,
-    start: np.ndarray | None,
-    keep_basis: bool,
-    simplex: str,
-) -> tuple[SolveResult, bool]:
-    """HiGHS result for one block, and whether it came from ``reuse``.
-
-    Several threads may read and write ``reuse`` at once (``solve``).
-    Each ``get`` and each assignment is one dict operation, atomic under
-    the GIL. Two threads that miss the same key both solve the block and
-    both store it; HiGHS is deterministic, so the two results are equal.
-    """
-    if reuse is None:
-        return _solve_highs(lp, options, start, keep_basis, simplex), False
-    started = None if start is None else hashlib.sha256(start.tobytes()).hexdigest()
-    key = (lp_digest(lp), started, simplex)
-    known = reuse.get(key)
-    # HiGHS is deterministic: from the same start, by the same simplex and
-    # with more iterations left than the stored solve took, solving again
-    # would retrace it; a result stored without its basis has none to give
-    if (
-        known is not None
-        and known.iterations < options.iteration_limit
-        and (known.basis is not None or not keep_basis)
-    ):
-        return known, True
-    result = _solve_highs(lp, options, start, keep_basis, simplex)
-    if result.status == "optimal":
-        reuse[key] = result
-    return result, False
 
 
 def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:

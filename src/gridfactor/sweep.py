@@ -11,12 +11,12 @@ Each state but the roots of the factor lattice starts HiGHS from the
 final simplex basis of one parent state (``warm_parents``): the state
 less the highest of factors 6, 4 and 3 that it has and the design
 varies, else less hydro (5), else less interconnection (1). Wind (2) is
-never dropped: a wind neighbour's basis saves no time and costs the
-reuse of the reference country's block. So the full design's roots are
-``f_0`` and ``f_2``, and they solve cold. The parent's basis is carried
-to the child's LP by block key (``map_basis``): interconnection adds
-flow columns, and hydro and bioenergy add or remove a country's
-columns and rows where its own portfolio and the reference's differ.
+never dropped: a wind neighbour's basis saves no time. So the full
+design's roots are ``f_0`` and ``f_2``, and they solve cold. The
+parent's basis is carried to the child's LP by block key
+(``map_basis``): interconnection adds flow columns, and hydro and
+bioenergy add or remove a country's columns and rows where its own
+portfolio and the reference's differ.
 A start that does not have one basic status per row goes to HiGHS as
 alien and is repaired there. The edges of interconnection (1) and load
 (4) run the dual simplex, every other edge and every cold solve the
@@ -36,13 +36,9 @@ another on one thread: the pool already runs one worker per CPU, and
 started. A sweep at one worker runs its states in the calling
 process, so there an isolated state's blocks are solved at once.
 
-Within one sweep, the blocks of isolated states are kept by
-``lp_digest``, start and simplex variant (``_REUSE``) and not solved
-again: an isolated state is one block per country, and a country's
-block repeats across states and matches the reference country's own
-solve. HiGHS is deterministic, so a state's result depends only on its
-LP, start and simplex variant: ledgers do not depend on what was
-reused, on the schedule or on the worker count.
+HiGHS is deterministic, so a state's result depends only on its LP,
+start and simplex variant: ledgers do not depend on the schedule or on
+the worker count.
 """
 
 from __future__ import annotations
@@ -75,15 +71,7 @@ from .lp import assemble, lp_digest, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
 from .serialize import manifest_digest, read_system, system_doc, write_json
-from .solve import (
-    SOLVER,
-    ReuseKey,
-    SolveOptions,
-    SolveResult,
-    map_basis,
-    solve,
-    verify_certificate,
-)
+from .solve import SOLVER, SolveOptions, map_basis, solve, verify_certificate
 
 VERSION = "1.0.0"
 LEDGER_SCHEMA = "gridfactor-ledger/4"
@@ -91,17 +79,6 @@ LEDGER_SCHEMA = "gridfactor-ledger/4"
 
 class SweepError(GridFactorError):
     pass
-
-
-# (lp_digest, start digest, simplex) of a block -> its optimal result, for
-# the length of one run_sweep; each pool worker starts from a copy of the
-# parent's
-_REUSE: dict[ReuseKey, SolveResult] = {}
-
-
-def _seed_reuse(results: dict[ReuseKey, SolveResult]) -> None:
-    """Pool initializer: start the worker's dict from the parent's."""
-    _REUSE.update(results)
 
 
 # factors a state may drop to find its warm-start parent, first choice first
@@ -247,15 +224,13 @@ def _run_state(payload) -> dict:
         mps_dir = out_dir / "mps"
         mps_dir.mkdir(parents=True, exist_ok=True)
         write_mps(lp, mps_dir / f"{state_name}.mps")
-    # a coupled state's LP is one block that no other state repeats
-    reuse = None if scenario.interconnection_enabled else _REUSE
     start, simplex = None, "primal"
     if warm_from is not None:
         _, meta_path, basis_path = _state_paths(out_dir, warm_from)
         layout = json.loads(meta_path.read_text())["layout"]
         start = map_basis(np.load(basis_path), *_block_maps(layout), lp)
         simplex = _edge_simplex(state_name, warm_from)
-    result = solve(lp, solver, reuse, start, keep_basis, simplex)
+    result = solve(lp, solver, start, keep_basis, simplex)
 
     entry = {
         "state": state_name,
@@ -291,7 +266,6 @@ def _run_state(payload) -> dict:
             **entry,
             "timing_seconds": wall,
             "blocks": result.blocks,
-            "reused_blocks": result.reused_blocks,
             "warm_from": warm_from,
             "simplex": simplex,
             "alien_start": result.alien_start,
@@ -327,9 +301,7 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
     pending = [s.name for s in states if s.name not in entries]
 
     try:
-        shares = derive_reference_shares(
-            base, manifest.reference_country, manifest.solver, _REUSE
-        )
+        shares = derive_reference_shares(base, manifest.reference_country, manifest.solver)
         _write_shares(out_dir / "reference_shares.json", shares)
 
         def payload(name: str):
@@ -350,9 +322,7 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
             for name in pending:
                 parent = parents[name] if parents[name] in pending else None
                 waiting.setdefault(parent, []).append(name)
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_seed_reuse, initargs=(dict(_REUSE),)
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 ready = waiting.pop(None, ())
                 running = {pool.submit(_run_state, payload(name)): name for name in ready}
                 while running:
@@ -363,7 +333,6 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
                         for child in waiting.pop(name, ()):
                             running[pool.submit(_run_state, payload(child))] = child
     finally:
-        _REUSE.clear()
         ledger = _assemble_ledger(manifest, states, entries)
         if entries:
             write_json(out_dir / "ledger.json", ledger)
@@ -412,7 +381,14 @@ def _certified(entry: dict) -> bool:
 
 
 def read_ledger(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The ledger document at ``path``; ``SweepError`` unless it is a JSON object."""
+    try:
+        ledger = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise SweepError(f"ledger {path} is not valid JSON: {exc}") from None
+    if not isinstance(ledger, dict):
+        raise SweepError(f"ledger {path} is not a JSON object")
+    return ledger
 
 
 def ledger_comparison_bytes(ledger: dict) -> bytes:

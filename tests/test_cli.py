@@ -126,6 +126,25 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
         assert f"error: {message}" in result.stderr
 
+    @pytest.mark.parametrize(
+        "table,key,literal,message",
+        [
+            ("interconnectors", "ntc", "NaN", "interconnector entry 0: ntc"),
+            ("exogenous_capacities", "energy", "Infinity", "exogenous capacity entry 0: energy"),
+            (None, "annuity_rate", "-Infinity", "annuity_rate"),
+        ],
+    )
+    def test_non_finite_manifest_number_exit_1(
+        self, runner, system_dir, table, key, literal, message
+    ):
+        doc = json.loads(Path(system_dir).read_text())
+        (doc[table][0] if table else doc)[key] = float(literal)
+        Path(system_dir).write_text(json.dumps(doc))  # writes the literal NaN or Infinity
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert f"error: {message} must be finite, got {float(literal)!r}" in result.stderr
+
 
 @pytest.fixture
 def invalid_system_dir(tmp_path):
@@ -302,6 +321,19 @@ class TestSweepAndFactorize:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
         assert f"scenario {states[failed]} did not solve: infeasible" in result.stderr
+
+    @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["not-json", "not-object"])
+    @pytest.mark.parametrize("command", ["factorize", "resume"])
+    def test_broken_ledger_exit_1(self, runner, system_dir, tmp_path, command, text):
+        ledger = tmp_path / "run" / "ledger.json"
+        ledger.parent.mkdir()
+        ledger.write_text(text)
+        run = ["sweep", str(system_dir), "--reference", "AA", "--out", str(ledger.parent)]
+        args = ["factorize", str(ledger)] if command == "factorize" else [*run, "--resume"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert f"error: ledger {ledger} is not" in result.stderr
 
     def test_factorize_refuses_an_uncertified_state(
         self, runner, system_dir, tmp_path, monkeypatch
@@ -522,7 +554,7 @@ class TestExportLp:
         assert np.isfinite(lp.c).all()
 
     def test_matches_the_sweep_export(self, runner, system_dir, tmp_path):
-        """``sweep --export-mps`` writes each state's LP as ``export-lp`` does."""
+        """``sweep --export-mps`` and ``solve --mps-out`` write an LP as ``export-lp`` does."""
         out_dir = tmp_path / "sweep"
         args = ["sweep", str(system_dir), "--reference", "AA", "--out", str(out_dir)]
         result = runner.invoke(main, [*args, "--factors", "1,3", "--export-mps"])
@@ -535,6 +567,11 @@ class TestExportLp:
             result = runner.invoke(main, [*argv, "--out", str(single)])
             assert result.exit_code == 0, result.output
             assert single.read_bytes() == (out_dir / "mps" / f"{name}.mps").read_bytes()
+            solved = tmp_path / f"{name}.solved.mps"
+            argv = ["solve", str(system_dir), "--state", name, "--reference", "AA"]
+            result = runner.invoke(main, [*argv, "--mps-out", str(solved)])
+            assert result.exit_code == 0, result.output
+            assert solved.read_bytes() == single.read_bytes()
 
 
 def test_version_flag(runner):

@@ -9,14 +9,7 @@ from gridfactor import annuity, assemble
 from gridfactor.harmonize import FactorState, apply_factor_state
 from gridfactor.lp import BuildError, LinearProgram, lp_digest, write_solution_csv
 from gridfactor.mps import write_mps
-from gridfactor.model import (
-    Country,
-    ExogenousCapacity,
-    Interconnector,
-    PowerSystemSpec,
-    Technology,
-    TimeSeriesSet,
-)
+from gridfactor.model import Country, Interconnector, Technology
 from gridfactor.solve import solve, verify_certificate
 
 from _oracles import Labels, csv_write_solution, read_mps, row_assemble, simplex_lp

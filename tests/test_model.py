@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridfactor import annuity, synthesize_system, validate
-from gridfactor.model import Country, TimeSeriesSet
 
 # Frozen oracle values, computed with an independent spreadsheet-style
 # evaluation of cost * r / (1 - (1+r)^-L) before the implementation.

@@ -14,6 +14,10 @@ on ``ExogenousCapacity.technology`` and ``BuildReport.n_rows`` on
 ``LinearProgram.n_rows`` while only tests called them. Dunder methods are
 called by Python and are skipped, as are click commands, which
 ``main.command`` registers.
+
+Every name that a module of ``src/gridfactor`` or ``tests/`` imports is
+used in that module. ``__init__.py`` files are skipped: their imports are
+the package's re-exports.
 """
 
 import ast
@@ -108,3 +112,27 @@ def test_every_definition_has_a_caller():
 def test_every_exemption_is_still_needed():
     """An exempt name that gains a caller, or is deleted, leaves ``EXEMPT``."""
     assert sorted(uncalled({})) == sorted(EXEMPT)
+
+
+def unused_imports(paths) -> list[str]:
+    """``file: name`` for each name that a file imports and never uses as a name."""
+    flagged = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # ``import a.b`` binds ``a``
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            rel = path.relative_to(ROOT)
+            flagged += [f"{rel}: {name}" for name in bound if name not in used]
+    return flagged
+
+
+def test_every_import_is_used():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert unused_imports(p for p in files if p.name != "__init__.py") == []

@@ -203,7 +203,7 @@ class TestBlocks:
         split = solve(lp)
         whole = _solve_highs(lp, SolveOptions())
         assert split.status == whole.status == "optimal"
-        assert split.blocks == 3 and split.reused_blocks == 0
+        assert split.blocks == 3
         assert split.objective == pytest.approx(whole.objective, rel=1e-9)
         assert verify_certificate(lp, split).ok
 
@@ -242,9 +242,21 @@ class TestBlocks:
 
     def test_iteration_limit_is_per_block(self, isolated_lps):
         lp = isolated_lps["f_23456"]
-        reuse = {}
-        total = solve(lp, reuse=reuse).iterations
-        needed = sorted(result.iterations for result in reuse.values())
+        total = solve(lp).iterations
+        needed = sorted(
+            _solve_highs(
+                LinearProgram(
+                    A=lp.A[rows][:, cols],
+                    c=lp.c[cols],
+                    lb=lp.lb[cols],
+                    ub=lp.ub[cols],
+                    relations=lp.relations[rows],
+                    rhs=lp.rhs[rows],
+                ),
+                SolveOptions(),
+            ).iterations
+            for rows, cols in solve_mod._independent_blocks(lp)
+        )
         assert len(needed) == 3 and sum(needed) == total
         # HiGHS stops at iteration-limit once its count reaches the limit
         enough = solve(lp, SolveOptions(iteration_limit=needed[-1] + 1))
@@ -277,29 +289,6 @@ class TestBlocks:
         assert (result.status, result.blocks) == ("optimal", 2)
         assert np.allclose(result.primal, [1.0, 2.0, 3.0, 1.0])
         assert result.objective == pytest.approx(1.0 + 2.0 - 6.0 + 2.0)
-
-    def test_known_blocks_are_not_solved_again(self, isolated_lps, monkeypatch):
-        lp = isolated_lps["f_23456"]
-        reuse = {}
-        first = solve(lp, reuse=reuse)
-        assert (first.blocks, first.reused_blocks, len(reuse)) == (3, 0, 3)
-        monkeypatch.setattr(
-            solve_mod, "_solve_highs", lambda *a: pytest.fail("solved a known block")
-        )
-        again = solve(lp, reuse=reuse)
-        assert (again.blocks, again.reused_blocks) == (3, 3)
-        assert again.objective == first.objective
-        assert again.iterations == first.iterations
-        assert np.array_equal(again.primal, first.primal)
-        assert np.array_equal(again.dual, first.dual)
-
-    def test_known_block_is_solved_again_within_a_smaller_budget(self, isolated_lps):
-        lp = isolated_lps["f_23456"]
-        reuse = {}
-        solve(lp, reuse=reuse)
-        result = solve(lp, SolveOptions(iteration_limit=1), reuse)
-        assert (result.status, result.reused_blocks) == ("iteration-limit", 0)
-        assert result.iterations <= 1
 
 
 @pytest.fixture(scope="module")
@@ -392,32 +381,6 @@ class TestStartBasis:
         with pytest.raises(SolveError, match="unknown status"):
             solve(lp, start=np.array([0, 0, 1, 7], dtype=np.int8))
 
-    def test_warm_result_never_answers_another_start(self, isolated_lps):
-        lp = isolated_lps["f_23456"]
-        start = solve(isolated_lps["f_3456"], keep_basis=True).basis
-        reuse = {}
-        cold = solve(lp, reuse=reuse)
-        assert (cold.reused_blocks, len(reuse)) == (0, 3)
-        # a result stored without its basis answers only callers that keep none
-        assert all(result.basis is None for result in reuse.values())
-        assert solve(lp, reuse=reuse).reused_blocks == 3
-        kept = solve(lp, reuse=reuse, keep_basis=True)
-        assert (kept.reused_blocks, len(reuse)) == (0, 3)
-        assert all(result.basis is not None for result in reuse.values())
-        assert solve(lp, reuse=reuse, keep_basis=True).reused_blocks == 3
-        warm = solve(lp, reuse=reuse, start=start, keep_basis=True)
-        assert (warm.reused_blocks, len(reuse)) == (0, 6)
-        again = solve(lp, reuse=reuse, start=start, keep_basis=True)
-        assert (again.reused_blocks, len(reuse)) == (3, 6)
-        assert again.iterations == warm.iterations
-        assert np.array_equal(again.primal, warm.primal)
-        assert np.array_equal(again.basis, warm.basis)
-        # a block solved by the dual simplex from the same start is stored apart
-        dual = solve(lp, reuse=reuse, start=start, keep_basis=True, simplex="dual")
-        assert (dual.reused_blocks, len(reuse)) == (0, 9)
-        again = solve(lp, reuse=reuse, start=start, keep_basis=True, simplex="dual")
-        assert (again.reused_blocks, again.iterations) == (3, dual.iterations)
-
 
 class TestThreads:
     """Blocks solved at once on a thread pool give what blocks solved in order give.
@@ -461,7 +424,7 @@ class TestThreads:
         in_order = self.in_order(monkeypatch, lp, start=start, keep_basis=True)
         assert pools == [2]
         assert threaded.status == "optimal" and threaded.blocks == 3
-        for field in ("objective", "iterations", "blocks", "reused_blocks", "alien_start"):
+        for field in ("objective", "iterations", "blocks", "alien_start"):
             assert getattr(threaded, field) == getattr(in_order, field)
         for field in ("primal", "dual", "basis"):
             assert np.array_equal(getattr(threaded, field), getattr(in_order, field))
@@ -516,32 +479,6 @@ class TestThreads:
         # block 2 ran beside block 1; block 3 may have started before the
         # failure was seen; block 4 was still queued
         assert solved[0] in (1, 2) and 4 not in solved
-
-    def test_equal_blocks_solved_at_once_leave_one_entry(self, isolated_lps, pools, monkeypatch):
-        lp = isolated_lps["f_23456"]
-        rows, cols = solve_mod._independent_blocks(lp)[0]
-        copies = 4  # more threads than a 2-CPU machine has
-        twins = LinearProgram(
-            A=sp.block_diag([lp.A[rows][:, cols]] * copies, format="csr"),
-            c=np.tile(lp.c[cols], copies),
-            lb=np.tile(lp.lb[cols], copies),
-            ub=np.tile(lp.ub[cols], copies),
-            relations=np.tile(lp.relations[rows], copies),
-            rhs=np.tile(lp.rhs[rows], copies),
-        )
-        monkeypatch.setattr(solve_mod, "_usable_cpus", lambda: copies)
-        reuse = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = solve(twins, reuse=reuse)
-        finally:
-            sys.setswitchinterval(interval)
-        assert pools == [copies]
-        in_order = self.in_order(monkeypatch, twins)
-        assert (threaded.status, threaded.blocks, len(reuse)) == ("optimal", copies, 1)
-        assert np.array_equal(threaded.primal, in_order.primal)
-        assert threaded.objective == in_order.objective
 
 
 @pytest.fixture(scope="module")

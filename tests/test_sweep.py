@@ -64,6 +64,11 @@ class TestRunSweep:
         names = [e["state"] for e in ledger["entries"]]
         assert names == ["f_3456", "f_13456", "f_23456", "f_123456"]
         assert all(e["status"] == "optimal" for e in ledger["entries"])
+        # an isolated state is one block per country; the ledger records no blocks
+        states = Path(manifest.out_dir) / "states"
+        blocks = {n: json.loads((states / f"{n}.json").read_text())["blocks"] for n in names}
+        assert blocks == {"f_3456": 2, "f_13456": 1, "f_23456": 2, "f_123456": 1}
+        assert all("blocks" not in e for e in ledger["entries"])
 
     def test_outputs_exist(self, manifest):
         run_sweep(manifest)
@@ -112,21 +117,20 @@ class TestRunSweep:
         assert mps[0] == mps[1] == mps[2]
 
     def test_states_agree_across_worker_counts(self, system_dir, tmp_path):
-        """Only ``timing_seconds`` and ``reused_blocks`` record the schedule."""
-        schedule = {"timing_seconds", "reused_blocks"}
+        """Only ``timing_seconds`` records the schedule."""
         trees = []
         for workers in (1, 2):
-            sweep_outputs(system_dir, tmp_path / f"w{workers}", (1, 3, 4), workers)
+            sweep_outputs(system_dir, tmp_path / f"w{workers}", (1, 2, 3, 4), workers)
             states = tmp_path / f"w{workers}" / "states"
             files = {p.name: p.read_bytes() for p in states.iterdir() if p.suffix != ".json"}
-            docs = {
-                p.name: {k: v for k, v in json.loads(p.read_text()).items() if k not in schedule}
-                for p in states.glob("*.json")
-            }
+            docs = {}
+            for p in states.glob("*.json"):
+                docs[p.name] = json.loads(p.read_text())
+                del docs[p.name]["timing_seconds"]
             trees.append((files, docs))
         files, docs = trees[0]
-        assert len(docs) == 8
-        assert sum(name.endswith(".csv") for name in files) == 8
+        assert len(docs) == 16
+        assert sum(name.endswith(".csv") for name in files) == 16
         assert sum(name.endswith(".basis.npy") for name in files) >= 1
         assert trees[0] == trees[1]
 
@@ -194,44 +198,6 @@ def sweep_outputs(system_dir, out_dir, factors, workers):
         (out / "reference_shares.json").read_bytes(),
     ]
     return outputs, ledger, states
-
-
-class Forgetful(dict):
-    """A reuse dict that never answers."""
-
-    def get(self, key, default=None):
-        return default
-
-
-class TestBlockReuse:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_reuse_does_not_change_outputs(self, system_dir, tmp_path, monkeypatch, workers):
-        reusing, ledger, states = sweep_outputs(system_dir, tmp_path / "reuse", (1, 2), workers)
-        assert sweep_mod._REUSE == {}
-        blocks = {name: s["blocks"] for name, s in states.items()}
-        assert blocks == {"f_3456": 2, "f_13456": 1, "f_23456": 2, "f_123456": 1}
-        # f_23456's AA block is the LP of the reference solve
-        assert states["f_23456"]["reused_blocks"] >= 1
-        assert all("blocks" not in e and "reused_blocks" not in e for e in ledger["entries"])
-
-        monkeypatch.setattr(sweep_mod, "_REUSE", Forgetful())
-        solving, _, states = sweep_outputs(system_dir, tmp_path / "solve", (1, 2), workers)
-        assert all(s["reused_blocks"] == 0 for s in states.values())
-        assert reusing == solving
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_reuse_does_not_change_warm_outputs(self, system_dir, tmp_path, monkeypatch, workers):
-        reusing, _, states = sweep_outputs(system_dir, tmp_path / "reuse", (1, 3, 4), workers)
-        assert sweep_mod._REUSE == {}
-        assert sum(s["warm_from"] is not None for s in states.values()) == 7
-        # f_256's AA block is the reference LP, and f_2456 and f_23456 solve
-        # one AA block from one start by the dual simplex
-        assert sum(s["reused_blocks"] for s in states.values()) >= 1
-
-        monkeypatch.setattr(sweep_mod, "_REUSE", Forgetful())
-        solving, _, states = sweep_outputs(system_dir, tmp_path / "solve", (1, 3, 4), workers)
-        assert all(s["reused_blocks"] == 0 for s in states.values())
-        assert reusing == solving
 
 
 class TestWarmStarts:
@@ -383,7 +349,7 @@ class TestWarmStarts:
         class Recording:
             """Runs each task at once in this process and records its size."""
 
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 pools.append(max_workers)
 
             def __enter__(self):
