@@ -7,18 +7,19 @@ on a thread pool, one thread per block up to the CPUs the process may
 use; HiGHS releases the GIL while it solves. A process that
 ``multiprocessing`` started solves its blocks in order on its own
 thread, since a sweep's pool already runs one such process per CPU.
-Each HiGHS model runs on one thread with the primal revised simplex
-by default (Huangfu & Hall, *Math. Prog. Comp.* 2018, describe both of
-HiGHS's simplex variants): on the capacity-expansion LPs here, solved
-cold, it takes 15-30 % more iterations than the dual simplex but
-0.61-0.82 of its CPU time on coupled 3-country x 168 h LPs, and
-0.88-0.91 on isolated country blocks. Its optimal, infeasible,
-unbounded and iteration-limit statuses keep their names; any other
-reads ``numerical``. An LP with no columns never reaches a solver: it
-is optimal with objective 0 when every row holds at x = 0, else
-infeasible. Row duals follow the dZ/db convention (non-positive for
-binding <= rows of a minimization). The test suite checks HiGHS's
-results against a dense reference simplex (``tests/_oracles.py``).
+Each HiGHS model runs on one thread. A cold solve runs the primal
+revised simplex (Huangfu & Hall, *Math. Prog. Comp.* 2018, describe
+both of HiGHS's simplex variants): on the capacity-expansion LPs here
+it takes 15-30 % more iterations than the dual simplex but 0.61-0.82
+of its CPU time on coupled 3-country x 168 h LPs, and 0.88-0.91 on
+isolated country blocks; a started solve runs the dual (below). HiGHS's
+optimal, infeasible, unbounded and iteration-limit statuses keep their
+names; any other reads ``numerical``. An LP with no columns never
+reaches a solver: it is optimal with objective 0 when every row holds
+at x = 0, else infeasible. Row duals follow the dZ/db convention
+(non-positive for binding <= rows of a minimization). The test suite
+checks HiGHS's results against a dense reference simplex
+(``tests/_oracles.py``).
 
 A HiGHS solve can start from a simplex basis and hand back its final
 one. A basis is one ``int8`` array in LP order, the column statuses and
@@ -38,10 +39,13 @@ LP itself: a sweep hands a parent state's basis to its children as a
 basis file plus the block keys and lengths of the parent's LP, in its
 ``states/`` directory. After a change that moves right-hand sides only
 or adds columns at a bound, that start stays dual feasible, the textbook
-case for the dual simplex (Koberstein, PhD thesis, Paderborn 2005);
-``solve(..., simplex="dual")`` runs HiGHS's dual simplex
-(``simplex_strategy`` 1) instead of the primal. A sweep does so on the
-edges that add interconnection or native load (``gridfactor.sweep``).
+case for the dual simplex (Koberstein, PhD thesis, Paderborn 2005).
+So a solve with a start runs HiGHS's dual simplex (``simplex_strategy``
+1) priced by Devex (Harris, *Math. Prog.* 1973), which starts from unit
+reference weights; HiGHS's default, dual steepest edge, first computes
+each row's weight exactly (Forrest & Goldfarb, *Math. Prog.* 1992),
+about one BTRAN per row before the first pivot. ``SolveResult.simplex``
+names the variant that ran.
 """
 
 from __future__ import annotations
@@ -90,10 +94,7 @@ class SolveResult:
     # final simplex basis in LP order (module docstring), when asked for
     basis: np.ndarray | None = None
     alien_start: bool = False  # a block's start went to HiGHS to repair
-
-
-# HiGHS ``simplex_strategy`` of each simplex variant (module docstring)
-_SIMPLEX_STRATEGY = {"primal": 4, "dual": 1}
+    simplex: str = "primal"  # the variant HiGHS ran: "dual" from a start (module docstring)
 
 
 def solve(
@@ -101,7 +102,6 @@ def solve(
     options: SolveOptions | None = None,
     start: np.ndarray | None = None,
     keep_basis: bool = False,
-    simplex: str = "primal",
 ) -> SolveResult:
     """Solve ``lp``; HiGHS solves each independent block on its own.
 
@@ -117,11 +117,10 @@ def solve(
     ``start`` is a basis in LP order (module docstring) for HiGHS to
     start from; one of the wrong length, or one HiGHS rejects, raises
     ``SolveError``. With ``keep_basis`` an optimal result carries its
-    final basis in that form. ``simplex`` is ``"primal"`` or ``"dual"``.
+    final basis in that form. A started solve runs the dual simplex, a
+    cold one the primal (module docstring).
     """
     options = options or SolveOptions()
-    if simplex not in _SIMPLEX_STRATEGY:
-        raise SolveError(f"unknown simplex variant {simplex!r}: {sorted(_SIMPLEX_STRATEGY)}")
     if not all(np.isfinite(a).all() for a in (lp.c, lp.A.data, lp.rhs)):
         raise SolveError(f"LP {lp.name!r} has a non-finite cost, coefficient or right-hand side")
     if start is not None and start.shape != (lp.n_cols + lp.n_rows,):
@@ -134,7 +133,7 @@ def solve(
 
     parts = _independent_blocks(lp)
     if not parts:
-        return _solve_highs(lp, options, start, keep_basis, simplex)
+        return _solve_highs(lp, options, start, keep_basis)
 
     def solve_part(part: tuple[np.ndarray, np.ndarray]) -> SolveResult:
         rows, cols = part
@@ -148,7 +147,7 @@ def solve(
             name=lp.name,
         )
         block_start = None if start is None else start[_basis_order(lp, rows, cols)]
-        return _solve_highs(block, options, block_start, keep_basis, simplex)
+        return _solve_highs(block, options, block_start, keep_basis)
 
     primal, dual = np.zeros(lp.n_cols), np.zeros(lp.n_rows)
     basis = np.zeros(lp.n_cols + lp.n_rows, dtype=np.int8) if keep_basis else None
@@ -180,6 +179,7 @@ def solve(
         blocks=len(parts),
         basis=basis,
         alien_start=alien,
+        simplex=result.simplex,
     )
 
 
@@ -315,7 +315,6 @@ def _solve_highs(
     options: SolveOptions,
     start: np.ndarray | None = None,
     keep_basis: bool = False,
-    simplex: str = "primal",
 ) -> SolveResult:
     try:
         import scipy.optimize._highspy._core as highs_core
@@ -333,11 +332,13 @@ def _solve_highs(
     matrix.num_col_, matrix.num_row_ = lp.n_cols, lp.n_rows
     matrix.start_, matrix.index_, matrix.value_ = lp.A.indptr, lp.A.indices, lp.A.data
 
+    dual = start is not None
     highs = highs_core._Highs()
     for option, value in (
         ("output_flag", False),
         ("threads", 1),
-        ("simplex_strategy", _SIMPLEX_STRATEGY[simplex]),
+        ("simplex_strategy", 1 if dual else 4),  # dual from a start, else primal
+        ("simplex_dual_edge_weight_strategy", 1),  # Devex
         ("simplex_iteration_limit", options.iteration_limit),
         ("ipm_iteration_limit", options.iteration_limit),
     ):
@@ -363,6 +364,7 @@ def _solve_highs(
         iterations=int(info.simplex_iteration_count),
         basis=_final_basis(highs, lp) if optimal and keep_basis else None,
         alien_start=alien,
+        simplex="dual" if dual else "primal",
     )
 
 
@@ -371,7 +373,7 @@ def _final_basis(highs, lp: LinearProgram) -> np.ndarray:
     basis = highs.getBasis()
     if not basis.valid:
         raise SolveError(f"HiGHS holds no valid final basis of LP {lp.name!r}")
-    return np.array(basis.col_status + basis.row_status, dtype=np.int8)
+    return np.array([s.value for s in basis.col_status + basis.row_status], dtype=np.int8)
 
 
 def _set_basis(highs, highs_core, lp: LinearProgram, start: np.ndarray) -> bool:

@@ -11,24 +11,24 @@ Each state but the roots of the factor lattice starts HiGHS from the
 final simplex basis of one parent state (``warm_parents``): the state
 less the highest of factors 6, 4 and 3 that it has and the design
 varies, else less hydro (5), else less interconnection (1). Wind (2) is
-never dropped: a wind neighbour's basis saves no time. So the full
+never dropped: a wind neighbour's basis saves no time. That order and
+that rule were measured when only the interconnection and load edges
+ran the dual simplex, not every started solve (``solve``). So the full
 design's roots are ``f_0`` and ``f_2``, and they solve cold. The
 parent's basis is carried to the child's LP by block key
 (``map_basis``): interconnection adds flow columns, and hydro and
 bioenergy add or remove a country's columns and rows where its own
 portfolio and the reference's differ.
 A start that does not have one basic status per row goes to HiGHS as
-alien and is repaired there. The edges of interconnection (1) and load
-(4) run the dual simplex, every other edge and every cold solve the
-primal: the variant belongs to the edge, not to an option. A state
-runs as soon as its parent is done. A parent hands its children its
-final basis and its LP's block ``layout`` (column and row block keys in
-order, with their lengths) through ``states/<name>.basis.npy`` and
-``states/<name>.json`` only. A child reads them only when the parent's
-entry, from this run or a resumed one's completed states, is optimal
-and certified, so an earlier run's files in a reused output directory
-are never read; a child of any other parent solves cold. Resume solves a
-completed parent without its basis or layout again.
+alien and is repaired there. A state runs as soon as its parent is
+done. A parent hands its children its final basis and its LP's block
+``layout`` (column and row block keys in order, with their lengths)
+through ``states/<name>.basis.npy`` and ``states/<name>.json`` only.
+A child reads them only when the parent's entry, from this run or a
+resumed one's completed states, is optimal and certified, so an earlier
+run's files in a reused output directory are never read; a child of any
+other parent solves cold. Resume solves a completed parent without its
+basis or layout again.
 
 A sweep's pool workers solve an isolated state's blocks one after
 another on one thread: the pool already runs one worker per CPU, and
@@ -36,9 +36,9 @@ another on one thread: the pool already runs one worker per CPU, and
 started. A sweep at one worker runs its states in the calling
 process, so there an isolated state's blocks are solved at once.
 
-HiGHS is deterministic, so a state's result depends only on its LP,
-start and simplex variant: ledgers do not depend on the schedule or on
-the worker count.
+HiGHS is deterministic, so a state's result depends only on its LP
+and start: ledgers do not depend on the schedule or on the worker
+count.
 """
 
 from __future__ import annotations
@@ -84,9 +84,6 @@ class SweepError(GridFactorError):
 # factors a state may drop to find its warm-start parent, first choice first
 _WARM_FACTORS = (6, 4, 3, 5, 1)
 
-# factors whose edges run the dual simplex
-_DUAL_FACTORS = frozenset({1, 4})
-
 
 def warm_parents(factors: tuple[int, ...]) -> dict[str, str | None]:
     """Each state of the design -> the state whose basis it starts from.
@@ -104,14 +101,6 @@ def warm_parents(factors: tuple[int, ...]) -> dict[str, str | None]:
             None if drop is None else FactorState.from_factors(active - {drop}).name
         )
     return parents
-
-
-def _edge_simplex(name: str, parent: str) -> str:
-    """The simplex variant of the edge from state ``parent`` to state ``name``."""
-    added = set(FactorState.parse(name).active_factors) - set(
-        FactorState.parse(parent).active_factors
-    )
-    return "dual" if added & _DUAL_FACTORS else "primal"
 
 
 @dataclass(frozen=True)
@@ -224,13 +213,12 @@ def _run_state(payload) -> dict:
         mps_dir = out_dir / "mps"
         mps_dir.mkdir(parents=True, exist_ok=True)
         write_mps(lp, mps_dir / f"{state_name}.mps")
-    start, simplex = None, "primal"
+    start = None
     if warm_from is not None:
         _, meta_path, basis_path = _state_paths(out_dir, warm_from)
         layout = json.loads(meta_path.read_text())["layout"]
         start = map_basis(np.load(basis_path), *_block_maps(layout), lp)
-        simplex = _edge_simplex(state_name, warm_from)
-    result = solve(lp, solver, start, keep_basis, simplex)
+    result = solve(lp, solver, start, keep_basis)
 
     entry = {
         "state": state_name,
@@ -267,7 +255,7 @@ def _run_state(payload) -> dict:
             "timing_seconds": wall,
             "blocks": result.blocks,
             "warm_from": warm_from,
-            "simplex": simplex,
+            "simplex": result.simplex,
             "alien_start": result.alien_start,
         }
         if keep_basis:
@@ -381,13 +369,33 @@ def _certified(entry: dict) -> bool:
 
 
 def read_ledger(path: str | Path) -> dict:
-    """The ledger document at ``path``; ``SweepError`` unless it is a JSON object."""
+    """The ledger document at ``path``.
+
+    ``SweepError`` unless it is a JSON object whose ``factors`` are
+    distinct integers in 1..6 and whose ``entries`` are objects, each
+    with a string ``state``.
+    """
     try:
         ledger = json.loads(Path(path).read_text())
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise SweepError(f"ledger {path} is not valid JSON: {exc}") from None
     if not isinstance(ledger, dict):
         raise SweepError(f"ledger {path} is not a JSON object")
+    factors = ledger.get("factors")
+    if not (
+        isinstance(factors, list)
+        and all(type(f) is int and 1 <= f <= 6 for f in factors)
+        and len(set(factors)) == len(factors)
+    ):
+        raise SweepError(f"ledger {path}: factors must be a list of distinct integers in 1..6")
+    entries = ledger.get("entries")
+    if not (
+        isinstance(entries, list)
+        and all(isinstance(e, dict) and isinstance(e.get("state"), str) for e in entries)
+    ):
+        raise SweepError(
+            f"ledger {path}: entries must be a list of objects, each with a string state"
+        )
     return ledger
 
 
@@ -402,18 +410,19 @@ def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
 
     A parent state counts as completed only with its basis and layout.
     """
+    digest = manifest.digest()  # a broken system is named before the ledger
     ledger = read_ledger(ledger_path)
     if ledger.get("schema") != LEDGER_SCHEMA:
         raise SweepError(
             f"ledger schema {ledger.get('schema')!r} is not {LEDGER_SCHEMA!r}; rerun the sweep"
         )
-    if ledger.get("manifest_hash") != manifest.digest():
+    if ledger.get("manifest_hash") != digest:
         raise SweepError("ledger manifest hash does not match this manifest")
     out_dir = Path(manifest.out_dir)
     basis_states = set(warm_parents(manifest.factors).values()) - {None}
     completed = {}
     timing = ledger.get("timing", {})
-    for entry in ledger.get("entries", []):
+    for entry in ledger["entries"]:
         name = entry["state"]
         if not _certified(entry):
             continue

@@ -335,6 +335,31 @@ class TestSweepAndFactorize:
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
         assert f"error: ledger {ledger} is not" in result.stderr
 
+    @pytest.mark.parametrize("command", ["factorize", "resume"])
+    def test_ledger_without_factors_exit_1(self, runner, system_dir, tmp_path, command):
+        result = self.run_on_ledger(runner, system_dir, tmp_path, command, {})
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert "factors must be a list of distinct integers in 1..6" in result.stderr
+
+    @pytest.mark.parametrize("command", ["factorize", "resume"])
+    def test_ledger_entry_without_state_exit_1(self, runner, system_dir, tmp_path, command):
+        doc = {"factors": [1, 2], "entries": [5]}
+        result = self.run_on_ledger(runner, system_dir, tmp_path, command, doc)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "entries must be a list of objects, each with a string state" in result.stderr
+
+    @staticmethod
+    def run_on_ledger(runner, system_dir, tmp_path, command, doc):
+        """``factorize`` or ``sweep --resume`` on a ledger holding ``doc``."""
+        ledger = tmp_path / "run" / "ledger.json"
+        ledger.parent.mkdir()
+        ledger.write_text(json.dumps(doc))
+        run = ["sweep", str(system_dir), "--reference", "AA", "--out", str(ledger.parent)]
+        args = ["factorize", str(ledger)] if command == "factorize" else [*run, "--resume"]
+        return runner.invoke(main, args)
+
     def test_factorize_refuses_an_uncertified_state(
         self, runner, system_dir, tmp_path, monkeypatch
     ):

@@ -371,9 +371,39 @@ class TestStartBasis:
                 Refusing(), highs_core, lp, np.array([1, 1, 0, 0], dtype=np.int8)
             )
 
-    def test_unknown_simplex_variant_raises(self, coupled_lp):
-        with pytest.raises(SolveError, match="simplex variant"):
-            solve(coupled_lp, simplex="barrier")
+    @pytest.mark.parametrize("started", [False, True], ids=["cold", "started"])
+    @pytest.mark.parametrize("name", ["coupled", "isolated"])
+    def test_a_started_solve_runs_the_dual_simplex_with_devex(
+        self, coupled_lp, isolated_lps, monkeypatch, name, started
+    ):
+        """The options each HiGHS model held when it ran.
+
+        ``simplex_strategy`` 1 is the dual simplex and 4 the primal;
+        ``simplex_dual_edge_weight_strategy`` 1 is Devex pricing.
+        """
+        lp = coupled_lp if name == "coupled" else isolated_lps["f_23456"]
+        start = solve(lp, keep_basis=True).basis if started else None
+        ran = []
+        run = highs_core._Highs.run
+
+        def spied(highs):
+            status = run(highs)
+            ran.append(
+                tuple(
+                    highs.getOptionValue(option)[1]
+                    for option in ("simplex_strategy", "simplex_dual_edge_weight_strategy")
+                )
+            )
+            return status
+
+        monkeypatch.setattr(highs_core._Highs, "run", spied)
+        result = solve(lp, start=start)
+        assert result.status == "optimal"
+        assert len(ran) == result.blocks
+        if started:
+            assert result.simplex == "dual" and set(ran) == {(1, 1)}
+        else:
+            assert result.simplex == "primal" and {strategy for strategy, _ in ran} == {4}
 
     def test_unknown_status_raises(self):
         A, relations, rhs, c = TWO_BLOCKS
@@ -424,7 +454,7 @@ class TestThreads:
         in_order = self.in_order(monkeypatch, lp, start=start, keep_basis=True)
         assert pools == [2]
         assert threaded.status == "optimal" and threaded.blocks == 3
-        for field in ("objective", "iterations", "blocks", "alien_start"):
+        for field in ("objective", "iterations", "blocks", "alien_start", "simplex"):
             assert getattr(threaded, field) == getattr(in_order, field)
         for field in ("primal", "dual", "basis"):
             assert np.array_equal(getattr(threaded, field), getattr(in_order, field))
@@ -561,14 +591,17 @@ class TestMapBasis:
     def test_hydro_edge_gives_an_alien_start_that_certifies(
         self, lattice_lps, bases, simplex
     ):
+        """The started solve runs the dual simplex, the cold one the primal;
+        each case certifies the solve that ran its variant."""
         lp = lattice_lps["f_5"]
         start = self.mapped(bases, lattice_lps, "f_0", "f_5")
         assert np.count_nonzero(start == 1) != lp.n_rows
-        warm = solve(lp, start=start, simplex=simplex)
+        warm = solve(lp, start=start)
         cold = solve(lp)
         assert (warm.status, warm.alien_start, cold.alien_start) == ("optimal", True, False)
+        assert (warm.simplex, cold.simplex) == ("dual", "primal")
         assert warm.iterations < cold.iterations
-        assert verify_certificate(lp, warm).ok
+        assert verify_certificate(lp, warm if simplex == "dual" else cold).ok
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
