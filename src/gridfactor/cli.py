@@ -45,19 +45,12 @@ from .sweep import (
 from .synth import synthesize_system
 
 
-class _StateParam(click.ParamType):
-    name = "factor-state"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, FactorState):
-            return value
-        try:
-            return FactorState.parse(value)
-        except HarmonizeError as exc:
-            self.fail(str(exc), param, ctx)
-
-
-STATE = _StateParam()
+def _state(ctx, param, value: str) -> FactorState:
+    """Parse a ``--state`` value."""
+    try:
+        return FactorState.parse(value)
+    except HarmonizeError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
@@ -131,7 +124,9 @@ def cmd_validate(manifest):
 
 @main.command("solve")
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
-@click.option("--state", type=STATE, default="f_123456", show_default=True)
+@click.option(
+    "--state", callback=_state, metavar="FACTOR-STATE", default="f_123456", show_default=True
+)
 @click.option("--reference", default=None, help="Reference country for harmonization.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Solution CSV path.")
 @click.option("--mps-out", type=click.Path(dir_okay=False), default=None)
@@ -200,7 +195,9 @@ def cmd_factorize(ledger, out_prefix):
 
 @main.command("residual")
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
-@click.option("--state", type=STATE, default="f_23456", show_default=True)
+@click.option(
+    "--state", callback=_state, metavar="FACTOR-STATE", default="f_23456", show_default=True
+)
 @click.option("--reference", default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--exclude", default="", help="Comma-separated countries to drop from events.")
@@ -253,7 +250,9 @@ def cmd_synthesize(seed, countries, horizon, correlation, out_dir):
 
 @main.command("export-lp")
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
-@click.option("--state", type=STATE, default="f_123456", show_default=True)
+@click.option(
+    "--state", callback=_state, metavar="FACTOR-STATE", default="f_123456", show_default=True
+)
 @click.option("--reference", default=None)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_domain_errors

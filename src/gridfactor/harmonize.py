@@ -128,30 +128,20 @@ class ReferenceShares:
 
 def isolate_country(spec: PowerSystemSpec, code: str) -> PowerSystemSpec:
     """Single-country sub-spec with interconnection off."""
-    country = spec.country(code)
     ts = spec.time_series
-    return PowerSystemSpec(
-        countries=(country,),
-        technologies=spec.technologies,
-        time_series=TimeSeriesSet(
-            horizon=ts.horizon,
-            capacity_factors={
-                k: v for k, v in ts.capacity_factors.items() if k[0] == code
-            },
+    return replace(
+        spec,
+        countries=(spec.country(code),),
+        time_series=replace(
+            ts,
+            capacity_factors={k: v for k, v in ts.capacity_factors.items() if k[0] == code},
             load={code: ts.load[code]},
-            reservoir_inflow={
-                k: v for k, v in ts.reservoir_inflow.items() if k == code
-            },
+            reservoir_inflow={k: v for k, v in ts.reservoir_inflow.items() if k == code},
         ),
         interconnectors=(),
-        exogenous_capacities=tuple(
-            e for e in spec.exogenous_capacities if e.country == code
-        ),
+        exogenous_capacities=tuple(e for e in spec.exogenous_capacities if e.country == code),
         interconnection_enabled=False,
-        annuity_rate=spec.annuity_rate,
-        offshore_overrides=tuple(
-            (c, mw) for c, mw in spec.offshore_overrides if c == code
-        ),
+        offshore_overrides=tuple((c, mw) for c, mw in spec.offshore_overrides if c == code),
     )
 
 

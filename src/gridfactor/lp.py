@@ -181,18 +181,6 @@ class BuildReport:
     rows_by_family: dict[str, int]
 
 
-def _present(spec: PowerSystemSpec, code: str, tech: Technology) -> bool:
-    """Whether a technology exists in a country's portfolio.
-
-    Expandable technologies are always present; non-expandable ones
-    only where an exogenous capacity entry carries nonzero values.
-    """
-    if tech.expandable:
-        return True
-    e = spec.exogenous_capacity(code, tech.id)
-    return e.power_discharge > 0 or e.power_charge > 0 or e.energy > 0
-
-
 def portfolio(spec: PowerSystemSpec) -> list[tuple[str, Technology]]:
     """The (country, technology) pairs that get columns, in column order.
 
@@ -201,7 +189,7 @@ def portfolio(spec: PowerSystemSpec) -> list[tuple[str, Technology]]:
     """
     codes = sorted(c.code for c in spec.countries)
     techs = sorted(spec.technologies, key=lambda t: t.id)
-    return [(code, tech) for code in codes for tech in techs if _present(spec, code, tech)]
+    return [(code, tech) for code in codes for tech in techs if spec.in_portfolio(code, tech)]
 
 
 def _capacity(

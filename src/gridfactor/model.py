@@ -152,6 +152,17 @@ class PowerSystemSpec:
                 return e
         return ExogenousCapacity(country=country, technology=tech)
 
+    def in_portfolio(self, country: str, tech: Technology) -> bool:
+        """Whether ``tech`` exists in ``country``'s portfolio.
+
+        Expandable technologies are always present; non-expandable ones
+        only where an exogenous capacity entry carries nonzero values.
+        """
+        if tech.expandable:
+            return True
+        e = self.exogenous_capacity(country, tech.id)
+        return e.power_discharge > 0 or e.power_charge > 0 or e.energy > 0
+
     def offshore_override(self, country: str) -> float | None:
         for code, mw in self.offshore_overrides:
             if code == country:
@@ -280,11 +291,15 @@ def _validate_time_series(spec: PowerSystemSpec) -> list[str]:
         elif np.any(np.asarray(series) < 0):
             out.append(f"inflow ({code}): negative inflow")
 
-    # every (country, VRE tech) pair needs a capacity-factor series
+    # every (country, VRE tech) pair needs a capacity-factor series,
+    # and every country with a reservoir its inflow series
     for c in spec.countries:
         for t in spec.techs_of_kind("variable-renewable"):
             if (c.code, t.id) not in ts.capacity_factors:
                 out.append(f"missing capacity-factor series for ({c.code}, {t.id})")
+        for t in spec.techs_of_kind("reservoir"):
+            if spec.in_portfolio(c.code, t) and c.code not in ts.reservoir_inflow:
+                out.append(f"country {c.code}: missing inflow series for reservoir {t.id}")
     return out
 
 

@@ -1,8 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from gridfactor import Country, PowerSystemSpec, Technology, TimeSeriesSet, synthesize_system
 from gridfactor.model import HOURS_PER_YEAR
+
+
+def ledger_comparison_bytes(ledger: dict) -> bytes:
+    """Canonical serialization with timing stripped, for determinism checks."""
+    doc = {k: v for k, v in ledger.items() if k != "timing"}
+    return json.dumps(doc, indent=2, sort_keys=True).encode()
 
 
 def wind_only_spec(load, cf, overnight=1182.0, lifetime=25.0):

@@ -26,12 +26,7 @@ from gridfactor.harmonize import FactorState, apply_factor_state, derive_referen
 from gridfactor.residual import ResidualSeries, peak_coincidence, positive_events
 from gridfactor.solve import solve
 import gridfactor.sweep as sweep_mod
-from gridfactor.sweep import (
-    RunManifest,
-    decompositions_from_ledger,
-    ledger_comparison_bytes,
-    run_sweep,
-)
+from gridfactor.sweep import RunManifest, decompositions_from_ledger, run_sweep
 
 from _oracles import (
     brute_force_lp_minimum,
@@ -41,7 +36,7 @@ from _oracles import (
     simplex_lp,
     simplex_solve,
 )
-from conftest import wind_only_spec
+from conftest import ledger_comparison_bytes, wind_only_spec
 
 
 @pytest.fixture

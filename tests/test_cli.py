@@ -95,6 +95,16 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         assert f"missing series files ['{load_file}']" in result.stderr
 
+    def test_reservoir_without_inflow_exit_1(self, runner, system_dir):
+        """``validate`` names the country whose reservoir has no inflow series."""
+        doc = json.loads(Path(system_dir).read_text())
+        del doc["series"]["reservoir_inflow"]
+        Path(system_dir).write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "country AA: missing inflow series for reservoir reservoir" in result.stderr
+
     @pytest.mark.parametrize(
         "column,message",
         [("ZZ", "load (ZZ): unknown country"), ("", "column 4 has no name")],
@@ -194,9 +204,14 @@ class TestSolve:
             rows = list(csv.DictReader(fh))
         assert {r["family"] for r in rows} >= {"cap_power", "gen"}
 
-    def test_malformed_state_exit_2(self, runner, system_dir):
-        result = runner.invoke(main, ["solve", str(system_dir), "--state", "f_07"])
-        assert result.exit_code == 2
+    def test_malformed_state_exit_2(self, runner, system_dir, tmp_path):
+        for command in ("solve", "residual", "export-lp"):
+            out = ["--out", str(tmp_path / command)]
+            result = runner.invoke(main, [command, str(system_dir), "--state", "f_07", *out])
+            assert result.exit_code == 2
+            assert "Invalid value for '--state': malformed factor state 'f_07'" in result.stderr
+            help_text = runner.invoke(main, [command, "--help"]).output
+            assert re.search(r"--state FACTOR-STATE +\[default: f_", help_text)
 
     def test_harmonized_state_requires_reference(self, runner, system_dir):
         result = runner.invoke(main, ["solve", str(system_dir), "--state", "f_0"])
@@ -349,6 +364,64 @@ class TestSweepAndFactorize:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "entries must be a list of objects, each with a string state" in result.stderr
+
+    @pytest.mark.parametrize(
+        "fields,timing,message",
+        [
+            ({}, {}, "entry f_3456: status must be a string"),
+            ({"metrics": {}}, {}, "entry f_3456: status must be a string"),
+            (
+                {"status": "optimal", "certificate": {"ok": 1}, "metrics": {}},
+                {},
+                "entry f_3456: certificate must be null or an object with a boolean ok",
+            ),
+            (
+                {"status": "optimal", "certificate": None, "metrics": {"energy": "x"}},
+                {},
+                "entry f_3456: metrics must be an object of finite numbers",
+            ),
+            (
+                {"status": "optimal", "certificate": None, "metrics": {"energy": float("nan")}},
+                {},
+                "entry f_3456: metrics must be an object of finite numbers",
+            ),
+            (
+                {"status": "optimal", "certificate": None},
+                {},
+                "entry f_3456: metrics must be an object of finite numbers",
+            ),
+            (
+                {"status": "optimal", "certificate": None, "metrics": {}},
+                [],
+                "timing must be an object of numbers",
+            ),
+            (
+                {"status": "optimal", "certificate": None, "metrics": {}},
+                {"f_3456": "1"},
+                "timing must be an object of numbers",
+            ),
+        ],
+        ids=[
+            "no-status",
+            "no-status-empty-metrics",
+            "integer-ok",
+            "string-metric",
+            "nan-metric",
+            "no-metrics",
+            "timing-list",
+            "string-timing",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["factorize", "resume"])
+    def test_malformed_ledger_entry_exit_1(
+        self, runner, system_dir, tmp_path, command, fields, timing, message
+    ):
+        """Each entry's status, certificate and metrics, and the timing, are checked on read."""
+        doc = {"factors": [1, 2], "entries": [{"state": "f_3456", **fields}], "timing": timing}
+        result = self.run_on_ledger(runner, system_dir, tmp_path, command, doc)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert message in result.stderr
 
     @staticmethod
     def run_on_ledger(runner, system_dir, tmp_path, command, doc):

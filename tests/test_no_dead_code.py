@@ -29,11 +29,9 @@ import gridfactor
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gridfactor"
 
-# kept without a caller, each for its reason
+# kept without a caller until the europe12 preset (ROADMAP item 5) lands
 EXEMPT = {
-    "_StateParam.convert": "click calls it to parse a --state value",
-    "ledger_comparison_bytes": "criterion 7 compares ledgers through it",
-    "default_countries": "the 12-country europe12 preset (ROADMAP item 2) will use it",
+    "default_countries": "the 12-country europe12 preset (ROADMAP item 5) will use it",
     "default_exogenous_capacities": "the 12-country europe12 preset will use it",
     "default_interconnectors": "the 12-country europe12 preset will use it",
 }

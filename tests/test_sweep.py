@@ -23,11 +23,12 @@ from gridfactor.sweep import (
     SweepError,
     compare_interconnection,
     decompositions_from_ledger,
-    ledger_comparison_bytes,
     resume,
     run_sweep,
     warm_parents,
 )
+
+from conftest import ledger_comparison_bytes
 
 
 def synthetic_ledger(factors=(1, 2, 3, 4, 5, 6)):
@@ -287,9 +288,9 @@ class TestWarmStarts:
     def test_child_of_a_failed_parent_solves_cold(self, system_dir, tmp_path, monkeypatch):
         original = sweep_mod._run_state
 
-        def failing_f256(payload):
-            entry = original(payload)
-            if payload[2] == "f_256":
+        def failing_f256(manifest, base, shares, state_name, *rest):
+            entry = original(manifest, base, shares, state_name, *rest)
+            if state_name == "f_256":
                 return {**entry, "status": "numerical"}
             return entry
 
@@ -315,11 +316,11 @@ class TestWarmStarts:
         sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), 1)
         original = sweep_mod._run_state
 
-        def failing_f256(payload):
+        def failing_f256(manifest, base, shares, state_name, *rest):
             # fails without writing, so the earlier sweep's f_256 files stay
-            if payload[2] == "f_256":
+            if state_name == "f_256":
                 return {"state": "f_256", "status": "numerical", "timing_seconds": 0.0}
-            return original(payload)
+            return original(manifest, base, shares, state_name, *rest)
 
         monkeypatch.setattr(sweep_mod, "_run_state", failing_f256)
         with pytest.raises(SweepError, match="optimality"):
@@ -385,9 +386,9 @@ class TestResume:
         calls = []
         original = sweep_mod._run_state
 
-        def counting(payload):
-            calls.append(payload[2])
-            return original(payload)
+        def counting(manifest, base, shares, state_name, *rest):
+            calls.append(state_name)
+            return original(manifest, base, shares, state_name, *rest)
 
         monkeypatch.setattr(sweep_mod, "_run_state", counting)
         resumed = resume(manifest, ledger_path)
@@ -417,9 +418,9 @@ class TestResume:
         calls = []
         original = sweep_mod._run_state
 
-        def counting(payload):
-            calls.append(payload[2])
-            return original(payload)
+        def counting(manifest, base, shares, state_name, *rest):
+            calls.append(state_name)
+            return original(manifest, base, shares, state_name, *rest)
 
         monkeypatch.setattr(sweep_mod, "_run_state", counting)
         resumed = resume(warm, Path(warm.out_dir) / "ledger.json")
@@ -452,9 +453,9 @@ class TestResume:
         calls = []
         original = sweep_mod._run_state
 
-        def counting(payload):
-            calls.append(payload[2])
-            return original(payload)
+        def counting(manifest, base, shares, state_name, *rest):
+            calls.append(state_name)
+            return original(manifest, base, shares, state_name, *rest)
 
         monkeypatch.setattr(sweep_mod, "_run_state", counting)
         resumed = resume(warm, Path(warm.out_dir) / "ledger.json")
@@ -468,11 +469,11 @@ class TestResume:
         calls = []
         original = sweep_mod._run_state
 
-        def interrupting(payload):
-            calls.append(payload[2])
+        def interrupting(manifest, base, shares, state_name, *rest):
+            calls.append(state_name)
             if len(calls) == 6:
                 raise KeyboardInterrupt
-            return original(payload)
+            return original(manifest, base, shares, state_name, *rest)
 
         monkeypatch.setattr(sweep_mod, "_run_state", interrupting)
         with pytest.raises(KeyboardInterrupt):
@@ -502,7 +503,7 @@ class TestResume:
     def test_resume_of_complete_ledger_solves_nothing(self, manifest, monkeypatch):
         first = run_sweep(manifest)
         monkeypatch.setattr(
-            sweep_mod, "_run_state", lambda payload: pytest.fail("re-solved a state")
+            sweep_mod, "_run_state", lambda *args: pytest.fail("re-solved a state")
         )
         resumed = resume(manifest, Path(manifest.out_dir) / "ledger.json")
         assert ledger_comparison_bytes(resumed) == ledger_comparison_bytes(first)
@@ -519,14 +520,45 @@ class TestResume:
         calls = []
         original = sweep_mod._run_state
 
-        def counting(payload):
-            calls.append(payload[2])
-            return original(payload)
+        def counting(manifest, base, shares, state_name, *rest):
+            calls.append(state_name)
+            return original(manifest, base, shares, state_name, *rest)
 
         monkeypatch.setattr(sweep_mod, "_run_state", counting)
         resumed = resume(manifest, ledger_path)
         assert calls == [victim]
         assert all(e["certificate"]["ok"] for e in resumed["entries"])
+
+    def test_failed_state_is_solved_again(self, manifest, monkeypatch, tmp_path):
+        """A ledger holding a failed state's entry passes ``read_ledger`` and resumes."""
+        original = sweep_mod._run_state
+
+        def failing_f23456(manifest, base, shares, state_name, *rest):
+            entry = original(manifest, base, shares, state_name, *rest)
+            if state_name == "f_23456":
+                failed = {"status": "numerical", "certificate": None, "metrics": {}}
+                return {**entry, **failed, "per_country": {}}
+            return entry
+
+        monkeypatch.setattr(sweep_mod, "_run_state", failing_f23456)
+        with pytest.raises(SweepError, match="optimality"):
+            run_sweep(manifest)
+        ledger_path = Path(manifest.out_dir) / "ledger.json"
+        failed = sweep_mod.read_ledger(ledger_path)["entries"][2]
+        assert (failed["state"], failed["metrics"]) == ("f_23456", {})
+
+        calls = []
+
+        def counting(manifest, base, shares, state_name, *rest):
+            calls.append(state_name)
+            return original(manifest, base, shares, state_name, *rest)
+
+        monkeypatch.setattr(sweep_mod, "_run_state", counting)
+        resumed = resume(manifest, ledger_path)
+        assert calls == ["f_23456"]
+        # f_123456 keeps the cold solve it ran while its parent had failed
+        fresh = run_sweep(dataclasses.replace(manifest, out_dir=str(tmp_path / "fresh")))
+        assert resumed["entries"][2] == fresh["entries"][2]
 
     def test_other_ledger_schema_refused(self, manifest):
         ledger = run_sweep(manifest)
