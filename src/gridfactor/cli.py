@@ -257,7 +257,7 @@ def cmd_synthesize(seed, countries, horizon, correlation, out_dir):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_domain_errors
 def cmd_export_lp(manifest, state, reference, out):
-    """Write one scenario's LP as fixed-format MPS."""
+    """Write one scenario's LP as MPS, the model HiGHS solves."""
     _, lp = _scenario_lp(manifest, state, reference)
     write_mps(lp, out)
     click.echo(out)

@@ -16,8 +16,6 @@ COUNTRY_CODES = ("AT", "BE", "CH", "CZ", "DE", "DK", "ES", "FR", "IT", "NL", "PL
 # installable there unless a harmonized offshore share overrides it.
 OFFSHORE_ELIGIBLE = frozenset({"BE", "DE", "DK", "ES", "FR", "IT", "NL", "PL", "PT"})
 
-DEFAULT_ANNUITY_RATE = 0.04
-
 
 def default_technologies() -> tuple[Technology, ...]:
     return (

@@ -1,18 +1,20 @@
 """LP solving with HiGHS, and optimality-certificate verification.
 
-``solve`` hands HiGHS each independent block of the LP as its own
-model: CSR rows, and row bounds (-inf, rhs], [rhs, inf) or [rhs, rhs]
-from the relations. An LP of two or more blocks has them solved at once
-on a thread pool, one thread per block up to the CPUs the process may
-use; HiGHS releases the GIL while it solves. A process that
-``multiprocessing`` started solves its blocks in order on its own
-thread, since a sweep's pool already runs one such process per CPU.
-Each HiGHS model runs on one thread. A cold solve runs the primal
-revised simplex (Huangfu & Hall, *Math. Prog. Comp.* 2018, describe
-both of HiGHS's simplex variants): on the capacity-expansion LPs here
-it takes 15-30 % more iterations than the dual simplex but 0.61-0.82
-of its CPU time on coupled 3-country x 168 h LPs, and 0.88-0.91 on
-isolated country blocks; a started solve runs the dual (below). HiGHS's
+``highs_model`` loads an LP into HiGHS: CSR rows, and row bounds
+(-inf, rhs], [rhs, inf) or [rhs, rhs] from the relations. ``solve``
+loads each independent block of the LP as its own model, and
+``mps.write_mps`` has HiGHS write the whole LP so loaded as MPS, so
+the export is the model that HiGHS solves. An LP of two or more blocks
+has them solved at once on a thread pool, one thread per block up to
+the CPUs the process may use; HiGHS releases the GIL while it solves.
+A process that ``multiprocessing`` started solves its blocks in order
+on its own thread, since a sweep's pool already runs one such process
+per CPU. Each HiGHS model runs on one thread. A cold solve runs the
+primal revised simplex (Huangfu & Hall, *Math. Prog. Comp.* 2018,
+describe both of HiGHS's simplex variants): on the capacity-expansion
+LPs here it takes 15-30 % more iterations than the dual simplex but
+0.61-0.82 of its CPU time on coupled 3-country x 168 h LPs, and
+0.88-0.91 on isolated country blocks; a started solve runs the dual (below). HiGHS's
 optimal, infeasible, unbounded and iteration-limit statuses keep their
 names; any other reads ``numerical``. An LP with no columns never
 reaches a solver: it is optimal with objective 0 when every row holds
@@ -310,12 +312,12 @@ _HIGHS_STATUS = {
 }
 
 
-def _solve_highs(
-    lp: LinearProgram,
-    options: SolveOptions,
-    start: np.ndarray | None = None,
-    keep_basis: bool = False,
-) -> SolveResult:
+def highs_model(lp: LinearProgram):
+    """A HiGHS instance holding ``lp`` as model ``lp.name``, with its output off.
+
+    ``SolveError`` if this scipy has no HiGHS binding or HiGHS rejects
+    the LP. ``_solve_highs`` sets the solver options and runs it.
+    """
     try:
         import scipy.optimize._highspy._core as highs_core
     except ImportError as exc:
@@ -324,6 +326,7 @@ def _solve_highs(
         raise SolveError(f"scipy {scipy.__version__}: no HiGHS binding ({exc})") from exc
 
     model = highs_core.HighsLp()
+    model.model_name_ = lp.name
     model.num_col_, model.num_row_ = lp.n_cols, lp.n_rows
     model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lb, lp.ub
     model.row_lower_, model.row_upper_ = _row_bounds(lp)
@@ -332,10 +335,26 @@ def _solve_highs(
     matrix.num_col_, matrix.num_row_ = lp.n_cols, lp.n_rows
     matrix.start_, matrix.index_, matrix.value_ = lp.A.indptr, lp.A.indices, lp.A.data
 
-    dual = start is not None
     highs = highs_core._Highs()
+    highs.setOptionValue("output_flag", False)
+    # kWarning is normal: HiGHS drops the LP's explicit zeros and tiny coefficients
+    passed = highs.passModel(model)
+    if passed == highs_core.HighsStatus.kError:
+        raise SolveError(f"HiGHS rejected LP {lp.name!r}: passModel returned {passed.name}")
+    return highs
+
+
+def _solve_highs(
+    lp: LinearProgram,
+    options: SolveOptions,
+    start: np.ndarray | None = None,
+    keep_basis: bool = False,
+) -> SolveResult:
+    highs = highs_model(lp)
+    import scipy.optimize._highspy._core as highs_core  # loaded by highs_model
+
+    dual = start is not None
     for option, value in (
-        ("output_flag", False),
         ("threads", 1),
         ("simplex_strategy", 1 if dual else 4),  # dual from a start, else primal
         ("simplex_dual_edge_weight_strategy", 1),  # Devex
@@ -345,10 +364,6 @@ def _solve_highs(
         # an option HiGHS rejects keeps its old value, so a bad limit would not limit
         if highs.setOptionValue(option, value) == highs_core.HighsStatus.kError:
             raise SolveError(f"HiGHS rejected option {option}={value!r} for LP {lp.name!r}")
-    # kWarning is normal: HiGHS drops the LP's explicit zeros and tiny coefficients
-    passed = highs.passModel(model)
-    if passed == highs_core.HighsStatus.kError:
-        raise SolveError(f"HiGHS rejected LP {lp.name!r}: passModel returned {passed.name}")
     alien = start is not None and _set_basis(highs, highs_core, lp, start)
     highs.run()
 

@@ -197,6 +197,10 @@ def _block_maps(layout: dict) -> list[dict[tuple, slice]]:
     return maps
 
 
+# the metrics of an optimal state's ledger entry; ``read_ledger`` checks them
+ENTRY_METRICS = (*STORAGE_METRICS, "objective_eur")
+
+
 def _run_state(
     manifest: RunManifest,
     base: PowerSystemSpec,
@@ -287,6 +291,8 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
     ``KeyboardInterrupt`` included, so that ``resume`` goes on from them.
     """
     base = read_system(manifest.system_manifest)
+    # a reference that fails leaves no output directory behind
+    shares = derive_reference_shares(base, manifest.reference_country, manifest.solver)
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     states = enumerate_subset_states(manifest.factors)
@@ -296,7 +302,6 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
     pending = [s.name for s in states if s.name not in entries]
 
     try:
-        shares = derive_reference_shares(base, manifest.reference_country, manifest.solver)
         write_json(out_dir / "reference_shares.json", asdict(shares))
 
         def task(name: str) -> tuple:
@@ -379,10 +384,11 @@ def read_ledger(path: str | Path) -> dict:
     """The ledger document at ``path``.
 
     ``SweepError`` unless it is a JSON object whose ``factors`` are
-    distinct integers in 1..6 and whose ``entries`` are objects, each
-    with a string ``state`` and ``status``, a ``certificate`` that is null
-    or has a boolean ``ok``, and ``metrics`` of finite numbers; its
-    ``timing``, if any, holds numbers.
+    distinct integers in 1..6, whose ``timing``, if any, holds numbers,
+    and whose ``entries`` are objects, each with a string ``state`` and
+    ``status``, a ``certificate`` that is null or has a boolean ``ok``,
+    and ``metrics`` of finite numbers, among them every ``ENTRY_METRICS``
+    name when the status is ``optimal``; a failed state's are empty.
     """
     try:
         ledger = json.loads(Path(path).read_text())
@@ -397,6 +403,9 @@ def read_ledger(path: str | Path) -> dict:
         and len(set(factors)) == len(factors)
     ):
         raise SweepError(f"ledger {path}: factors must be a list of distinct integers in 1..6")
+    timing = ledger.get("timing", {})
+    if not (isinstance(timing, dict) and all(type(t) in (int, float) for t in timing.values())):
+        raise SweepError(f"ledger {path}: timing must be an object of numbers")
     entries = ledger.get("entries")
     if not (
         isinstance(entries, list)
@@ -415,9 +424,9 @@ def read_ledger(path: str | Path) -> dict:
         metrics = entry.get("metrics")
         if not (isinstance(metrics, dict) and all(map(_is_finite, metrics.values()))):
             raise SweepError(f"{where}: metrics must be an object of finite numbers")
-    timing = ledger.get("timing", {})
-    if not (isinstance(timing, dict) and all(type(t) in (int, float) for t in timing.values())):
-        raise SweepError(f"ledger {path}: timing must be an object of numbers")
+        lacking = [name for name in ENTRY_METRICS if name not in metrics]
+        if entry["status"] == "optimal" and lacking:
+            raise SweepError(f"{where}: optimal, but its metrics lack {lacking[0]}")
     return ledger
 
 

@@ -888,8 +888,9 @@ def simplex_lp(lp: LinearProgram, iteration_limit: int = 100_000) -> SolveResult
 
 
 # --------------------------------------------------------------------------
-# Fixed-format MPS reader, the inverse of ``gridfactor.mps.write_mps``. An
-# LP read back has an empty block map and so no column labels.
+# MPS reader, the inverse of ``gridfactor.mps.write_mps``. Fields are split
+# on whitespace, so it reads fixed and free MPS whose names hold no blanks.
+# An LP read back has an empty block map and so no column labels.
 
 _KIND_TO_RELATION = {"L": "<", "G": ">", "E": "="}
 

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import gridfactor
 from gridfactor import enumerate_subset_states, read_system
 from gridfactor.cli import main
-from gridfactor.sweep import LEDGER_SCHEMA, VERSION, read_ledger
+from gridfactor.sweep import ENTRY_METRICS, LEDGER_SCHEMA, VERSION, read_ledger
 
 from _oracles import read_mps
 
@@ -325,7 +325,7 @@ class TestSweepAndFactorize:
                 "state": name,
                 "status": "optimal",
                 "certificate": {"ok": True},
-                "metrics": {"m": float(i)},
+                "metrics": dict.fromkeys(ENTRY_METRICS, float(i)),
             }
             for i, name in enumerate(states)
         ]
@@ -391,6 +391,11 @@ class TestSweepAndFactorize:
                 "entry f_3456: metrics must be an object of finite numbers",
             ),
             (
+                {"status": "optimal", "certificate": {"ok": True}, "metrics": {}},
+                {},
+                "entry f_3456: optimal, but its metrics lack short_duration_energy_mwh",
+            ),
+            (
                 {"status": "optimal", "certificate": None, "metrics": {}},
                 [],
                 "timing must be an object of numbers",
@@ -408,6 +413,7 @@ class TestSweepAndFactorize:
             "string-metric",
             "nan-metric",
             "no-metrics",
+            "optimal-without-metrics",
             "timing-list",
             "string-timing",
         ],
@@ -416,7 +422,10 @@ class TestSweepAndFactorize:
     def test_malformed_ledger_entry_exit_1(
         self, runner, system_dir, tmp_path, command, fields, timing, message
     ):
-        """Each entry's status, certificate and metrics, and the timing, are checked on read."""
+        """Each entry's status, certificate and metrics, and the timing, are checked on read.
+
+        An optimal entry must carry every ledger metric; a failed one carries none.
+        """
         doc = {"factors": [1, 2], "entries": [{"state": "f_3456", **fields}], "timing": timing}
         result = self.run_on_ledger(runner, system_dir, tmp_path, command, doc)
         assert result.exit_code == 1
@@ -461,6 +470,7 @@ class TestSweepAndFactorize:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "error: reference country ZZ not in spec" in result.stderr
+        assert not (tmp_path / "s").exists()
 
     def test_factors_without_interconnection_exit_1(self, runner, system_dir, tmp_path):
         out_dir = tmp_path / "sweep"
@@ -650,6 +660,14 @@ class TestExportLp:
         lp = read_mps(out)
         assert lp.n_cols > 0 and lp.n_rows > 0
         assert np.isfinite(lp.c).all()
+
+    @pytest.mark.parametrize("name", ["model.lp", "model"])
+    def test_writes_mps_whatever_the_extension(self, runner, system_dir, tmp_path, name):
+        out = tmp_path / name
+        result = runner.invoke(main, ["export-lp", str(system_dir), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        text = out.read_text()
+        assert text.startswith("NAME") and text.endswith("ENDATA\n")
 
     def test_matches_the_sweep_export(self, runner, system_dir, tmp_path):
         """``sweep --export-mps`` and ``solve --mps-out`` write an LP as ``export-lp`` does."""

@@ -1,9 +1,10 @@
 """No code that nothing calls.
 
-Every top-level function, class method and property of ``src/gridfactor``
-is either named in ``gridfactor.__all__`` or referenced somewhere in
-``src/gridfactor`` or ``perfbench/`` outside its own definition. Tests do
-not count as callers. A function is referenced by a name, an attribute, a
+Every top-level function, class method, property and module-level name
+(a constant, say) of ``src/gridfactor`` is either named in
+``gridfactor.__all__`` or referenced somewhere in ``src/gridfactor`` or
+``perfbench/`` outside its own definition or statement. Tests do not
+count as callers. A function is referenced by a name, an attribute, a
 keyword argument or a string constant (perfbench's tracer names the
 functions it wraps as strings); a method or property by any of these but
 a bare name, which cannot reach it.
@@ -64,14 +65,24 @@ def _is_click_command(node: ast.FunctionDef) -> bool:
 
 
 def _definitions(tree: ast.Module):
-    """``(qualified name, node, is a member)`` of each top-level function, method and property."""
+    """``(qualified name, name, node, is a member)`` of each definition.
+
+    The definitions are top-level functions, methods, properties and
+    module-level names; a name's node is the statement that assigns it.
+    """
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node, False
+            yield node.name, node.name, node, False
         elif isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
-                    yield f"{node.name}.{member.name}", member, True
+                    yield f"{node.name}.{member.name}", member.name, member, True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, name.id, node, False
 
 
 def uncalled(exempt) -> list[str]:
@@ -85,13 +96,12 @@ def uncalled(exempt) -> list[str]:
         others.update(found[1])
     flagged = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for qualname, node, member in _definitions(trees[path]):
-            name = node.name
+        for qualname, name, node, member in _definitions(trees[path]):
             if (
                 name.startswith("__")
                 or name in gridfactor.__all__
                 or qualname in exempt
-                or _is_click_command(node)
+                or isinstance(node, ast.FunctionDef) and _is_click_command(node)
             ):
                 continue
             own_names, own_others = _references(node)

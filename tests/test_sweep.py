@@ -18,6 +18,7 @@ from gridfactor.harmonize import (
     enumerate_subset_states,
 )
 from gridfactor.sweep import (
+    ENTRY_METRICS,
     LEDGER_SCHEMA,
     RunManifest,
     SweepError,
@@ -34,14 +35,19 @@ from conftest import ledger_comparison_bytes
 def synthetic_ledger(factors=(1, 2, 3, 4, 5, 6)):
     """One certified optimal entry per state; metrics ``mask`` (additive) and ``const``.
 
-    ``mask`` sums 2^(n - 1) over the state's active factors n.
+    ``mask`` sums 2^(n - 1) over the state's active factors n. Every
+    ``ENTRY_METRICS`` metric is 0, so that ``read_ledger`` reads the ledger.
     """
     entries = [
         {
             "state": s.name,
             "status": "optimal",
             "certificate": {"ok": True},
-            "metrics": {"mask": float(sum(1 << (n - 1) for n in s.active_factors)), "const": 1.0},
+            "metrics": {
+                **dict.fromkeys(ENTRY_METRICS, 0.0),
+                "mask": float(sum(1 << (n - 1) for n in s.active_factors)),
+                "const": 1.0,
+            },
         }
         for s in enumerate_subset_states(factors)
     ]
