@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit code contract: 0 on success, 1 on domain errors (invalid systems,
-infeasible scenarios, broken ledgers), 2 on usage errors (bad flags,
-missing files, malformed state strings).
+infeasible scenarios, broken ledgers) and on files that cannot be
+written, 2 on usage errors (bad flags, missing input files, malformed
+state strings).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .sweep import (
     resume as resume_sweep,
     run_sweep,
 )
-from .synth import synthesize_system
+from .synth import MAX_COUNTRIES, synthesize_system
 
 
 def _state(ctx, param, value: str) -> FactorState:
@@ -75,7 +76,7 @@ def _domain_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except GridFactorError as exc:
+        except (GridFactorError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -234,7 +235,9 @@ def cmd_residual(manifest, state, reference, out_dir, exclude):
 
 @main.command("synthesize")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--countries", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option(
+    "--countries", type=click.IntRange(min=1, max=MAX_COUNTRIES), default=2, show_default=True
+)
 @click.option("--horizon", type=click.IntRange(min=2), default=336, show_default=True)
 @click.option("--correlation", type=click.FloatRange(min=-1, max=1), default=-0.8, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))

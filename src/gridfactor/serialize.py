@@ -276,6 +276,8 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
     _check_type(doc["annuity_rate"], "float", "annuity_rate")
     _check_type(doc["interconnection_enabled"], "bool", "interconnection_enabled")
     horizon = doc["horizon"]
+    if horizon < 1:
+        raise ManifestError(f"horizon must be at least 1, got {horizon}")
     tables = {table: _entities(doc, table) for table in _TABLES}
 
     series = doc["series"]

@@ -33,17 +33,11 @@ which HiGHS repairs before it starts. A started solve skips presolve,
 so from a nearby LP's optimal basis it takes a fraction of the
 iterations of a cold one.
 
-``map_basis`` carries a basis from one assembled LP to another of other
-columns or rows, by the block keys of the two layouts: shared blocks
-keep their statuses, new columns start nonbasic at their lower bound
-and new rows basic. It needs the source LP's two block maps, not the
-LP itself: a sweep hands a parent state's basis to its children as a
-basis file plus the block keys and lengths of the parent's LP, in its
-``states/`` directory. After a change that moves right-hand sides only
-or adds columns at a bound, that start stays dual feasible, the textbook
-case for the dual simplex (Koberstein, PhD thesis, Paderborn 2005).
-So a solve with a start runs HiGHS's dual simplex (``simplex_strategy``
-1) priced by Devex (Harris, *Math. Prog.* 1973), which starts from unit
+A nearby LP's optimal basis, after a change that moves right-hand sides
+only or adds columns at a bound, stays dual feasible, the textbook case
+for the dual simplex (Koberstein, PhD thesis, Paderborn 2005). So a
+solve with a start runs HiGHS's dual simplex (``simplex_strategy`` 1)
+priced by Devex (Harris, *Math. Prog.* 1973), which starts from unit
 reference weights; HiGHS's default, dual steepest edge, first computes
 each row's weight exactly (Forrest & Goldfarb, *Math. Prog.* 1992),
 about one BTRAN per row before the first pivot. ``SolveResult.simplex``
@@ -183,39 +177,6 @@ def solve(
         alien_start=alien,
         simplex=result.simplex,
     )
-
-
-def map_basis(
-    basis: np.ndarray,
-    blocks: dict[tuple, slice],
-    row_blocks: dict[tuple, slice],
-    lp: LinearProgram,
-) -> np.ndarray:
-    """A basis of an LP laid out by ``blocks`` and ``row_blocks``, on ``lp``'s layout.
-
-    Both LPs come from ``assemble`` with one horizon. A column or row
-    block whose key both layouts have keeps its statuses; a new column
-    starts nonbasic at its lower bound (0), a new row basic (1). Equal
-    layouts give back ``basis`` itself. The result may hold more or
-    fewer basic statuses than ``lp`` has rows; ``solve`` hands such a
-    start to HiGHS to repair.
-    """
-    if blocks == lp.blocks and row_blocks == lp.row_blocks:
-        return basis
-    source_cols = sum(block.stop - block.start for block in blocks.values())
-    mapped = np.zeros(lp.n_cols + lp.n_rows, dtype=np.int8)
-    mapped[lp.n_cols :] = 1
-    for target, source, at, start_at in (
-        (lp.blocks, blocks, 0, 0),
-        (lp.row_blocks, row_blocks, lp.n_cols, source_cols),
-    ):
-        for key, to in target.items():
-            came = source.get(key)
-            if came is not None:
-                mapped[at + to.start : at + to.stop] = basis[
-                    start_at + came.start : start_at + came.stop
-                ]
-    return mapped
 
 
 def _independent_blocks(lp: LinearProgram) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -21,14 +21,15 @@ bioenergy add or remove a country's columns and rows where its own
 portfolio and the reference's differ.
 A start that does not have one basic status per row goes to HiGHS as
 alien and is repaired there. A state runs as soon as its parent is
-done. A parent hands its children its final basis and its LP's block
-``layout`` (column and row block keys in order, with their lengths)
-through ``states/<name>.basis.npy`` and ``states/<name>.json`` only.
-A child reads them only when the parent's entry, from this run or a
+done. A parent hands its children its final basis through its state
+record ``states/<name>.json`` only: ``basis`` lists the LP's column
+and then row block keys in order, each with its block's statuses as
+one ASCII digit per column or row.
+A child reads it only when the parent's entry, from this run or a
 resumed one's completed states, is optimal and certified, so an earlier
 run's files in a reused output directory are never read; a child of any
-other parent solves cold. Resume solves a completed parent without its
-basis or layout again.
+other parent solves cold. Resume solves a completed parent whose record
+holds no basis again.
 
 A sweep's pool workers solve an isolated state's blocks one after
 another on one thread: the pool already runs one worker per CPU, and
@@ -68,11 +69,11 @@ from .harmonize import (
     derive_reference_shares,
     enumerate_subset_states,
 )
-from .lp import assemble, lp_digest, write_solution_csv
+from .lp import LinearProgram, assemble, lp_digest, write_solution_csv
 from .model import GridFactorError, PowerSystemSpec
 from .mps import write_mps
 from .serialize import manifest_digest, read_system, system_doc, write_json
-from .solve import SOLVER, SolveOptions, map_basis, solve, verify_certificate
+from .solve import SOLVER, SolveOptions, solve, verify_certificate
 
 VERSION = "1.0.0"
 LEDGER_SCHEMA = "gridfactor-ledger/4"
@@ -168,33 +169,41 @@ def spec_digest(spec: PowerSystemSpec) -> str:
     return h.hexdigest()
 
 
-def _state_paths(out_dir: Path, state_name: str) -> tuple[Path, Path, Path]:
-    """A state's solution CSV, its metadata JSON and its final basis."""
+def _state_paths(out_dir: Path, state_name: str) -> tuple[Path, Path]:
+    """A state's solution CSV and its state record (JSON)."""
     states = out_dir / "states"
-    return (
-        states / f"{state_name}.csv",
-        states / f"{state_name}.json",
-        states / f"{state_name}.basis.npy",
-    )
+    return states / f"{state_name}.csv", states / f"{state_name}.json"
 
 
-def _layout(lp) -> dict:
-    """The block keys of ``lp``'s columns and rows in order, with their lengths."""
+def basis_record(lp: LinearProgram, basis: np.ndarray) -> dict:
+    """``lp``'s basis by block key: each block's statuses as ASCII digits, in LP order."""
+    digits = (basis + 48).astype(np.uint8).tobytes().decode()
     return {
-        part: [[list(key), block.stop - block.start] for key, block in blocks.items()]
-        for part, blocks in (("columns", lp.blocks), ("rows", lp.row_blocks))
+        part: [[list(key), digits[at + b.start : at + b.stop]] for key, b in blocks.items()]
+        for part, blocks, at in (("columns", lp.blocks, 0), ("rows", lp.row_blocks, lp.n_cols))
     }
 
 
-def _block_maps(layout: dict) -> list[dict[tuple, slice]]:
-    """The column and row block maps that ``_layout`` recorded."""
-    maps = []
-    for part in ("columns", "rows"):
-        at, blocks = 0, {}
-        for key, length in layout[part]:
-            blocks[tuple(key)], at = slice(at, at + length), at + length
-        maps.append(blocks)
-    return maps
+def map_basis(parent_basis: dict, lp: LinearProgram) -> np.ndarray:
+    """A start basis of ``lp`` from a parent's ``basis_record``.
+
+    Both LPs come from ``assemble`` with one horizon. A column or row
+    block whose key the parent has takes the parent's statuses; a new
+    column starts nonbasic at its lower bound (0), a new row basic (1).
+    The result may hold more or fewer basic statuses than ``lp`` has
+    rows; ``solve`` hands such a start to HiGHS to repair, and refuses
+    a status HiGHS does not know.
+    """
+    start = np.zeros(lp.n_cols + lp.n_rows, dtype=np.int8)
+    start[lp.n_cols :] = 1
+    for part, blocks, at in (("columns", lp.blocks, 0), ("rows", lp.row_blocks, lp.n_cols)):
+        parent = {tuple(key): digits for key, digits in parent_basis[part]}
+        for key, b in blocks.items():
+            if key in parent:
+                start[at + b.start : at + b.stop] = (
+                    np.frombuffer(parent[key].encode(), np.uint8) - 48
+                )
+    return start
 
 
 # the metrics of an optimal state's ledger entry; ``read_ledger`` checks them
@@ -208,12 +217,12 @@ def _run_state(
     state_name: str,
     warm_from: str | None,
     keep_basis: bool,
-) -> dict:
+) -> tuple[dict, float]:
     """Build, solve, and persist one factor state (process-pool task).
 
-    Starts from the basis and layout of parent ``warm_from`` in
-    ``states/``; with ``keep_basis``, an optimal state writes its own
-    there. Returns the ledger entry.
+    Starts from the basis in parent ``warm_from``'s state record; with
+    ``keep_basis``, an optimal state writes its own into its record.
+    Returns the ledger entry and the state's seconds.
     """
     out_dir = Path(manifest.out_dir)
     state = FactorState.parse(state_name)
@@ -226,9 +235,8 @@ def _run_state(
         write_mps(lp, mps_dir / f"{state_name}.mps")
     start = None
     if warm_from is not None:
-        _, meta_path, basis_path = _state_paths(out_dir, warm_from)
-        layout = json.loads(meta_path.read_text())["layout"]
-        start = map_basis(np.load(basis_path), *_block_maps(layout), lp)
+        _, parent_path = _state_paths(out_dir, warm_from)
+        start = map_basis(json.loads(parent_path.read_text())["basis"], lp)
     result = solve(lp, manifest.solver, start, keep_basis)
 
     entry = {
@@ -258,7 +266,7 @@ def _run_state(
         # interconnected state's per-country split is not determined
         if not scenario.interconnection_enabled:
             entry["per_country"] = by_country
-        csv_path, meta_path, basis_path = _state_paths(out_dir, state_name)
+        csv_path, meta_path = _state_paths(out_dir, state_name)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_solution_csv(csv_path, lp, result.primal)
         meta = {
@@ -270,20 +278,19 @@ def _run_state(
             "alien_start": result.alien_start,
         }
         if keep_basis:
-            np.save(basis_path, result.basis)
-            meta["layout"] = _layout(lp)
+            meta["basis"] = basis_record(lp, result.basis)
         write_json(meta_path, meta)
-    return {**entry, "timing_seconds": wall}
+    return entry, wall
 
 
-def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -> dict:
+def run_sweep(manifest: RunManifest, completed: dict | None = None) -> dict:
     """Execute the sweep, write its outputs and return the ledger document.
 
     Writes ``reference_shares.json``, ``states/``, ``ledger.json``, the
     ``decomposition.csv``/``.json`` pair and
     ``interconnection_report.json`` (``compare_interconnection``) to
     ``manifest.out_dir``, and ``mps/`` with ``export_mps``.
-    ``completed`` carries already-solved entries (used by resume); only
+    ``completed`` is the ledger of solved states (used by resume); only
     the remaining states are solved, with no more workers than states. A
     state is submitted as soon as its ``warm_parents`` parent is done; at
     one worker the states run in canonical order, parents first. The ledger
@@ -298,7 +305,9 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
     states = enumerate_subset_states(manifest.factors)
     parents = warm_parents(manifest.factors)
     basis_states = {p for p in parents.values() if p is not None}
-    entries = dict(completed or {})
+    completed = completed or {"entries": [], "timing": {}}
+    entries = {e["state"]: e for e in completed["entries"]}
+    timing = {name: completed["timing"].get(name, 0.0) for name in entries}
     pending = [s.name for s in states if s.name not in entries]
 
     try:
@@ -315,7 +324,7 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
         workers = min(manifest.workers, len(pending))
         if workers <= 1:
             for name in pending:
-                entries[name] = _run_state(*task(name))
+                entries[name], timing[name] = _run_state(*task(name))
         else:
             # a state waits for its parent when that is pending, else for None
             waiting: dict[str | None, list[str]] = {}
@@ -329,11 +338,21 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
                     done, _ = wait(running, return_when=FIRST_COMPLETED)
                     for future in done:
                         name = running.pop(future)
-                        entries[name] = future.result()
+                        entries[name], timing[name] = future.result()
                         for child in waiting.pop(name, ()):
                             running[pool.submit(_run_state, *task(child))] = child
     finally:
-        ledger = _assemble_ledger(manifest, states, entries)
+        finished = [s.name for s in states if s.name in entries]
+        ledger = {
+            "schema": LEDGER_SCHEMA,
+            "version": VERSION,
+            "manifest_hash": manifest.digest(),
+            "fixture_label": manifest.fixture_label,
+            "reference_country": manifest.reference_country,
+            "factors": sorted(manifest.factors),
+            "entries": [entries[name] for name in finished],
+            "timing": {name: timing[name] for name in finished},
+        }
         if entries:
             write_json(out_dir / "ledger.json", ledger)
 
@@ -347,28 +366,6 @@ def run_sweep(manifest: RunManifest, completed: dict[str, dict] | None = None) -
     write_decompositions(decompositions_from_ledger(ledger), out_dir / "decomposition")
     write_json(out_dir / "interconnection_report.json", compare_interconnection(manifest))
     return ledger
-
-
-def _assemble_ledger(manifest: RunManifest, states, entries: dict[str, dict]) -> dict:
-    """The ledger of the finished states among ``states``, in their order."""
-    ordered = []
-    timing = {}
-    for state in states:
-        if state.name not in entries:
-            continue
-        entry = dict(entries[state.name])
-        timing[state.name] = entry.pop("timing_seconds", 0.0)
-        ordered.append(entry)
-    return {
-        "schema": LEDGER_SCHEMA,
-        "version": VERSION,
-        "manifest_hash": manifest.digest(),
-        "fixture_label": manifest.fixture_label,
-        "reference_country": manifest.reference_country,
-        "factors": sorted(manifest.factors),
-        "entries": ordered,
-        "timing": timing,
-    }
 
 
 def _certified(entry: dict) -> bool:
@@ -438,7 +435,8 @@ def _is_finite(value) -> bool:
 def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
     """Finish a partial sweep; completed states are not re-solved.
 
-    A parent state counts as completed only with its basis and layout.
+    A parent state counts as completed only if its state record holds
+    its ``basis``.
     """
     digest = manifest.digest()  # a broken system is named before the ledger
     ledger = read_ledger(ledger_path)
@@ -450,21 +448,16 @@ def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
         raise SweepError("ledger manifest hash does not match this manifest")
     out_dir = Path(manifest.out_dir)
     basis_states = set(warm_parents(manifest.factors).values()) - {None}
-    completed = {}
-    timing = ledger.get("timing", {})
+    kept = []
     for entry in ledger["entries"]:
         name = entry["state"]
-        if not _certified(entry):
+        csv_path, meta_path = _state_paths(out_dir, name)
+        if not (_certified(entry) and csv_path.exists() and meta_path.exists()):
             continue
-        csv_path, meta_path, basis_path = _state_paths(out_dir, name)
-        if not (csv_path.exists() and meta_path.exists()):
+        if name in basis_states and "basis" not in json.loads(meta_path.read_text()):
             continue
-        if name in basis_states and not (
-            basis_path.exists() and "layout" in json.loads(meta_path.read_text())
-        ):
-            continue
-        completed[name] = {**entry, "timing_seconds": timing.get(name, 0.0)}
-    return run_sweep(manifest, completed=completed)
+        kept.append(entry)
+    return run_sweep(manifest, {"timing": {}, **ledger, "entries": kept})
 
 
 def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:

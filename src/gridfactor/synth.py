@@ -35,6 +35,10 @@ _SYNTH_TECH_IDS = (
 )
 
 
+# the two-letter country codes AA..ZZ
+MAX_COUNTRIES = 26 * 26
+
+
 def _country_codes(n: int) -> list[str]:
     letters = string.ascii_uppercase
     return [letters[i // 26] + letters[i % 26] for i in range(n)]
@@ -65,8 +69,8 @@ def synthesize_system(
     capacity factors (country 0 carries the base weather signal).
     Deterministic for a given argument tuple.
     """
-    if n_countries < 1:
-        raise ValueError("n_countries must be >= 1")
+    if not 1 <= n_countries <= MAX_COUNTRIES:
+        raise ValueError(f"n_countries must lie in [1, {MAX_COUNTRIES}]")
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     if not -1.0 <= correlation <= 1.0:

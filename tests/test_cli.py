@@ -95,6 +95,18 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         assert f"missing series files ['{load_file}']" in result.stderr
 
+    def test_horizon_below_one_exit_1(self, runner, system_dir):
+        """``horizon`` 0 with header-only series is refused before a series is read."""
+        doc = json.loads(Path(system_dir).read_text())
+        doc["horizon"] = 0
+        Path(system_dir).write_text(json.dumps(doc))
+        for path in Path(system_dir).parent.glob("*.csv"):
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert "error: horizon must be at least 1, got 0" in result.stderr
+
     def test_reservoir_without_inflow_exit_1(self, runner, system_dir):
         """``validate`` names the country whose reservoir has no inflow series."""
         doc = json.loads(Path(system_dir).read_text())
@@ -188,6 +200,31 @@ def test_commands_refuse_an_invalid_system(
     assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
     assert "technology bioenergy: efficiency_out out of (0, 1]" in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [("solve", "--out"), ("solve", "--mps-out"), ("export-lp", "--out"), ("factorize", "--out")],
+)
+def test_output_in_a_missing_directory_exit_1(runner, system_dir, tmp_path, command, option):
+    source = system_dir
+    if command == "factorize":
+        source = tmp_path / "ledger.json"
+        entries = [
+            {
+                "state": s.name,
+                "status": "optimal",
+                "certificate": {"ok": True},
+                "metrics": dict.fromkeys(ENTRY_METRICS, 1.0),
+            }
+            for s in enumerate_subset_states((1, 2))
+        ]
+        source.write_text(json.dumps({"factors": [1, 2], "entries": entries}))
+    result = runner.invoke(main, [command, str(source), option, str(tmp_path / "nodir" / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+    assert "error: [Errno 2] No such file or directory" in result.stderr
+    assert str(tmp_path / "nodir") in result.stderr
 
 
 class TestSolve:
@@ -643,6 +680,15 @@ class TestSynthesize:
         spec = read_system(result.output.strip())
         assert spec.time_series.horizon == 24
         assert len(spec.countries) == 2
+
+    @pytest.mark.parametrize("countries", ["0", "677"])
+    def test_country_count_out_of_range_exit_2(self, runner, tmp_path, countries):
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["synthesize", "--countries", countries, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--countries'" in result.stderr
+        assert "1<=x<=676" in result.stderr
+        assert not out.exists()
 
     def test_bad_correlation_exit_2(self, runner, tmp_path):
         result = runner.invoke(

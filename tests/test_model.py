@@ -122,6 +122,14 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize_system(seed=0, n_countries=1, horizon=24, correlation=1.5)
 
+    def test_country_codes_run_out_after_zz(self, monkeypatch):
+        """676 two-letter codes; a larger system is refused before any series is drawn."""
+        import gridfactor.synth as synth_mod
+
+        monkeypatch.setattr(synth_mod, "_ar1", lambda *a: pytest.fail("drew a series"))
+        with pytest.raises(ValueError, match=r"n_countries must lie in \[1, 676\]"):
+            synthesize_system(seed=0, n_countries=677, horizon=24)
+
 
 def test_spec_equality_covers_series():
     a = synthesize_system(seed=3, n_countries=2, horizon=24, correlation=0.0)

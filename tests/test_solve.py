@@ -13,7 +13,8 @@ from gridfactor.factorize import extract_storage_metrics
 from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
 from gridfactor.lp import LinearProgram
 import gridfactor.solve as solve_mod
-from gridfactor.solve import SolveError, SolveOptions, _solve_highs, map_basis, solve
+from gridfactor.solve import SolveError, SolveOptions, _solve_highs, solve
+from gridfactor.sweep import basis_record, map_basis
 
 from _oracles import row_assemble, simplex_lp
 from conftest import wind_only_spec
@@ -534,12 +535,28 @@ class TestMapBasis:
 
     @staticmethod
     def mapped(bases, lattice_lps, source, target):
-        lp = lattice_lps[source]
-        return map_basis(bases[source], lp.blocks, lp.row_blocks, lattice_lps[target])
+        record = basis_record(lattice_lps[source], bases[source])
+        return map_basis(record, lattice_lps[target])
+
+    @pytest.mark.parametrize("name", ["f_0", "f_1", "f_5", "f_6"])
+    def test_record_round_trip(self, lattice_lps, bases, name):
+        start = self.mapped(bases, lattice_lps, name, name)
+        assert start.dtype == np.int8
+        assert np.array_equal(start, bases[name])
 
     def test_equal_layouts_give_back_the_same_array(self, lattice_lps, bases):
+        assert lattice_lps["f_6"].blocks == lattice_lps["f_0"].blocks
         assert lattice_lps["f_6"].row_blocks == lattice_lps["f_0"].row_blocks
-        assert self.mapped(bases, lattice_lps, "f_0", "f_6") is bases["f_0"]
+        assert np.array_equal(self.mapped(bases, lattice_lps, "f_0", "f_6"), bases["f_0"])
+
+    @pytest.mark.parametrize("digit", ["5", "/"])
+    def test_unknown_status_is_refused(self, lattice_lps, bases, digit):
+        lp = lattice_lps["f_0"]
+        record = basis_record(lp, bases["f_0"])
+        key, digits = record["columns"][0]
+        record["columns"][0] = [key, digit + digits[1:]]
+        with pytest.raises(SolveError, match="unknown status"):
+            solve(lp, start=map_basis(record, lp))
 
     @pytest.mark.parametrize("source,target", [("f_0", "f_1"), ("f_0", "f_5"), ("f_5", "f_0")])
     def test_shared_keys_keep_their_statuses(self, lattice_lps, bases, source, target):

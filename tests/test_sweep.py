@@ -4,7 +4,6 @@ import json
 from concurrent.futures import Future
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -137,8 +136,8 @@ class TestRunSweep:
             trees.append((files, docs))
         files, docs = trees[0]
         assert len(docs) == 16
-        assert sum(name.endswith(".csv") for name in files) == 16
-        assert sum(name.endswith(".basis.npy") for name in files) >= 1
+        assert sorted(files) == sorted(f"{name}.csv" for name in warm_parents((1, 2, 3, 4)))
+        assert sum("basis" in doc for doc in docs.values()) >= 1
         assert trees[0] == trees[1]
 
     def test_entries_carry_certificates(self, manifest):
@@ -284,21 +283,19 @@ class TestWarmStarts:
         parents = warm_parents((1, 3, 4))
         assert {name: s["warm_from"] for name, s in states.items()} == parents
         assert all("warm_from" not in e for e in ledger["entries"])
-        # bases are kept for the parents only
-        kept = {p.name for p in (tmp_path / "out" / "states").glob("*.basis.npy")}
-        assert kept == {f"{name}.basis.npy" for name in parents.values() if name}
-        for name in kept:
-            basis = np.load(tmp_path / "out" / "states" / name)
-            assert basis.dtype == np.int8
+        # bases are kept for the parents only, in their state records
+        kept = {name for name, s in states.items() if "basis" in s}
+        assert kept == set(parents.values()) - {None}
+        assert not list((tmp_path / "out" / "states").glob("*.npy"))
 
     def test_child_of_a_failed_parent_solves_cold(self, system_dir, tmp_path, monkeypatch):
         original = sweep_mod._run_state
 
         def failing_f256(manifest, base, shares, state_name, *rest):
-            entry = original(manifest, base, shares, state_name, *rest)
+            entry, seconds = original(manifest, base, shares, state_name, *rest)
             if state_name == "f_256":
-                return {**entry, "status": "numerical"}
-            return entry
+                return {**entry, "status": "numerical"}, seconds
+            return entry, seconds
 
         monkeypatch.setattr(sweep_mod, "_run_state", failing_f256)
         with pytest.raises(SweepError, match="optimality"):
@@ -314,7 +311,7 @@ class TestWarmStarts:
     def test_child_of_a_failed_parent_ignores_an_earlier_sweep(
         self, system_dir, tmp_path, monkeypatch
     ):
-        """A finished sweep's bases and layouts in ``out/`` are not read by a new one."""
+        """A finished sweep's state records in ``out/`` are not read by a new one."""
         sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), 1)
         self.test_child_of_a_failed_parent_solves_cold(system_dir, tmp_path, monkeypatch)
 
@@ -325,13 +322,13 @@ class TestWarmStarts:
         def failing_f256(manifest, base, shares, state_name, *rest):
             # fails without writing, so the earlier sweep's f_256 files stay
             if state_name == "f_256":
-                return {"state": "f_256", "status": "numerical", "timing_seconds": 0.0}
+                return {"state": "f_256", "status": "numerical"}, 0.0
             return original(manifest, base, shares, state_name, *rest)
 
         monkeypatch.setattr(sweep_mod, "_run_state", failing_f256)
         with pytest.raises(SweepError, match="optimality"):
             sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), 1)
-        assert (tmp_path / "out" / "states" / "f_256.basis.npy").exists()
+        assert "basis" in json.loads((tmp_path / "out" / "states" / "f_256.json").read_text())
         for child in ("f_1256", "f_2356", "f_2456"):
             meta = json.loads((tmp_path / "out" / "states" / f"{child}.json").read_text())
             assert meta["warm_from"] is None
@@ -339,12 +336,17 @@ class TestWarmStarts:
     def test_parents_record_their_layout(self, system_dir, tmp_path):
         _, _, states = sweep_outputs(system_dir, tmp_path / "out", (1, 3, 4), 1)
         parents = set(warm_parents((1, 3, 4)).values()) - {None}
-        assert {name for name, s in states.items() if "layout" in s} == parents
+        assert {name for name, s in states.items() if "basis" in s} == parents
         spec = read_system(system_dir)
         shares = derive_reference_shares(spec, "AA")
         for name in parents:
             lp, _ = assemble(apply_factor_state(spec, FactorState.parse(name), shares))
-            assert sweep_mod._block_maps(states[name]["layout"]) == [lp.blocks, lp.row_blocks]
+            basis = states[name]["basis"]
+            for part, blocks in (("columns", lp.blocks), ("rows", lp.row_blocks)):
+                assert [tuple(key) for key, _ in basis[part]] == list(blocks)
+                lengths = [len(digits) for _, digits in basis[part]]
+                assert lengths == [b.stop - b.start for b in blocks.values()]
+                assert set("".join(digits for _, digits in basis[part])) <= set("01234")
 
     def test_pool_has_no_more_workers_than_pending_states(self, manifest, monkeypatch):
         run_sweep(manifest)
@@ -378,6 +380,17 @@ class TestWarmStarts:
         assert len(resumed["entries"]) == 4
 
 
+def remove_from_states(states: Path, name: str) -> None:
+    """Delete file ``name`` from ``states``; ``<state>.basis`` strips that record's basis."""
+    if name.endswith(".basis"):
+        record = states / f"{name.removesuffix('.basis')}.json"
+        meta = json.loads(record.read_text())
+        del meta["basis"]
+        record.write_text(json.dumps(meta))
+    else:
+        (states / name).unlink()
+
+
 class TestResume:
     def test_only_missing_states_solved(self, manifest, monkeypatch):
         ledger = run_sweep(manifest)
@@ -406,20 +419,20 @@ class TestResume:
         [
             # a warm child: it starts again from its parent's persisted basis
             (["f_23456.csv", "f_23456.json"], ["f_23456"]),
-            # a parent without its basis counts as not completed
-            (["f_2356.basis.npy"], ["f_2356"]),
-            # an interconnected child of an isolated parent, whose block maps
-            # come from the parent's recorded layout
+            # a parent whose record holds no basis counts as not completed
+            (["f_2356.basis"], ["f_2356"]),
+            # an interconnected child of an isolated parent starts from the
+            # blocks it shares with the parent's recorded basis
             (["f_1256.csv", "f_1256.json"], ["f_1256"]),
             # ... or from solving the parent again
-            (["f_1256.csv", "f_1256.json", "f_256.basis.npy"], ["f_256", "f_1256"]),
+            (["f_1256.csv", "f_1256.json", "f_256.basis"], ["f_256", "f_1256"]),
         ],
     )
     def test_resume_matches_a_fresh_sweep(self, manifest, monkeypatch, removed, solved):
         warm = dataclasses.replace(manifest, factors=(1, 3, 4))
         fresh = run_sweep(warm)
         for name in removed:
-            (Path(warm.out_dir) / "states" / name).unlink()
+            remove_from_states(Path(warm.out_dir) / "states", name)
 
         calls = []
         original = sweep_mod._run_state
@@ -433,11 +446,13 @@ class TestResume:
         assert calls == solved
         assert ledger_comparison_bytes(resumed) == ledger_comparison_bytes(fresh)
         parents = warm_parents(warm.factors)
+        records = {
+            p.name.removesuffix(".json"): json.loads(p.read_text())
+            for p in (Path(warm.out_dir) / "states").glob("*.json")
+        }
         for name in solved:
-            meta = json.loads((Path(warm.out_dir) / "states" / f"{name}.json").read_text())
-            assert meta["warm_from"] == parents[name]
-        for name in set(parents.values()) - {None}:
-            assert (Path(warm.out_dir) / "states" / f"{name}.basis.npy").exists()
+            assert records[name]["warm_from"] == parents[name]
+        assert {name for name, r in records.items() if "basis" in r} == set(parents.values()) - {None}
 
     @pytest.mark.parametrize(
         "removed,solved",
@@ -450,11 +465,8 @@ class TestResume:
         warm = dataclasses.replace(manifest, factors=(1, 3, 4))
         fresh = run_sweep(warm)
         states = Path(warm.out_dir) / "states"
-        meta = json.loads((states / "f_256.json").read_text())
-        del meta["layout"]
-        (states / "f_256.json").write_text(json.dumps(meta))
-        for name in removed:
-            (states / name).unlink()
+        for name in ["f_256.basis", *removed]:
+            remove_from_states(states, name)
 
         calls = []
         original = sweep_mod._run_state
@@ -467,7 +479,7 @@ class TestResume:
         resumed = resume(warm, Path(warm.out_dir) / "ledger.json")
         assert calls == solved
         assert ledger_comparison_bytes(resumed) == ledger_comparison_bytes(fresh)
-        assert "layout" in json.loads((states / "f_256.json").read_text())
+        assert "basis" in json.loads((states / "f_256.json").read_text())
 
     def test_interrupted_sweep_resumes(self, manifest, monkeypatch, tmp_path):
         """An interrupt leaves the ledger of the finished states, and resume completes it."""
@@ -540,11 +552,11 @@ class TestResume:
         original = sweep_mod._run_state
 
         def failing_f23456(manifest, base, shares, state_name, *rest):
-            entry = original(manifest, base, shares, state_name, *rest)
+            entry, seconds = original(manifest, base, shares, state_name, *rest)
             if state_name == "f_23456":
                 failed = {"status": "numerical", "certificate": None, "metrics": {}}
-                return {**entry, **failed, "per_country": {}}
-            return entry
+                return {**entry, **failed, "per_country": {}}, seconds
+            return entry, seconds
 
         monkeypatch.setattr(sweep_mod, "_run_state", failing_f23456)
         with pytest.raises(SweepError, match="optimality"):
