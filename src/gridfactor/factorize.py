@@ -182,52 +182,42 @@ def extract_storage_metrics(spec, lp, result):
     return agg, by_country
 
 
+# the columns of ``decomposition.csv``, one row per ``decomposition_rows`` item
+_COLUMNS = ("metric", "term", "subset", "value", "share")
+
+
+def _digits(subset) -> str:
+    """A factor subset as its ascending digits: ``{3, 1}`` -> ``"13"``."""
+    return "".join(str(i) for i in sorted(subset))
+
+
+def _ordered_terms(decomp: FactorDecomposition) -> list[tuple[frozenset[int], float]]:
+    """``decomp``'s interaction terms by subset size, then by digits."""
+    return sorted(decomp.terms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+
 def decomposition_rows(decomp: FactorDecomposition) -> list[dict]:
-    """Flat rows for CSV export: totals, baseline, INT, and raw terms."""
-    rows = [
-        {
-            "metric": decomp.metric,
-            "term": "INT",
-            "subset": "",
-            "value": decomp.int_value,
-            "share": "",
-        },
-        {
-            "metric": decomp.metric,
-            "term": "baseline_interconnection",
-            "subset": "1",
-            "value": decomp.baseline,
-            "share": "",
-        },
+    """Flat rows for CSV export: INT, baseline, totals, and raw terms."""
+
+    def row(term: str, subset, value: float, share="") -> dict:
+        return dict(zip(_COLUMNS, (decomp.metric, term, _digits(subset), value, share)))
+
+    shares = decomp.shares or {}
+    return [
+        row("INT", (), decomp.int_value),
+        row("baseline_interconnection", {INTERCONNECTION}, decomp.baseline),
+        *(
+            row(f"total_{FACTOR_NAMES[j]}", {INTERCONNECTION, j}, v, shares.get(j, ""))
+            for j, v in sorted(decomp.totals.items())
+        ),
+        *(row("interaction", s, v) for s, v in _ordered_terms(decomp)),
     ]
-    for j in sorted(decomp.totals):
-        share = "" if decomp.shares is None else decomp.shares[j]
-        rows.append(
-            {
-                "metric": decomp.metric,
-                "term": f"total_{FACTOR_NAMES[j]}",
-                "subset": f"1{j}",
-                "value": decomp.totals[j],
-                "share": share,
-            }
-        )
-    for subset in sorted(decomp.terms, key=lambda s: (len(s), sorted(s))):
-        rows.append(
-            {
-                "metric": decomp.metric,
-                "term": "interaction",
-                "subset": "".join(str(i) for i in sorted(subset)),
-                "value": decomp.terms[subset],
-                "share": "",
-            }
-        )
-    return rows
 
 
 def write_decompositions(decomps: list[FactorDecomposition], prefix: str | Path) -> None:
     """Write ``decomps`` to ``<prefix>.csv`` (``decomposition_rows``) and ``<prefix>.json``."""
     with open(f"{prefix}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["metric", "term", "subset", "value", "share"])
+        writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
         writer.writeheader()
         for d in decomps:
             writer.writerows(decomposition_rows(d))
@@ -242,10 +232,7 @@ def write_decompositions(decomps: list[FactorDecomposition], prefix: str | Path)
             if d.shares is None
             else {FACTOR_NAMES[j]: v for j, v in sorted(d.shares.items())},
             "degenerate": d.degenerate,
-            "terms": {
-                "".join(str(i) for i in sorted(s)): v
-                for s, v in sorted(d.terms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-            },
+            "terms": {_digits(s): v for s, v in _ordered_terms(d)},
         }
         for d in decomps
     ]

@@ -2,9 +2,12 @@
 
 Six binary factors define the scenario design: interconnection
 (not-allowed / allowed) plus wind, solar, load, hydro, and bioenergy
-(harmonized / not harmonized). Harmonizing a factor removes its
-cross-country variation by imposing the reference country's profiles
-or per-load capacity shares on every country.
+(harmonized / not harmonized). A factor state is the set of factors
+left native (state B: allowed / not harmonized), named by their digits:
+``f_13`` allows interconnection and keeps native solar, ``f_0`` is the
+empty set. Harmonizing a factor removes its cross-country variation by
+imposing the reference country's profiles or per-load capacity shares
+on every country.
 """
 
 from __future__ import annotations
@@ -17,12 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .lp import assemble
-from .model import (
-    ExogenousCapacity,
-    GridFactorError,
-    PowerSystemSpec,
-    TimeSeriesSet,
-)
+from .model import ExogenousCapacity, GridFactorError, PowerSystemSpec
 from .solve import SOLVER, SolveOptions, solve, verify_certificate
 
 FACTOR_NUMBERS = {
@@ -42,39 +40,31 @@ class HarmonizeError(GridFactorError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class FactorState:
-    """One corner of the 2^6 design; True = state B (native / allowed)."""
+    """One corner of the 2^6 design: the factors left native (state B).
 
-    interconnection: bool = False
-    wind: bool = False
-    solar: bool = False
-    load: bool = False
-    hydro: bool = False
-    bioenergy: bool = False
+    A native interconnection (1) is allowed; a native wind (2), solar
+    (3), load (4), hydro (5) or bioenergy (6) is not harmonized.
+    """
 
-    @property
-    def active_factors(self) -> tuple[int, ...]:
-        return tuple(
-            num for name, num in FACTOR_NUMBERS.items() if getattr(self, name)
-        )
+    factors: frozenset[int] = frozenset()
 
     @property
     def name(self) -> str:
-        digits = "".join(str(n) for n in sorted(self.active_factors))
-        return f"f_{digits or '0'}"
+        return f"f_{''.join(map(str, sorted(self.factors))) or '0'}"
 
     @property
     def harmonizes(self) -> bool:
         """Whether any of wind, solar, load, hydro or bioenergy is harmonized."""
-        return not (self.wind and self.solar and self.load and self.hydro and self.bioenergy)
+        return not self.factors >= {2, 3, 4, 5, 6}
 
     @classmethod
     def from_factors(cls, factors: set[int] | frozenset[int]) -> "FactorState":
         bad = set(factors) - set(FACTOR_NAMES)
         if bad:
             raise HarmonizeError(f"unknown factor numbers {sorted(bad)}")
-        return cls(**{FACTOR_NAMES[n]: (n in factors) for n in FACTOR_NAMES})
+        return cls(frozenset(factors))
 
     @classmethod
     def parse(cls, text: str) -> "FactorState":
@@ -82,14 +72,12 @@ class FactorState:
         if not m:
             raise HarmonizeError(f"malformed factor state {text!r}")
         digits = m.group(1)
-        if digits == "0":
-            return cls()
-        nums = [int(d) for d in digits]
-        if sorted(nums) != nums or len(set(nums)) != len(nums):
+        nums = [] if digits == "0" else [int(d) for d in digits]
+        if sorted(set(nums)) != nums:
             raise HarmonizeError(
                 f"factor state {text!r} must list ascending unique digits"
             )
-        return cls.from_factors(set(nums))
+        return cls(frozenset(nums))
 
 
 def _by_size(numbers):
@@ -217,10 +205,11 @@ def apply_factor_state(
     if state.harmonizes and shares is None:
         raise HarmonizeError(f"state {state.name} requires reference shares")
 
+    native = {FACTOR_NAMES[n] for n in state.factors}
     ts = spec.time_series
-    cf = {k: v for k, v in ts.capacity_factors.items()}
-    load = {k: v for k, v in ts.load.items()}
-    inflow = {k: v for k, v in ts.reservoir_inflow.items()}
+    cf = dict(ts.capacity_factors)
+    load = dict(ts.load)
+    inflow = dict(ts.reservoir_inflow)
     exogenous = list(spec.exogenous_capacities)
     overrides = spec.offshore_overrides
     codes = [c.code for c in spec.countries]
@@ -230,7 +219,7 @@ def apply_factor_state(
         if ref not in codes:
             raise HarmonizeError(f"reference country {ref} not in spec")
 
-    if not state.wind:
+    if "wind" not in native:
         wind_techs = spec.techs_in_group("wind")
         if not wind_techs:
             raise HarmonizeError("wind harmonization requires wind-group technologies")
@@ -239,10 +228,10 @@ def apply_factor_state(
             (code, shares.offshore_share * spec.country(code).yearly_load_total)
             for code in sorted(codes)
         )
-    if not state.solar:
+    if "solar" not in native:
         _reference_profiles(cf, spec.techs_in_group("solar"), ref, codes)
 
-    if not state.load:
+    if "load" not in native:
         ref_series = np.asarray(load[ref], dtype=float)
         ref_total = float(ref_series.sum())
         if ref_total <= 0:
@@ -254,23 +243,17 @@ def apply_factor_state(
             own_total = float(np.asarray(load[code]).sum())
             load[code] = shape * own_total
 
-    if not state.hydro:
+    if "hydro" not in native:
         exogenous = _reference_capacities(spec, "hydro", exogenous, shares)
         inflow = _reference_inflow(spec, exogenous, ref, inflow)
-    if not state.bioenergy:
+    if "bioenergy" not in native:
         exogenous = _reference_capacities(spec, "bioenergy", exogenous, shares)
 
-    new_ts = TimeSeriesSet(
-        horizon=ts.horizon,
-        capacity_factors=cf,
-        load=load,
-        reservoir_inflow=inflow,
-    )
     return replace(
         spec,
-        time_series=new_ts,
+        time_series=replace(ts, capacity_factors=cf, load=load, reservoir_inflow=inflow),
         exogenous_capacities=tuple(exogenous),
-        interconnection_enabled=state.interconnection,
+        interconnection_enabled="interconnection" in native,
         offshore_overrides=overrides,
     )
 

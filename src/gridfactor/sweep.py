@@ -28,8 +28,10 @@ one ASCII digit per column or row.
 A child reads it only when the parent's entry, from this run or a
 resumed one's completed states, is optimal and certified, so an earlier
 run's files in a reused output directory are never read; a child of any
-other parent solves cold. Resume solves a completed parent whose record
-holds no basis again.
+other parent solves cold. Resume keeps a completed state only when its
+entry is certified, its solution CSV exists and its state record reads
+back as a JSON object, one holding ``basis`` for a parent
+(``_finished``); it solves every other state again.
 
 A sweep's pool workers solve an isolated state's blocks one after
 another on one thread: the pool already runs one worker per CPU, and
@@ -97,11 +99,8 @@ def warm_parents(factors: tuple[int, ...]) -> dict[str, str | None]:
     """
     parents = {}
     for state in enumerate_subset_states(factors):
-        active = set(state.active_factors)
-        drop = next((f for f in _WARM_FACTORS if f in active and f in factors), None)
-        parents[state.name] = (
-            None if drop is None else FactorState.from_factors(active - {drop}).name
-        )
+        drop = next((f for f in _WARM_FACTORS if f in state.factors and f in factors), None)
+        parents[state.name] = None if drop is None else FactorState(state.factors - {drop}).name
     return parents
 
 
@@ -157,15 +156,11 @@ def spec_digest(spec: PowerSystemSpec) -> str:
     """Content hash of a (possibly harmonized) in-memory system."""
     ts = spec.time_series
     h = hashlib.sha256(_canonical_json(system_doc(spec)))
-    for code in sorted(ts.load):
-        h.update(code.encode())
-        h.update(np.ascontiguousarray(ts.load[code], dtype=float).tobytes())
-    for key in sorted(ts.capacity_factors):
-        h.update(repr(key).encode())
-        h.update(np.ascontiguousarray(ts.capacity_factors[key], dtype=float).tobytes())
-    for code in sorted(ts.reservoir_inflow):
-        h.update(code.encode())
-        h.update(np.ascontiguousarray(ts.reservoir_inflow[code], dtype=float).tobytes())
+    named = ((ts.load, str), (ts.capacity_factors, repr), (ts.reservoir_inflow, str))
+    for series, key_text in named:
+        for key in sorted(series):
+            h.update(key_text(key).encode())
+            h.update(np.ascontiguousarray(series[key], dtype=float).tobytes())
     return h.hexdigest()
 
 
@@ -290,8 +285,9 @@ def run_sweep(manifest: RunManifest, completed: dict | None = None) -> dict:
     ``decomposition.csv``/``.json`` pair and
     ``interconnection_report.json`` (``compare_interconnection``) to
     ``manifest.out_dir``, and ``mps/`` with ``export_mps``.
-    ``completed`` is the ledger of solved states (used by resume); only
-    the remaining states are solved, with no more workers than states. A
+    ``completed`` is an earlier run's ledger (used by resume): of its
+    entries the sweep keeps those that ``_finished`` accepts and solves
+    the remaining states, with no more workers than states. A
     state is submitted as soon as its ``warm_parents`` parent is done; at
     one worker the states run in canonical order, parents first. The ledger
     of the finished states is written however the sweep ends,
@@ -305,9 +301,13 @@ def run_sweep(manifest: RunManifest, completed: dict | None = None) -> dict:
     states = enumerate_subset_states(manifest.factors)
     parents = warm_parents(manifest.factors)
     basis_states = {p for p in parents.values() if p is not None}
-    completed = completed or {"entries": [], "timing": {}}
-    entries = {e["state"]: e for e in completed["entries"]}
-    timing = {name: completed["timing"].get(name, 0.0) for name in entries}
+    completed = completed or {"entries": []}
+    entries = {
+        e["state"]: e
+        for e in completed["entries"]
+        if _finished(out_dir, e, e["state"] in basis_states)
+    }
+    timing = {name: completed.get("timing", {}).get(name, 0.0) for name in entries}
     pending = [s.name for s in states if s.name not in entries]
 
     try:
@@ -377,6 +377,20 @@ def _certified(entry: dict) -> bool:
     return entry.get("status") == "optimal" and bool((entry.get("certificate") or {}).get("ok"))
 
 
+def _finished(out_dir: Path, entry: dict, parent: bool) -> bool:
+    """Whether ``entry`` is certified, its solution CSV exists and its state
+    record reads back as a JSON object, one holding ``basis`` for a ``parent``.
+    """
+    csv_path, meta_path = _state_paths(out_dir, entry["state"])
+    if not (_certified(entry) and csv_path.exists()):
+        return False
+    try:
+        record = json.loads(meta_path.read_text())
+    except (OSError, ValueError):  # missing, not UTF-8, or not JSON
+        return False
+    return isinstance(record, dict) and (not parent or "basis" in record)
+
+
 def read_ledger(path: str | Path) -> dict:
     """The ledger document at ``path``.
 
@@ -433,10 +447,10 @@ def _is_finite(value) -> bool:
 
 
 def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
-    """Finish a partial sweep; completed states are not re-solved.
+    """Finish the partial sweep whose ledger is at ``ledger_path``.
 
-    A parent state counts as completed only if its state record holds
-    its ``basis``.
+    ``run_sweep`` keeps each completed state that ``_finished`` accepts
+    and solves the others.
     """
     digest = manifest.digest()  # a broken system is named before the ledger
     ledger = read_ledger(ledger_path)
@@ -446,18 +460,7 @@ def resume(manifest: RunManifest, ledger_path: str | Path) -> dict:
         )
     if ledger.get("manifest_hash") != digest:
         raise SweepError("ledger manifest hash does not match this manifest")
-    out_dir = Path(manifest.out_dir)
-    basis_states = set(warm_parents(manifest.factors).values()) - {None}
-    kept = []
-    for entry in ledger["entries"]:
-        name = entry["state"]
-        csv_path, meta_path = _state_paths(out_dir, name)
-        if not (_certified(entry) and csv_path.exists() and meta_path.exists()):
-            continue
-        if name in basis_states and "basis" not in json.loads(meta_path.read_text()):
-            continue
-        kept.append(entry)
-    return run_sweep(manifest, {"timing": {}, **ledger, "entries": kept})
+    return run_sweep(manifest, ledger)
 
 
 def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:
@@ -497,7 +500,7 @@ def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:
     decomps = []
     for metric in metrics:
         values = {
-            frozenset(s.active_factors) - fixed: float(by_state[s.name]["metrics"][metric])
+            s.factors - fixed: float(by_state[s.name]["metrics"][metric])
             for s in states
         }
         table = MetricTable(metric=metric, factors=factors, values=values)

@@ -17,6 +17,7 @@ from gridfactor.cli import main
 from gridfactor.sweep import ENTRY_METRICS, LEDGER_SCHEMA, VERSION, read_ledger
 
 from _oracles import read_mps
+from conftest import ledger_comparison_bytes
 
 
 @pytest.fixture
@@ -557,6 +558,24 @@ class TestSweepAndFactorize:
             ],
         )
         assert result.exit_code == 2
+
+    def test_resume_with_unreadable_records(self, runner, system_dir, tmp_path):
+        """Cut and non-object state records are solved again, with no traceback."""
+        out_dir = tmp_path / "run"
+        run = ["sweep", str(system_dir), "--reference", "AA", "--out", str(out_dir)]
+        assert runner.invoke(main, [*run, "--factors", "1,3"]).exit_code == 0
+        fresh = ledger_comparison_bytes(read_ledger(out_dir / "ledger.json"))
+        for name in ("f_2456", "f_123456"):  # a parent and a leaf
+            record = out_dir / "states" / f"{name}.json"
+            record.write_text(record.read_text()[:100])
+        (out_dir / "states" / "f_12456.json").write_text("[]")
+        result = runner.invoke(main, [*run, "--factors", "1,3", "--resume"])
+        assert result.exit_code == 0, result.output
+        assert result.exception is None
+        assert "sweep complete: 4 states" in result.output
+        for name in ("f_2456", "f_12456", "f_123456"):
+            assert json.loads((out_dir / "states" / f"{name}.json").read_text())["state"] == name
+        assert ledger_comparison_bytes(read_ledger(out_dir / "ledger.json")) == fresh
 
     @pytest.mark.parametrize("extra", [[], ["--resume"]], ids=["fresh", "resume"])
     def test_manifest_without_series_exit_1(self, runner, system_dir, tmp_path, extra):

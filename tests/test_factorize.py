@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gridfactor.factorize import (
     all_interaction_terms,
     difference_of_interest,
     shared_interactions_totals,
+    write_decompositions,
 )
 
 from _oracles import factor_total, interaction_term
@@ -188,3 +190,85 @@ class TestDegenerateAndErrors:
         with pytest.raises(FactorizeError, match="interconnection"):
             difference_of_interest(table)
 
+
+
+def _by_subset(metric, factors, value):
+    """Table ``metric`` over ``factors`` whose value at subset ``s`` is ``value(s)``."""
+    return table_from_values(
+        {
+            frozenset(s): value(set(s))
+            for size in range(len(factors) + 1)
+            for s in itertools.combinations(factors, size)
+        },
+        factors,
+        metric,
+    )
+
+
+class TestWriteDecompositions:
+    def test_bytes(self, tmp_path):
+        """The ``.csv`` and ``.json`` bytes of one decomposition with shares and one without."""
+        shared = shared_interactions_totals(
+            _by_subset(
+                "energy",
+                (1, 2, 3),
+                lambda s: 8.0
+                + 4 * (1 in s)
+                - 2 * (2 in s)
+                + 3 * ({1, 2} <= s)
+                - 1.5 * ({1, 3} <= s)
+                + 0.5 * (s == {1, 2, 3}),
+            )
+        )
+        degenerate = shared_interactions_totals(_by_subset("flat", (1, 4), lambda s: 5.0))
+        assert degenerate.shares is None
+        write_decompositions([shared, degenerate], tmp_path / "dec")
+
+        rows = [
+            "metric,term,subset,value,share",
+            "energy,INT,,6.0,",
+            "energy,baseline_interconnection,1,4.0,",
+            "energy,total_wind,12,3.25,0.5416666666666666",
+            "energy,total_solar,13,-1.25,-0.20833333333333334",
+            "energy,interaction,1,4.0,",
+            "energy,interaction,2,-2.0,",
+            "energy,interaction,3,0.0,",
+            "energy,interaction,12,3.0,",
+            "energy,interaction,13,-1.5,",
+            "energy,interaction,23,0.0,",
+            "energy,interaction,123,0.5,",
+            "flat,INT,,0.0,",
+            "flat,baseline_interconnection,1,0.0,",
+            "flat,total_load,14,0.0,",
+            "flat,interaction,1,0.0,",
+            "flat,interaction,4,0.0,",
+            "flat,interaction,14,0.0,",
+        ]
+        assert (tmp_path / "dec.csv").read_bytes() == "".join(f"{r}\r\n" for r in rows).encode()
+
+        doc = [
+            {
+                "baseline_interconnection": 4.0,
+                "degenerate": False,
+                "factors": [1, 2, 3],
+                "int": 6.0,
+                "metric": "energy",
+                "shares": {"solar": -0.20833333333333334, "wind": 0.5416666666666666},
+                "terms": {
+                    "1": 4.0, "12": 3.0, "123": 0.5, "13": -1.5, "2": -2.0, "23": 0.0, "3": 0.0
+                },
+                "totals": {"solar": -1.25, "wind": 3.25},
+            },
+            {
+                "baseline_interconnection": 0.0,
+                "degenerate": True,
+                "factors": [1, 4],
+                "int": 0.0,
+                "metric": "flat",
+                "shares": None,
+                "terms": {"1": 0.0, "14": 0.0, "4": 0.0},
+                "totals": {"load": 0.0},
+            },
+        ]
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "dec.json").read_bytes() == expected.encode()

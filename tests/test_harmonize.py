@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -36,8 +37,20 @@ class TestFactorState:
         assert FactorState.from_factors({2, 5}).name == "f_25"
 
     def test_parse_round_trip(self):
-        for text in ("f_0", "f_1", "f_25", "f_123456"):
-            assert FactorState.parse(text).name == text
+        subsets = [s for size in range(7) for s in itertools.combinations(range(1, 7), size)]
+        assert len(subsets) == 64
+        for native in subsets:
+            text = f"f_{''.join(map(str, native)) or '0'}"
+            state = FactorState.parse(text)
+            assert state.name == text
+            assert state.factors == set(native)
+            assert state.factors <= set(range(1, 7))
+
+    def test_empty_state_and_unknown_factor(self):
+        assert FactorState() == FactorState.parse("f_0")
+        assert FactorState().factors == frozenset()
+        with pytest.raises(HarmonizeError, match="unknown factor numbers"):
+            FactorState.from_factors({7})
 
     @pytest.mark.parametrize("bad", ["f_07", "f_21", "f_11", "f_", "g_1", "f_7"])
     def test_parse_rejects_malformed(self, bad):

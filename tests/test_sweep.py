@@ -34,7 +34,7 @@ from conftest import ledger_comparison_bytes
 def synthetic_ledger(factors=(1, 2, 3, 4, 5, 6)):
     """One certified optimal entry per state; metrics ``mask`` (additive) and ``const``.
 
-    ``mask`` sums 2^(n - 1) over the state's active factors n. Every
+    ``mask`` sums 2^(n - 1) over the state's native factors n. Every
     ``ENTRY_METRICS`` metric is 0, so that ``read_ledger`` reads the ledger.
     """
     entries = [
@@ -44,7 +44,7 @@ def synthetic_ledger(factors=(1, 2, 3, 4, 5, 6)):
             "certificate": {"ok": True},
             "metrics": {
                 **dict.fromkeys(ENTRY_METRICS, 0.0),
-                "mask": float(sum(1 << (n - 1) for n in s.active_factors)),
+                "mask": float(sum(1 << (n - 1) for n in s.factors)),
                 "const": 1.0,
             },
         }
@@ -381,12 +381,22 @@ class TestWarmStarts:
 
 
 def remove_from_states(states: Path, name: str) -> None:
-    """Delete file ``name`` from ``states``; ``<state>.basis`` strips that record's basis."""
-    if name.endswith(".basis"):
-        record = states / f"{name.removesuffix('.basis')}.json"
+    """Delete file ``name`` from ``states``, or spoil a state's record.
+
+    ``<state>.basis`` strips the record's basis, ``<state>.cut`` cuts the
+    record in half and ``<state>.list`` replaces it with ``[]``.
+    """
+    state, _, how = name.partition(".")
+    record = states / f"{state}.json"
+    if how == "basis":
         meta = json.loads(record.read_text())
         del meta["basis"]
         record.write_text(json.dumps(meta))
+    elif how == "cut":
+        text = record.read_text()
+        record.write_text(text[: len(text) // 2])
+    elif how == "list":
+        record.write_text("[]")
     else:
         (states / name).unlink()
 
@@ -426,6 +436,9 @@ class TestResume:
             (["f_1256.csv", "f_1256.json"], ["f_1256"]),
             # ... or from solving the parent again
             (["f_1256.csv", "f_1256.json", "f_256.basis"], ["f_256", "f_1256"]),
+            # a record that does not read back as an object: a parent's and a
+            # leaf's cut in half, another leaf's not an object
+            (["f_2356.cut", "f_123456.cut", "f_2456.list"], ["f_2356", "f_2456", "f_123456"]),
         ],
     )
     def test_resume_matches_a_fresh_sweep(self, manifest, monkeypatch, removed, solved):
