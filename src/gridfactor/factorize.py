@@ -11,7 +11,6 @@ the decomposition always sums to the difference of interest.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -20,7 +19,7 @@ import numpy as np
 
 from .harmonize import FACTOR_NAMES
 from .model import GridFactorError
-from .serialize import write_json
+from .serialize import write_csv, write_json
 
 INTERCONNECTION = 1
 
@@ -216,11 +215,8 @@ def decomposition_rows(decomp: FactorDecomposition) -> list[dict]:
 
 def write_decompositions(decomps: list[FactorDecomposition], prefix: str | Path) -> None:
     """Write ``decomps`` to ``<prefix>.csv`` (``decomposition_rows``) and ``<prefix>.json``."""
-    with open(f"{prefix}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
-        writer.writeheader()
-        for d in decomps:
-            writer.writerows(decomposition_rows(d))
+    rows = (row.values() for d in decomps for row in decomposition_rows(d))
+    write_csv(f"{prefix}.csv", _COLUMNS, rows)
     doc = [
         {
             "metric": d.metric,

@@ -140,6 +140,10 @@ def write_solution_csv(path, lp: LinearProgram, primal) -> None:
     flow's line sits under ``country`` and its hour under ``technology``.
     The bytes are those of ``csv.writer``; each hourly block's lines are
     formatted from its fixed parts and written before the next block's.
+    A ``csv.writer`` version (as ``serialize.write_csv``) writes the same
+    bytes in 2.5-2.9 times the time: seed-7 f_123456, median of 15 calls
+    on 2 vCPU, 2x168 4.0-6.6 ms against 10.2-13.6 ms (about 0.4 s of CPU
+    time more over a 64-state sweep), 3x720 19-41 ms against 56-93 ms.
     """
     values = np.asarray(primal, dtype=float).tolist()
     with open(path, "w", newline="") as fh:

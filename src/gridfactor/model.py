@@ -231,11 +231,16 @@ def validate(spec: PowerSystemSpec) -> list[str]:
     out.extend(_validate_interconnectors(spec))
     out.extend(_validate_exogenous(spec))
 
+    if spec.annuity_rate < 0:
+        out.append(f"annuity_rate must be >= 0, got {spec.annuity_rate!r}")
+    override_codes = [code for code, _ in spec.offshore_overrides]
     for code, mw in spec.offshore_overrides:
         if code not in codes:
             out.append(f"offshore override references unknown country {code}")
         if mw < 0:
             out.append(f"offshore override for {code} must be >= 0")
+    for code in sorted({c for c in override_codes if override_codes.count(c) > 1}):
+        out.append(f"offshore override for {code} is given more than once")
     return out
 
 

@@ -10,7 +10,6 @@ across interconnected countries.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import GridFactorError, PowerSystemSpec
+from .serialize import write_csv
 
 
 class ResidualError(GridFactorError):
@@ -179,35 +179,20 @@ def write_events_csv(
     exclude: Sequence[str] = (),
 ) -> None:
     """Event table; ``exclude`` drops countries (large reservoirs, say)."""
-    fieldnames = [
-        "country",
-        "start_hour",
-        "end_hour",
-        "peak_cumulative_mwh",
-        "gross_positive_mwh",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for s in series:
-            if s.country in exclude:
-                continue
-            for e in positive_events(s):
-                writer.writerow(
-                    {
-                        "country": e.country,
-                        "start_hour": e.start,
-                        "end_hour": e.end,
-                        "peak_cumulative_mwh": repr(float(e.peak_cumulative)),
-                        "gross_positive_mwh": repr(float(e.gross_positive)),
-                    }
-                )
+    header = ["country", "start_hour", "end_hour", "peak_cumulative_mwh", "gross_positive_mwh"]
+    # the sums are NumPy scalars; ``csv`` writes a Python float as its ``repr``
+    rows = (
+        (e.country, e.start, e.end, float(e.peak_cumulative), float(e.gross_positive))
+        for s in series
+        if s.country not in exclude
+        for e in positive_events(s)
+    )
+    write_csv(path, header, rows)
 
 
 def write_cross_section_csv(rows: list[dict], path: str | Path) -> None:
+    """``peak_hour_cross_section`` rows under a header of the first row's keys."""
     if not rows:
         raise ResidualError("no cross-section rows to write")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    header = list(rows[0])
+    write_csv(path, header, ([row[key] for key in header] for row in rows))

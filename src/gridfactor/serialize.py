@@ -10,7 +10,8 @@ layout is ``hour,<country>...``, each country once, with 0-indexed
 hours and plain decimal floats; ``nan`` and ``inf`` are refused.
 Round-trips are exact: floats are emitted via shortest-repr. A system
 that ``model.validate`` rejects is refused on read. ``write_json`` is
-the one JSON format of every file gridfactor writes.
+the one JSON format of every file gridfactor writes, and ``write_csv``
+writes every table but the solution CSV (``lp.write_solution_csv``).
 
 This module owns the ``series`` layout and the manifest digest, which
 hashes the manifest and every series file it names.
@@ -24,7 +25,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -134,13 +135,18 @@ def system_doc(spec: PowerSystemSpec) -> dict[str, Any]:
     }
 
 
-def write_series_csv(path: Path, series: Mapping[str, np.ndarray], horizon: int) -> None:
-    columns = sorted(series)
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and ``rows`` in the one CSV format of every table gridfactor writes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["hour", *columns])
-        for h in range(horizon):
-            writer.writerow([h] + [repr(float(series[c][h])) for c in columns])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_series_csv(path: Path, series: Mapping[str, np.ndarray], horizon: int) -> None:
+    columns = sorted(series)
+    rows = ([h] + [repr(float(series[c][h])) for c in columns] for h in range(horizon))
+    write_csv(path, ["hour", *columns], rows)
 
 
 def read_series_csv(path: Path, horizon: int) -> dict[str, np.ndarray]:

@@ -266,7 +266,6 @@ def _run_state(
         write_solution_csv(csv_path, lp, result.primal)
         meta = {
             **entry,
-            "timing_seconds": wall,
             "blocks": result.blocks,
             "warm_from": warm_from,
             "simplex": result.simplex,

@@ -168,6 +168,51 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
         assert f"error: {message} must be finite, got {float(literal)!r}" in result.stderr
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("annuity_rate", -0.5, "annuity_rate must be >= 0, got -0.5"),
+            (
+                "offshore_overrides",
+                [["AA", 100], ["AA", 900]],
+                "offshore override for AA is given more than once",
+            ),
+        ],
+        ids=["negative-rate", "repeated-override"],
+    )
+    def test_refused_value_exit_1(self, runner, system_dir, key, value, message):
+        doc = json.loads(Path(system_dir).read_text())
+        doc[key] = value
+        Path(system_dir).write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
+        assert message in result.stderr
+
+    def test_every_violation_is_named(self, runner, system_dir):
+        doc = json.loads(Path(system_dir).read_text())
+        doc["annuity_rate"] = -0.5
+        doc["offshore_overrides"] = [["AA", 100], ["AB", 5], ["AA", 900], ["AB", 5]]
+        Path(system_dir).write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert "annuity_rate must be >= 0, got -0.5" in result.stderr
+        for code in ("AA", "AB"):
+            assert f"offshore override for {code} is given more than once" in result.stderr
+
+
+def test_solve_refuses_a_negative_annuity_rate(runner, tmp_path):
+    """A negative rate ends ``solve`` in an ``error:`` line, not an annuity traceback."""
+    from gridfactor import synthesize_system, write_system
+
+    spec = synthesize_system(seed=1, n_countries=2, horizon=24, correlation=-0.8)
+    manifest = write_system(dataclasses.replace(spec, annuity_rate=-0.5), tmp_path / "neg")
+    result = runner.invoke(main, ["solve", str(manifest)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr
+    assert "annuity_rate must be >= 0, got -0.5" in result.stderr
+
 
 @pytest.fixture
 def invalid_system_dir(tmp_path):

@@ -12,6 +12,7 @@ from gridfactor.residual import (
     peak_residual_hour,
     positive_events,
     residual_series,
+    write_cross_section_csv,
     write_events_csv,
 )
 from gridfactor.solve import solve
@@ -192,6 +193,39 @@ def test_events_csv_exclusion(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # header + AA only
     assert lines[1].startswith("AA,")
+
+
+def test_events_csv_bytes(tmp_path):
+    a = series([5.0, 2.5, -1.0, -10.0, 0.3, -4.0], "AA")
+    b = series([7.0, -10.0], "AB")
+    out = tmp_path / "events.csv"
+    write_events_csv([a, b], out, exclude=("AB",))
+    rows = [
+        "country,start_hour,end_hour,peak_cumulative_mwh,gross_positive_mwh",
+        "AA,0,2,7.5,7.5",
+        "AA,4,4,0.3,0.3",
+    ]
+    assert out.read_bytes() == "".join(f"{r}\r\n" for r in rows).encode()
+
+
+def test_cross_section_csv_bytes(tmp_path):
+    """The header is the first row's keys; a missing capacity factor is an empty cell."""
+    first = {"country": "AA", "peak_hour": 3, "peak_residual_mwh": 12.5, "other_country": "AB"}
+    second = {"country": "AB", "peak_hour": 0, "peak_residual_mwh": -1.5, "other_country": "AA"}
+    cells = [
+        {**first, "cf_wind": 0.25, "cf_solar": "", "relative_load": 0.8},
+        {**second, "cf_wind": 1 / 3, "cf_solar": 0.0, "relative_load": 1.0},
+    ]
+    out = tmp_path / "cross.csv"
+    write_cross_section_csv(cells, out)
+    rows = [
+        "country,peak_hour,peak_residual_mwh,other_country,cf_wind,cf_solar,relative_load",
+        "AA,3,12.5,AB,0.25,,0.8",
+        "AB,0,-1.5,AA,0.3333333333333333,0.0,1.0",
+    ]
+    assert out.read_bytes() == "".join(f"{r}\r\n" for r in rows).encode()
+    with pytest.raises(ResidualError, match="no cross-section rows"):
+        write_cross_section_csv([], tmp_path / "empty.csv")
 
 
 def test_events_csv_numbers_parse(tmp_path):

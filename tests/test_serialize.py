@@ -36,6 +36,13 @@ class TestRoundTrip:
         for k in values:
             assert np.array_equal(back[k], values[k])
 
+    def test_series_csv_bytes(self, tmp_path):
+        """Columns in name order, ``repr`` floats and ``\r\n`` line ends."""
+        values = {"AB": np.array([0.1, 1e-16, -2.5]), "AA": np.array([1.0, 2.0, 3.0])}
+        path = tmp_path / "s.csv"
+        write_series_csv(path, values, 3)
+        assert path.read_bytes() == b"hour,AA,AB\r\n0,1.0,0.1\r\n1,2.0,1e-16\r\n2,3.0,-2.5\r\n"
+
 
 class TestRejection:
     def test_unknown_top_level_key(self, tmp_path, small_spec):

@@ -123,20 +123,18 @@ class TestRunSweep:
         assert mps[0] == mps[1] == mps[2]
 
     def test_states_agree_across_worker_counts(self, system_dir, tmp_path):
-        """Only ``timing_seconds`` records the schedule."""
+        """No state file records the schedule, so ``states/`` is the same bytes."""
         trees = []
         for workers in (1, 2):
             sweep_outputs(system_dir, tmp_path / f"w{workers}", (1, 2, 3, 4), workers)
             states = tmp_path / f"w{workers}" / "states"
-            files = {p.name: p.read_bytes() for p in states.iterdir() if p.suffix != ".json"}
-            docs = {}
-            for p in states.glob("*.json"):
-                docs[p.name] = json.loads(p.read_text())
-                del docs[p.name]["timing_seconds"]
-            trees.append((files, docs))
-        files, docs = trees[0]
+            trees.append({p.name: p.read_bytes() for p in states.iterdir()})
+        tree = trees[0]
+        docs = {name: json.loads(raw) for name, raw in tree.items() if name.endswith(".json")}
         assert len(docs) == 16
-        assert sorted(files) == sorted(f"{name}.csv" for name in warm_parents((1, 2, 3, 4)))
+        assert sorted(set(tree) - set(docs)) == sorted(
+            f"{name}.csv" for name in warm_parents((1, 2, 3, 4))
+        )
         assert sum("basis" in doc for doc in docs.values()) >= 1
         assert trees[0] == trees[1]
 
