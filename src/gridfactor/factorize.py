@@ -17,11 +17,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .harmonize import FACTOR_NAMES
+from .harmonize import FACTOR_NAMES, FACTOR_NUMBERS
 from .model import GridFactorError
 from .serialize import write_csv, write_json
 
-INTERCONNECTION = 1
+INTERCONNECTION = FACTOR_NUMBERS["interconnection"]
 
 # Shares are suppressed when INT is negligible against the isolated
 # all-native scenario value.

@@ -28,6 +28,7 @@ import numpy as np
 
 from .model import (
     HOURS_PER_YEAR,
+    KIND_CAPACITIES,
     GridFactorError,
     PowerSystemSpec,
     Technology,
@@ -62,27 +63,16 @@ _PREFIX = {
     "flow": "F",
 }
 
-# The columns of each technology kind, in column order: its hourly
-# families, each with its sign in the country's balance row (0: not in
-# it), then its capacity families, each with the ``ExogenousCapacity``
-# field that fixes it when the technology is not expandable.
-_GENERATOR = ((("gen", 1.0),), (("cap_power", "power_discharge"),))
-_KINDS = {
+# The hourly column families of each technology kind, in column order,
+# each with its sign in the country's balance row (0: not in it); its
+# capacity families follow them (``model.KIND_CAPACITIES``).
+_GENERATOR = (("gen", 1.0),)
+_HOURLY = {
     "dispatchable": _GENERATOR,
     "variable-renewable": _GENERATOR,
     "run-of-river": _GENERATOR,
-    "storage": (
-        (("sto_in", -1.0), ("sto_out", 1.0), ("sto_level", 0.0)),
-        (
-            ("cap_charge", "power_charge"),
-            ("cap_discharge", "power_discharge"),
-            ("cap_energy", "energy"),
-        ),
-    ),
-    "reservoir": (
-        (("rsv_out", 1.0), ("rsv_spill", 0.0), ("rsv_level", 0.0)),
-        (("cap_discharge", "power_discharge"), ("cap_energy", "energy")),
-    ),
+    "storage": (("sto_in", -1.0), ("sto_out", 1.0), ("sto_level", 0.0)),
+    "reservoir": (("rsv_out", 1.0), ("rsv_spill", 0.0), ("rsv_level", 0.0)),
 }
 
 
@@ -197,7 +187,7 @@ def portfolio(spec: PowerSystemSpec) -> list[tuple[str, Technology]]:
 
 
 def _capacity(
-    spec: PowerSystemSpec, code: str, tech: Technology, family: str, exogenous: str
+    spec: PowerSystemSpec, code: str, tech: Technology, family: str, exogenous: str, overnight: str
 ) -> tuple[float, float, float]:
     """Bounds and objective coefficient of one capacity column.
 
@@ -211,16 +201,17 @@ def _capacity(
     if not tech.expandable:
         v = getattr(spec.exogenous_capacity(code, tech.id), exogenous)
         return v, v, 0.0
-    overnight, fixed, what = {
-        "cap_power": (tech.overnight_cost_power, tech.fixed_cost, "technology"),
-        "cap_charge": (tech.overnight_cost_charge, 0.0, "storage"),
-        "cap_discharge": (tech.overnight_cost_discharge, tech.fixed_cost, "storage"),
-        "cap_energy": (tech.overnight_cost_energy, 0.0, "storage"),
+    fixed, what = {
+        "cap_power": (tech.fixed_cost, "technology"),
+        "cap_charge": (0.0, "storage"),
+        "cap_discharge": (tech.fixed_cost, "storage"),
+        "cap_energy": (0.0, "storage"),
     }[family]
-    if overnight <= 0:
-        raise BuildError(f"expandable {what} {tech.id}: missing overnight_cost_{family[4:]}")
+    investment = getattr(tech, overnight)
+    if investment <= 0:
+        raise BuildError(f"expandable {what} {tech.id}: missing {overnight}")
     year_scale = spec.time_series.horizon / HOURS_PER_YEAR
-    cost = (annuity(overnight, tech.lifetime, spec.annuity_rate) + fixed) * 1000.0 * year_scale
+    cost = (annuity(investment, tech.lifetime, spec.annuity_rate) + fixed) * 1000.0 * year_scale
     if tech.offshore:
         override = spec.offshore_override(code)
         if override is not None:
@@ -310,16 +301,15 @@ def _layout(spec: PowerSystemSpec) -> _Columns:
     cols = _Columns(spec.time_series.horizon)
     cols.present = portfolio(spec)
     for code, tech in cols.present:
-        if tech.kind not in _KINDS:  # pragma: no cover - kinds validated upstream
+        if tech.kind not in _HOURLY:  # pragma: no cover - kinds validated upstream
             raise BuildError(f"unsupported technology kind {tech.kind!r}")
         if tech.kind == "reservoir" and code not in spec.time_series.reservoir_inflow:
             raise BuildError(f"missing inflow series for reservoir {tech.id} in {code}")
-        hourly, capacities = _KINDS[tech.kind]
-        for family, sign in hourly:
+        for family, sign in _HOURLY[tech.kind]:
             cost = tech.marginal_cost if sign else 0.0
             cols.add((family, code, tech.id), cols.horizon, cost=cost)
-        for family, exogenous in capacities:
-            cols.add((family, code, tech.id), 1, *_capacity(spec, code, tech, family, exogenous))
+        for family, *fields in KIND_CAPACITIES[tech.kind]:
+            cols.add((family, code, tech.id), 1, *_capacity(spec, code, tech, family, *fields))
 
     if spec.interconnection_enabled:
         for line in sorted(spec.interconnectors, key=lambda l: (l.from_country, l.to_country)):
@@ -337,7 +327,7 @@ def _balance_rows(spec: PowerSystemSpec, cols: _Columns, rows: _Rows, codes) -> 
     """
     terms: dict[str, list] = {code: [] for code in codes}
     for code, tech in cols.present:
-        for family, sign in _KINDS[tech.kind][0]:
+        for family, sign in _HOURLY[tech.kind]:
             if sign:
                 terms[code].append((cols.hours((family, code, tech.id)), sign))
     if spec.interconnection_enabled:

@@ -14,9 +14,24 @@ import numpy as np
 
 HOURS_PER_YEAR = 8760
 
-TECHNOLOGY_KINDS = frozenset(
-    {"dispatchable", "variable-renewable", "storage", "reservoir", "run-of-river"}
-)
+# The capacity families of each technology kind, in column order, each with
+# the ``ExogenousCapacity`` field that fixes it when the technology is not
+# expandable and the overnight cost (> 0) that prices it when it is.
+_GENERATOR = (("cap_power", "power_discharge", "overnight_cost_power"),)
+KIND_CAPACITIES = {
+    "dispatchable": _GENERATOR,
+    "variable-renewable": _GENERATOR,
+    "run-of-river": _GENERATOR,
+    "storage": (
+        ("cap_charge", "power_charge", "overnight_cost_charge"),
+        ("cap_discharge", "power_discharge", "overnight_cost_discharge"),
+        ("cap_energy", "energy", "overnight_cost_energy"),
+    ),
+    "reservoir": (
+        ("cap_discharge", "power_discharge", "overnight_cost_discharge"),
+        ("cap_energy", "energy", "overnight_cost_energy"),
+    ),
+}
 FACTOR_GROUPS = frozenset({"wind", "solar", "hydro", "bioenergy"})
 DURATION_CLASSES = frozenset({"short", "long"})
 
@@ -201,8 +216,12 @@ def validate(spec: PowerSystemSpec) -> list[str]:
     if len(set(tech_ids)) != len(tech_ids):
         out.append("technology ids are not unique")
     for t in spec.technologies:
-        if t.kind not in TECHNOLOGY_KINDS:
+        if t.kind not in KIND_CAPACITIES:
             out.append(f"technology {t.id}: unknown kind {t.kind!r}")
+        if t.expandable:
+            for _, _, cost in KIND_CAPACITIES.get(t.kind, ()):
+                if getattr(t, cost) == 0:
+                    out.append(f"technology {t.id}: expandable, so {cost} must be > 0")
         for name in (
             "marginal_cost",
             "overnight_cost_power",

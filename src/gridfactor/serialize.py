@@ -213,8 +213,8 @@ def write_system(spec: PowerSystemSpec, directory: str | Path) -> Path:
 
 
 def write_json(path: str | Path, doc: Any) -> None:
-    """Write ``doc`` in the one JSON format of every file gridfactor writes."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``doc`` as the JSON of every gridfactor file; NaN or infinity raises ``ValueError``."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _check_series(series: Any) -> None:

@@ -5,7 +5,7 @@ builds and solves one LP per factor state. States are independent and
 run under a bounded process pool; the ledger is assembled by the parent
 in canonical state order, so output is invariant to the parallelism
 level. Per-state artifacts are named by state; the ledger records each
-state's spec and LP hashes for resume and audit.
+state's spec and LP hashes for audit.
 
 Each state but the roots of the factor lattice starts HiGHS from the
 final simplex basis of one parent state (``warm_parents``): the state
@@ -57,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .factorize import (
+    INTERCONNECTION,
     FactorDecomposition,
     MetricTable,
     STORAGE_METRICS,
@@ -65,6 +66,7 @@ from .factorize import (
     write_decompositions,
 )
 from .harmonize import (
+    FACTOR_NAMES,
     FactorState,
     ReferenceShares,
     apply_factor_state,
@@ -122,10 +124,10 @@ class RunManifest:
             raise SweepError("parallelism must be at least 1")
         if not Path(self.system_manifest).exists():
             raise SweepError(f"system manifest not found: {self.system_manifest}")
-        bad = set(self.factors) - set(range(1, 7))
+        bad = set(self.factors) - set(FACTOR_NAMES)
         if bad or len(set(self.factors)) != len(self.factors):
             raise SweepError("factor subset must be unique numbers in 1..6")
-        if 1 not in self.factors:
+        if INTERCONNECTION not in self.factors:
             raise SweepError(
                 "factor subset must include 1 (interconnection): the sweep compares "
                 "interconnected and isolated states"
@@ -233,28 +235,22 @@ def _run_state(
         _, parent_path = _state_paths(out_dir, warm_from)
         start = map_basis(json.loads(parent_path.read_text())["basis"], lp)
     result = solve(lp, manifest.solver, start, keep_basis)
+    optimal = result.status == "optimal"
 
     entry = {
         "state": state_name,
         "spec_hash": spec_digest(scenario),
         "lp_hash": lp_digest(lp),
         "status": result.status,
-        "objective": float(result.objective),
+        "objective": result.objective if optimal else None,
         "iterations": result.iterations,
         "solver": SOLVER,
-        "certificate": None,
+        "certificate": asdict(verify_certificate(lp, result)) if optimal else None,
         "metrics": {},
         "per_country": {},
     }
-    if result.status == "optimal":
-        cert = verify_certificate(lp, result)
-        entry["certificate"] = {
-            "ok": bool(cert.ok),
-            "primal_residual": float(cert.primal_residual),
-            "duality_gap": float(cert.duality_gap),
-        }
     wall = time.perf_counter() - started
-    if result.status == "optimal":
+    if optimal:
         agg, by_country = extract_storage_metrics(scenario, lp, result)
         entry["metrics"] = {**agg, "objective_eur": float(result.objective)}
         # a line lets storage sit in either country at equal cost, so an
@@ -291,6 +287,9 @@ def run_sweep(manifest: RunManifest, completed: dict | None = None) -> dict:
     one worker the states run in canonical order, parents first. The ledger
     of the finished states is written however the sweep ends,
     ``KeyboardInterrupt`` included, so that ``resume`` goes on from them.
+    A failed state's objective is ``null``. ``decompositions_from_ledger``
+    then judges the ledger: failed or uncertified states raise one
+    ``SweepError`` naming them all, and nothing more is written.
     """
     base = read_system(manifest.system_manifest)
     # a reference that fails leaves no output directory behind
@@ -355,13 +354,6 @@ def run_sweep(manifest: RunManifest, completed: dict | None = None) -> dict:
         if entries:
             write_json(out_dir / "ledger.json", ledger)
 
-    failures = [e["state"] for e in ledger["entries"] if e["status"] != "optimal"]
-    if failures:
-        raise SweepError(f"scenario(s) did not solve to optimality: {failures}")
-    uncertified = [e["state"] for e in ledger["entries"] if not e["certificate"]["ok"]]
-    if uncertified:
-        raise SweepError(f"scenario(s) failed the optimality certificate check: {uncertified}")
-
     write_decompositions(decompositions_from_ledger(ledger), out_dir / "decomposition")
     write_json(out_dir / "interconnection_report.json", compare_interconnection(manifest))
     return ledger
@@ -409,7 +401,7 @@ def read_ledger(path: str | Path) -> dict:
     factors = ledger.get("factors")
     if not (
         isinstance(factors, list)
-        and all(type(f) is int and 1 <= f <= 6 for f in factors)
+        and all(type(f) is int and f in FACTOR_NAMES for f in factors)
         and len(set(factors)) == len(factors)
     ):
         raise SweepError(f"ledger {path}: factors must be a list of distinct integers in 1..6")
@@ -466,24 +458,28 @@ def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:
     """Shared-interactions decompositions of every ledger metric.
 
     The ledger must hold exactly one optimal, certified entry for each
-    state of its factor design, all with the same metrics; a failed,
-    uncertified, missing or repeated state, or one with other metrics,
+    state of its factor design, all with the same metrics. One
+    ``SweepError`` names every failed or uncertified state, in ledger
+    order; a missing or repeated state, or one with other metrics,
     raises ``SweepError`` naming it.
     """
     factors = tuple(ledger["factors"])
     entries = ledger["entries"]
     if not entries:
         raise SweepError("empty ledger")
+    failed = [
+        f"scenario {e['state']} did not solve to optimality: {e['status']}"
+        if e["status"] != "optimal"
+        else f"scenario {e['state']} failed the optimality certificate check"
+        for e in entries
+        if not _certified(e)
+    ]
+    if failed:
+        raise SweepError("; ".join(failed))
     metrics = sorted(entries[0]["metrics"])
     by_state: dict[str, dict] = {}
     for entry in entries:
         name = entry["state"]
-        if not _certified(entry):
-            raise SweepError(
-                f"scenario {name} did not solve: {entry['status']}"
-                if entry["status"] != "optimal"
-                else f"scenario {name} failed the optimality certificate check"
-            )
         if name in by_state:
             raise SweepError(f"ledger lists scenario {name} twice")
         got = sorted(entry["metrics"])
@@ -495,7 +491,7 @@ def decompositions_from_ledger(ledger: dict) -> list[FactorDecomposition]:
     if missing:
         raise SweepError(f"incomplete scenario set, missing {missing}")
 
-    fixed = frozenset(range(1, 7)) - frozenset(factors)
+    fixed = frozenset(FACTOR_NAMES) - frozenset(factors)
     decomps = []
     for metric in metrics:
         values = {
@@ -517,8 +513,8 @@ def compare_interconnection(manifest: RunManifest) -> dict:
     their absolute and relative reduction.
     """
     ledger = read_ledger(Path(manifest.out_dir) / "ledger.json")
-    full = FactorState.from_factors(set(range(1, 7))).name
-    isolated = FactorState.from_factors(set(range(2, 7))).name
+    full = FactorState(frozenset(FACTOR_NAMES)).name
+    isolated = FactorState(frozenset(FACTOR_NAMES) - {INTERCONNECTION}).name
     by_state = {e["state"]: e for e in ledger["entries"]}
     for needed in (full, isolated):
         if needed not in by_state or not _certified(by_state[needed]):

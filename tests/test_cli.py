@@ -118,6 +118,19 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         assert "country AA: missing inflow series for reservoir reservoir" in result.stderr
 
+    def test_expandable_storage_without_charge_cost_exit_1(self, runner, system_dir):
+        """``validate`` refuses the zero overnight cost that ``assemble`` would."""
+        doc = json.loads(Path(system_dir).read_text())
+        (tech,) = [t for t in doc["technologies"] if t["id"] == "lithium_ion"]
+        assert tech["expandable"]
+        tech["overnight_cost_charge"] = 0
+        Path(system_dir).write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(system_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        message = "technology lithium_ion: expandable, so overnight_cost_charge must be > 0"
+        assert message in result.stderr
+
     @pytest.mark.parametrize(
         "column,message",
         [("ZZ", "load (ZZ): unknown country"), ("", "column 4 has no name")],
@@ -418,7 +431,35 @@ class TestSweepAndFactorize:
         result = runner.invoke(main, ["factorize", str(path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a handled error, no traceback
-        assert f"scenario {states[failed]} did not solve: infeasible" in result.stderr
+        assert result.stderr == (
+            f"error: scenario {states[failed]} did not solve to optimality: infeasible\n"
+        )
+
+    def test_factorize_names_every_failed_state(self, runner, tmp_path):
+        """One error names each failed or uncertified state with its status, in ledger order."""
+        states = ["f_3456", "f_13456", "f_23456", "f_123456"]
+        entries = [
+            {
+                "state": name,
+                "status": "optimal",
+                "certificate": {"ok": True},
+                "metrics": dict.fromkeys(ENTRY_METRICS, float(i)),
+            }
+            for i, name in enumerate(states)
+        ]
+        entries[0].update(status="numerical", certificate=None, metrics={})
+        entries[2]["certificate"]["ok"] = False
+        entries[3].update(status="iteration-limit", certificate=None, metrics={})
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps({"factors": [1, 2], "entries": entries}))
+        result = runner.invoke(main, ["factorize", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == (
+            "error: scenario f_3456 did not solve to optimality: numerical; "
+            "scenario f_23456 failed the optimality certificate check; "
+            "scenario f_123456 did not solve to optimality: iteration-limit\n"
+        )
 
     @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["not-json", "not-object"])
     @pytest.mark.parametrize("command", ["factorize", "resume"])

@@ -172,7 +172,7 @@ class TestSystemBalanceInvariants:
         lp, _ = assemble(small_spec)
         result = solve(lp)
         report = verify_certificate(lp, result)
-        assert report.ok, report.messages
+        assert report.ok, report
 
     def test_storage_no_free_energy(self, small_spec):
         lp, _ = assemble(small_spec)

@@ -628,7 +628,7 @@ class TestCertificates:
         lp, _ = assemble(mini_spec)
         result = solve_with(method, lp, iteration_limit=200_000)
         report = verify_certificate(lp, result)
-        assert report.ok, report.messages
+        assert report.ok, report
         assert report.primal_residual <= 1e-6 * (1 + np.abs(lp.rhs).max())
         assert report.duality_gap <= 1e-6 * (1 + abs(result.objective))
 

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import gridfactor.sweep as sweep_mod
-from gridfactor import assemble, read_system, write_system
+from gridfactor import assemble, read_system, synthesize_system, write_system
 from gridfactor.cli import main
 from gridfactor.harmonize import (
     FactorState,
@@ -146,6 +146,18 @@ class TestRunSweep:
             assert 0.0 <= cert["primal_residual"] <= 1e-6
             assert cert["duality_gap"] >= 0.0
 
+    def test_certificate_is_a_boolean_and_two_residuals(self, tmp_path):
+        """The exact ``certificate`` object of every entry of a seed-7 ledger."""
+        system = write_system(synthesize_system(seed=7, n_countries=2, horizon=48), tmp_path / "s")
+        out = tmp_path / "out"
+        run_sweep(RunManifest(str(system), "AA", str(out), factors=(1, 2)))
+        for entry in json.loads((out / "ledger.json").read_text())["entries"]:
+            cert = entry["certificate"]
+            assert sorted(cert) == ["duality_gap", "ok", "primal_residual"]
+            assert cert["ok"] is True
+            assert type(cert["primal_residual"]) is float
+            assert type(cert["duality_gap"]) is float
+
     def test_failed_certificate_fails_the_sweep(self, manifest, monkeypatch):
         real = sweep_mod.verify_certificate
 
@@ -157,6 +169,50 @@ class TestRunSweep:
             run_sweep(manifest)
         ledger = json.loads((Path(manifest.out_dir) / "ledger.json").read_text())
         assert [e["certificate"]["ok"] for e in ledger["entries"]] == [False] * 4
+
+    def test_sweep_names_every_failed_state(self, manifest, monkeypatch):
+        """One ``SweepError`` names each failed or uncertified state, in ledger order."""
+        original = sweep_mod._run_state
+
+        def failing(manifest, base, shares, state_name, *rest):
+            entry, seconds = original(manifest, base, shares, state_name, *rest)
+            if state_name == "f_3456":
+                return {**entry, "status": "infeasible", "certificate": None}, seconds
+            if state_name == "f_123456":
+                return {**entry, "certificate": {**entry["certificate"], "ok": False}}, seconds
+            return entry, seconds
+
+        monkeypatch.setattr(sweep_mod, "_run_state", failing)
+        message = (
+            "scenario f_3456 did not solve to optimality: infeasible; "
+            "scenario f_123456 failed the optimality certificate check"
+        )
+        with pytest.raises(SweepError) as caught:
+            run_sweep(manifest)
+        assert str(caught.value) == message
+        assert not (Path(manifest.out_dir) / "decomposition.json").exists()
+
+    def test_failed_state_writes_a_null_objective(self, manifest, monkeypatch):
+        """A state that is not optimal writes ``null``, never ``NaN``, into the ledger."""
+        real = sweep_mod.solve
+        calls = []
+
+        def failing_second(lp, *args):
+            result = real(lp, *args)
+            calls.append(lp)
+            if len(calls) == 2:  # f_13456, which no state starts from
+                return dataclasses.replace(result, status="iteration-limit", objective=float("nan"))
+            return result
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        monkeypatch.setattr(sweep_mod, "solve", failing_second)
+        with pytest.raises(SweepError, match="f_13456"):
+            run_sweep(manifest)
+        text = (Path(manifest.out_dir) / "ledger.json").read_text()
+        entries = json.loads(text, parse_constant=refuse)["entries"]
+        assert [e["objective"] is None for e in entries] == [False, True, False, False]
 
     def test_manifest_validation(self, system_dir, tmp_path):
         with pytest.raises(SweepError, match="parallelism"):
