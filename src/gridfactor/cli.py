@@ -34,7 +34,7 @@ from .residual import (
     write_events_csv,
 )
 from .serialize import read_system, write_json, write_system
-from .solve import solve, verify_certificate
+from .solve import solve_certified
 from .sweep import (
     RunManifest,
     VERSION,
@@ -98,16 +98,6 @@ def _scenario_lp(manifest, state: FactorState, reference: str | None):
     return scenario, lp
 
 
-def _solve_optimal(lp, state: FactorState):
-    """Solve ``lp``; raise ``GridFactorError`` unless it is optimal and certified."""
-    result = solve(lp)
-    if result.status != "optimal":
-        raise GridFactorError(f"scenario {state.name} is {result.status}")
-    if not verify_certificate(lp, result).ok:
-        raise GridFactorError(f"scenario {state.name} failed the optimality certificate check")
-    return result
-
-
 @click.group()
 @click.version_option(VERSION, prog_name="gridfactor")
 def main():
@@ -137,7 +127,7 @@ def cmd_solve(manifest, state, reference, out, mps_out):
     scenario, lp = _scenario_lp(manifest, state, reference)
     if mps_out:
         write_mps(lp, mps_out)
-    result = _solve_optimal(lp, state)
+    result = solve_certified(lp, f"scenario {state.name}")
     if out:
         write_solution_csv(out, lp, result.primal)
     click.echo(f"state {state.name}: objective {result.objective!r} EUR")
@@ -210,7 +200,7 @@ def cmd_residual(manifest, state, reference, out_dir, exclude):
     unknown = sorted(set(excluded) - {c.code for c in scenario.countries})
     if unknown:
         raise click.UsageError(f"--exclude names no country of the system: {unknown}")
-    result = _solve_optimal(lp, state)
+    result = solve_certified(lp, f"scenario {state.name}")
     caps = capacities_from_result(scenario, lp, result)
     series = residual_series(scenario, caps)
 

@@ -3,17 +3,17 @@
 Six binary factors define the scenario design: interconnection
 (not-allowed / allowed) plus wind, solar, load, hydro, and bioenergy
 (harmonized / not harmonized). A factor state is the set of factors
-left native (state B: allowed / not harmonized), named by their digits:
-``f_13`` allows interconnection and keeps native solar, ``f_0`` is the
-empty set. Harmonizing a factor removes its cross-country variation by
-imposing the reference country's profiles or per-load capacity shares
-on every country.
+left native (state B: allowed / not harmonized), named by their digits
+in ascending order: ``f_13`` allows interconnection and keeps native
+solar, ``f_0`` is the empty set; a state parses by that name alone.
+Harmonizing a factor removes its cross-country variation by imposing
+the reference country's profiles or per-load capacity shares on every
+country.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .lp import assemble
 from .model import ExogenousCapacity, GridFactorError, PowerSystemSpec
-from .solve import SOLVER, SolveOptions, solve, verify_certificate
+from .solve import SOLVER, SolveOptions, solve_certified
 
 FACTOR_NUMBERS = {
     "interconnection": 1,
@@ -32,8 +32,6 @@ FACTOR_NUMBERS = {
     "bioenergy": 6,
 }
 FACTOR_NAMES = {v: k for k, v in FACTOR_NUMBERS.items()}
-
-_STATE_RE = re.compile(r"^f_(0|[1-6]+)$")
 
 
 class HarmonizeError(GridFactorError):
@@ -57,7 +55,7 @@ class FactorState:
     @property
     def harmonizes(self) -> bool:
         """Whether any of wind, solar, load, hydro or bioenergy is harmonized."""
-        return not self.factors >= {2, 3, 4, 5, 6}
+        return self.factors | {FACTOR_NUMBERS["interconnection"]} != FACTOR_NAMES.keys()
 
     @classmethod
     def from_factors(cls, factors: set[int] | frozenset[int]) -> "FactorState":
@@ -68,16 +66,10 @@ class FactorState:
 
     @classmethod
     def parse(cls, text: str) -> "FactorState":
-        m = _STATE_RE.match(text.strip())
-        if not m:
-            raise HarmonizeError(f"malformed factor state {text!r}")
-        digits = m.group(1)
-        nums = [] if digits == "0" else [int(d) for d in digits]
-        if sorted(set(nums)) != nums:
-            raise HarmonizeError(
-                f"factor state {text!r} must list ascending unique digits"
-            )
-        return cls(frozenset(nums))
+        try:
+            return _STATES[text.strip()]
+        except KeyError:
+            raise HarmonizeError(f"malformed factor state {text!r}") from None
 
 
 def _by_size(numbers):
@@ -93,6 +85,9 @@ def enumerate_subset_states(factor_numbers: tuple[int, ...]) -> list[FactorState
     """2^k states varying only the given factors; the rest stay native (B)."""
     fixed = set(FACTOR_NAMES) - set(factor_numbers)
     return [FactorState.from_factors(set(s) | fixed) for s in _by_size(sorted(factor_numbers))]
+
+
+_STATES = {s.name: s for s in enumerate_subset_states(tuple(FACTOR_NAMES))}
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ def derive_reference_shares(
     Offshore wind uses the isolated run's optimal capacity; exogenous
     (non-expandable) technologies use their fixed capacities. All shares
     are denominated per MWh of the reference's yearly load. A run that is
-    not optimal or fails its certificate raises ``HarmonizeError``.
+    not optimal or fails its certificate raises ``SolveError``.
     """
     try:
         ref = spec.country(reference_country)
@@ -151,16 +146,7 @@ def derive_reference_shares(
         raise HarmonizeError(f"reference country {reference_country} not in spec") from None
     sub = isolate_country(spec, reference_country)
     lp, _ = assemble(sub)
-    result = solve(lp, solve_options)
-    if result.status != "optimal":
-        raise HarmonizeError(
-            f"isolated reference run for {reference_country} is {result.status}"
-        )
-    if not verify_certificate(lp, result).ok:
-        raise HarmonizeError(
-            f"isolated reference run for {reference_country} failed the optimality "
-            "certificate check"
-        )
+    result = solve_certified(lp, f"isolated reference run for {reference_country}", solve_options)
 
     offshore_mw = 0.0
     for tech in spec.technologies:

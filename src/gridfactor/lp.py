@@ -96,7 +96,6 @@ class LinearProgram:
     rhs: np.ndarray
     blocks: dict[tuple, slice] = field(default_factory=dict)
     row_blocks: dict[tuple, slice] = field(default_factory=dict)
-    name: str = "GRIDFACT"
 
     @property
     def n_cols(self) -> int:

@@ -241,6 +241,11 @@ def validate(spec: PowerSystemSpec) -> list[str]:
             out.append(f"technology {t.id}: self_discharge_retention out of [0, 1]")
         if t.factor_group is not None and t.factor_group not in FACTOR_GROUPS:
             out.append(f"technology {t.id}: unknown factor_group {t.factor_group!r}")
+        # harmonizing wind or solar copies the reference's capacity-factor profiles
+        if t.factor_group in ("wind", "solar") and t.kind != "variable-renewable":
+            out.append(
+                f"technology {t.id}: factor_group {t.factor_group} needs a variable-renewable kind"
+            )
         if t.duration_class is not None and t.duration_class not in DURATION_CLASSES:
             out.append(f"technology {t.id}: unknown duration_class {t.duration_class!r}")
         if t.offshore and t.kind != "variable-renewable":

@@ -29,7 +29,7 @@ def write_mps(lp: LinearProgram, path: str | Path | None = None) -> str:
         written = Path(tmp) / "lp.mps"
         status = highs.writeModel(str(written))
         if status.name == "kError":
-            raise MpsError(f"HiGHS could not write LP {lp.name!r} as MPS")
+            raise MpsError("HiGHS could not write the LP as MPS")
         text = written.read_text()
     if path is not None:
         Path(path).write_text(text)

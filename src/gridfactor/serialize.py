@@ -187,28 +187,28 @@ def read_series_csv(path: Path, horizon: int) -> dict[str, np.ndarray]:
 
 
 def write_system(spec: PowerSystemSpec, directory: str | Path) -> Path:
-    """Write ``spec`` to ``directory`` and return the manifest path."""
+    """Write ``spec`` to ``directory`` and return the manifest path.
+
+    The manifest goes first, so a spec that it cannot hold leaves no file.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ts = spec.time_series
 
+    files = {"load.csv": ts.load}
     series_entry: dict[str, Any] = {"load": "load.csv", "capacity_factors": {}}
-    write_series_csv(directory / "load.csv", ts.load, ts.horizon)
     if ts.reservoir_inflow:
+        files["reservoir_inflow.csv"] = ts.reservoir_inflow
         series_entry["reservoir_inflow"] = "reservoir_inflow.csv"
-        write_series_csv(directory / "reservoir_inflow.csv", ts.reservoir_inflow, ts.horizon)
-    tech_ids = sorted({tech for (_, tech) in ts.capacity_factors})
-    for tech in tech_ids:
-        per_country = {
-            code: arr for (code, t), arr in ts.capacity_factors.items() if t == tech
-        }
+    for tech in sorted({tech for (_, tech) in ts.capacity_factors}):
         fname = f"cf_{tech}.csv"
+        files[fname] = {code: arr for (code, t), arr in ts.capacity_factors.items() if t == tech}
         series_entry["capacity_factors"][tech] = fname
-        write_series_csv(directory / fname, per_country, ts.horizon)
 
-    doc = {**system_doc(spec), "schema": SCHEMA, "series": series_entry}
     manifest_path = directory / "manifest.json"
-    write_json(manifest_path, doc)
+    write_json(manifest_path, {**system_doc(spec), "schema": SCHEMA, "series": series_entry})
+    for fname, series in files.items():
+        write_series_csv(directory / fname, series, ts.horizon)
     return manifest_path
 
 

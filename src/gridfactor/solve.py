@@ -24,7 +24,8 @@ checks HiGHS's results against a dense reference simplex
 (``tests/_oracles.py``). ``verify_certificate`` checks an optimal
 result's certificate and returns a ``CertificateReport``: its verdict
 ``ok`` and the two residuals that a sweep's ledger entry records, as
-``asdict`` of the report, under ``certificate``.
+``asdict`` of the report, under ``certificate``. ``solve_certified``
+raises ``SolveError`` for a result that is not optimal and certified.
 
 A HiGHS solve can start from a simplex basis and hand back its final
 one. A basis is one ``int8`` array in LP order, the column statuses and
@@ -61,6 +62,8 @@ from .model import GridFactorError
 
 # the solver that ledger entries and reference shares name
 SOLVER = "highs"
+# the name of every HiGHS model, and so of every MPS export's NAME line
+_MODEL_NAME = "GRIDFACT"
 
 
 class SolveError(GridFactorError):
@@ -121,10 +124,10 @@ def solve(
     """
     options = options or SolveOptions()
     if not all(np.isfinite(a).all() for a in (lp.c, lp.A.data, lp.rhs)):
-        raise SolveError(f"LP {lp.name!r} has a non-finite cost, coefficient or right-hand side")
+        raise SolveError("LP has a non-finite cost, coefficient or right-hand side")
     if start is not None and start.shape != (lp.n_cols + lp.n_rows,):
         raise SolveError(
-            f"start basis of LP {lp.name!r} has shape {start.shape}, "
+            f"start basis has shape {start.shape}, "
             f"not ({lp.n_cols + lp.n_rows},): one status per column and row"
         )
     if lp.n_cols == 0:
@@ -143,7 +146,6 @@ def solve(
             ub=lp.ub[cols],
             relations=lp.relations[rows],
             rhs=lp.rhs[rows],
-            name=lp.name,
         )
         block_start = None if start is None else start[_basis_order(lp, rows, cols)]
         return _solve_highs(block, options, block_start, keep_basis)
@@ -277,7 +279,7 @@ _HIGHS_STATUS = {
 
 
 def highs_model(lp: LinearProgram):
-    """A HiGHS instance holding ``lp`` as model ``lp.name``, with its output off.
+    """A HiGHS instance holding ``lp`` as model ``GRIDFACT``, with its output off.
 
     ``SolveError`` if this scipy has no HiGHS binding or HiGHS rejects
     the LP. ``_solve_highs`` sets the solver options and runs it.
@@ -290,7 +292,7 @@ def highs_model(lp: LinearProgram):
         raise SolveError(f"scipy {scipy.__version__}: no HiGHS binding ({exc})") from exc
 
     model = highs_core.HighsLp()
-    model.model_name_ = lp.name
+    model.model_name_ = _MODEL_NAME
     model.num_col_, model.num_row_ = lp.n_cols, lp.n_rows
     model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lb, lp.ub
     model.row_lower_, model.row_upper_ = _row_bounds(lp)
@@ -304,7 +306,7 @@ def highs_model(lp: LinearProgram):
     # kWarning is normal: HiGHS drops the LP's explicit zeros and tiny coefficients
     passed = highs.passModel(model)
     if passed == highs_core.HighsStatus.kError:
-        raise SolveError(f"HiGHS rejected LP {lp.name!r}: passModel returned {passed.name}")
+        raise SolveError(f"HiGHS rejected the LP: passModel returned {passed.name}")
     return highs
 
 
@@ -327,7 +329,7 @@ def _solve_highs(
     ):
         # an option HiGHS rejects keeps its old value, so a bad limit would not limit
         if highs.setOptionValue(option, value) == highs_core.HighsStatus.kError:
-            raise SolveError(f"HiGHS rejected option {option}={value!r} for LP {lp.name!r}")
+            raise SolveError(f"HiGHS rejected option {option}={value!r}")
     alien = start is not None and _set_basis(highs, highs_core, lp, start)
     highs.run()
 
@@ -341,17 +343,17 @@ def _solve_highs(
         primal=np.asarray(solution.col_value) if optimal else np.zeros(lp.n_cols),
         dual=np.asarray(solution.row_dual) if optimal else np.zeros(lp.n_rows),
         iterations=int(info.simplex_iteration_count),
-        basis=_final_basis(highs, lp) if optimal and keep_basis else None,
+        basis=_final_basis(highs) if optimal and keep_basis else None,
         alien_start=alien,
         simplex="dual" if dual else "primal",
     )
 
 
-def _final_basis(highs, lp: LinearProgram) -> np.ndarray:
+def _final_basis(highs) -> np.ndarray:
     """The solved model's basis in LP order; raise if HiGHS has none."""
     basis = highs.getBasis()
     if not basis.valid:
-        raise SolveError(f"HiGHS holds no valid final basis of LP {lp.name!r}")
+        raise SolveError("HiGHS holds no valid final basis")
     return np.array([s.value for s in basis.col_status + basis.row_status], dtype=np.int8)
 
 
@@ -363,7 +365,7 @@ def _set_basis(highs, highs_core, lp: LinearProgram, start: np.ndarray) -> bool:
     """
     kinds = len(highs_core.HighsBasisStatus.__members__)
     if start.size and not (0 <= start.min() and start.max() < kinds):
-        raise SolveError(f"start basis of LP {lp.name!r} holds an unknown status")
+        raise SolveError("start basis holds an unknown status")
     statuses = [highs_core.HighsBasisStatus(value) for value in range(kinds)]
     basis = highs_core.HighsBasis()
     basis.col_status = [statuses[s] for s in start[: lp.n_cols].tolist()]
@@ -371,7 +373,7 @@ def _set_basis(highs, highs_core, lp: LinearProgram, start: np.ndarray) -> bool:
     alien = bool(np.count_nonzero(start == 1) != lp.n_rows)
     basis.alien, basis.valid = alien, True
     if highs.setBasis(basis) == highs_core.HighsStatus.kError:
-        raise SolveError(f"HiGHS rejected the start basis of LP {lp.name!r}")
+        raise SolveError("HiGHS rejected the start basis")
     return alien
 
 
@@ -458,3 +460,15 @@ def verify_certificate(lp: LinearProgram, result: SolveResult) -> CertificateRep
         and not at_infinity
     )
     return CertificateReport(ok=ok, primal_residual=primal_residual, duality_gap=duality_gap)
+
+
+def solve_certified(
+    lp: LinearProgram, what: str, options: SolveOptions | None = None
+) -> SolveResult:
+    """Solve ``lp``; raise ``SolveError`` naming ``what`` unless it is optimal and certified."""
+    result = solve(lp, options)
+    if result.status != "optimal":
+        raise SolveError(f"{what} is {result.status}")
+    if not verify_certificate(lp, result).ok:
+        raise SolveError(f"{what} failed the optimality certificate check")
+    return result

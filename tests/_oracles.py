@@ -901,7 +901,6 @@ def read_mps(source: str | Path) -> LinearProgram:
     if isinstance(source, str) and "\n" not in source:
         text = Path(source).read_text()
 
-    name = "IMPORTED"
     section = None
     obj_row: str | None = None
     row_kinds: dict[str, str] = {}
@@ -927,8 +926,6 @@ def read_mps(source: str | Path) -> LinearProgram:
         if not raw[0].isspace():
             parts = raw.split()
             section = parts[0].upper()
-            if section == "NAME" and len(parts) > 1:
-                name = parts[1]
             if section == "ENDATA":
                 break
             continue
@@ -996,5 +993,4 @@ def read_mps(source: str | Path) -> LinearProgram:
         ub=ub,
         relations=np.asarray([_KIND_TO_RELATION[row_kinds[r]] for r in row_order]),
         rhs=np.asarray([rhs.get(r, 0.0) for r in row_order]),
-        name=name,
     )

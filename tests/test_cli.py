@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -130,6 +131,19 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         message = "technology lithium_ion: expandable, so overnight_cost_charge must be > 0"
         assert message in result.stderr
+
+    def test_wind_group_without_profiles_exit_1(self, runner, system_dir):
+        """Harmonizing wind copies capacity-factor profiles, which only a VRE has."""
+        doc = json.loads(Path(system_dir).read_text())
+        (tech,) = [t for t in doc["technologies"] if t["id"] == "bioenergy"]
+        tech["factor_group"] = "wind"
+        Path(system_dir).write_text(json.dumps(doc))
+        for args in (["validate"], ["solve", "--state", "f_1", "--reference", "AA"]):
+            result = runner.invoke(main, [args[0], str(system_dir), *args[1:]])
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            message = "technology bioenergy: factor_group wind needs a variable-renewable kind"
+            assert message in result.stderr
 
     @pytest.mark.parametrize(
         "column,message",
@@ -301,11 +315,11 @@ class TestSolve:
         assert {r["family"] for r in rows} >= {"cap_power", "gen"}
 
     def test_malformed_state_exit_2(self, runner, system_dir, tmp_path):
-        for command in ("solve", "residual", "export-lp"):
+        for command, bad in itertools.product(("solve", "residual", "export-lp"), ("f_07", "f_21")):
             out = ["--out", str(tmp_path / command)]
-            result = runner.invoke(main, [command, str(system_dir), "--state", "f_07", *out])
+            result = runner.invoke(main, [command, str(system_dir), "--state", bad, *out])
             assert result.exit_code == 2
-            assert "Invalid value for '--state': malformed factor state 'f_07'" in result.stderr
+            assert f"Invalid value for '--state': malformed factor state '{bad}'" in result.stderr
             help_text = runner.invoke(main, [command, "--help"]).output
             assert re.search(r"--state FACTOR-STATE +\[default: f_", help_text)
 
@@ -324,11 +338,13 @@ class TestSolve:
 
     @pytest.mark.parametrize("command", ["solve", "residual"])
     def test_non_optimal_state_exit_1(self, runner, system_dir, tmp_path, monkeypatch, command):
-        import gridfactor.cli as cli_mod
+        import gridfactor.solve as solve_mod
 
-        real = cli_mod.solve
+        real = solve_mod.solve
         monkeypatch.setattr(
-            cli_mod, "solve", lambda lp: dataclasses.replace(real(lp), status="infeasible")
+            solve_mod,
+            "solve",
+            lambda lp, options: dataclasses.replace(real(lp, options), status="infeasible"),
         )
         args = [command, str(system_dir), "--state", "f_123456"]
         if command == "residual":
@@ -341,11 +357,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("command", ["solve", "residual"])
     def test_uncertified_state_exit_1(self, runner, system_dir, tmp_path, monkeypatch, command):
-        import gridfactor.cli as cli_mod
+        import gridfactor.solve as solve_mod
 
-        real = cli_mod.verify_certificate
+        real = solve_mod.verify_certificate
         monkeypatch.setattr(
-            cli_mod,
+            solve_mod,
             "verify_certificate",
             lambda lp, result: dataclasses.replace(real(lp, result), ok=False),
         )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import gridfactor.harmonize as harmonize_mod
+import gridfactor.solve as solve_mod
 from gridfactor import (
     apply_factor_state,
     assemble,
@@ -15,7 +15,7 @@ from gridfactor import (
 )
 from gridfactor.cli import main
 from gridfactor.harmonize import FactorState, HarmonizeError
-from gridfactor.solve import solve
+from gridfactor.solve import SolveError, solve
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ class TestFactorState:
 
     @pytest.mark.parametrize("bad", ["f_07", "f_21", "f_11", "f_", "g_1", "f_7"])
     def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(HarmonizeError):
+        with pytest.raises(HarmonizeError, match=f"^malformed factor state '{bad}'$"):
             FactorState.parse(bad)
 
     def test_enumerate_six_factors(self):
@@ -128,14 +128,14 @@ class TestReferenceShares:
 
     def test_failed_certificate_is_refused(self, small_spec, system_dir, monkeypatch):
         """The reference run's certificate is checked like every sweep state's."""
-        real = harmonize_mod.verify_certificate
+        real = solve_mod.verify_certificate
 
         def failing(lp, result):
             return dataclasses.replace(real(lp, result), ok=False)
 
-        monkeypatch.setattr(harmonize_mod, "verify_certificate", failing)
+        monkeypatch.setattr(solve_mod, "verify_certificate", failing)
         message = "isolated reference run for AA failed the optimality certificate check"
-        with pytest.raises(HarmonizeError, match=message):
+        with pytest.raises(SolveError, match=message):
             derive_reference_shares(small_spec, "AA")
         result = CliRunner().invoke(
             main, ["solve", str(system_dir), "--state", "f_1", "--reference", "AA"]

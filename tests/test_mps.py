@@ -20,6 +20,9 @@ class TestWriter:
         positions = [text.index(s) for s in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA")]
         assert positions == sorted(positions)
 
+    def test_model_is_named(self, lp):
+        assert write_mps(lp).splitlines()[0] == "NAME        GRIDFACT"
+
     def test_writes_file(self, lp, tmp_path):
         path = tmp_path / "out.mps"
         text = write_mps(lp, path)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -35,6 +36,14 @@ class TestRoundTrip:
         back = read_series_csv(path, 3)
         for k in values:
             assert np.array_equal(back[k], values[k])
+
+    def test_unwritable_spec_leaves_no_file(self, tmp_path, small_spec):
+        """The manifest is written first, so a spec it cannot hold leaves no series file."""
+        line = dataclasses.replace(small_spec.interconnectors[0], ntc=float("inf"))
+        spec = dataclasses.replace(small_spec, interconnectors=(line,))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_system(spec, tmp_path / "sys")
+        assert list((tmp_path / "sys").iterdir()) == []
 
     def test_series_csv_bytes(self, tmp_path):
         """Columns in name order, ``repr`` floats and ``\r\n`` line ends."""

@@ -13,7 +13,7 @@ from gridfactor.factorize import extract_storage_metrics
 from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
 from gridfactor.lp import LinearProgram
 import gridfactor.solve as solve_mod
-from gridfactor.solve import SolveError, SolveOptions, _solve_highs, solve
+from gridfactor.solve import SolveError, SolveOptions, _solve_highs, solve, solve_certified
 from gridfactor.sweep import basis_record, map_basis
 
 from _oracles import row_assemble, simplex_lp
@@ -81,8 +81,10 @@ class TestHighsStatus:
         assert not result.primal.any() and not result.dual.any()
 
     def test_infeasible(self):
-        result = solve(tiny_lp([[1.0], [1.0]], ["<", ">"], [1.0, 2.0], [1.0]))
-        assert result.status == "infeasible"
+        lp = tiny_lp([[1.0], [1.0]], ["<", ">"], [1.0, 2.0], [1.0])
+        assert solve(lp).status == "infeasible"
+        with pytest.raises(SolveError, match="^scenario x is infeasible$"):
+            solve_certified(lp, "scenario x")
 
     def test_unbounded(self):
         result = solve(tiny_lp([[1.0, -1.0]], ["<"], [1.0], [-1.0, 0.0]))
@@ -314,13 +316,13 @@ class TestStartBasis:
     def test_basis_is_only_read_when_kept(self, coupled_lp):
         assert solve(coupled_lp).basis is None
 
-    def test_missing_final_basis_raises(self, coupled_lp):
+    def test_missing_final_basis_raises(self):
         class NoBasis:
             def getBasis(self):
                 return highs_core.HighsBasis()  # valid is False
 
         with pytest.raises(SolveError, match="no valid final basis"):
-            solve_mod._final_basis(NoBasis(), coupled_lp)
+            solve_mod._final_basis(NoBasis())
 
     def test_block_basis_round_trips_in_lp_order(self):
         # the interleaved two-block LP of TestBlocks: x = (0, 3, 1)
