@@ -14,6 +14,12 @@ coordinate arrays per block rather than row by row. The maps of column
 slices and row blocks are the LP's only layout: column names and
 metadata are derived from the column map on demand, and rows carry no
 names.
+
+A capacity that the spec fixes (legacy capacity, an offshore override,
+offshore wind where it may not be built) writes no capacity rows: its
+hourly columns get the upper bound ``avail * v`` instead, which a
+started HiGHS solve, skipping presolve, would otherwise pivot through
+as rows. The matrix stores no explicit zero and no entry below 1e-12.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 INF = float("inf")
+# a matrix entry below this is noise, not a coefficient: ``assemble`` stores
+# none (explicit zeros from zero capacity factors, products near 1e-16)
+_TINY_COEFF = 1e-12
 
 
 class BuildError(GridFactorError):
@@ -235,20 +244,22 @@ class _Columns:
         self.horizon = horizon
         self.n = 0
         self.blocks: dict[tuple, slice] = {}  # (family, country, tech) or ("flow", line)
-        self.values: list[tuple[float, float, float]] = []  # (lb, ub, cost) per block
+        # (lb, ub, cost) per block key; ``ub`` may hold one bound per column
+        self.values: dict[tuple, tuple] = {}
         self.present: list[tuple[str, Technology]] = []  # (country, tech) in column order
 
     def add(self, key: tuple, n: int, lo: float = 0.0, up: float = INF, cost: float = 0.0):
         """Reserve the next ``n`` columns for block ``key``, each with these bounds and cost."""
         self.blocks[key] = slice(self.n, self.n + n)
         self.n += n
-        self.values.append((lo, up, cost))
+        self.values[key] = (lo, up, cost)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per column: lower bound, upper bound, cost."""
-        values = np.array(self.values, dtype=float).reshape(-1, 3)
-        lengths = [block.stop - block.start for block in self.blocks.values()]
-        return tuple(np.repeat(values[:, i], lengths) for i in range(3))
+        lb, ub, c = np.empty(self.n), np.empty(self.n), np.empty(self.n)
+        for key, block in self.blocks.items():
+            lb[block], ub[block], c[block] = self.values[key]
+        return lb, ub, c
 
     def hours(self, key: tuple) -> np.ndarray:
         """Column indices of an hourly slice, hour 0 first."""
@@ -398,7 +409,19 @@ def _level_rows(cols: _Columns, rows: _Rows, prefix: str, key: tuple, tech, flow
 
 
 def _capacity_row(cols: _Columns, rows: _Rows, key: tuple, family, hourly, capacity, avail=1.0):
-    """Row block ``(family, *key)``: ``hourly <= avail * capacity``, column families of ``key``."""
+    """``hourly <= avail * capacity``, column families of ``key``.
+
+    An expandable capacity gets row block ``(family, *key)``. A capacity
+    that ``_capacity`` fixes at ``v`` gets no rows: the hourly columns'
+    upper bounds become ``avail * v`` instead, the bound such a row
+    states, which HiGHS's presolve would find but a started solve, which
+    skips presolve, would pivot through.
+    """
+    lo, up, _ = cols.values[(capacity, *key)]
+    if lo == up:
+        hourly_lo, _, cost = cols.values[(hourly, *key)]
+        cols.values[(hourly, *key)] = (hourly_lo, avail * up, cost)
+        return
     cap = cols.blocks[(capacity, *key)].start
     rows.block((family, *key), "<", [(cols.hours((hourly, *key)), 1.0), (cap, -avail)])
 
@@ -418,6 +441,9 @@ def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
         shape=(rows.n, cols.n),
         dtype=float,
     )
+    # after duplicates are summed, so a coefficient that sums to zero goes too
+    A.data[np.abs(A.data) < _TINY_COEFF] = 0.0
+    A.eliminate_zeros()
     lb, ub, c = cols.arrays()
     lp = LinearProgram(
         A=A,

@@ -1,9 +1,11 @@
 """MPS export, for audit and for other solvers.
 
 HiGHS writes the file from the model that ``solve.highs_model`` hands
-it, so the export is the LP that HiGHS solves: columns ``c<index>``,
-rows ``r<index>``, values to 15 significant digits, and none of the
-explicit zeros and tiny coefficients that HiGHS drops on load. The file
+it, so the export is the LP that HiGHS solves: model ``GRIDFACT``,
+columns ``c<index>``, rows ``r<index>``, values to 15 significant
+digits. ``assemble`` stores no explicit zero or tiny coefficient, so
+the file holds every stored entry of the LP; a capacity that the LP
+fixes shows as its hourly columns' ``UP`` bounds, not as rows. The file
 keeps no column labels.
 """
 
@@ -16,6 +18,9 @@ from .lp import LinearProgram
 from .model import GridFactorError
 from .solve import highs_model
 
+# the NAME line of every export
+_MODEL_NAME = "GRIDFACT"
+
 
 class MpsError(GridFactorError):
     pass
@@ -24,6 +29,11 @@ class MpsError(GridFactorError):
 def write_mps(lp: LinearProgram, path: str | Path | None = None) -> str:
     """Serialize to MPS with HiGHS's writer; returns the text, optionally writes it."""
     highs = highs_model(lp)
+    # the array load that ``highs_model`` uses takes no model name
+    model = highs.getLp()
+    model.model_name_ = _MODEL_NAME
+    if highs.passModel(model).name == "kError":
+        raise MpsError("HiGHS could not name the LP")
     with tempfile.TemporaryDirectory() as tmp:
         # HiGHS picks the format by extension: only ``.mps`` gives MPS
         written = Path(tmp) / "lp.mps"

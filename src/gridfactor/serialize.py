@@ -9,9 +9,10 @@ JSON type or shape raises ``ManifestError`` naming its field. CSV
 layout is ``hour,<country>...``, each country once, with 0-indexed
 hours and plain decimal floats; ``nan`` and ``inf`` are refused.
 Round-trips are exact: floats are emitted via shortest-repr. A system
-that ``model.validate`` rejects is refused on read. ``write_json`` is
-the one JSON format of every file gridfactor writes, and ``write_csv``
-writes every table but the solution CSV (``lp.write_solution_csv``).
+that ``model.validate`` rejects is refused on write and on read.
+``write_json`` is the one JSON format of every file gridfactor writes,
+and ``write_csv`` writes every table but the solution CSV
+(``lp.write_solution_csv``).
 
 This module owns the ``series`` layout and the manifest digest, which
 hashes the manifest and every series file it names.
@@ -189,8 +190,12 @@ def read_series_csv(path: Path, horizon: int) -> dict[str, np.ndarray]:
 def write_system(spec: PowerSystemSpec, directory: str | Path) -> Path:
     """Write ``spec`` to ``directory`` and return the manifest path.
 
-    The manifest goes first, so a spec that it cannot hold leaves no file.
+    A spec that ``validate`` rejects, and so ``read_system`` would
+    refuse, raises ``ManifestError`` naming every violation and leaves
+    no file. The manifest goes first, so a spec that it cannot hold
+    leaves no file either.
     """
+    _refuse_invalid(spec, directory)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ts = spec.time_series
@@ -305,10 +310,15 @@ def read_system(manifest_path: str | Path) -> PowerSystemSpec:
         annuity_rate=float(doc["annuity_rate"]),
         offshore_overrides=_offshore_overrides(doc.get("offshore_overrides", [])),
     )
+    _refuse_invalid(spec, manifest_path)
+    return spec
+
+
+def _refuse_invalid(spec: PowerSystemSpec, where: str | Path) -> None:
+    """Raise ``ManifestError`` naming every violation that ``validate`` finds."""
     violations = validate(spec)
     if violations:
-        raise ManifestError(f"{manifest_path}: invalid system:\n  " + "\n  ".join(violations))
-    return spec
+        raise ManifestError(f"{where}: invalid system:\n  " + "\n  ".join(violations))
 
 
 def _offshore_overrides(pairs: Any) -> tuple[tuple[str, float], ...]:

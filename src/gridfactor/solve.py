@@ -1,7 +1,9 @@
 """LP solving with HiGHS, and optimality-certificate verification.
 
-``highs_model`` loads an LP into HiGHS: CSR rows, and row bounds
-(-inf, rhs], [rhs, inf) or [rhs, rhs] from the relations. ``solve``
+``highs_model`` loads an LP into HiGHS straight from its arrays,
+through the array form of ``passModel`` (no ``HighsLp`` is built, whose
+fields would be converted one element at a time): CSR rows, and row
+bounds (-inf, rhs], [rhs, inf) or [rhs, rhs] from the relations. ``solve``
 loads each independent block of the LP as its own model, and
 ``mps.write_mps`` has HiGHS write the whole LP so loaded as MPS, so
 the export is the model that HiGHS solves. An LP of two or more blocks
@@ -62,8 +64,6 @@ from .model import GridFactorError
 
 # the solver that ledger entries and reference shares name
 SOLVER = "highs"
-# the name of every HiGHS model, and so of every MPS export's NAME line
-_MODEL_NAME = "GRIDFACT"
 
 
 class SolveError(GridFactorError):
@@ -279,7 +279,7 @@ _HIGHS_STATUS = {
 
 
 def highs_model(lp: LinearProgram):
-    """A HiGHS instance holding ``lp`` as model ``GRIDFACT``, with its output off.
+    """A HiGHS instance holding ``lp``, loaded from its arrays, with its output off.
 
     ``SolveError`` if this scipy has no HiGHS binding or HiGHS rejects
     the LP. ``_solve_highs`` sets the solver options and runs it.
@@ -291,20 +291,27 @@ def highs_model(lp: LinearProgram):
 
         raise SolveError(f"scipy {scipy.__version__}: no HiGHS binding ({exc})") from exc
 
-    model = highs_core.HighsLp()
-    model.model_name_ = _MODEL_NAME
-    model.num_col_, model.num_row_ = lp.n_cols, lp.n_rows
-    model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lb, lp.ub
-    model.row_lower_, model.row_upper_ = _row_bounds(lp)
-    matrix = model.a_matrix_
-    matrix.format_ = highs_core.MatrixFormat.kRowwise
-    matrix.num_col_, matrix.num_row_ = lp.n_cols, lp.n_rows
-    matrix.start_, matrix.index_, matrix.value_ = lp.A.indptr, lp.A.indices, lp.A.data
-
+    A = lp.A
     highs = highs_core._Highs()
     highs.setOptionValue("output_flag", False)
-    # kWarning is normal: HiGHS drops the LP's explicit zeros and tiny coefficients
-    passed = highs.passModel(model)
+    # an LP from ``assemble`` stores no zero or tiny coefficient, so it loads
+    # with kOk; HiGHS drops such entries from any other with kWarning
+    passed = highs.passModel(
+        lp.n_cols,
+        lp.n_rows,
+        A.nnz,
+        highs_core.MatrixFormat.kRowwise.value,
+        highs_core.ObjSense.kMinimize.value,
+        0.0,  # objective offset
+        lp.c,
+        lp.lb,
+        lp.ub,
+        *_row_bounds(lp),
+        A.indptr,
+        A.indices,
+        A.data,
+        np.zeros(lp.n_cols, dtype=np.int32),  # integrality: all continuous; empty is kError
+    )
     if passed == highs_core.HighsStatus.kError:
         raise SolveError(f"HiGHS rejected the LP: passModel returned {passed.name}")
     return highs

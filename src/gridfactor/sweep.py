@@ -80,7 +80,7 @@ from .serialize import manifest_digest, read_system, system_doc, write_json
 from .solve import SOLVER, SolveOptions, solve, verify_certificate
 
 VERSION = "1.0.0"
-LEDGER_SCHEMA = "gridfactor-ledger/4"
+LEDGER_SCHEMA = "gridfactor-ledger/5"
 
 
 class SweepError(GridFactorError):

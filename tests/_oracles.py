@@ -27,6 +27,8 @@ from gridfactor.mps import MpsError
 from gridfactor.solve import SolveResult
 
 FEAS_TOL = 1e-7
+# a coefficient below this is noise that no assembled LP stores
+TINY_COEFF = 1e-12
 
 
 def brute_force_lp_minimum(c, A, relations, b, lb, ub):
@@ -395,7 +397,9 @@ def build_capacity_and_storage_constraints(
     out_h / eta_out`` with cyclic closure (hour 0 wraps to the last
     hour). Curtailment is the implicit slack of ``G <= cf * N``.
     Run-of-river availability is the inflow profile (capacity-factor
-    series if provided, else 1) times the technology's efficiency.
+    series if provided, else 1) times the technology's efficiency. A
+    fixed capacity writes the upper bounds of ``space``'s hourly columns
+    instead of capacity rows (``_capacity_rows``).
     """
     space = space or VariableSpace(spec)
     ts = spec.time_series
@@ -419,13 +423,14 @@ def build_capacity_and_storage_constraints(
                         avail = tech.efficiency_out * (
                             float(profile[h]) if profile is not None else 1.0
                         )
-                    rows.append(
-                        Row(
-                            name=f"gcap[{code},{tid},{h}]",
-                            coeffs=((space.idx("gen", code, tid, h), 1.0), (n_j, -avail)),
-                            relation="<",
-                            rhs=0.0,
-                            meta=("gen_cap", code, tid, h),
+                    rows.extend(
+                        _capacity_rows(
+                            space,
+                            f"gcap[{code},{tid},{h}]",
+                            ("gen_cap", code, tid, h),
+                            space.idx("gen", code, tid, h),
+                            n_j,
+                            avail,
                         )
                     )
             elif tech.kind == "storage":
@@ -433,6 +438,21 @@ def build_capacity_and_storage_constraints(
             elif tech.kind == "reservoir":
                 rows.extend(_reservoir_rows(spec, space, code, tech, horizon))
     return rows
+
+
+def _capacity_rows(
+    space: VariableSpace, name: str, meta: tuple, j: int, cap_j: int, avail: float = 1.0
+) -> list[Row]:
+    """``x_j <= avail * N`` for capacity column ``N``: one row.
+
+    Where ``N`` is fixed at ``v`` (lower bound equal to upper), no row:
+    the bound ``x_j <= avail * v`` goes into ``space.ub[j]`` instead.
+    """
+    v = space.lb[cap_j]
+    if v == space.ub[cap_j]:
+        space.ub[j] = avail * v
+        return []
+    return [Row(name=name, coeffs=((j, 1.0), (cap_j, -avail)), relation="<", rhs=0.0, meta=meta)]
 
 
 def _storage_rows(space: VariableSpace, code: str, tech: Technology, horizon: int) -> Iterator[Row]:
@@ -455,28 +475,28 @@ def _storage_rows(space: VariableSpace, code: str, tech: Technology, horizon: in
             meta=("sto_balance", code, tid, h),
         )
     for h in range(horizon):
-        yield Row(
-            name=f"secap[{code},{tid},{h}]",
-            coeffs=((space.idx("sto_level", code, tid, h), 1.0), (ne, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("sto_level_cap", code, tid, h),
+        yield from _capacity_rows(
+            space,
+            f"secap[{code},{tid},{h}]",
+            ("sto_level_cap", code, tid, h),
+            space.idx("sto_level", code, tid, h),
+            ne,
         )
     for h in range(horizon):
-        yield Row(
-            name=f"sincap[{code},{tid},{h}]",
-            coeffs=((space.idx("sto_in", code, tid, h), 1.0), (npin, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("sto_charge_cap", code, tid, h),
+        yield from _capacity_rows(
+            space,
+            f"sincap[{code},{tid},{h}]",
+            ("sto_charge_cap", code, tid, h),
+            space.idx("sto_in", code, tid, h),
+            npin,
         )
     for h in range(horizon):
-        yield Row(
-            name=f"soutcap[{code},{tid},{h}]",
-            coeffs=((space.idx("sto_out", code, tid, h), 1.0), (npout, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("sto_discharge_cap", code, tid, h),
+        yield from _capacity_rows(
+            space,
+            f"soutcap[{code},{tid},{h}]",
+            ("sto_discharge_cap", code, tid, h),
+            space.idx("sto_out", code, tid, h),
+            npout,
         )
 
 
@@ -502,20 +522,20 @@ def _reservoir_rows(
             meta=("rsv_balance", code, tid, h),
         )
     for h in range(horizon):
-        yield Row(
-            name=f"recap[{code},{tid},{h}]",
-            coeffs=((space.idx("rsv_level", code, tid, h), 1.0), (ne, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("rsv_level_cap", code, tid, h),
+        yield from _capacity_rows(
+            space,
+            f"recap[{code},{tid},{h}]",
+            ("rsv_level_cap", code, tid, h),
+            space.idx("rsv_level", code, tid, h),
+            ne,
         )
     for h in range(horizon):
-        yield Row(
-            name=f"routcap[{code},{tid},{h}]",
-            coeffs=((space.idx("rsv_out", code, tid, h), 1.0), (npout, -1.0)),
-            relation="<",
-            rhs=0.0,
-            meta=("rsv_discharge_cap", code, tid, h),
+        yield from _capacity_rows(
+            space,
+            f"routcap[{code},{tid},{h}]",
+            ("rsv_discharge_cap", code, tid, h),
+            space.idx("rsv_out", code, tid, h),
+            npout,
         )
 
 
@@ -536,7 +556,9 @@ def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport, Lab
     coefficient: slow, but each coefficient is written down once, next
     to its row, so it serves as a reference for the array assembly.
     The labels it writes down beside each column and row are returned
-    next to the LP, whose block map is empty.
+    next to the LP, whose block map is empty. A capacity row whose
+    capacity column is fixed becomes a bound on its hourly column
+    (``_capacity_rows``).
     """
     space = VariableSpace(spec)
     c = build_objective(spec, space)
@@ -545,10 +567,15 @@ def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport, Lab
 
     data, ri, ci = [], [], []
     for i, row in enumerate(rows):
+        # one column's coefficients in a row add up; a sum that is noise is not stored
+        summed: dict[int, float] = {}
         for j, v in row.coeffs:
-            ri.append(i)
-            ci.append(j)
-            data.append(v)
+            summed[j] = summed.get(j, 0.0) + v
+        for j, v in summed.items():
+            if abs(v) >= TINY_COEFF:
+                ri.append(i)
+                ci.append(j)
+                data.append(v)
     A = sp.csr_matrix(
         (data, (ri, ci)), shape=(len(rows), len(space.names)), dtype=float
     )

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from gridfactor import Country, PowerSystemSpec, Technology, TimeSeriesSet, synthesize_system
+from gridfactor.defaults import (
+    default_countries,
+    default_exogenous_capacities,
+    default_interconnectors,
+    default_technologies,
+)
 from gridfactor.model import HOURS_PER_YEAR
 
 
@@ -38,6 +44,36 @@ def wind_only_spec(load, cf, overnight=1182.0, lifetime=25.0):
         ),
         interconnectors=(),
         interconnection_enabled=False,
+    )
+
+
+def default_portfolio_spec(horizon=48):
+    """AT, CH and DE with the built-in technologies, legacy capacities and lines.
+
+    Series are synthetic; every country has reservoir inflow.
+    """
+    codes = ("AT", "CH", "DE")
+    rng = np.random.default_rng(3)
+    techs = default_technologies()
+    scale = {"AT": 7e3, "CH": 7e3, "DE": 6e4}  # MW
+    load = {code: scale[code] * (0.8 + 0.4 * rng.random(horizon)) for code in codes}
+    cf = {
+        (code, t.id): rng.random(horizon)
+        for code in codes
+        for t in techs
+        if t.kind == "variable-renewable"
+    }
+    inflow = {code: 0.1 * scale[code] * rng.random(horizon) for code in codes}
+    totals = {code: float(load[code].sum()) * HOURS_PER_YEAR / horizon for code in codes}
+    return PowerSystemSpec(
+        countries=default_countries(totals),
+        technologies=techs,
+        time_series=TimeSeriesSet(
+            horizon=horizon, capacity_factors=cf, load=load, reservoir_inflow=inflow
+        ),
+        interconnectors=default_interconnectors(codes),
+        exogenous_capacities=default_exogenous_capacities(codes),
+        interconnection_enabled=True,
     )
 
 

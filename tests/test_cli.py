@@ -233,7 +233,11 @@ def test_solve_refuses_a_negative_annuity_rate(runner, tmp_path):
     from gridfactor import synthesize_system, write_system
 
     spec = synthesize_system(seed=1, n_countries=2, horizon=24, correlation=-0.8)
-    manifest = write_system(dataclasses.replace(spec, annuity_rate=-0.5), tmp_path / "neg")
+    # ``write_system`` refuses such a spec, so the rate goes into the written manifest
+    manifest = write_system(spec, tmp_path / "neg")
+    doc = json.loads(manifest.read_text())
+    doc["annuity_rate"] = -0.5
+    manifest.write_text(json.dumps(doc))
     result = runner.invoke(main, ["solve", str(manifest)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -247,11 +251,14 @@ def invalid_system_dir(tmp_path):
     from gridfactor import synthesize_system, write_system
 
     spec = synthesize_system(seed=7, n_countries=2, horizon=168, correlation=-0.8)
-    technologies = tuple(
-        dataclasses.replace(t, efficiency_out=-0.5) if t.id == "bioenergy" else t
-        for t in spec.technologies
-    )
-    return write_system(dataclasses.replace(spec, technologies=technologies), tmp_path / "bad")
+    # ``write_system`` refuses such a spec, so the value goes into the written manifest
+    manifest = write_system(spec, tmp_path / "bad")
+    doc = json.loads(manifest.read_text())
+    for tech in doc["technologies"]:
+        if tech["id"] == "bioenergy":
+            tech["efficiency_out"] = -0.5
+    manifest.write_text(json.dumps(doc))
+    return manifest
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gridfactor import annuity, assemble
+from gridfactor import annuity, assemble, derive_reference_shares
 from gridfactor.harmonize import FactorState, apply_factor_state
 from gridfactor.lp import BuildError, LinearProgram, lp_digest, write_solution_csv
 from gridfactor.mps import write_mps
@@ -13,7 +13,7 @@ from gridfactor.model import Country, Interconnector, Technology
 from gridfactor.solve import solve, verify_certificate
 
 from _oracles import Labels, csv_write_solution, read_mps, row_assemble, simplex_lp
-from conftest import wind_only_spec
+from conftest import default_portfolio_spec, wind_only_spec
 
 
 class TestWindOnlyHandOracle:
@@ -156,6 +156,127 @@ class TestStructure:
         spec = wind_only_spec([1.0, 1.0], [0.5, 1.0], overnight=0.0)
         with pytest.raises(BuildError, match="overnight_cost_power"):
             assemble(spec)
+
+
+# hourly family -> (its capacity family, the family of its capacity rows)
+_CAPACITY_ROW = {
+    "gen": ("cap_power", "gen_cap"),
+    "sto_level": ("cap_energy", "sto_level_cap"),
+    "sto_in": ("cap_charge", "sto_charge_cap"),
+    "sto_out": ("cap_discharge", "sto_discharge_cap"),
+    "rsv_level": ("cap_energy", "rsv_level_cap"),
+    "rsv_out": ("cap_discharge", "rsv_discharge_cap"),
+}
+
+
+def _availability(spec, key) -> np.ndarray:
+    """``avail`` per hour in hourly block ``key``'s rows ``hourly <= avail * N``."""
+    family, code, tid = key
+    ones = np.ones(spec.time_series.horizon)
+    tech = next(t for t in spec.technologies if t.id == tid)
+    cf = spec.time_series.capacity_factors.get((code, tid))
+    if family != "gen" or tech.kind == "dispatchable":
+        return ones
+    if tech.kind == "variable-renewable":
+        return np.asarray(cf, dtype=float)
+    return tech.efficiency_out * (ones if cf is None else np.asarray(cf, dtype=float))
+
+
+def _capacity_bounds(spec, lp):
+    """(hourly key, capacity column, avail) of each hourly block and its capacity."""
+    return [
+        (key, lp.blocks[(_CAPACITY_ROW[key[0]][0], *key[1:])].start, _availability(spec, key))
+        for key in lp.blocks
+        if key[0] in _CAPACITY_ROW
+    ]
+
+
+def _unfold(spec, lp) -> LinearProgram:
+    """``lp`` with each bound of a fixed capacity written back as rows ``hourly - avail * N <= 0``."""
+    ub = lp.ub.copy()
+    ri, ci, data = [], [], []
+    extra = 0
+    for key, cap, avail in _capacity_bounds(spec, lp):
+        if lp.lb[cap] != lp.ub[cap]:
+            continue
+        hours = np.arange(lp.blocks[key].start, lp.blocks[key].stop)
+        ub[hours] = np.inf
+        rows = extra + np.arange(hours.size)
+        extra += hours.size
+        ri += [rows, rows]
+        ci += [hours, np.full(hours.size, cap)]
+        data += [np.ones(hours.size), -avail]
+    written = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
+        shape=(extra, lp.n_cols),
+    )
+    return LinearProgram(
+        A=sp.vstack([lp.A, written], format="csr"),
+        c=lp.c,
+        lb=lp.lb,
+        ub=ub,
+        relations=np.concatenate([lp.relations, np.full(extra, "<")]),
+        rhs=np.concatenate([lp.rhs, np.zeros(extra)]),
+    )
+
+
+def _override_legacy_spec():
+    """AT, CH and DE with legacy storage and reservoirs, and DE's offshore wind fixed."""
+    return dataclasses.replace(default_portfolio_spec(), offshore_overrides=(("DE", 900.0),))
+
+
+class TestFixedCapacityBounds:
+    """A fixed capacity bounds its hourly columns instead of writing rows."""
+
+    @pytest.fixture(params=["small_spec", "override and legacy"])
+    def spec_and_reference(self, request):
+        """A spec and its reference country."""
+        if request.param == "small_spec":
+            return request.getfixturevalue("small_spec"), "AA"
+        return _override_legacy_spec(), "DE"
+
+    def test_fixed_capacity_is_a_bound_not_rows(self, spec_and_reference):
+        spec, _ = spec_and_reference
+        lp, _ = assemble(spec)
+        fixed = 0
+        for key, cap, avail in _capacity_bounds(spec, lp):
+            row_key = (_CAPACITY_ROW[key[0]][1], *key[1:])
+            hours = lp.ub[lp.blocks[key]]
+            if lp.lb[cap] == lp.ub[cap]:
+                fixed += 1
+                assert row_key not in lp.row_blocks
+                assert np.array_equal(hours, avail * lp.ub[cap])
+            else:
+                assert row_key in lp.row_blocks
+                assert np.isinf(hours).all()
+        assert fixed
+
+    def test_offshore_override_and_legacy_storage_are_bounds(self):
+        spec = _override_legacy_spec()
+        lp, _ = assemble(spec)
+        de_offshore = lp.blocks[("cap_power", "DE", "wind_offshore")].start
+        assert lp.lb[de_offshore] == lp.ub[de_offshore] == 900.0
+        for hourly, tech in (
+            ("gen", "wind_offshore"),
+            ("sto_level", "pumped_hydro_open"),
+            ("sto_in", "pumped_hydro_open"),
+            ("sto_out", "pumped_hydro_open"),
+        ):
+            assert (hourly, "DE", tech) in lp.blocks
+            assert (_CAPACITY_ROW[hourly][1], "DE", tech) not in lp.row_blocks
+
+    @pytest.mark.parametrize("state", ["f_0", "f_2", "f_123456"])
+    def test_same_optimum_as_rows(self, spec_and_reference, state):
+        spec, reference = spec_and_reference
+        shares = derive_reference_shares(spec, reference)
+        scenario = apply_factor_state(spec, FactorState.parse(state), shares)
+        lp, _ = assemble(scenario)
+        with_rows = _unfold(scenario, lp)
+        assert with_rows.n_rows > lp.n_rows
+        folded, unfolded = solve(lp), solve(with_rows)
+        assert verify_certificate(lp, folded).ok
+        assert verify_certificate(with_rows, unfolded).ok
+        assert folded.objective == pytest.approx(unfolded.objective, rel=1e-9)
 
 
 class TestSystemBalanceInvariants:

@@ -9,28 +9,20 @@ import numpy as np
 import pytest
 
 from gridfactor import (
-    PowerSystemSpec,
     Technology,
-    TimeSeriesSet,
     apply_factor_state,
     assemble,
     derive_reference_shares,
     validate,
 )
-from gridfactor.defaults import (
-    default_countries,
-    default_exogenous_capacities,
-    default_interconnectors,
-    default_technologies,
-)
 from gridfactor.factorize import extract_storage_metrics
 from gridfactor.harmonize import enumerate_subset_states
 from gridfactor.lp import lp_digest
-from gridfactor.model import HOURS_PER_YEAR, ExogenousCapacity
+from gridfactor.model import ExogenousCapacity
 from gridfactor.residual import capacities_from_result
 
 from _oracles import row_assemble, scan_capacities, scan_storage_metrics
-from conftest import wind_only_spec
+from conftest import default_portfolio_spec, wind_only_spec
 
 
 def assert_identical(spec):
@@ -93,36 +85,6 @@ def run_of_river_spec(base, profile):
         exogenous_capacities=base.exogenous_capacities
         + (ExogenousCapacity(country=code, technology="run_of_river", power_discharge=150.0),),
         time_series=dataclasses.replace(ts, capacity_factors=cf),
-    )
-
-
-def default_portfolio_spec(horizon=48):
-    """AT, CH and DE with the built-in technologies, legacy capacities and lines.
-
-    Series are synthetic; every country has reservoir inflow.
-    """
-    codes = ("AT", "CH", "DE")
-    rng = np.random.default_rng(3)
-    techs = default_technologies()
-    scale = {"AT": 7e3, "CH": 7e3, "DE": 6e4}  # MW
-    load = {code: scale[code] * (0.8 + 0.4 * rng.random(horizon)) for code in codes}
-    cf = {
-        (code, t.id): rng.random(horizon)
-        for code in codes
-        for t in techs
-        if t.kind == "variable-renewable"
-    }
-    inflow = {code: 0.1 * scale[code] * rng.random(horizon) for code in codes}
-    totals = {code: float(load[code].sum()) * HOURS_PER_YEAR / horizon for code in codes}
-    return PowerSystemSpec(
-        countries=default_countries(totals),
-        technologies=techs,
-        time_series=TimeSeriesSet(
-            horizon=horizon, capacity_factors=cf, load=load, reservoir_inflow=inflow
-        ),
-        interconnectors=default_interconnectors(codes),
-        exogenous_capacities=default_exogenous_capacities(codes),
-        interconnection_enabled=True,
     )
 
 

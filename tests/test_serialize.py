@@ -45,6 +45,21 @@ class TestRoundTrip:
             write_system(spec, tmp_path / "sys")
         assert list((tmp_path / "sys").iterdir()) == []
 
+    def test_invalid_spec_leaves_no_file(self, tmp_path):
+        """A spec that ``read_system`` would refuse is refused before any file is written."""
+        spec = synthesize_system(seed=7, n_countries=2, horizon=24)
+        load = dict(spec.time_series.load)
+        load["AA"] = load["AA"].copy()
+        load["AA"][3] = np.inf
+        spec = dataclasses.replace(
+            spec, time_series=dataclasses.replace(spec.time_series, load=load)
+        )
+        with pytest.raises(
+            ManifestError, match="invalid system:\n  country AA: yearly_load_total inconsistent"
+        ):
+            write_system(spec, tmp_path / "sys")
+        assert not (tmp_path / "sys").exists()
+
     def test_series_csv_bytes(self, tmp_path):
         """Columns in name order, ``repr`` floats and ``\r\n`` line ends."""
         values = {"AB": np.array([0.1, 1e-16, -2.5]), "AA": np.array([1.0, 2.0, 3.0])}

@@ -122,6 +122,44 @@ class TestHighsStatus:
             solve(lp)
 
 
+class TestLoad:
+    """``highs_model`` hands HiGHS an assembled LP with nothing for it to drop."""
+
+    @pytest.fixture
+    def passed(self, monkeypatch):
+        """The status of each ``passModel`` call."""
+        statuses = []
+
+        class Recorded(highs_core._Highs):
+            def passModel(self, *args):
+                statuses.append(super().passModel(*args))
+                return statuses[-1]
+
+        monkeypatch.setattr(highs_core, "_Highs", Recorded)
+        return statuses
+
+    @pytest.mark.parametrize("state", ["f_0", "f_2", "f_123456"])
+    @pytest.mark.parametrize("system", ["small_spec", "seed-7 3x168"])
+    def test_assembled_lp_loads_whole_with_ok(self, request, passed, system, state):
+        if system == "small_spec":
+            spec = request.getfixturevalue("small_spec")
+        else:
+            spec = synthesize_system(seed=7, n_countries=3, horizon=168, correlation=-0.8)
+        shares = derive_reference_shares(spec, "AA")
+        lp, _ = assemble(apply_factor_state(spec, FactorState.parse(state), shares))
+        assert np.abs(lp.A.data).min() >= 1e-12
+        passed.clear()  # the reference runs loaded models too
+        loaded = solve_mod.highs_model(lp).getLp()
+        assert passed == [highs_core.HighsStatus.kOk]
+        assert len(loaded.a_matrix_.value_) == lp.A.nnz
+
+    def test_tiny_coefficient_is_dropped_with_a_warning(self, passed):
+        lp = tiny_lp([[1.0, 1e-16]], [">"], [1.0], [1.0, 1.0])
+        loaded = solve_mod.highs_model(lp).getLp()
+        assert passed == [highs_core.HighsStatus.kWarning]
+        assert list(loaded.a_matrix_.value_) == [1.0]
+
+
 class TestNoColumns:
     """An LP without columns is decided from its rows at x = 0."""
 
@@ -442,7 +480,9 @@ class TestThreads:
             m.setattr(solve_mod, "_usable_cpus", lambda: 1)
             return solve(*args, **kwargs)
 
-    # each state's start is the final basis of a neighbour of the same layout
+    # each state's start is a neighbour's final basis, mapped by block key as a
+    # sweep maps it: f_0 fixes offshore capacity that f_2 may build, so their
+    # row layouts differ
     NEIGHBOUR = {"f_0": "f_2", "f_2": "f_0", "f_3456": "f_23456", "f_23456": "f_3456"}
 
     @pytest.mark.parametrize("started", [False, True], ids=["cold", "started"])
@@ -452,7 +492,8 @@ class TestThreads:
         start = None
         if started:
             neighbour = isolated_lps[self.NEIGHBOUR[name]]
-            start = self.in_order(monkeypatch, neighbour, keep_basis=True).basis
+            basis = self.in_order(monkeypatch, neighbour, keep_basis=True).basis
+            start = map_basis(basis_record(neighbour, basis), lp)
         threaded = solve(lp, start=start, keep_basis=True)
         in_order = self.in_order(monkeypatch, lp, start=start, keep_basis=True)
         assert pools == [2]

@@ -647,8 +647,8 @@ class TestResume:
 
     def test_other_ledger_schema_refused(self, manifest):
         ledger = run_sweep(manifest)
-        assert ledger["schema"] == LEDGER_SCHEMA == "gridfactor-ledger/4"
-        ledger["schema"] = "gridfactor-ledger/3"
+        assert ledger["schema"] == LEDGER_SCHEMA == "gridfactor-ledger/5"
+        ledger["schema"] = "gridfactor-ledger/4"
         ledger_path = Path(manifest.out_dir) / "ledger.json"
         ledger_path.write_text(json.dumps(ledger, indent=2, sort_keys=True))
         with pytest.raises(SweepError, match="schema"):
