@@ -477,5 +477,8 @@ def lp_digest(lp: LinearProgram) -> str:
         h.update(np.ascontiguousarray(ints, dtype="<i8").tobytes())
     for floats in (A.data, lp.c, lp.lb, lp.ub, lp.rhs):
         h.update(np.ascontiguousarray(floats, dtype="<f8").tobytes())
-    h.update(np.asarray(lp.relations, dtype="S1").tobytes())
+    # one byte per relation, its code point: the bytes of a cast to "S1", without
+    # numpy's per-element string conversion
+    code_points = np.ascontiguousarray(lp.relations, dtype="U1").view(np.uint32)
+    h.update(code_points.astype(np.uint8).tobytes())
     return h.hexdigest()

@@ -9,6 +9,11 @@ loads each independent block of the LP as its own model, and
 the export is the model that HiGHS solves. An LP of two or more blocks
 has them solved at once on a thread pool, one thread per block up to
 the CPUs the process may use; HiGHS releases the GIL while it solves.
+The pool starts the blocks largest first, by stored entries of ``A``,
+so that a large block does not start last while the other threads
+idle (longest processing time first: Graham, *SIAM J. Appl. Math.*
+1969, bounds the finish time at 4/3 of the optimum); their results are
+still taken in block order.
 A process that ``multiprocessing`` started solves its blocks in order
 on its own thread, since a sweep's pool already runs one such process
 per CPU. Each HiGHS model runs on one thread. A cold solve runs the
@@ -107,9 +112,10 @@ def solve(
 ) -> SolveResult:
     """Solve ``lp``; HiGHS solves each independent block on its own.
 
-    Blocks may be solved at once on a thread pool (module docstring);
-    their results are taken in block order, so the result does not
-    depend on the thread count. Each block gets the whole
+    Blocks may be solved at once on a thread pool (module docstring),
+    which starts them largest first; their results are taken in block
+    order, so the result depends on neither the thread count nor the
+    order in which the blocks start. Each block gets the whole
     ``options.iteration_limit``. The first block that is not optimal
     gives the LP its status; the objectives and iterations of the blocks
     up to it add up, and a block after it counts for nothing, solved or
@@ -155,7 +161,11 @@ def solve(
     objective, iterations, alien = 0.0, 0, False
     pool = _block_pool(len(parts))
     try:
-        outcomes = map(solve_part, parts) if pool is None else pool.map(solve_part, parts)
+        if pool is None:
+            outcomes = map(solve_part, parts)
+        else:
+            futures = {i: pool.submit(solve_part, parts[i]) for i in _largest_first(lp, parts)}
+            outcomes = (futures[i].result() for i in range(len(parts)))
         for (rows, cols), result in zip(parts, outcomes):
             iterations += result.iterations
             alien = alien or result.alien_start
@@ -212,6 +222,13 @@ def _independent_blocks(lp: LinearProgram) -> list[tuple[np.ndarray, np.ndarray]
     return [(np.flatnonzero(labels[:m] == b), np.flatnonzero(labels[m:] == b)) for b in blocks]
 
 
+def _largest_first(lp: LinearProgram, parts: list[tuple[np.ndarray, np.ndarray]]) -> list[int]:
+    """Block indices by stored entries of ``A``, largest first; ties keep block order."""
+    row_entries = np.diff(lp.A.indptr)
+    entries = np.array([row_entries[rows].sum() for rows, _ in parts])
+    return np.argsort(-entries, kind="stable").tolist()
+
+
 def _basis_order(lp: LinearProgram, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The positions of a block's columns and rows in an LP-order basis."""
     return np.concatenate([cols, lp.n_cols + rows])
@@ -228,10 +245,11 @@ def _usable_cpus() -> int:
 def _block_pool(blocks: int) -> ThreadPoolExecutor | None:
     """A thread pool to solve ``blocks`` blocks on, or None to solve them in order.
 
-    One thread per block, up to the CPUs the process may use. None for
-    fewer than two threads, and in a process that ``multiprocessing``
-    started: a sweep's pool already runs one worker per CPU, and threads
-    there would only add HiGHS working sets.
+    One thread per block, up to the CPUs the process may use; ``solve``
+    submits the blocks largest first and takes their results in block
+    order. None for fewer than two threads, and in a process that
+    ``multiprocessing`` started: a sweep's pool already runs one worker
+    per CPU, and threads there would only add HiGHS working sets.
     """
     threads = min(blocks, _usable_cpus())
     if threads < 2 or multiprocessing.parent_process() is not None:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gridfactor import Country, PowerSystemSpec, Technology, TimeSeriesSet, synthesize_system
 from gridfactor.defaults import (
@@ -10,6 +11,7 @@ from gridfactor.defaults import (
     default_interconnectors,
     default_technologies,
 )
+from gridfactor.lp import LinearProgram
 from gridfactor.model import HOURS_PER_YEAR
 
 
@@ -17,6 +19,19 @@ def ledger_comparison_bytes(ledger: dict) -> bytes:
     """Canonical serialization with timing stripped, for determinism checks."""
     doc = {k: v for k, v in ledger.items() if k != "timing"}
     return json.dumps(doc, indent=2, sort_keys=True).encode()
+
+
+def tiny_lp(A, relations, rhs, c, lb=None, ub=None):
+    """An LP from dense rows; bounds default to [0, inf)."""
+    n = len(c)
+    return LinearProgram(
+        A=sp.csr_matrix(np.asarray(A, dtype=float).reshape(len(relations), n)),
+        c=np.asarray(c, dtype=float),
+        lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
+        ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
+        relations=np.asarray(relations),
+        rhs=np.asarray(rhs, dtype=float),
+    )
 
 
 def wind_only_spec(load, cf, overnight=1182.0, lifetime=25.0):

@@ -2,6 +2,7 @@
 and lookups through the block layout against full metadata scans."""
 
 import dataclasses
+import hashlib
 import types
 from collections import defaultdict
 
@@ -13,16 +14,17 @@ from gridfactor import (
     apply_factor_state,
     assemble,
     derive_reference_shares,
+    synthesize_system,
     validate,
 )
 from gridfactor.factorize import extract_storage_metrics
-from gridfactor.harmonize import enumerate_subset_states
+from gridfactor.harmonize import FactorState, enumerate_subset_states
 from gridfactor.lp import lp_digest
 from gridfactor.model import ExogenousCapacity
 from gridfactor.residual import capacities_from_result
 
 from _oracles import row_assemble, scan_capacities, scan_storage_metrics
-from conftest import default_portfolio_spec, wind_only_spec
+from conftest import default_portfolio_spec, tiny_lp, wind_only_spec
 
 
 def assert_identical(spec):
@@ -164,6 +166,30 @@ def test_default_portfolio_all_harmonized_states():
 def test_pinned_digest():
     lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
     assert lp_digest(lp) == "9409c3651cbe4c34a62c9e65694d1e598b51ec080e878fa3a9ca777d4d92211a"
+
+
+def string_cast_digest(lp):
+    """``lp_digest`` as ledgers first computed it: relations cast to "S1"."""
+    h = hashlib.sha256()
+    h.update(np.asarray(lp.A.shape, dtype="<i8").tobytes())
+    for ints in (lp.A.indptr, lp.A.indices):
+        h.update(np.ascontiguousarray(ints, dtype="<i8").tobytes())
+    for floats in (lp.A.data, lp.c, lp.lb, lp.ub, lp.rhs):
+        h.update(np.ascontiguousarray(floats, dtype="<f8").tobytes())
+    h.update(np.asarray(lp.relations, dtype="S1").tobytes())
+    return h.hexdigest()
+
+
+def test_digest_matches_the_string_cast():
+    """Ledgers' ``lp_hash`` reads the same as when relations were cast to bytes."""
+    spec = synthesize_system(seed=7, n_countries=2, horizon=168, correlation=-0.8)
+    shares = derive_reference_shares(spec, "AA")
+    for name in ("f_0", "f_1", "f_23456", "f_123456"):
+        lp, _ = assemble(apply_factor_state(spec, FactorState.parse(name), shares))
+        assert lp_digest(lp) == string_cast_digest(lp), name
+    # assembled LPs hold no ">" row
+    lp = tiny_lp(np.eye(3), ["<", ">", "="], [1.0, 2.0, 3.0], [1.0] * 3)
+    assert lp_digest(lp) == string_cast_digest(lp)
 
 
 def test_digest_sees_every_array():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy
 import scipy.optimize._highspy._core as highs_core
-import scipy.sparse as sp
 
 from gridfactor import assemble, verify_certificate
 from gridfactor.factorize import extract_storage_metrics
@@ -17,7 +16,7 @@ from gridfactor.solve import SolveError, SolveOptions, _solve_highs, solve, solv
 from gridfactor.sweep import basis_record, map_basis
 
 from _oracles import row_assemble, simplex_lp
-from conftest import wind_only_spec
+from conftest import tiny_lp, wind_only_spec
 from gridfactor import synthesize_system
 
 
@@ -55,18 +54,6 @@ class TestBackendAgreement:
         lp, _ = assemble(spec)
         result = solve(lp)
         assert result.status == "optimal"
-
-
-def tiny_lp(A, relations, rhs, c, lb=None, ub=None):
-    n = len(c)
-    return LinearProgram(
-        A=sp.csr_matrix(np.asarray(A, dtype=float).reshape(len(relations), n)),
-        c=np.asarray(c, dtype=float),
-        lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
-        ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
-        relations=np.asarray(relations),
-        rhs=np.asarray(rhs, dtype=float),
-    )
 
 
 class TestHighsStatus:
@@ -461,17 +448,32 @@ class TestThreads:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """The thread count of each pool ``solve`` builds, with two CPUs to use."""
+        """Each pool ``solve`` builds, with two CPUs to use.
+
+        A pool holds its thread count and the blocks, each a (rows, cols)
+        pair, in the order they were submitted.
+        """
         built = []
 
-        class Counted(ThreadPoolExecutor):
+        class Recorded(ThreadPoolExecutor):
             def __init__(self, max_workers, **kwargs):
-                built.append(max_workers)
+                self.threads, self.submitted = max_workers, []
+                built.append(self)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(solve_mod, "ThreadPoolExecutor", Counted)
+            def submit(self, fn, part, /):
+                self.submitted.append(part)
+                return super().submit(fn, part)
+
+        monkeypatch.setattr(solve_mod, "ThreadPoolExecutor", Recorded)
         monkeypatch.setattr(solve_mod, "_usable_cpus", lambda: 2)
         return built
+
+    @staticmethod
+    def submission_order(pool, lp) -> list[int]:
+        """The block indices, in block order, of the blocks ``pool`` was given."""
+        first_rows = [int(rows[0]) for rows, _ in solve_mod._independent_blocks(lp)]
+        return [first_rows.index(int(rows[0])) for rows, _ in pool.submitted]
 
     @staticmethod
     def in_order(monkeypatch, *args, **kwargs):
@@ -496,17 +498,42 @@ class TestThreads:
             start = map_basis(basis_record(neighbour, basis), lp)
         threaded = solve(lp, start=start, keep_basis=True)
         in_order = self.in_order(monkeypatch, lp, start=start, keep_basis=True)
-        assert pools == [2]
+        assert [pool.threads for pool in pools] == [2]
+        # f_0's three country blocks are of one size; in the other states
+        # the middle country's block is smaller, so it is submitted last
+        order = [0, 1, 2] if name == "f_0" else [0, 2, 1]
+        assert self.submission_order(pools[0], lp) == order
         assert threaded.status == "optimal" and threaded.blocks == 3
+        self.assert_same(threaded, in_order)
+
+    @staticmethod
+    def assert_same(threaded, in_order):
         for field in ("objective", "iterations", "blocks", "alien_start", "simplex"):
             assert getattr(threaded, field) == getattr(in_order, field)
         for field in ("primal", "dual", "basis"):
             assert np.array_equal(getattr(threaded, field), getattr(in_order, field))
 
+    def test_largest_blocks_are_submitted_first(self, pools, monkeypatch):
+        # five blocks of 1, 3, 2, 3 and 1 stored entries
+        A = np.zeros((7, 8))
+        A[0, 0] = 1.0  # block 0: x0 >= 1
+        A[1, [1, 2]] = A[2, 2] = 1.0  # block 1: x1 + x2 >= 2, x2 >= 1
+        A[3, [3, 4]] = 1.0  # block 2: x3 + x4 >= 3
+        A[4, [5, 6]] = A[5, 6] = 1.0  # block 3: x5 + x6 >= 1, x6 <= 4
+        A[6, 7] = 1.0  # block 4: x7 = 2
+        lp = tiny_lp(A, [">", ">", ">", ">", ">", "<", "="], [1, 2, 1, 3, 1, 4, 2], [1.0] * 8)
+        threaded = solve(lp, keep_basis=True)
+        assert [pool.threads for pool in pools] == [2]
+        # largest first; blocks 1 and 3, and blocks 0 and 4, keep block order
+        assert self.submission_order(pools[0], lp) == [1, 3, 2, 0, 4]
+        assert threaded.status == "optimal" and threaded.blocks == 5
+        assert threaded.objective == pytest.approx(1 + 2 + 3 + 1 + 2)
+        self.assert_same(threaded, self.in_order(monkeypatch, lp, keep_basis=True))
+
     def test_no_more_threads_than_blocks(self, isolated_lps, pools, monkeypatch):
         monkeypatch.setattr(solve_mod, "_usable_cpus", lambda: 8)
         assert solve(isolated_lps["f_23456"]).blocks == 3
-        assert pools == [3]
+        assert [pool.threads for pool in pools] == [3]
 
     @pytest.mark.parametrize("case", ["one block", "pool worker"])
     def test_no_pool_where_threads_do_not_help(self, isolated_lps, coupled_lp, monkeypatch, case):
