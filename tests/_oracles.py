@@ -8,6 +8,8 @@ factorization oracles read tables through ``MetricTable.value`` only.
 The reference simplex, which HiGHS's results are checked against, hands
 back the package's ``SolveResult`` through ``simplex_lp``; the MPS
 reader reads what ``write_mps`` writes back into a ``LinearProgram``.
+``independent_blocks`` finds an LP's blocks with scipy's graph library,
+which the package does not load.
 """
 
 import csv
@@ -19,6 +21,7 @@ from typing import Iterator
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from gridfactor.factorize import FactorizeError, MetricTable
 from gridfactor.lp import INF, BuildError, BuildReport, LinearProgram
@@ -912,6 +915,31 @@ def simplex_lp(lp: LinearProgram, iteration_limit: int = 100_000) -> SolveResult
         dual=outcome.y,
         iterations=outcome.iterations,
     )
+
+
+def independent_blocks(lp: LinearProgram) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices of each independent block, by ``connected_components``.
+
+    The blocks are the weakly connected components of the directed graph
+    with an edge from row i to column j for each stored entry of ``A``,
+    ordered by their lowest node (rows first, then columns). A row without
+    entries, or a column in no row, joins the first block. Empty when the
+    LP is one block.
+    """
+    A = lp.A
+    m, n = A.shape
+    # rows are nodes 0..m-1, columns nodes m..m+n-1 with no edges of their own
+    indptr = np.concatenate([A.indptr, np.full(n, A.indptr[-1], dtype=A.indptr.dtype)])
+    graph = sp.csr_matrix((A.data, A.indices + m, indptr), shape=(m + n, m + n))
+    count, labels = connected_components(graph, directed=True, connection="weak")
+    whole = (np.bincount(labels[:m], minlength=count) > 0) & (
+        np.bincount(labels[m:], minlength=count) > 0
+    )
+    blocks = np.flatnonzero(whole)
+    if blocks.size < 2:
+        return []
+    labels = np.where(whole[labels], labels, blocks[0])
+    return [(np.flatnonzero(labels[:m] == b), np.flatnonzero(labels[m:] == b)) for b in blocks]
 
 
 # --------------------------------------------------------------------------

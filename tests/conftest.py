@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import gridfactor
 from gridfactor import Country, PowerSystemSpec, Technology, TimeSeriesSet, synthesize_system
 from gridfactor.defaults import (
     default_countries,
@@ -13,6 +18,20 @@ from gridfactor.defaults import (
 )
 from gridfactor.lp import LinearProgram
 from gridfactor.model import HOURS_PER_YEAR
+
+
+def run_fresh(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that imports this package."""
+    src = Path(gridfactor.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return out.stdout
 
 
 def ledger_comparison_bytes(ledger: dict) -> bytes:

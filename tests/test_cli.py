@@ -2,10 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +15,7 @@ from gridfactor.cli import main
 from gridfactor.sweep import ENTRY_METRICS, LEDGER_SCHEMA, VERSION, read_ledger
 
 from _oracles import read_mps
-from conftest import ledger_comparison_bytes
+from conftest import ledger_comparison_bytes, run_fresh
 
 
 @pytest.fixture
@@ -894,19 +891,11 @@ def test_method_flag_is_gone(runner, system_dir, tmp_path, command, options):
 
 def _scipy_modules_after(probe: str) -> list[str]:
     """The ``scipy*`` modules a fresh interpreter holds after running ``probe``."""
-    src = Path(gridfactor.__file__).resolve().parents[1]
     code = probe + (
         "\nimport json, sys"
         "\nprint(json.dumps(sorted(k for k in sys.modules if k.startswith('scipy'))))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(out.stdout.splitlines()[-1])
+    return json.loads(run_fresh(code).splitlines()[-1])
 
 
 class TestStartUpLoadsNoScipy:
@@ -933,15 +922,47 @@ class TestStartUpLoadsNoScipy:
         assert _scipy_modules_after(probe) == []
 
 
+# the HiGHS binding; loading it registers submodules under its name too
+_BINDING = "scipy.optimize._highspy._core"
+# modules no solve loads, nor any module under them but the binding
+_NOT_LOADED_BY_SOLVES = (
+    "scipy.optimize",
+    "scipy.linalg",
+    "scipy.sparse.linalg",
+    "scipy.sparse.csgraph",
+)
+
+
+class TestSolvingLoadsOnlyTheBinding:
+    """A solve loads scipy's HiGHS binding, but neither ``scipy.optimize`` nor ``scipy.linalg``."""
+
+    @staticmethod
+    def assert_binding_only(modules: list[str]):
+        assert _BINDING in modules
+        assert [m for m in modules if m.startswith(_NOT_LOADED_BY_SOLVES)] == [
+            m for m in modules if m.startswith(_BINDING)
+        ]
+
+    def test_solve_an_assembled_lp_of_blocks(self):
+        probe = (
+            "from gridfactor import assemble, synthesize_system\n"
+            "from gridfactor.solve import solve\n"
+            "from gridfactor.harmonize import FactorState, apply_factor_state\n"
+            "spec = synthesize_system(seed=3, n_countries=2, horizon=24)\n"
+            "lp, _ = assemble(apply_factor_state(spec, FactorState.parse('f_23456'), None))\n"
+            "assert solve(lp).blocks == 2"
+        )
+        self.assert_binding_only(_scipy_modules_after(probe))
+
+    def test_gridfactor_solve(self, wind_dir):
+        probe = (
+            "from gridfactor.cli import main\n"
+            f"main(['solve', {str(wind_dir)!r}], standalone_mode=False)"
+        )
+        self.assert_binding_only(_scipy_modules_after(probe))
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     """The reference simplex's dense LU stays out of the start-up path."""
-    src = Path(gridfactor.__file__).resolve().parents[1]
-    probe = "import sys, gridfactor; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+    out = run_fresh("import sys, gridfactor; print('scipy.linalg' in sys.modules)")
+    assert out.strip() == "False"

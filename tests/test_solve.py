@@ -1,3 +1,4 @@
+import importlib.machinery
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,14 +10,20 @@ import scipy.optimize._highspy._core as highs_core
 
 from gridfactor import assemble, verify_certificate
 from gridfactor.factorize import extract_storage_metrics
-from gridfactor.harmonize import FactorState, apply_factor_state, derive_reference_shares
+from gridfactor.harmonize import (
+    FACTOR_NAMES,
+    FactorState,
+    apply_factor_state,
+    derive_reference_shares,
+    enumerate_subset_states,
+)
 from gridfactor.lp import LinearProgram
 import gridfactor.solve as solve_mod
 from gridfactor.solve import SolveError, SolveOptions, _solve_highs, solve, solve_certified
 from gridfactor.sweep import basis_record, map_basis
 
-from _oracles import row_assemble, simplex_lp
-from conftest import tiny_lp, wind_only_spec
+from _oracles import independent_blocks, row_assemble, simplex_lp
+from conftest import run_fresh, tiny_lp, wind_only_spec
 from gridfactor import synthesize_system
 
 
@@ -319,6 +326,129 @@ class TestBlocks:
         assert result.objective == pytest.approx(1.0 + 2.0 - 6.0 + 2.0)
 
 
+def five_block_lp() -> LinearProgram:
+    """Five blocks of 1, 3, 2, 3 and 1 stored entries; the optimum is 9."""
+    A = np.zeros((7, 8))
+    A[0, 0] = 1.0  # block 0: x0 >= 1
+    A[1, [1, 2]] = A[2, 2] = 1.0  # block 1: x1 + x2 >= 2, x2 >= 1
+    A[3, [3, 4]] = 1.0  # block 2: x3 + x4 >= 3
+    A[4, [5, 6]] = A[5, 6] = 1.0  # block 3: x5 + x6 >= 1, x6 <= 4
+    A[6, 7] = 1.0  # block 4: x7 = 2
+    return tiny_lp(A, [">", ">", ">", ">", ">", "<", "="], [1, 2, 1, 3, 1, 4, 2], [1.0] * 8)
+
+
+class TestBlockOracle:
+    """``_independent_blocks`` gives the partition scipy's ``connected_components`` gives."""
+
+    @staticmethod
+    def assert_same_partition(lp: LinearProgram) -> int:
+        """Assert equal (rows, cols) arrays in equal order; return the block count."""
+        got, want = solve_mod._independent_blocks(lp), independent_blocks(lp)
+        assert len(got) == len(want)
+        for (rows, cols), (want_rows, want_cols) in zip(got, want):
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        return len(got)
+
+    @pytest.mark.parametrize("system", ["small_spec", "three_country_spec"])
+    def test_every_state_of_the_design(self, request, system):
+        spec = request.getfixturevalue(system)
+        shares = derive_reference_shares(spec, "AA")
+        blocks = [
+            self.assert_same_partition(assemble(apply_factor_state(spec, state, shares))[0])
+            for state in enumerate_subset_states(tuple(FACTOR_NAMES))
+        ]
+        # an interconnected state is one block, an isolated one a block per country
+        assert sorted(blocks) == [0] * 32 + [len(spec.countries)] * 32
+
+    # each LP's rows, columns and entries; every row is ">= 1" and every cost 1
+    CASES = {
+        "empty last row": (TWO_BLOCKS[0] + [[0, 0]], 2),
+        "empty first row": ([[0, 0]] + TWO_BLOCKS[0], 2),
+        "column in no row": ([[1, 0, 0], [0, 0, 1]], 2),
+        "column in no row first": ([[0, 1, 0], [0, 0, 1]], 2),
+        "five one-row blocks": (np.eye(5), 5),
+        "five blocks of unequal size": (five_block_lp().A.toarray(), 5),
+        "interleaved blocks": ([[0, 1, 0], [1, 0, 1], [0, 2, 0]], 2),
+        "one block": ([[1, 1], [0, 1]], 0),
+        "no entries": (np.zeros((2, 3)), 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_hand_built_lp(self, case):
+        A, blocks = self.CASES[case]
+        m, n = np.shape(A)
+        assert self.assert_same_partition(tiny_lp(A, [">"] * m, [1.0] * m, [1.0] * n)) == blocks
+
+
+class TestBindingLoader:
+    """The HiGHS binding is loaded once per process, whether or not scipy loads it first."""
+
+    # counts the loads of the binding's extension, each held long enough
+    # for a second thread to try one at the same time; threads switch often
+    COUNT_LOADS = (
+        "import sys, time, importlib.machinery\n"
+        "sys.setswitchinterval(1e-5)\n"
+        "loads = []\n"
+        "create = importlib.machinery.ExtensionFileLoader.create_module\n"
+        "def counted(self, spec):\n"
+        "    if spec.name == 'scipy.optimize._highspy._core':\n"
+        "        loads.append(spec.name)\n"
+        "        time.sleep(0.05)\n"
+        "    return create(self, spec)\n"
+        "importlib.machinery.ExtensionFileLoader.create_module = counted\n"
+        "import numpy as np, scipy.sparse as sp\n"
+        "import gridfactor.solve as solve_mod\n"
+        "from gridfactor.lp import LinearProgram\n"
+        "lp = LinearProgram(A=sp.csr_matrix(np.eye(3)), c=np.ones(3), lb=np.zeros(3),\n"
+        "                   ub=np.full(3, np.inf), relations=np.array(['>'] * 3), rhs=np.ones(3))\n"
+    )
+
+    def test_first_solves_on_the_block_pool_load_it_once(self):
+        probe = self.COUNT_LOADS + (
+            "solve_mod._usable_cpus = lambda: 3\n"
+            "threads = []\n"
+            "class Counted(solve_mod.ThreadPoolExecutor):\n"
+            "    def __init__(self, max_workers, **kwargs):\n"
+            "        threads.append(max_workers)\n"
+            "        super().__init__(max_workers, **kwargs)\n"
+            "solve_mod.ThreadPoolExecutor = Counted\n"
+            "result = solve_mod.solve(lp)\n"
+            "print(threads, result.blocks, result.objective, len(loads))"
+        )
+        for _ in range(4):
+            assert run_fresh(probe).split() == ["[3]", "3", "3.0", "1"]
+
+    def test_scipy_optimize_imported_after_a_solve_shares_it(self):
+        probe = self.COUNT_LOADS + (
+            "solve_mod.solve(lp)\n"
+            "core = sys.modules['scipy.optimize._highspy._core']\n"
+            "import scipy.optimize\n"
+            "from scipy.optimize._highspy import _core, _highs_wrapper\n"
+            "result = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])\n"
+            "print(_core is core, _highs_wrapper._h is core, result.status, result.fun, len(loads))"
+        )
+        assert run_fresh(probe).split() == ["True", "True", "0", "1.0", "1"]
+
+    def test_a_solve_after_scipy_optimize_reuses_its_binding(self):
+        probe = self.COUNT_LOADS + (
+            "import scipy.optimize\n"
+            "core = sys.modules['scipy.optimize._highspy._core']\n"
+            "loaded_by_scipy = len(loads)\n"
+            "result = solve_mod.solve(lp)\n"
+            "print(loaded_by_scipy, len(loads), solve_mod._highs_core() is core, result.objective)"
+        )
+        assert run_fresh(probe).split() == ["1", "1", "True", "3.0"]
+
+    def test_missing_extension_file_raises_as_a_none_entry_does(self, monkeypatch):
+        # test_missing_binding_raises holds the None entry's error
+        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
+        with pytest.raises(SolveError, match=f"^scipy {scipy.__version__}: no HiGHS binding "):
+            solve(lp)
+        assert "scipy.optimize._highspy._core" not in sys.modules
+
+
 @pytest.fixture(scope="module")
 def coupled_lp():
     spec = synthesize_system(seed=11, n_countries=3, horizon=72, correlation=-0.5)
@@ -514,14 +644,7 @@ class TestThreads:
             assert np.array_equal(getattr(threaded, field), getattr(in_order, field))
 
     def test_largest_blocks_are_submitted_first(self, pools, monkeypatch):
-        # five blocks of 1, 3, 2, 3 and 1 stored entries
-        A = np.zeros((7, 8))
-        A[0, 0] = 1.0  # block 0: x0 >= 1
-        A[1, [1, 2]] = A[2, 2] = 1.0  # block 1: x1 + x2 >= 2, x2 >= 1
-        A[3, [3, 4]] = 1.0  # block 2: x3 + x4 >= 3
-        A[4, [5, 6]] = A[5, 6] = 1.0  # block 3: x5 + x6 >= 1, x6 <= 4
-        A[6, 7] = 1.0  # block 4: x7 = 2
-        lp = tiny_lp(A, [">", ">", ">", ">", ">", "<", "="], [1, 2, 1, 3, 1, 4, 2], [1.0] * 8)
+        lp = five_block_lp()
         threaded = solve(lp, keep_basis=True)
         assert [pool.threads for pool in pools] == [2]
         # largest first; blocks 1 and 3, and blocks 0 and 4, keep block order
