@@ -15,7 +15,7 @@ from .harmonize import (
     enumerate_subset_states,
     isolate_country,
 )
-from .lp import LinearProgram, assemble
+from .lp import CsrMatrix, LinearProgram, assemble
 from .model import (
     Country,
     ExogenousCapacity,
@@ -46,6 +46,7 @@ __version__ = VERSION
 
 __all__ = [
     "Country",
+    "CsrMatrix",
     "ExogenousCapacity",
     "FactorDecomposition",
     "FactorState",

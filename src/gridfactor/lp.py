@@ -20,15 +20,29 @@ offshore wind where it may not be built) writes no capacity rows: its
 hourly columns get the upper bound ``avail * v`` instead, which a
 started HiGHS solve, skipping presolve, would otherwise pivot through
 as rows. The matrix stores no explicit zero and no entry below 1e-12.
+
+The matrix is a ``CsrMatrix``: CSR arrays whose operations run the C++
+kernels of ``scipy.sparse._sparsetools``, the ones scipy's own sparse
+matrices call, so every array and every float is the one scipy's
+``csr_matrix`` would give. That extension is loaded from its file
+(``scipy_extension``), without ``scipy.sparse``: about 300 modules,
+13 MB of Pss and 0.10 s in a solving process, against 0.16 MB and
+0.8 ms for the extension alone. ``solve`` loads scipy's HiGHS binding
+through the same loader. Both are private names of scipy 1.17, to which
+``pyproject.toml`` pins it.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.machinery
+import importlib.util
 import io
+import sys
+import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from pathlib import Path
 
 import numpy as np
 
@@ -40,11 +54,6 @@ from .model import (
     Technology,
     annuity,
 )
-
-# scipy.sparse is imported in ``assemble``, so that ``import gridfactor``
-# and the commands that build no LP load no scipy module
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 INF = float("inf")
 # a matrix entry below this is noise, not a coefficient: ``assemble`` stores
@@ -85,6 +94,121 @@ _HOURLY = {
 }
 
 
+_EXTENSION_LOCK = threading.Lock()
+
+
+def scipy_extension(name: str):
+    """The scipy extension module ``name``, loaded once per process without its package.
+
+    The module that ``sys.modules`` holds under ``name``, if any: so a
+    process that imported the package first reuses scipy's module, and
+    one that imports it later gets this one. ``None`` there raises
+    ``ImportError``, as ``import`` does. Otherwise the extension is
+    loaded from its file in scipy's package directory, which skips the
+    package's ``__init__.py`` and all it imports, and registered under
+    ``name``. The lock does for the first calls on ``solve``'s block
+    thread pool what the import system's module lock does for
+    ``import``: one of them loads the file, and the others get the
+    module it registered.
+    """
+    with _EXTENSION_LOCK:
+        if name in sys.modules:
+            module = sys.modules[name]
+            if module is None:
+                raise ImportError(f"import of {name} halted; None in sys.modules")
+            return module
+        import scipy
+
+        *packages, stem = name.split(".")
+        directory = Path(scipy.__file__).parent.joinpath(*packages[1:])
+        files = [directory / f"{stem}{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        found = [path for path in files if path.is_file()]
+        if not found:
+            raise ImportError(f"no {name} extension in {directory}")
+        spec = importlib.util.spec_from_file_location(name, found[0])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+        return module
+
+
+def sparsetools():
+    """scipy's C++ sparse-matrix kernels, ``scipy.sparse._sparsetools``."""
+    return scipy_extension("scipy.sparse._sparsetools")
+
+
+@dataclass(eq=False)
+class CsrMatrix:
+    """A sparse matrix of ``shape`` in compressed sparse row (CSR) form.
+
+    Row ``i`` stores ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending in a matrix that
+    ``assemble`` builds. The products and the transpose run the kernels
+    that scipy's ``csr_matrix`` runs (module docstring), on the same
+    arrays, so they give its results bit for bit.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries."""
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x) -> np.ndarray:
+        """``A @ x`` for a vector ``x``, by ``csr_matvec``."""
+        m, n = self.shape
+        return self._matvec(sparsetools().csr_matvec, x, m, n)
+
+    def rmatvec(self, y) -> np.ndarray:
+        """``A.T @ y`` for a vector ``y``, by ``csc_matvec``: A's CSR arrays are A.T's CSC ones."""
+        m, n = self.shape
+        return self._matvec(sparsetools().csc_matvec, y, n, m)
+
+    def _matvec(self, kernel, x, rows: int, cols: int) -> np.ndarray:
+        """``kernel``'s product of a ``rows`` x ``cols`` matrix held in these arrays with ``x``."""
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape != (cols,):
+            raise ValueError(f"a matrix of shape {self.shape} cannot take a vector of {x.shape}")
+        out = np.zeros(rows)
+        kernel(rows, cols, self.indptr, self.indices, self.data, x, out)
+        return out
+
+    def transpose(self) -> CsrMatrix:
+        """``A.T``, by ``csr_tocsc``: A's CSC arrays are A.T's CSR ones."""
+        m, n = self.shape
+        indptr = np.empty(n + 1, dtype=self.indices.dtype)
+        indices = np.empty(self.nnz, dtype=self.indices.dtype)
+        data = np.empty(self.nnz)
+        sparsetools().csr_tocsc(m, n, self.indptr, self.indices, self.data, indptr, indices, data)
+        return CsrMatrix((n, m), indptr, indices, data)
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> CsrMatrix:
+        """The submatrix of ``rows``, in their order, and ascending ``cols``.
+
+        scipy's ``A[rows][:, cols]``: each row keeps its entries in the
+        kept columns, in their stored order, with the columns renumbered
+        by their place in ``cols``.
+        """
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        # the stored positions of the rows' entries, row after row
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if ends.size else 0
+        positions = np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+        renumbered = np.full(self.shape[1], -1, dtype=self.indices.dtype)
+        renumbered[cols] = np.arange(len(cols))
+        indices = renumbered[self.indices[positions]]
+        kept = indices >= 0
+        counts = np.bincount(np.repeat(np.arange(len(rows)), lengths)[kept], minlength=len(rows))
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        return CsrMatrix((len(rows), len(cols)), indptr, indices[kept], self.data[positions[kept]])
+
+
 @dataclass(eq=False)
 class LinearProgram:
     """Minimization LP: ``A x (relations) rhs``, ``lb <= x <= ub``, cost ``c``.
@@ -97,7 +221,7 @@ class LinearProgram:
     built by ``assemble``, which therefore has no column labels.
     """
 
-    A: sp.csr_matrix
+    A: CsrMatrix
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -429,24 +553,52 @@ def _capacity_row(cols: _Columns, rows: _Rows, key: tuple, family, hourly, capac
     rows.block((family, *key), "<", [(cols.hours((hourly, *key)), 1.0), (cap, -avail)])
 
 
+def _csr_matrix(shape: tuple[int, int], ri, ci, data) -> CsrMatrix:
+    """The CSR matrix of coordinate triples: duplicates summed, then tiny entries dropped.
+
+    The steps of scipy's ``csr_matrix((data, (ri, ci)))`` on its kernels:
+    ``coo_tocsr``, then, unless the result is canonical (each row's
+    columns strictly ascending), ``csr_sort_indices`` where a row is
+    unsorted and ``csr_sum_duplicates``. Entries below 1e-12 are zeroed
+    after the sum, so a coefficient that sums to zero goes too, and
+    ``csr_eliminate_zeros`` removes them. Index arrays are int32 where
+    the shape and the triples fit, as scipy chooses them.
+    """
+    kernels = sparsetools()
+    m, n = shape
+    nnz = len(data)
+    index = np.int32 if max(m, n, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(m + 1, dtype=index)
+    indices = np.empty(nnz, dtype=index)
+    values = np.empty(nnz)
+    ri, ci = ri.astype(index, copy=False), ci.astype(index, copy=False)
+    kernels.coo_tocsr(m, n, nnz, ri, ci, np.asarray(data, dtype=float), indptr, indices, values)
+    if not kernels.csr_has_canonical_format(m, indptr, indices):
+        if not kernels.csr_has_sorted_indices(m, indptr, indices):
+            kernels.csr_sort_indices(m, indptr, indices, values)
+        kernels.csr_sum_duplicates(m, n, indptr, indices, values)
+    values[np.abs(values) < _TINY_COEFF] = 0.0
+    kernels.csr_eliminate_zeros(m, n, indptr, indices, values)
+    nnz = int(indptr[-1])
+    if nnz < len(values):
+        indices, values = indices[:nnz].copy(), values[:nnz].copy()
+    return CsrMatrix(shape, indptr, indices, values)
+
+
 def assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport]:
     """Build the full LP plus a count report; deterministic for a given spec."""
-    import scipy.sparse as sp
-
     codes = sorted(c.code for c in spec.countries)
     cols = _layout(spec)
     rows = _Rows(cols.horizon)
     _balance_rows(spec, cols, rows, codes)
     _technology_rows(spec, cols, rows)
 
-    A = sp.csr_matrix(
-        (np.concatenate(rows.data), (np.concatenate(rows.ri), np.concatenate(rows.ci))),
-        shape=(rows.n, cols.n),
-        dtype=float,
+    A = _csr_matrix(
+        (rows.n, cols.n),
+        np.concatenate(rows.ri),
+        np.concatenate(rows.ci),
+        np.concatenate(rows.data),
     )
-    # after duplicates are summed, so a coefficient that sums to zero goes too
-    A.data[np.abs(A.data) < _TINY_COEFF] = 0.0
-    A.eliminate_zeros()
     lb, ub, c = cols.arrays()
     lp = LinearProgram(
         A=A,

@@ -27,13 +27,14 @@ names; any other reads ``numerical``. An LP with no columns never
 reaches a solver: it is optimal with objective 0 when every row holds
 at x = 0, else infeasible. Row duals follow the dZ/db convention
 (non-positive for binding <= rows of a minimization). The test suite
-checks HiGHS's results against a dense reference simplex, and the
-blocks against scipy's ``connected_components`` (``tests/_oracles.py``).
-``verify_certificate`` checks an optimal
-result's certificate and returns a ``CertificateReport``: its verdict
-``ok`` and the two residuals that a sweep's ledger entry records, as
-``asdict`` of the report, under ``certificate``. ``solve_certified``
-raises ``SolveError`` for a result that is not optimal and certified.
+checks HiGHS's results against a dense reference simplex, the blocks
+against scipy's ``connected_components``, and each block's matrix and
+the certificate's products against ``scipy.sparse`` (``tests/_oracles.py``).
+``verify_certificate`` checks an optimal result's certificate and
+returns a ``CertificateReport``: its verdict ``ok`` and the two
+residuals that a sweep's ledger entry records, as ``asdict`` of the
+report, under ``certificate``. ``solve_certified`` raises
+``SolveError`` for a result that is not optimal and certified.
 
 A HiGHS solve can start from a simplex basis and hand back its final
 one. A basis is one ``int8`` array in LP order, the column statuses and
@@ -55,32 +56,30 @@ each row's weight exactly (Forrest & Goldfarb, *Math. Prog.* 1992),
 about one BTRAN per row before the first pivot. ``SolveResult.simplex``
 names the variant that ran.
 
-No solve loads ``scipy.optimize`` or ``scipy.linalg``. The HiGHS
-binding, ``scipy.optimize._highspy._core``, is loaded from its file
-(``_highs_core``): ``scipy.optimize``'s package would cost 0.33-0.37 s
-and 27 MB of Pss in a process that holds ``scipy.sparse``, the binding
-alone 0.01 s and 3 MB. The blocks are labelled by ``cs_graph_components``
-of ``scipy.sparse._sparsetools``: ``scipy.sparse.csgraph`` would cost
-0.12-0.15 s and 11 MB, for it loads ``scipy.sparse.linalg`` and
-``scipy.linalg``. Both are private names of scipy 1.17, to which
-``pyproject.toml`` pins it.
+No solve loads ``scipy.optimize``, ``scipy.linalg`` or ``scipy.sparse``.
+The HiGHS binding, ``scipy.optimize._highspy._core``, is loaded from its
+file (``lp.scipy_extension``): ``scipy.optimize``'s package would cost
+0.33-0.37 s and 27 MB of Pss, the binding alone 0.01 s and 3 MB. The
+blocks are labelled by ``cs_graph_components`` of
+``scipy.sparse._sparsetools``, loaded from its file the same way (``lp``
+module docstring): ``scipy.sparse.csgraph`` would cost 0.12-0.15 s and
+11 MB, for it loads ``scipy.sparse.linalg`` and ``scipy.linalg``. A
+block's matrix is cut from the LP's CSR arrays (``CsrMatrix.block``),
+and the certificate's products run ``csr_matvec`` and ``csc_matvec``.
+These are private names of scipy 1.17, to which ``pyproject.toml`` pins
+it.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import multiprocessing
 import os
-import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .lp import LinearProgram
+from .lp import LinearProgram, scipy_extension, sparsetools
 from .model import GridFactorError
 
 # the solver that ledger entries and reference shares name
@@ -162,7 +161,7 @@ def solve(
     def solve_part(part: tuple[np.ndarray, np.ndarray]) -> SolveResult:
         rows, cols = part
         block = LinearProgram(
-            A=lp.A[rows][:, cols],
+            A=lp.A.block(rows, cols),
             c=lp.c[cols],
             lb=lp.lb[cols],
             ub=lp.ub[cols],
@@ -215,25 +214,23 @@ def _independent_blocks(lp: LinearProgram) -> list[tuple[np.ndarray, np.ndarray]
 
     The blocks are the connected components of the graph whose nodes are
     the LP's rows and columns and whose edges are ``A``'s stored entries,
-    labelled by the C++ ``cs_graph_components`` that ``scipy.sparse``
-    loads (module docstring), in the order of their first node. It
+    labelled by the C++ ``cs_graph_components`` of scipy's sparse
+    kernels (module docstring), in the order of their first node. It
     labels a node without edges -2: such a row without entries, or
     column in no row, joins the first block, so that every block has
     rows and columns. Empty when the LP is one block.
     """
-    from scipy.sparse import _sparsetools
-
     A = lp.A
     m, n = A.shape
     # rows are nodes 0..m-1 and columns nodes m..m+n-1; the rows' edges are
     # A's entries, the columns' those of its transpose, so each edge is stored
     # in both directions, as the labelling needs
-    At = A.tocsc()
+    At = A.transpose()
     indptr = np.concatenate([A.indptr, At.indptr[1:] + A.indptr[-1]])
     indices = np.concatenate([A.indices + m, At.indices])
     labels = np.empty(m + n, dtype=indices.dtype)
     # -1 for a graph without edges
-    count = _sparsetools.cs_graph_components(m + n, indptr, indices, labels)
+    count = sparsetools().cs_graph_components(m + n, indptr, indices, labels)
     if count < 2:
         return []
     labels[labels == -2] = 0
@@ -315,42 +312,9 @@ _HIGHS_STATUS = {
 }
 
 
-# the module name of scipy's HiGHS binding, a pybind11 extension
-_HIGHS_CORE = "scipy.optimize._highspy._core"
-_HIGHS_CORE_LOCK = threading.Lock()
-
-
 def _highs_core():
-    """scipy's HiGHS binding, loaded once per process without ``scipy.optimize``.
-
-    The module that ``sys.modules`` holds under its name, if any: so a
-    process that imported ``scipy.optimize`` reuses scipy's, and one that
-    imports it later gets this one. ``None`` there raises ``ImportError``,
-    as ``import`` does. Otherwise the extension is loaded from its file in
-    scipy's package directory, which skips ``scipy/optimize/__init__.py``
-    (module docstring), and registered under its name. The lock does for
-    the first solves on the block thread pool what the import system's
-    module lock does for ``import``: one of them loads the file, and the
-    others get the module it registered.
-    """
-    with _HIGHS_CORE_LOCK:
-        if _HIGHS_CORE in sys.modules:
-            module = sys.modules[_HIGHS_CORE]
-            if module is None:
-                raise ImportError(f"import of {_HIGHS_CORE} halted; None in sys.modules")
-            return module
-        import scipy
-
-        directory = Path(scipy.__file__).parent / "optimize" / "_highspy"
-        files = [directory / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        found = [path for path in files if path.is_file()]
-        if not found:
-            raise ImportError(f"no {_HIGHS_CORE} extension in {directory}")
-        spec = importlib.util.spec_from_file_location(_HIGHS_CORE, found[0])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_HIGHS_CORE] = module
-        return module
+    """scipy's HiGHS binding, a pybind11 extension, loaded without ``scipy.optimize``."""
+    return scipy_extension("scipy.optimize._highspy._core")
 
 
 def highs_model(lp: LinearProgram):
@@ -504,7 +468,7 @@ def verify_certificate(lp: LinearProgram, result: SolveResult) -> CertificateRep
         )
     )
 
-    d = lp.c - lp.A.T @ y  # reduced costs
+    d = lp.c - lp.A.rmatvec(y)  # reduced costs
     scale = 1.0 + float(np.abs(lp.c).max(initial=0.0))
     atol = _FEAS_TOL * (1.0 + np.maximum(np.abs(lp.lb), 0.0))
     at_lb = np.isfinite(lp.lb) & (x <= lp.lb + atol)

@@ -9,7 +9,9 @@ The reference simplex, which HiGHS's results are checked against, hands
 back the package's ``SolveResult`` through ``simplex_lp``; the MPS
 reader reads what ``write_mps`` writes back into a ``LinearProgram``.
 ``independent_blocks`` finds an LP's blocks with scipy's graph library,
-which the package does not load.
+which the package does not load. ``scipy.sparse`` is a test-only oracle
+too: ``from_scipy`` and ``to_scipy`` convert between its matrices and
+the package's ``CsrMatrix``, sharing the arrays.
 """
 
 import csv
@@ -24,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from gridfactor.factorize import FactorizeError, MetricTable
-from gridfactor.lp import INF, BuildError, BuildReport, LinearProgram
+from gridfactor.lp import INF, BuildError, BuildReport, CsrMatrix, LinearProgram
 from gridfactor.model import HOURS_PER_YEAR, PowerSystemSpec, Technology, annuity
 from gridfactor.mps import MpsError
 from gridfactor.solve import SolveResult
@@ -32,6 +34,25 @@ from gridfactor.solve import SolveResult
 FEAS_TOL = 1e-7
 # a coefficient below this is noise that no assembled LP stores
 TINY_COEFF = 1e-12
+
+
+def from_scipy(matrix) -> CsrMatrix:
+    """A ``CsrMatrix`` of ``matrix``, anything ``sp.csr_matrix`` takes, on its CSR arrays."""
+    csr = sp.csr_matrix(matrix)
+    return CsrMatrix(csr.shape, csr.indptr, csr.indices, csr.data)
+
+
+def to_scipy(A: CsrMatrix) -> sp.csr_matrix:
+    """``A`` as scipy's ``csr_matrix``, on the same arrays."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def scipy_csr(shape, ri, ci, data) -> sp.csr_matrix:
+    """scipy's CSR matrix of coordinate triples: duplicates summed, then tiny entries dropped."""
+    A = sp.csr_matrix((data, (ri, ci)), shape=shape, dtype=float)
+    A.data[np.abs(A.data) < TINY_COEFF] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 def brute_force_lp_minimum(c, A, relations, b, lb, ub):
@@ -583,7 +604,7 @@ def row_assemble(spec: PowerSystemSpec) -> tuple[LinearProgram, BuildReport, Lab
         (data, (ri, ci)), shape=(len(rows), len(space.names)), dtype=float
     )
     lp = LinearProgram(
-        A=A,
+        A=from_scipy(A),
         c=c,
         lb=np.asarray(space.lb),
         ub=np.asarray(space.ub),
@@ -900,7 +921,7 @@ def _select_entering(
 def simplex_lp(lp: LinearProgram, iteration_limit: int = 100_000) -> SolveResult:
     """``lp`` solved by the reference simplex, as a ``SolveResult``."""
     outcome = simplex_solve(
-        lp.A.toarray(),
+        to_scipy(lp.A).toarray(),
         lp.relations,
         lp.rhs,
         lp.c,
@@ -1042,7 +1063,7 @@ def read_mps(source: str | Path) -> LinearProgram:
     lb = np.array([bounds[j][0] for j in range(n_cols)])
     ub = np.array([bounds[j][1] for j in range(n_cols)])
     return LinearProgram(
-        A=A,
+        A=from_scipy(A),
         c=c,
         lb=lb,
         ub=ub,

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import gridfactor
 from gridfactor import Country, PowerSystemSpec, Technology, TimeSeriesSet, synthesize_system
@@ -18,6 +17,8 @@ from gridfactor.defaults import (
 )
 from gridfactor.lp import LinearProgram
 from gridfactor.model import HOURS_PER_YEAR
+
+from _oracles import from_scipy
 
 
 def run_fresh(code: str) -> str:
@@ -44,7 +45,7 @@ def tiny_lp(A, relations, rhs, c, lb=None, ub=None):
     """An LP from dense rows; bounds default to [0, inf)."""
     n = len(c)
     return LinearProgram(
-        A=sp.csr_matrix(np.asarray(A, dtype=float).reshape(len(relations), n)),
+        A=from_scipy(np.asarray(A, dtype=float).reshape(len(relations), n)),
         c=np.asarray(c, dtype=float),
         lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
         ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),

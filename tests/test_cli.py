@@ -922,25 +922,25 @@ class TestStartUpLoadsNoScipy:
         assert _scipy_modules_after(probe) == []
 
 
-# the HiGHS binding; loading it registers submodules under its name too
-_BINDING = "scipy.optimize._highspy._core"
-# modules no solve loads, nor any module under them but the binding
+# the two extensions a solve loads from their files; loading the HiGHS
+# binding registers submodules under its name too
+_EXTENSIONS = ("scipy.optimize._highspy._core", "scipy.sparse._sparsetools")
+# modules no solve loads, nor any module under them but those extensions
 _NOT_LOADED_BY_SOLVES = (
     "scipy.optimize",
     "scipy.linalg",
-    "scipy.sparse.linalg",
-    "scipy.sparse.csgraph",
+    "scipy.sparse",
 )
 
 
 class TestSolvingLoadsOnlyTheBinding:
-    """A solve loads scipy's HiGHS binding, but neither ``scipy.optimize`` nor ``scipy.linalg``."""
+    """A solve loads scipy's HiGHS binding and sparse kernels, but no scipy package."""
 
     @staticmethod
     def assert_binding_only(modules: list[str]):
-        assert _BINDING in modules
+        assert set(_EXTENSIONS) <= set(modules)
         assert [m for m in modules if m.startswith(_NOT_LOADED_BY_SOLVES)] == [
-            m for m in modules if m.startswith(_BINDING)
+            m for m in modules if m.startswith(_EXTENSIONS)
         ]
 
     def test_solve_an_assembled_lp_of_blocks(self):
@@ -960,6 +960,47 @@ class TestSolvingLoadsOnlyTheBinding:
             f"main(['solve', {str(wind_dir)!r}], standalone_mode=False)"
         )
         self.assert_binding_only(_scipy_modules_after(probe))
+
+    @pytest.mark.parametrize("command", ["residual", "export-lp"])
+    def test_gridfactor_residual_and_export_lp(self, system_dir, tmp_path, command):
+        out = tmp_path / ("events" if command == "residual" else "lp.mps")
+        probe = (
+            "from gridfactor.cli import main\n"
+            f"main([{command!r}, {str(system_dir)!r}, '--out', {str(out)!r}],"
+            " standalone_mode=False)"
+        )
+        self.assert_binding_only(_scipy_modules_after(probe))
+        assert out.exists()
+
+    def test_gridfactor_sweep_on_two_workers(self, system_dir, tmp_path):
+        """The sweep's process and each worker process it forks."""
+        log = tmp_path / "workers.jsonl"
+        args = ["sweep", str(system_dir), "--reference", "AA", "--out", str(tmp_path / "sweep")]
+        probe = (
+            "import json, os, sys\n"
+            "import gridfactor.sweep as sweep\n"
+            "from gridfactor.cli import main\n"
+            "run_state = sweep._run_state\n"
+            "def recorded(*args):\n"
+            "    outcome = run_state(*args)\n"
+            "    modules = sorted(k for k in sys.modules if k.startswith('scipy'))\n"
+            f"    with open({str(log)!r}, 'a') as fh:\n"
+            "        fh.write(json.dumps([os.getpid(), modules]) + '\\n')\n"
+            "    return outcome\n"
+            "sweep._run_state = recorded\n"
+            "print(os.getpid())\n"
+            f"main({[*args, '--factors', 'interconnection,wind', '--workers', '2']!r},"
+            " standalone_mode=False)"
+        )
+        code = probe + (
+            "\nprint(json.dumps(sorted(k for k in sys.modules if k.startswith('scipy'))))"
+        )
+        out = run_fresh(code).splitlines()
+        self.assert_binding_only(json.loads(out[-1]))
+        workers = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(workers) == 4 and str(workers[0][0]) != out[0]
+        for _, modules in workers:
+            self.assert_binding_only(modules)
 
 
 def test_import_leaves_scipy_linalg_unloaded():

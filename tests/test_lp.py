@@ -12,7 +12,15 @@ from gridfactor.mps import write_mps
 from gridfactor.model import Country, Interconnector, Technology
 from gridfactor.solve import solve, verify_certificate
 
-from _oracles import Labels, csv_write_solution, read_mps, row_assemble, simplex_lp
+from _oracles import (
+    Labels,
+    csv_write_solution,
+    from_scipy,
+    read_mps,
+    row_assemble,
+    simplex_lp,
+    to_scipy,
+)
 from conftest import default_portfolio_spec, wind_only_spec
 
 
@@ -73,7 +81,7 @@ class TestStructure:
         lp, _ = assemble(small_spec)
         row_names = row_assemble(small_spec)[2].row_names  # same A, bit for bit
         j = lp.col_names.index("F[AA-AB,0]")
-        col = lp.A.tocsc()[:, j].toarray().ravel()
+        col = to_scipy(lp.A).tocsc()[:, j].toarray().ravel()
         from_row = row_names.index("bal[AA,0]")
         to_row = row_names.index("bal[AB,0]")
         assert col[from_row] == 1.0
@@ -211,7 +219,7 @@ def _unfold(spec, lp) -> LinearProgram:
         shape=(extra, lp.n_cols),
     )
     return LinearProgram(
-        A=sp.vstack([lp.A, written], format="csr"),
+        A=from_scipy(sp.vstack([to_scipy(lp.A), written], format="csr")),
         c=lp.c,
         lb=lp.lb,
         ub=ub,
@@ -284,7 +292,7 @@ class TestSystemBalanceInvariants:
         lp, _ = assemble(small_spec)
         row_meta = row_assemble(small_spec)[2].row_meta
         balance = [i for i, m in enumerate(row_meta) if m[0] == "balance"]
-        total = np.asarray(lp.A[balance].sum(axis=0)).ravel()
+        total = np.asarray(to_scipy(lp.A)[balance].sum(axis=0)).ravel()
         for line in small_spec.interconnectors:
             flows = lp.blocks[("flow", f"{line.from_country}-{line.to_country}")]
             assert (total[flows] == 0.0).all()
@@ -389,7 +397,7 @@ def _quoted_names_lp() -> tuple[LinearProgram, Labels]:
     }
     n = 6
     lp = LinearProgram(
-        A=sp.csr_matrix((1, n)),
+        A=from_scipy((1, n)),
         c=np.zeros(n),
         lb=np.zeros(n),
         ub=np.ones(n),

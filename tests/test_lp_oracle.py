@@ -19,11 +19,19 @@ from gridfactor import (
 )
 from gridfactor.factorize import extract_storage_metrics
 from gridfactor.harmonize import FactorState, enumerate_subset_states
+import gridfactor.lp as lp_mod
+import gridfactor.solve as solve_mod
 from gridfactor.lp import lp_digest
 from gridfactor.model import ExogenousCapacity
 from gridfactor.residual import capacities_from_result
 
-from _oracles import row_assemble, scan_capacities, scan_storage_metrics
+from _oracles import (
+    row_assemble,
+    scan_capacities,
+    scan_storage_metrics,
+    scipy_csr,
+    to_scipy,
+)
 from conftest import default_portfolio_spec, tiny_lp, wind_only_spec
 
 
@@ -200,7 +208,103 @@ def test_digest_sees_every_array():
         changed[0] = 7.0
         seen.add(lp_digest(dataclasses.replace(lp, **{name: changed})))
     seen.add(lp_digest(dataclasses.replace(lp, relations=np.full(lp.n_rows, "<"))))
-    data = lp.A.copy()
-    data.data[0] = 7.0
-    seen.add(lp_digest(dataclasses.replace(lp, A=data)))
+    data = lp.A.data.copy()
+    data[0] = 7.0
+    seen.add(lp_digest(dataclasses.replace(lp, A=dataclasses.replace(lp.A, data=data))))
     assert len(seen) == 7
+
+
+# The CSR matrix against scipy.sparse, whose kernels it runs: every array
+# and every float bit for bit.
+
+
+def assert_same_csr(got, want):
+    """``got``, a ``CsrMatrix``, holds ``want``'s shape and arrays, dtypes and bytes."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype, name
+        assert mine.tobytes() == theirs.tobytes(), name
+
+
+def built_from_triples(spec, monkeypatch):
+    """``assemble(spec)``'s LP and the triples its matrix was built from."""
+    calls = []
+    build = lp_mod._csr_matrix
+
+    def recorded(shape, ri, ci, data):
+        calls.append((shape, ri.copy(), ci.copy(), data.copy()))
+        return build(shape, ri, ci, data)
+
+    monkeypatch.setattr(lp_mod, "_csr_matrix", recorded)
+    lp, _ = assemble(spec)
+    (triples,) = calls
+    return lp, triples
+
+
+def single_hour(spec, retention):
+    """``spec`` cut to its first hour, every storage keeping ``retention`` an hour."""
+    ts = spec.time_series
+    one = dataclasses.replace(
+        ts,
+        horizon=1,
+        load={k: v[:1] for k, v in ts.load.items()},
+        capacity_factors={k: v[:1] for k, v in ts.capacity_factors.items()},
+        reservoir_inflow={k: v[:1] for k, v in ts.reservoir_inflow.items()},
+    )
+    techs = tuple(
+        dataclasses.replace(t, self_discharge_retention=retention)
+        if t.kind in ("storage", "reservoir")
+        else t
+        for t in spec.technologies
+    )
+    return dataclasses.replace(spec, time_series=one, technologies=techs)
+
+
+class TestCsrAgainstScipy:
+    def test_assemble_small_spec(self, small_spec, monkeypatch):
+        lp, triples = built_from_triples(small_spec, monkeypatch)
+        assert_same_csr(lp.A, scipy_csr(*triples))
+
+    @pytest.mark.parametrize("retention", [0.9, 1.0])
+    def test_assemble_single_hour_duplicates(self, monkeypatch, retention):
+        """At one hour ``np.roll`` puts a level twice in its row; at retention 1 they sum to 0."""
+        spec = single_hour(default_portfolio_spec(), retention)
+        lp, (shape, ri, ci, data) = built_from_triples(spec, monkeypatch)
+        assert_same_csr(lp.A, scipy_csr(shape, ri, ci, data))
+        pairs = np.unique(ri.astype(np.int64) * shape[1] + ci).size
+        assert pairs < ri.size  # duplicates summed
+        # a level's two entries cancel at retention 1, and the sum is dropped
+        assert (lp.A.nnz < pairs) == (retention == 1.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_build_from_unsorted_triples_with_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        shape, n = (7, 5), 60
+        ri, ci = rng.integers(0, 7, n), rng.integers(0, 5, n)
+        data = rng.choice([1.0, -1.0, 0.5, 1e-13, 0.0, 1.0 / 3.0], n)
+        assert_same_csr(lp_mod._csr_matrix(shape, ri, ci, data), scipy_csr(shape, ri, ci, data))
+
+    @pytest.mark.parametrize("state", ["f_23456", "f_123456"])
+    def test_products_and_transpose(self, three_country_spec, state):
+        lp, _ = assemble(apply_factor_state(three_country_spec, FactorState.parse(state), None))
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=lp.n_cols), rng.normal(size=lp.n_rows)
+        A = to_scipy(lp.A)
+        assert (lp.A @ x).tobytes() == (A @ x).tobytes()
+        assert lp.A.rmatvec(y).tobytes() == (A.T @ y).tobytes()
+        assert_same_csr(lp.A.transpose(), A.tocsc().T.tocsr())
+
+    def test_solve_extracts_blocks_as_scipy_does(self, three_country_spec):
+        lp, _ = assemble(apply_factor_state(three_country_spec, FactorState.parse("f_23456"), None))
+        blocks = solve_mod._independent_blocks(lp)
+        assert len(blocks) == 3
+        for rows, cols in blocks:
+            assert_same_csr(lp.A.block(rows, cols), to_scipy(lp.A)[rows][:, cols])
+
+    def test_block_drops_entries_outside_its_columns(self, three_country_spec):
+        lp, _ = assemble(three_country_spec)
+        rng = np.random.default_rng(2)
+        rows = rng.permutation(lp.n_rows)[: lp.n_rows // 3]
+        cols = np.sort(rng.permutation(lp.n_cols)[: lp.n_cols // 2])
+        assert_same_csr(lp.A.block(rows, cols), to_scipy(lp.A)[rows][:, cols])

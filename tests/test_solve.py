@@ -17,12 +17,12 @@ from gridfactor.harmonize import (
     derive_reference_shares,
     enumerate_subset_states,
 )
-from gridfactor.lp import LinearProgram
+from gridfactor.lp import LinearProgram, scipy_extension
 import gridfactor.solve as solve_mod
 from gridfactor.solve import SolveError, SolveOptions, _solve_highs, solve, solve_certified
 from gridfactor.sweep import basis_record, map_basis
 
-from _oracles import independent_blocks, row_assemble, simplex_lp
+from _oracles import from_scipy, independent_blocks, row_assemble, simplex_lp, to_scipy
 from conftest import run_fresh, tiny_lp, wind_only_spec
 from gridfactor import synthesize_system
 
@@ -281,7 +281,7 @@ class TestBlocks:
         needed = sorted(
             _solve_highs(
                 LinearProgram(
-                    A=lp.A[rows][:, cols],
+                    A=from_scipy(to_scipy(lp.A)[rows][:, cols]),
                     c=lp.c[cols],
                     lb=lp.lb[cols],
                     ub=lp.ub[cols],
@@ -367,7 +367,7 @@ class TestBlockOracle:
         "column in no row": ([[1, 0, 0], [0, 0, 1]], 2),
         "column in no row first": ([[0, 1, 0], [0, 0, 1]], 2),
         "five one-row blocks": (np.eye(5), 5),
-        "five blocks of unequal size": (five_block_lp().A.toarray(), 5),
+        "five blocks of unequal size": (to_scipy(five_block_lp().A).toarray(), 5),
         "interleaved blocks": ([[0, 1, 0], [1, 0, 1], [0, 2, 0]], 2),
         "one block": ([[1, 1], [0, 1]], 0),
         "no entries": (np.zeros((2, 3)), 0),
@@ -380,31 +380,42 @@ class TestBlockOracle:
         assert self.assert_same_partition(tiny_lp(A, [">"] * m, [1.0] * m, [1.0] * n)) == blocks
 
 
-class TestBindingLoader:
-    """The HiGHS binding is loaded once per process, whether or not scipy loads it first."""
+def count_loads(name: str) -> str:
+    """Probe code counting the loads of extension ``name`` in ``loads``.
 
-    # counts the loads of the binding's extension, each held long enough
-    # for a second thread to try one at the same time; threads switch often
-    COUNT_LOADS = (
-        "import sys, time, importlib.machinery\n"
+    Each load is held long enough for a second thread to try one at the
+    same time, and threads switch often. The probe imports no scipy
+    module; ``lp`` is an LP of three one-row blocks.
+    """
+    return (
+        "import sys, threading, time, importlib.machinery\n"
         "sys.setswitchinterval(1e-5)\n"
         "loads = []\n"
         "create = importlib.machinery.ExtensionFileLoader.create_module\n"
         "def counted(self, spec):\n"
-        "    if spec.name == 'scipy.optimize._highspy._core':\n"
+        f"    if spec.name == {name!r}:\n"
         "        loads.append(spec.name)\n"
         "        time.sleep(0.05)\n"
         "    return create(self, spec)\n"
         "importlib.machinery.ExtensionFileLoader.create_module = counted\n"
-        "import numpy as np, scipy.sparse as sp\n"
+        "import numpy as np\n"
         "import gridfactor.solve as solve_mod\n"
-        "from gridfactor.lp import LinearProgram\n"
-        "lp = LinearProgram(A=sp.csr_matrix(np.eye(3)), c=np.ones(3), lb=np.zeros(3),\n"
+        "from gridfactor.lp import CsrMatrix, LinearProgram, scipy_extension\n"
+        "index = np.arange(4, dtype=np.int32)\n"
+        "eye = CsrMatrix((3, 3), index, index[:3], np.ones(3))\n"
+        "lp = LinearProgram(A=eye, c=np.ones(3), lb=np.zeros(3),\n"
         "                   ub=np.full(3, np.inf), relations=np.array(['>'] * 3), rhs=np.ones(3))\n"
     )
 
+
+_BINDING = "scipy.optimize._highspy._core"
+
+
+class TestBindingLoader:
+    """The HiGHS binding's load on the block thread pool, and its ``SolveError``."""
+
     def test_first_solves_on_the_block_pool_load_it_once(self):
-        probe = self.COUNT_LOADS + (
+        probe = count_loads(_BINDING) + (
             "solve_mod._usable_cpus = lambda: 3\n"
             "threads = []\n"
             "class Counted(solve_mod.ThreadPoolExecutor):\n"
@@ -418,35 +429,91 @@ class TestBindingLoader:
         for _ in range(4):
             assert run_fresh(probe).split() == ["[3]", "3", "3.0", "1"]
 
-    def test_scipy_optimize_imported_after_a_solve_shares_it(self):
-        probe = self.COUNT_LOADS + (
-            "solve_mod.solve(lp)\n"
-            "core = sys.modules['scipy.optimize._highspy._core']\n"
-            "import scipy.optimize\n"
-            "from scipy.optimize._highspy import _core, _highs_wrapper\n"
-            "result = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])\n"
-            "print(_core is core, _highs_wrapper._h is core, result.status, result.fun, len(loads))"
-        )
-        assert run_fresh(probe).split() == ["True", "True", "0", "1.0", "1"]
-
-    def test_a_solve_after_scipy_optimize_reuses_its_binding(self):
-        probe = self.COUNT_LOADS + (
-            "import scipy.optimize\n"
-            "core = sys.modules['scipy.optimize._highspy._core']\n"
-            "loaded_by_scipy = len(loads)\n"
-            "result = solve_mod.solve(lp)\n"
-            "print(loaded_by_scipy, len(loads), solve_mod._highs_core() is core, result.objective)"
-        )
-        assert run_fresh(probe).split() == ["1", "1", "True", "3.0"]
-
     def test_missing_extension_file_raises_as_a_none_entry_does(self, monkeypatch):
         # test_missing_binding_raises holds the None entry's error
-        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
         lp, _ = assemble(wind_only_spec([1.0, 1.0], [0.5, 1.0]))
+        monkeypatch.delitem(sys.modules, _BINDING)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
         with pytest.raises(SolveError, match=f"^scipy {scipy.__version__}: no HiGHS binding "):
             solve(lp)
-        assert "scipy.optimize._highspy._core" not in sys.modules
+        assert _BINDING not in sys.modules
+
+
+# each extension the package loads from its file: its package, a module of
+# scipy that imports it and the name it has there, and a call through
+# scipy's own API that runs it, with the value that call prints
+EXTENSIONS = {
+    _BINDING: (
+        "scipy.optimize",
+        "scipy.optimize._highspy._highs_wrapper",
+        "_h",
+        "scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0]).fun",
+        "1.0",
+    ),
+    "scipy.sparse._sparsetools": (
+        "scipy.sparse",
+        "scipy.sparse._compressed",
+        "_sparsetools",
+        "(scipy.sparse.csr_matrix([[1.0, 2.0]]) @ np.ones(2))[0]",
+        "3.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+class TestExtensionLoader:
+    """Each extension is loaded once per process, whether or not scipy loads it first."""
+
+    def test_threads_asking_first_load_it_once(self, name):
+        """More threads than CPUs ask for the module at once; one load serves them all."""
+        probe = count_loads(name) + (
+            "barrier = threading.Barrier(4)\n"
+            "got = []\n"
+            "def ask():\n"
+            "    barrier.wait()\n"
+            f"    got.append(scipy_extension({name!r}))\n"
+            "threads = [threading.Thread(target=ask) for _ in range(4)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(timeout=60)\n"
+            "alive = sum(thread.is_alive() for thread in threads)\n"
+            f"same = all(module is sys.modules[{name!r}] for module in got)\n"
+            "print(len(loads), alive, len(got), same)"
+        )
+        for _ in range(4):
+            assert run_fresh(probe).split() == ["1", "0", "4", "True"]
+
+    def test_a_module_scipy_imported_first_is_reused(self, name):
+        package = EXTENSIONS[name][0]
+        probe = count_loads(name) + (
+            f"import {package}\n"
+            f"module = sys.modules[{name!r}]\n"
+            "loaded_by_scipy = len(loads)\n"
+            "from gridfactor import assemble, synthesize_system\n"
+            "system = synthesize_system(seed=3, n_countries=2, horizon=24)\n"
+            "result = solve_mod.solve(assemble(system)[0])\n"
+            f"reused = scipy_extension({name!r}) is module\n"
+            "print(loaded_by_scipy, len(loads), reused, result.status)"
+        )
+        assert run_fresh(probe).split() == ["1", "1", "True", "optimal"]
+
+    def test_a_later_import_of_its_package_shares_it(self, name):
+        package, user, attribute, call, value = EXTENSIONS[name]
+        probe = count_loads(name) + (
+            "from gridfactor import assemble, synthesize_system\n"
+            "system = synthesize_system(seed=3, n_countries=2, horizon=24)\n"
+            "result = solve_mod.solve(assemble(system)[0])\n"
+            f"module = sys.modules[{name!r}]\n"
+            f"import scipy, {package}, {user}\n"
+            f"print(result.status, {user}.{attribute} is module, {call}, len(loads))"
+        )
+        assert run_fresh(probe).split() == ["optimal", "True", value, "1"]
+
+    def test_none_in_sys_modules_raises_import_error(self, monkeypatch, name):
+        monkeypatch.setitem(sys.modules, name, None)
+        with pytest.raises(ImportError, match=f"^import of {name} halted; None in sys.modules$"):
+            scipy_extension(name)
 
 
 @pytest.fixture(scope="module")
