@@ -17,11 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .harmonize import FACTOR_NAMES, FACTOR_NUMBERS
+from .harmonize import FACTOR_NAMES, INTERCONNECTION
 from .model import GridFactorError
 from .serialize import write_csv, write_json
-
-INTERCONNECTION = FACTOR_NUMBERS["interconnection"]
 
 # Shares are suppressed when INT is negligible against the isolated
 # all-native scenario value.
@@ -166,16 +164,12 @@ def extract_storage_metrics(spec, lp, result):
     class_by_tech = {
         t.id: t.duration_class for t in spec.technologies if t.duration_class
     }
-    for (family, *where), block in lp.blocks.items():
-        if family not in ("cap_energy", "cap_discharge"):
-            continue
-        code, tid = where
+    for (family, code, tid), value in lp.capacities(result.primal).items():
         cls = class_by_tech.get(tid)
-        if cls is None:
+        if family not in ("cap_energy", "cap_discharge") or cls is None:
             continue
         kind = "energy_mwh" if family == "cap_energy" else "discharge_mw"
         key = f"{cls}_duration_{kind}"
-        value = float(result.primal[block.start])
         agg[key] += value
         by_country[code][key] += value
     return agg, by_country

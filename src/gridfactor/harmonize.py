@@ -32,6 +32,7 @@ FACTOR_NUMBERS = {
     "bioenergy": 6,
 }
 FACTOR_NAMES = {v: k for k, v in FACTOR_NUMBERS.items()}
+INTERCONNECTION = FACTOR_NUMBERS["interconnection"]
 
 
 class HarmonizeError(GridFactorError):
@@ -55,7 +56,7 @@ class FactorState:
     @property
     def harmonizes(self) -> bool:
         """Whether any of wind, solar, load, hydro or bioenergy is harmonized."""
-        return self.factors | {FACTOR_NUMBERS["interconnection"]} != FACTOR_NAMES.keys()
+        return self.factors | {INTERCONNECTION} != FACTOR_NAMES.keys()
 
     @classmethod
     def from_factors(cls, factors: set[int] | frozenset[int]) -> "FactorState":
@@ -148,11 +149,12 @@ def derive_reference_shares(
     lp, _ = assemble(sub)
     result = solve_certified(lp, f"isolated reference run for {reference_country}", solve_options)
 
+    capacities = lp.capacities(result.primal)
     offshore_mw = 0.0
     for tech in spec.technologies:
-        block = lp.blocks.get(("cap_power", reference_country, tech.id))
-        if tech.offshore and block is not None:
-            offshore_mw += float(result.primal[block.start])
+        key = ("cap_power", reference_country, tech.id)
+        if tech.offshore and key in capacities:
+            offshore_mw += capacities[key]
 
     tech_shares: dict[str, CapacityShares] = {}
     for tech in spec.technologies:

@@ -21,10 +21,11 @@ hourly columns get the upper bound ``avail * v`` instead, which a
 started HiGHS solve, skipping presolve, would otherwise pivot through
 as rows. The matrix stores no explicit zero and no entry below 1e-12.
 
-The matrix is a ``CsrMatrix``: CSR arrays whose operations run the C++
-kernels of ``scipy.sparse._sparsetools``, the ones scipy's own sparse
-matrices call, so every array and every float is the one scipy's
-``csr_matrix`` would give. That extension is loaded from its file
+The matrix is a ``CsrMatrix``: CSR arrays whose build, products and
+transpose run the C++ kernels of ``scipy.sparse._sparsetools``, the
+ones scipy's own sparse matrices call, so every array and every float
+is the one scipy's ``csr_matrix`` would give; its block cut keeps whole
+rows by numpy gathers. That extension is loaded from its file
 (``scipy_extension``), without ``scipy.sparse``: about 300 modules,
 13 MB of Pss and 0.10 s in a solving process, against 0.16 MB and
 0.8 ms for the extension alone. ``solve`` loads scipy's HiGHS binding
@@ -189,24 +190,23 @@ class CsrMatrix:
     def block(self, rows: np.ndarray, cols: np.ndarray) -> CsrMatrix:
         """The submatrix of ``rows``, in their order, and ascending ``cols``.
 
-        scipy's ``A[rows][:, cols]``: each row keeps its entries in the
-        kept columns, in their stored order, with the columns renumbered
-        by their place in ``cols``.
+        They are a connected component (``solve._independent_blocks``),
+        so each row is kept whole, its columns renumbered by their place
+        in ``cols``: scipy's ``A[rows][:, cols]``. A row with an entry
+        outside ``cols`` raises ``ValueError``.
         """
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
         # the stored positions of the rows' entries, row after row
-        ends = np.cumsum(lengths)
-        total = int(ends[-1]) if ends.size else 0
-        positions = np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+        positions = np.arange(int(indptr[-1])) + np.repeat(starts - indptr[:-1], lengths)
         renumbered = np.full(self.shape[1], -1, dtype=self.indices.dtype)
         renumbered[cols] = np.arange(len(cols))
         indices = renumbered[self.indices[positions]]
-        kept = indices >= 0
-        counts = np.bincount(np.repeat(np.arange(len(rows)), lengths)[kept], minlength=len(rows))
-        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
-        np.cumsum(counts, out=indptr[1:])
-        return CsrMatrix((len(rows), len(cols)), indptr, indices[kept], self.data[positions[kept]])
+        if (indices < 0).any():
+            raise ValueError("rows have entries outside cols: not an independent block")
+        return CsrMatrix((len(rows), len(cols)), indptr, indices, self.data[positions])
 
 
 @dataclass(eq=False)
@@ -237,6 +237,11 @@ class LinearProgram:
     @property
     def n_rows(self) -> int:
         return self.A.shape[0]
+
+    def capacities(self, primal) -> dict[tuple, float]:
+        """Every capacity (``cap_*``) column's value in ``primal``, by block key, in block order."""
+        blocks = self.blocks.items()
+        return {key: float(primal[b.start]) for key, b in blocks if key[0].startswith("cap_")}
 
     @property
     def col_names(self) -> tuple[str, ...]:
@@ -322,29 +327,26 @@ def portfolio(spec: PowerSystemSpec) -> list[tuple[str, Technology]]:
 
 
 def _capacity(
-    spec: PowerSystemSpec, code: str, tech: Technology, family: str, exogenous: str, overnight: str
+    spec: PowerSystemSpec, code: str, tech: Technology, exogenous: str, overnight: str
 ) -> tuple[float, float, float]:
     """Bounds and objective coefficient of one capacity column.
 
     Legacy capacity is fixed at its ``exogenous`` field and costs nothing,
-    being sunk. Expandable capacity costs its annualized investment plus
-    fixed cost, per kW or kWh while capacities are MW or MWh (hence the
-    factor 1000), scaled by horizon/8760 so sub-year instances stay
-    economically consistent. Expandable offshore power is fixed at the
-    country's override, if any, and at zero where it may not be built.
+    being sunk. Expandable capacity costs its annualized investment, plus
+    fixed cost for output power, per kW or kWh while capacities are MW or
+    MWh (hence the factor 1000), scaled by horizon/8760 so sub-year
+    instances stay economically consistent. Expandable offshore power is
+    fixed at the country's override, if any, and at zero where it may not
+    be built.
     """
     if not tech.expandable:
         v = getattr(spec.exogenous_capacity(code, tech.id), exogenous)
         return v, v, 0.0
-    fixed, what = {
-        "cap_power": (tech.fixed_cost, "technology"),
-        "cap_charge": (0.0, "storage"),
-        "cap_discharge": (tech.fixed_cost, "storage"),
-        "cap_energy": (0.0, "storage"),
-    }[family]
+    # fixed O&M is EUR per kW of output a year: it prices the output power capacity
+    fixed = tech.fixed_cost if exogenous == "power_discharge" else 0.0
     investment = getattr(tech, overnight)
     if investment <= 0:
-        raise BuildError(f"expandable {what} {tech.id}: missing {overnight}")
+        raise BuildError(f"expandable {tech.id}: missing {overnight}")
     year_scale = spec.time_series.horizon / HOURS_PER_YEAR
     cost = (annuity(investment, tech.lifetime, spec.annuity_rate) + fixed) * 1000.0 * year_scale
     if tech.offshore:
@@ -446,7 +448,7 @@ def _layout(spec: PowerSystemSpec) -> _Columns:
             cost = tech.marginal_cost if sign else 0.0
             cols.add((family, code, tech.id), cols.horizon, cost=cost)
         for family, *fields in KIND_CAPACITIES[tech.kind]:
-            cols.add((family, code, tech.id), 1, *_capacity(spec, code, tech, family, *fields))
+            cols.add((family, code, tech.id), 1, *_capacity(spec, code, tech, *fields))
 
     if spec.interconnection_enabled:
         for line in sorted(spec.interconnectors, key=lambda l: (l.from_country, l.to_country)):
@@ -557,11 +559,10 @@ def _csr_matrix(shape: tuple[int, int], ri, ci, data) -> CsrMatrix:
     """The CSR matrix of coordinate triples: duplicates summed, then tiny entries dropped.
 
     The steps of scipy's ``csr_matrix((data, (ri, ci)))`` on its kernels:
-    ``coo_tocsr``, then, unless the result is canonical (each row's
-    columns strictly ascending), ``csr_sort_indices`` where a row is
-    unsorted and ``csr_sum_duplicates``. Entries below 1e-12 are zeroed
-    after the sum, so a coefficient that sums to zero goes too, and
-    ``csr_eliminate_zeros`` removes them. Index arrays are int32 where
+    ``coo_tocsr``, ``csr_sort_indices`` where a row is unsorted, and
+    ``csr_sum_duplicates``, a no-op where no column repeats in a row.
+    Entries below 1e-12 are zeroed after the sum, so a coefficient that
+    sums to zero goes too, and ``csr_eliminate_zeros`` removes them. Index arrays are int32 where
     the shape and the triples fit, as scipy chooses them.
     """
     kernels = sparsetools()
@@ -573,10 +574,9 @@ def _csr_matrix(shape: tuple[int, int], ri, ci, data) -> CsrMatrix:
     values = np.empty(nnz)
     ri, ci = ri.astype(index, copy=False), ci.astype(index, copy=False)
     kernels.coo_tocsr(m, n, nnz, ri, ci, np.asarray(data, dtype=float), indptr, indices, values)
-    if not kernels.csr_has_canonical_format(m, indptr, indices):
-        if not kernels.csr_has_sorted_indices(m, indptr, indices):
-            kernels.csr_sort_indices(m, indptr, indices, values)
-        kernels.csr_sum_duplicates(m, n, indptr, indices, values)
+    if not kernels.csr_has_sorted_indices(m, indptr, indices):
+        kernels.csr_sort_indices(m, indptr, indices, values)
+    kernels.csr_sum_duplicates(m, n, indptr, indices, values)
     values[np.abs(values) < _TINY_COEFF] = 0.0
     kernels.csr_eliminate_zeros(m, n, indptr, indices, values)
     nnz = int(indptr[-1])

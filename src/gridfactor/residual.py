@@ -54,12 +54,12 @@ class ResidualEvent:
 
 def capacities_from_result(spec: PowerSystemSpec, lp, result) -> dict[tuple[str, str], float]:
     """Installed VRE power per (country, technology) from an optimal solve."""
-    caps: dict[tuple[str, str], float] = {}
     vre_ids = {t.id for t in spec.techs_of_kind("variable-renewable")}
-    for (family, *where), block in lp.blocks.items():
-        if family == "cap_power" and where[1] in vre_ids:
-            caps[tuple(where)] = float(result.primal[block.start])
-    return caps
+    return {
+        (code, tid): value
+        for (family, code, tid), value in lp.capacities(result.primal).items()
+        if family == "cap_power" and tid in vre_ids
+    }
 
 
 def residual_series(

@@ -57,7 +57,6 @@ from pathlib import Path
 import numpy as np
 
 from .factorize import (
-    INTERCONNECTION,
     FactorDecomposition,
     MetricTable,
     STORAGE_METRICS,
@@ -67,6 +66,7 @@ from .factorize import (
 )
 from .harmonize import (
     FACTOR_NAMES,
+    INTERCONNECTION,
     FactorState,
     ReferenceShares,
     apply_factor_state,

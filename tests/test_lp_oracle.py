@@ -71,6 +71,8 @@ def assert_lookups_match_scans(spec, rng):
     got = extract_storage_metrics(spec, lp, result)
     assert got == scan_storage_metrics(spec, col_meta, primal)
     assert capacities_from_result(spec, lp, result) == scan_capacities(spec, col_meta, primal)
+    caps = [(meta[:3], float(v)) for v, meta in zip(primal, col_meta) if meta[0].startswith("cap_")]
+    assert list(lp.capacities(primal).items()) == caps
 
 
 def run_of_river_spec(base, profile):
@@ -302,9 +304,10 @@ class TestCsrAgainstScipy:
         for rows, cols in blocks:
             assert_same_csr(lp.A.block(rows, cols), to_scipy(lp.A)[rows][:, cols])
 
-    def test_block_drops_entries_outside_its_columns(self, three_country_spec):
+    def test_block_refuses_entries_outside_its_columns(self, three_country_spec):
         lp, _ = assemble(three_country_spec)
         rng = np.random.default_rng(2)
         rows = rng.permutation(lp.n_rows)[: lp.n_rows // 3]
         cols = np.sort(rng.permutation(lp.n_cols)[: lp.n_cols // 2])
-        assert_same_csr(lp.A.block(rows, cols), to_scipy(lp.A)[rows][:, cols])
+        with pytest.raises(ValueError, match="outside cols"):
+            lp.A.block(rows, cols)
